@@ -1,8 +1,10 @@
-"""Vectorized batch kernels for Monte Carlo runs (internal).
+"""Monte Carlo entry points over stacked paths (internal).
 
-Everything here operates on stacked path values of shape (C, n+1, d) and is
-chunk-friendly; results match the per-path functions in `lifts`/`seminorms`
-exactly, which the test suite asserts.
+The kernels live once, in `lifts` and `seminorms`, and take any number of
+leading axes: values (..., n+1, d), basepoint tensors (..., n+1, d, ...),
+entry surfaces (..., n+1, n+1).  A single path is the batch with no leading
+axis.  The names here are the batch route's calls into those kernels, on
+values of shape (C, n+1, d).
 """
 
 from __future__ import annotations
@@ -10,86 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import TimeGrid
-from .seminorms import AmbientSpec
+from .lifts import _pair_base, _symbol_payload
+from .seminorms import AmbientSpec, symbol_norm
 
 
 def pair_base_batch(values: np.ndarray, scheme: str) -> np.ndarray:
     """Level-2 basepoint tensors for a batch: (C, n+1, d, d)."""
-    v0 = values - values[:, :1]
-    dv = np.diff(values, axis=1)
-    contrib = np.einsum("cmi,cmj->cmij", v0[:, :-1], dv)
-    if scheme == "stratonovich":
-        contrib = contrib + 0.5 * np.einsum("cmi,cmj->cmij", dv, dv)
-    base = np.zeros((values.shape[0], values.shape[1]) + contrib.shape[2:])
-    np.cumsum(contrib, axis=1, out=base[:, 1:])
-    return base
-
-
-def level2_entry_surfaces(values: np.ndarray, base: np.ndarray, i: int, j: int) -> np.ndarray:
-    """X^{ij}_{s,t} for the whole batch: (C, n+1, n+1); 1-based indices."""
-    b = base[:, :, i - 1, j - 1]
-    xi0 = values[:, :, i - 1] - values[:, :1, i - 1]
-    xj = values[:, :, j - 1]
-    return (
-        b[:, None, :]
-        - b[:, :, None]
-        - xi0[:, :, None] * (xj[:, None, :] - xj[:, :, None])
-    )
-
-
-def pvar_1d_batch(values_1d: np.ndarray, p: float) -> np.ndarray:
-    """p_variation_1d over a batch of scalar paths (C, n+1) -> (C,)."""
-    x = values_1d
-    n = x.shape[1] - 1
-    best = np.zeros_like(x)
-    for jj in range(1, n + 1):
-        cand = best[:, :jj] + np.abs(x[:, jj : jj + 1] - x[:, :jj]) ** p
-        best[:, jj] = cand.max(axis=1)
-    return np.abs(x[:, 0]) + best[:, n] ** (1.0 / p)
-
-
-def holder_1d_batch(values_1d: np.ndarray, grid: TimeGrid, alpha: float) -> np.ndarray:
-    x = values_1d
-    n = x.shape[1] - 1
-    out = np.zeros(x.shape[0])
-    for lag in range(1, n + 1):
-        num = np.max(np.abs(x[:, lag:] - x[:, :-lag]), axis=1)
-        np.maximum(out, num / (lag * grid.dt) ** alpha, out=out)
-    return out
-
-
-def _norm_1d_batch(values_1d, grid, sym):
-    kind = sym.norm.kind
-    if kind == "pvar":
-        return pvar_1d_batch(values_1d, sym.norm.exponent)
-    if kind == "holder":
-        return holder_1d_batch(values_1d, grid, sym.norm.exponent)
-    if kind == "sup":
-        return np.max(np.abs(values_1d), axis=1)
-    return np.abs(values_1d[:, -1])
-
-
-def _norm_2param_batch(surfaces, grid, sym):
-    kind = sym.norm.kind
-    if kind == "holder":
-        gaps = np.abs(grid.points[None, :] - grid.points[:, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(gaps > 0, gaps ** (-sym.norm.exponent), 0.0)
-        return np.max(np.abs(surfaces) * scale[None], axis=(1, 2))
-    if kind == "pvar":
-        n = grid.n_steps
-        p = sym.norm.exponent
-        best = np.sum(np.abs(surfaces) ** p, axis=(1, 2))
-        stride = 2
-        while n % stride == 0 and n // stride >= 1:
-            idx = np.arange(0, n + 1, stride)
-            sub = surfaces[:, idx][:, :, idx]
-            np.maximum(best, np.sum(np.abs(sub) ** p, axis=(1, 2)), out=best)
-            stride *= 2
-        return best ** (1.0 / p)
-    if kind == "sup":
-        return np.max(np.abs(surfaces), axis=(1, 2))
-    return np.abs(surfaces[:, 0, -1])
+    return _pair_base(values, values, scheme)
 
 
 def homogeneous_norm_batch(
@@ -97,20 +26,13 @@ def homogeneous_norm_batch(
     grid: TimeGrid,
     values: np.ndarray,
     base2: np.ndarray | None = None,
+    base3: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Homogeneous norms of a batch of (level <= 2) enhanced paths."""
+    """Homogeneous norms of a batch of enhanced paths, one per leading index."""
     total = np.zeros(values.shape[0])
     for sym in ambient.symbols:
-        if sym.degree == 1:
-            norms = _norm_1d_batch(values[:, :, sym.indices[0] - 1], grid, sym)
-        elif sym.degree == 2:
-            if base2 is None:
-                raise ValueError(f"symbol {sym.name!r} needs level-2 data")
-            surf = level2_entry_surfaces(values, base2, *sym.indices)
-            norms = _norm_2param_batch(surf, grid, sym)
-        else:
-            raise ValueError("batch norms support degrees 1 and 2 only")
-        total += norms ** (1.0 / sym.degree)
+        payload = _symbol_payload(sym, values, base2, base3)
+        total += symbol_norm(payload, grid, sym) ** (1.0 / sym.degree)
     return total
 
 

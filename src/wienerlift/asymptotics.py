@@ -20,7 +20,7 @@ from scipy import optimize, stats
 
 from ._batch import homogeneous_norm_batch, pair_base_batch, parallel_chunks
 from .grids import CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, derived_rng, sample_values_batch
-from .lifts import EnhancedPath, to_graded, young_skeleton_lift
+from .lifts import EnhancedPath, _triple_base, to_graded, young_skeleton_lift
 from .seminorms import AmbientSpec, GradedVector, homogeneous_norm
 
 EVENT_KINDS = ("sup-level1", "hom-norm", "level2-entry", "terminal-abs")
@@ -50,12 +50,6 @@ class EventSpec:
     def degree(self) -> int:
         return 2 if self.kind == "level2-entry" else 1
 
-    @property
-    def needs_level2(self) -> bool:
-        return self.kind == "level2-entry" or (
-            self.kind == "hom-norm" and self.ambient.max_degree >= 2
-        )
-
     def statistic_batch(
         self, values: np.ndarray, grid: TimeGrid, scheme: str
     ) -> np.ndarray:
@@ -63,11 +57,13 @@ class EventSpec:
             return np.max(values, axis=(1, 2))
         if self.kind == "terminal-abs":
             return np.linalg.norm(values[:, -1, :], axis=1)
-        base2 = pair_base_batch(values, scheme) if self.needs_level2 else None
         if self.kind == "level2-entry":
             i, j = self.entry
-            return base2[:, -1, i - 1, j - 1]
-        return homogeneous_norm_batch(self.ambient, grid, values, base2)
+            return pair_base_batch(values, scheme)[:, -1, i - 1, j - 1]
+        degree = self.ambient.max_degree
+        base2 = pair_base_batch(values, scheme) if degree >= 2 else None
+        base3 = _triple_base(values, values, values, scheme, pair_ab=base2) if degree >= 3 else None
+        return homogeneous_norm_batch(self.ambient, grid, values, base2, base3)
 
     def statistic(self, e: EnhancedPath) -> float:
         """Single-path statistic, for cross-checking against the batch route."""
@@ -85,22 +81,27 @@ class EventSpec:
 
 
 def _oracle_log_prob(
-    oracle: str, event: EventSpec, grid: TimeGrid, eps: float
+    oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float
 ) -> float:
-    """log P(dilate(eps, lift(X)) in event) for the supported closed forms."""
-    T = grid.horizon
+    """log P(dilate(eps, lift(X)) in event) for the supported closed forms.
+
+    All three are one-dimensional: x_T ~ N(0, R(T, T)) for the terminal and
+    level-2 diagonal tails, and the reflection principle, which holds for
+    Brownian motion only, for the running maximum.
+    """
+    if oracle not in ORACLES:
+        raise ValueError(f"oracle must be one of {ORACLES}, got {oracle!r}")
+    if oracle != "level2-diag-gauss" and spec.dim > 1:
+        raise ValueError(f"oracle {oracle!r} is a one-dimensional closed form, got d={spec.dim}")
+    if oracle == "reflection" and spec.kind != "bm":
+        raise ValueError(f"oracle {oracle!r} holds for Brownian motion only, got {spec.kind!r}")
     c = event.threshold
-    if oracle == "reflection":
-        # one-sided running maximum of Brownian motion
-        return math.log(2.0) + float(stats.norm.logcdf(-c / (eps * math.sqrt(T))))
-    if oracle == "terminal-gauss":
-        return math.log(2.0) + float(stats.norm.logcdf(-c / (eps * math.sqrt(T))))
+    var = float(spec.covariance(grid.horizon, grid.horizon))
     if oracle == "level2-diag-gauss":
-        # trapezoid diagonal is B_T^2/2 exactly, so the event is a B_T tail
-        return math.log(2.0) + float(
-            stats.norm.logcdf(-math.sqrt(2.0 * c / T) / eps)
-        )
-    raise ValueError(f"oracle must be one of {ORACLES}, got {oracle!r}")
+        # trapezoid diagonal is x_T^2/2 exactly, so the event is an x_T tail
+        return math.log(2.0) + float(stats.norm.logcdf(-math.sqrt(2.0 * c / var) / eps))
+    # reflection: P(max_{t<=T} B_t >= a) = 2 P(B_T >= a) = P(|B_T| >= a)
+    return math.log(2.0) + float(stats.norm.logcdf(-c / (eps * math.sqrt(var))))
 
 
 @dataclass
@@ -194,6 +195,11 @@ def empirical_rate(
     if not epsilons:
         raise ValueError("epsilons must be non-empty")
     deg = event.degree
+    oracle_values = None
+    if oracle is not None:
+        oracle_values = [
+            eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps) for eps in epsilons
+        ]
 
     pilot_stats = _collect_statistics(
         spec, scheme, event, grid, seed + 1, pilot_samples, chunk, threads
@@ -221,15 +227,10 @@ def empirical_rate(
 
     hits, log_probs, log_ses, scaled, scaled_ses = [], [], [], [], []
     for eps in epsilons:
-        if eps in censored:
-            hits.append(0)
-            for acc in (log_probs, log_ses, scaled, scaled_ses):
-                acc.append(float("nan"))
-            continue
-        cut = event.threshold / eps**deg
-        k = int(np.sum(stats_main >= cut))
+        k = 0 if eps in censored else int(np.sum(stats_main >= event.threshold / eps**deg))
         if k == 0:
-            censored.append(eps)
+            if eps not in censored:
+                censored.append(eps)
             hits.append(0)
             for acc in (log_probs, log_ses, scaled, scaled_ses):
                 acc.append(float("nan"))
@@ -242,12 +243,6 @@ def empirical_rate(
         log_ses.append(se_log)
         scaled.append(eps**2 * math.log(p_hat))
         scaled_ses.append(eps**2 * se_log)
-
-    oracle_values = None
-    if oracle is not None:
-        oracle_values = [
-            eps**2 * _oracle_log_prob(oracle, event, grid, eps) for eps in epsilons
-        ]
 
     fit_eps = [e for e in epsilons if e not in censored]
     fit_scaled = [s for s in scaled if not math.isnan(s)]
@@ -456,16 +451,8 @@ def lift_norm_samples(
     threads: int = 1,
 ) -> np.ndarray:
     """Homogeneous norms of n_samples independent lifts."""
-    out = np.empty(n_samples)
-    needs2 = ambient.max_degree >= 2
-
-    def worker(start, c):
-        values = sample_values_batch(spec, grid, seed, c, start=start)
-        base2 = pair_base_batch(values, scheme) if needs2 else None
-        out[start : start + c] = homogeneous_norm_batch(ambient, grid, values, base2)
-
-    parallel_chunks(n_samples, chunk, worker, threads)
-    return out
+    norm = EventSpec("hom-norm", 0.0, ambient=ambient)  # its statistic is the norm
+    return _collect_statistics(spec, scheme, norm, grid, seed, n_samples, chunk, threads)
 
 
 def fernique_tail_fit(

@@ -14,7 +14,9 @@ provenance config (outputs stay byte-identical across thread counts).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -64,30 +66,57 @@ class CliError(Exception):
 
 
 def _check_out(path: str, force: bool) -> str:
-    import os
-
     if os.path.exists(path) and not force:
         raise CliError(f"--out target {path!r} exists; pass --force to overwrite")
     return path
 
 
-def _write_summary(out: str, command: str, config: dict, results: dict) -> str:
-    summary_path = out + ".summary.json"
-    doc = {
-        "format_version": SUMMARY_FORMAT_VERSION,
-        "command": command,
-        "config": config,
-        "results": results,
-    }
-    with open(summary_path, "w") as fh:
+def _read_input(load, filename: str):
+    """load(filename), reporting malformed content as an argument error."""
+    try:
+        return load(filename)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield a temporary name beside `path`, moved onto `path` once written.
+
+    A write that fails leaves any previous `path` as it was and removes the
+    temporary file.
+    """
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with _replacing(path) as tmp, open(tmp, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
-    return summary_path
+
+
+def _write_summary(path: str, command: str, config: dict, results: dict) -> None:
+    _write_json(
+        path,
+        {
+            "format_version": SUMMARY_FORMAT_VERSION,
+            "command": command,
+            "config": config,
+            "results": results,
+        },
+    )
 
 
 def _write_csv_rows(path: str, rows: list) -> None:
     import csv
 
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
@@ -101,14 +130,20 @@ def _grid(args) -> TimeGrid:
     return TimeGrid(horizon=args.horizon, n_steps=args.steps)
 
 
+def _process_config(args, **extra) -> dict:
+    """The process and grid options of a run, plus `extra`, for its summary."""
+    return dict(
+        process=args.process, dim=args.dim, steps=args.steps, horizon=args.horizon,
+        hurst=args.hurst, **extra,
+    )
+
+
 def _parse_ambient(preset_or_path: str, dim: int) -> AmbientSpec:
     """--ambient accepts a JSON file path or a preset string.
 
     Presets: classical[:kind], terminal, level1:p, level2:p, level3:p,
     holder2:alpha (levels built for the run's --dim).
     """
-    import os
-
     if os.path.exists(preset_or_path):
         return AmbientSpec.load(preset_or_path)
     head, _, arg = preset_or_path.partition(":")
@@ -171,17 +206,10 @@ def _cmd_sample(args) -> int:
     grid = _grid(args)
     out = _check_out(args.out, args.force)
     path = sample(spec, grid, args.seed)
-    write_path_csv(path, out)
-    config = {
-        "process": args.process,
-        "dim": args.dim,
-        "steps": args.steps,
-        "horizon": args.horizon,
-        "hurst": args.hurst,
-        "seed": args.seed,
-        "out": out,
-    }
-    _write_summary(out, "sample", config, {"rows": grid.n_steps + 1})
+    with _replacing(out) as tmp:
+        write_path_csv(path, tmp)
+    config = _process_config(args, seed=args.seed, out=out)
+    _write_summary(out + ".summary.json", "sample", config, {"rows": grid.n_steps + 1})
     print(f"sample: wrote {out} (n={grid.n_steps}, d={spec.dim}, seed={args.seed})")
     return 0
 
@@ -189,20 +217,13 @@ def _cmd_sample(args) -> int:
 def _cmd_lift(args) -> int:
     out = _check_out(args.out, args.force)
     if args.infile:
-        x = read_path_csv(args.infile)
+        x = _read_input(read_path_csv, args.infile)
         source = {"in": args.infile}
     else:
         if args.seed is None:
             raise CliError("--seed is required when sampling (no --in given)")
         x = sample(_gaussian_spec(args), _grid(args), args.seed)
-        source = {
-            "process": args.process,
-            "dim": args.dim,
-            "steps": args.steps,
-            "horizon": args.horizon,
-            "hurst": args.hurst,
-            "seed": args.seed,
-        }
+        source = _process_config(args, seed=args.seed)
     if args.scheme == "ito":
         e = ito_lift(x, level=args.level)
     elif args.scheme == "stratonovich":
@@ -210,18 +231,19 @@ def _cmd_lift(args) -> int:
     else:
         h = piecewise_linear(x, args.dyadic_level)
         e = young_skeleton_lift(h, level=args.level)
-    save_enhanced(e, out)
+    with _replacing(out) as tmp:
+        save_enhanced(e, tmp)
     residual = max_chen_residual(e)
     config = dict(source, scheme=args.scheme, level=args.level, out=out)
     if args.scheme == "young":
         config["dyadic_level"] = args.dyadic_level
-    _write_summary(out, "lift", config, {"max_dyadic_chen_residual": residual})
+    _write_summary(out + ".summary.json", "lift", config, {"max_dyadic_chen_residual": residual})
     print(f"lift: wrote {out} (scheme={args.scheme}, level={args.level}, chen={residual:.2e})")
     return 0
 
 
 def _cmd_norm(args) -> int:
-    e = load_enhanced(args.infile)
+    e = _read_input(load_enhanced, args.infile)
     ambient = _parse_ambient(args.ambient, e.dim) if args.ambient else None
     gv = to_graded(e, ambient)
     hom = homogeneous_norm(gv)
@@ -230,12 +252,7 @@ def _cmd_norm(args) -> int:
     config = {"in": args.infile, "ambient": args.ambient}
     if args.out:
         out = _check_out(args.out, args.force)
-        with open(out, "w") as fh:
-            json.dump(
-                {"format_version": SUMMARY_FORMAT_VERSION, "command": "norm",
-                 "config": config, "results": results},
-                fh, indent=2, sort_keys=True,
-            )
+        _write_summary(out, "norm", config, results)
         print(f"norm: |||x||| = {hom!r}, ||x|| = {ban!r} -> {out}")
     else:
         print(f"norm: |||x||| = {hom!r}, ||x|| = {ban!r}")
@@ -258,14 +275,12 @@ def _cmd_ldp(args) -> int:
         oracle=args.oracle,
         threads=args.threads,
     )
-    config = {
-        "process": args.process, "dim": args.dim, "steps": args.steps,
-        "horizon": args.horizon, "hurst": args.hurst, "scheme": args.scheme,
-        "event": args.event, "epsilons": epsilons, "samples": args.samples,
-        "oracle": args.oracle, "seed": args.seed, "out": out,
-    }
+    config = _process_config(
+        args, scheme=args.scheme, event=args.event, epsilons=epsilons,
+        samples=args.samples, oracle=args.oracle, seed=args.seed, out=out,
+    )
     doc = estimate.to_document()
-    _write_summary(out, "ldp", config, doc)
+    _write_summary(out + ".summary.json", "ldp", config, doc)
     _write_csv_rows(out, estimate.csv_rows())
     live = [s for s in estimate.scaled if not np.isnan(s)]
     digest = f"ldp: wrote {out}; extrapolated_rate={estimate.extrapolated_rate!r}"
@@ -290,12 +305,7 @@ def _cmd_eta0(args) -> int:
         "restarts": args.restarts, "horizon": args.horizon, "seed": args.seed,
         "out": out,
     }
-    with open(out, "w") as fh:
-        json.dump(
-            {"format_version": SUMMARY_FORMAT_VERSION, "command": "eta0",
-             "config": config, "results": result.to_document()},
-            fh, indent=2, sort_keys=True,
-        )
+    _write_summary(out, "eta0", config, result.to_document())
     print(
         f"eta0: wrote {out}; eta0_hat={result.eta0_hat!r} "
         f"(restarts={result.restarts_used}, converged={result.all_converged})"
@@ -315,13 +325,11 @@ def _cmd_fernique(args) -> int:
         grid=_grid(args),
         threads=args.threads,
     )
-    config = {
-        "process": args.process, "dim": args.dim, "steps": args.steps,
-        "horizon": args.horizon, "hurst": args.hurst, "scheme": args.scheme,
-        "ambient": args.ambient, "samples": args.samples, "seed": args.seed,
-        "out": out,
-    }
-    _write_summary(out, "fernique", config, fit.to_document())
+    config = _process_config(
+        args, scheme=args.scheme, ambient=args.ambient, samples=args.samples,
+        seed=args.seed, out=out,
+    )
+    _write_summary(out + ".summary.json", "fernique", config, fit.to_document())
     _write_csv_rows(out, fit.csv_rows())
     print(f"fernique: wrote {out}; eta_hat={fit.eta_hat!r} over t in {fit.fit_range}")
     return 0
@@ -363,18 +371,11 @@ def _cmd_cm_check(args) -> int:
         "half_norm_sq": half_sq,
         "reweight": reports,
     }
-    config = {
-        "process": args.process, "dim": args.dim, "steps": args.steps,
-        "horizon": args.horizon, "hurst": args.hurst, "shift": args.shift,
-        "functional": args.functional, "samples": args.samples,
-        "seed": args.seed, "out": out,
-    }
-    with open(out, "w") as fh:
-        json.dump(
-            {"format_version": SUMMARY_FORMAT_VERSION, "command": "cm-check",
-             "config": config, "results": results},
-            fh, indent=2, sort_keys=True,
-        )
+    config = _process_config(
+        args, shift=args.shift, functional=args.functional, samples=args.samples,
+        seed=args.seed, out=out,
+    )
+    _write_summary(out, "cm-check", config, results)
     print(
         f"cm-check: wrote {out}; E[f_h]={mean_density:.4f}+-{se_density:.4f}, "
         f"max |z|={max_z:.2f}"
@@ -390,8 +391,7 @@ def _cmd_chaos(args) -> int:
         if not isinstance(obj, chaos_mod.ChaosPolynomial):
             raise CliError(f"--poly {args.poly!r} holds a graded family; project wants a scalar polynomial")
         projected = chaos_mod.chaos_project(obj, args.degree)
-        with open(out, "w") as fh:
-            json.dump(chaos_mod.chaos_to_document(projected), fh, indent=2, sort_keys=True)
+        _write_json(out, chaos_mod.chaos_to_document(projected))
         print(f"chaos project: wrote {out} ({len(projected.coeffs)} terms at degree {args.degree})")
         return 0
     if args.action == "proxy":
@@ -410,12 +410,7 @@ def _cmd_chaos(args) -> int:
         }
         config = {"poly": args.poly, "shift_vector": args.shift_vector,
                   "samples": args.samples, "seed": args.seed, "out": out}
-        with open(out, "w") as fh:
-            json.dump(
-                {"format_version": SUMMARY_FORMAT_VERSION, "command": "chaos proxy",
-                 "config": config, "results": results},
-                fh, indent=2, sort_keys=True,
-            )
+        _write_summary(out, "chaos proxy", config, results)
         worst = max(
             (abs(exact[k] - mc[k][0]) / (mc[k][1] or 1.0) for k in exact), default=0.0
         )
@@ -429,12 +424,7 @@ def _cmd_chaos(args) -> int:
     )
     config = {"degree": args.degree, "p": args.p, "q": args.q,
               "trials": args.trials, "dim": args.dim, "seed": args.seed, "out": out}
-    with open(out, "w") as fh:
-        json.dump(
-            {"format_version": SUMMARY_FORMAT_VERSION, "command": "chaos norm-equiv",
-             "config": config, "results": report},
-            fh, indent=2, sort_keys=True,
-        )
+    _write_summary(out, "chaos norm-equiv", config, report)
     print(
         f"chaos norm-equiv: wrote {out}; worst ratio {report['worst_ratio']:.4f} "
         f"vs bound {report['bound']:.4f}, violations={report['violations']}"

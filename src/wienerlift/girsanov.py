@@ -24,6 +24,7 @@ from .grids import (
     cm_inner,
     sample_values_batch,
 )
+from .lifts import _triple_base
 from .seminorms import AmbientSpec, ambient_for_levels
 
 REWEIGHT_FUNCTIONALS = ("sup-level1", "terminal-level1", "level2-entry", "hom-norm")
@@ -104,7 +105,9 @@ def _functional_batch(
         i, j = entry
         return base2[:, -1, i - 1, j - 1]
     if name == "hom-norm":
-        return homogeneous_norm_batch(ambient, grid, values, base2)
+        level3 = ambient.max_degree >= 3
+        base3 = _triple_base(values, values, values, scheme, pair_ab=base2) if level3 else None
+        return homogeneous_norm_batch(ambient, grid, values, base2, base3)
     raise ValueError(f"functional must be one of {REWEIGHT_FUNCTIONALS}, got {name!r}")
 
 

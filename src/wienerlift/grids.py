@@ -198,18 +198,10 @@ def sample(spec: GaussianSpec, grid: TimeGrid, seed: int, index: int = 0) -> Sam
     """Draw one path, exact in distribution on the grid, started at 0.
 
     Deterministic given (spec, grid, seed, index); `index` selects the derived
-    per-sample stream so Monte Carlo runs are scheduling-independent.
+    per-sample stream so Monte Carlo runs are scheduling-independent.  It is
+    sample `index` of `sample_values_batch`.
     """
-    rng = derived_rng(seed, index)
-    n, d = grid.n_steps, spec.dim
-    values = np.zeros((n + 1, d))
-    if spec.kind == "bm":
-        incr = rng.standard_normal((n, d)) * math.sqrt(grid.dt)
-        np.cumsum(incr, axis=0, out=values[1:])
-    else:
-        chol = _fbm_cholesky(spec, grid)
-        values[1:] = chol @ rng.standard_normal((n, d))
-    return SamplePath(grid, values)
+    return SamplePath(grid, sample_values_batch(spec, grid, seed, 1, start=index)[0])
 
 
 def sample_values_batch(
@@ -307,18 +299,25 @@ def write_path_csv(path: SamplePath, filename) -> None:
 
 
 def read_path_csv(filename) -> SamplePath:
+    """Read a path CSV; malformed content raises ValueError naming the file."""
     with open(filename, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[0] != "t":
             raise ValueError(f"bad CSV header in {filename}: expected leading 't' column")
-        rows = [[float(v) for v in row] for row in reader]
+        rows = []
+        for line, row in enumerate(reader, start=2):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields where the header has {len(header)}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{filename} line {line}: {exc}") from None
+    if len(rows) < 2:
+        raise ValueError(f"{filename} holds {len(rows)} data rows; a path needs two grid points")
     data = np.asarray(rows)
     t, values = data[:, 0], data[:, 1:]
-    n = len(t) - 1
-    if n < 1:
-        raise ValueError(f"{filename} holds fewer than two grid points")
-    grid = TimeGrid(horizon=float(t[-1]), n_steps=n)
+    grid = TimeGrid(horizon=float(t[-1]), n_steps=len(t) - 1)
     if not np.allclose(t, grid.points, rtol=0, atol=1e-12 * max(1.0, grid.horizon)):
         raise ValueError(f"{filename} does not carry a uniform grid from 0 to T")
     return SamplePath(grid, values)

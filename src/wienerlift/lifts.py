@@ -11,6 +11,11 @@ the trapezoid rule (per-step tensor exponentials), and the Young scheme exact
 per-cell polynomial integration of piecewise-linear paths.  Memory is
 O(n d^level) instead of O(n^2 d^level), and the Chen relation becomes a
 verifiable identity rather than an assumption.
+
+The basepoint accumulators and the entry-surface reconstructions take any
+number of leading axes: values (..., n+1, d), basepoint tensors
+(..., n+1, d, d[, d]) and surfaces (..., n+1, n+1).  One path is the batch
+with no leading axis; the Monte Carlo route in `_batch` stacks paths.
 """
 
 from __future__ import annotations
@@ -56,11 +61,7 @@ class Level2Surface:
 
     def entry_surface(self, i: int, j: int) -> np.ndarray:
         """Full (n+1, n+1) surface of X^{ij}_{s,t}; 1-based component indices."""
-        v = self.level1_values
-        b = self.base[:, i - 1, j - 1]
-        xi = v[:, i - 1] - v[0, i - 1]
-        xj = v[:, j - 1]
-        return b[None, :] - b[:, None] - xi[:, None] * (xj[None, :] - xj[:, None])
+        return level2_entry_surface(self.level1_values, self.base, (i, j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,18 +95,8 @@ class Level3Surface:
 
     def entry_surface(self, i: int, j: int, k: int) -> np.ndarray:
         """Full (n+1, n+1) surface of X^{ijk}_{s,t}; 1-based indices."""
-        v = self.level2.level1_values
-        b = self.base[:, i - 1, j - 1, k - 1]
-        xi0 = v[:, i - 1] - v[0, i - 1]
-        xk = v[:, k - 1]
-        x2_jk = self.level2.entry_surface(j, k)
-        x2_0s_ij = self.level2.base[:, i - 1, j - 1]
-        return (
-            b[None, :]
-            - b[:, None]
-            - xi0[:, None] * x2_jk
-            - x2_0s_ij[:, None] * (xk[None, :] - xk[:, None])
-        )
+        l2 = self.level2
+        return level3_entry_surface(l2.level1_values, l2.base, self.base, (i, j, k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,22 +136,22 @@ class EnhancedPath:
 
 
 def _pair_base(a_values: np.ndarray, b_values: np.ndarray, scheme: str) -> np.ndarray:
-    """Basepoint tensors of the discrete integral int a (x) db.
+    """Basepoint tensors of the discrete integral int a (x) db: (..., n+1, d, d).
 
     Ito: left-point sums  sum_m a_{0,m} (x) db_m.
     Stratonovich: trapezoid sums sum_m (a_{0,m} + da_m/2) (x) db_m.
     Both are bilinear in (a, b), which is what makes the lifted shift exact.
     """
-    a0 = a_values - a_values[0]
-    da = np.diff(a_values, axis=0)
-    db = np.diff(b_values, axis=0)
-    contrib = np.einsum("mi,mj->mij", a0[:-1], db)
+    a0 = a_values - a_values[..., :1, :]
+    da = np.diff(a_values, axis=-2)
+    db = np.diff(b_values, axis=-2)
+    contrib = np.einsum("...mi,...mj->...mij", a0[..., :-1, :], db)
     if scheme == "stratonovich":
         # bracket kept as a separate exactly-symmetric term so the
         # antisymmetric parts of the two schemes agree to the last bit
-        contrib = contrib + 0.5 * np.einsum("mi,mj->mij", da, db)
-    base = np.zeros((a_values.shape[0],) + contrib.shape[1:])
-    np.cumsum(contrib, axis=0, out=base[1:])
+        contrib = contrib + 0.5 * np.einsum("...mi,...mj->...mij", da, db)
+    base = np.zeros(a_values.shape[:-1] + contrib.shape[-2:])
+    np.cumsum(contrib, axis=-3, out=base[..., 1:, :, :])
     return base
 
 
@@ -175,21 +166,52 @@ def _triple_base(
 
     Ito: left-point sums over the level-2 accumulator.  Stratonovich: the
     level-3 part of the per-step tensor-exponential product, whose level-2
-    part is exactly the trapezoid rule.
+    part is exactly the trapezoid rule.  Shape (..., n+1, d, d, d).
     """
     if pair_ab is None:
         pair_ab = _pair_base(a_values, b_values, scheme)
-    a0 = a_values - a_values[0]
-    da = np.diff(a_values, axis=0)
-    db = np.diff(b_values, axis=0)
-    dc = np.diff(c_values, axis=0)
-    contrib = np.einsum("mij,mk->mijk", pair_ab[:-1], dc)
+    a0 = a_values - a_values[..., :1, :]
+    da = np.diff(a_values, axis=-2)
+    db = np.diff(b_values, axis=-2)
+    dc = np.diff(c_values, axis=-2)
+    contrib = np.einsum("...mij,...mk->...mijk", pair_ab[..., :-1, :, :], dc)
     if scheme == "stratonovich":
-        contrib = contrib + 0.5 * np.einsum("mi,mj,mk->mijk", a0[:-1], db, dc)
-        contrib = contrib + (1.0 / 6.0) * np.einsum("mi,mj,mk->mijk", da, db, dc)
-    base = np.zeros((a_values.shape[0],) + contrib.shape[1:])
-    np.cumsum(contrib, axis=0, out=base[1:])
+        contrib = contrib + 0.5 * np.einsum("...mi,...mj,...mk->...mijk", a0[..., :-1, :], db, dc)
+        contrib = contrib + (1.0 / 6.0) * np.einsum("...mi,...mj,...mk->...mijk", da, db, dc)
+    base = np.zeros(a_values.shape[:-1] + contrib.shape[-3:])
+    np.cumsum(contrib, axis=-4, out=base[..., 1:, :, :, :])
     return base
+
+
+def level2_entry_surface(values: np.ndarray, base: np.ndarray, indices) -> np.ndarray:
+    """Chen surface of X^{ij}_{s,t} over all grid pairs, (..., n+1, n+1); 1-based (i, j)."""
+    i, j = indices[0] - 1, indices[1] - 1
+    b = base[..., i, j]
+    xi0 = values[..., i] - values[..., :1, i]
+    xj = values[..., j]
+    return (
+        b[..., None, :]
+        - b[..., :, None]
+        - xi0[..., :, None] * (xj[..., None, :] - xj[..., :, None])
+    )
+
+
+def level3_entry_surface(
+    values: np.ndarray, base2: np.ndarray, base3: np.ndarray, indices
+) -> np.ndarray:
+    """Chen surface of X^{ijk}_{s,t} over all grid pairs, (..., n+1, n+1); 1-based (i, j, k)."""
+    i, j, k = indices[0] - 1, indices[1] - 1, indices[2] - 1
+    b = base3[..., i, j, k]
+    xi0 = values[..., i] - values[..., :1, i]
+    xk = values[..., k]
+    x2_jk = level2_entry_surface(values, base2, indices[1:])
+    x2_0s_ij = base2[..., i, j]
+    return (
+        b[..., None, :]
+        - b[..., :, None]
+        - xi0[..., :, None] * x2_jk
+        - x2_0s_ij[..., :, None] * (xk[..., None, :] - xk[..., :, None])
+    )
 
 
 def _scheme_lift(x: SamplePath, level: int, scheme: str, ambient) -> EnhancedPath:
@@ -399,24 +421,30 @@ def dilate_enhanced(e: EnhancedPath, eps: float) -> EnhancedPath:
     return EnhancedPath(new1, level2, level3, scheme=e.scheme, ambient=e.ambient)
 
 
+def _symbol_payload(sym, values, base2, base3) -> np.ndarray:
+    """One symbol's payload with leading axes: a level-1 component or an entry surface."""
+    if sym.degree == 1:
+        return values[..., sym.indices[0] - 1]
+    level = min(sym.degree, 3)
+    if (base2 if level == 2 else base3) is None:
+        raise ValueError(
+            f"ambient symbol {sym.name!r} has degree {sym.degree} but the path has no level {level}"
+        )
+    if level == 2:
+        return level2_entry_surface(values, base2, sym.indices)
+    return level3_entry_surface(values, base2, base3, sym.indices)
+
+
 def to_graded(e: EnhancedPath, ambient: AmbientSpec | None = None) -> GradedVector:
     """Pair an enhanced path with an ambient spec, materializing payloads."""
     spec = ambient or e.ambient
     if spec is None:
         spec = ambient_for_levels(e.dim, e.max_level)
-    payloads = {}
-    for sym in spec.symbols:
-        idx = sym.indices
-        if sym.degree == 1:
-            payloads[sym.name] = e.level1.values[:, idx[0] - 1]
-        elif sym.degree == 2:
-            payloads[sym.name] = e.level2.entry_surface(idx[0], idx[1])
-        else:
-            if e.level3 is None:
-                raise ValueError(
-                    f"ambient symbol {sym.name!r} has degree 3 but the path has no level 3"
-                )
-            payloads[sym.name] = e.level3.entry_surface(idx[0], idx[1], idx[2])
+    base3 = None if e.level3 is None else e.level3.base
+    payloads = {
+        sym.name: _symbol_payload(sym, e.level1.values, e.level2.base, base3)
+        for sym in spec.symbols
+    }
     return GradedVector(spec, e.grid, payloads)
 
 
@@ -451,22 +479,23 @@ def enhanced_to_document(e: EnhancedPath) -> dict:
 
 
 def enhanced_from_document(doc: dict) -> EnhancedPath:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported format_version {doc.get('format_version')!r}, "
-            f"expected {FORMAT_VERSION!r}"
-        )
-    grid = TimeGrid(horizon=doc["grid"]["horizon"], n_steps=doc["grid"]["n_steps"])
-    lvl1 = np.asarray(doc["level1"]["data"]).reshape(doc["level1"]["shape"])
-    path = SamplePath(grid, lvl1)
-    base2 = np.asarray(doc["level2"]["data"]).reshape(doc["level2"]["shape"])
-    level2 = Level2Surface(grid, base2, path.values)
-    level3 = None
-    if "level3" in doc:
-        base3 = np.asarray(doc["level3"]["data"]).reshape(doc["level3"]["shape"])
-        level3 = Level3Surface(grid, base3, level2)
-    ambient = AmbientSpec.from_config(doc["ambient"]) if "ambient" in doc else None
-    return EnhancedPath(path, level2, level3, scheme=doc["scheme"], ambient=ambient)
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION!r}")
+    try:
+        grid = TimeGrid(horizon=doc["grid"]["horizon"], n_steps=doc["grid"]["n_steps"])
+        lvl1 = np.asarray(doc["level1"]["data"]).reshape(doc["level1"]["shape"])
+        path = SamplePath(grid, lvl1)
+        base2 = np.asarray(doc["level2"]["data"]).reshape(doc["level2"]["shape"])
+        level2 = Level2Surface(grid, base2, path.values)
+        level3 = None
+        if "level3" in doc:
+            base3 = np.asarray(doc["level3"]["data"]).reshape(doc["level3"]["shape"])
+            level3 = Level3Surface(grid, base3, level2)
+        ambient = AmbientSpec.from_config(doc["ambient"]) if "ambient" in doc else None
+        return EnhancedPath(path, level2, level3, scheme=doc["scheme"], ambient=ambient)
+    except KeyError as exc:
+        raise ValueError(f"enhanced-path document lacks field {exc.args[0]!r}") from None
 
 
 def save_enhanced(e: EnhancedPath, filename) -> None:
@@ -475,5 +504,9 @@ def save_enhanced(e: EnhancedPath, filename) -> None:
 
 
 def load_enhanced(filename) -> EnhancedPath:
-    with open(filename) as fh:
-        return enhanced_from_document(json.load(fh))
+    """Read an enhanced-path JSON file; malformed content raises ValueError naming it."""
+    try:
+        with open(filename) as fh:
+            return enhanced_from_document(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{filename}: {exc}") from exc

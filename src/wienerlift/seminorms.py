@@ -12,6 +12,11 @@ The plain Banach norm sum_tau ||v_tau|| is provided for completeness; it
 induces the same topology as the homogeneous distance (the identity map is
 locally uniformly continuous both ways) but no quantitative equivalence is
 asserted here.
+
+Each symbol-norm kernel exists once and takes any number of leading axes:
+payloads (..., n+1) or (..., n+1, n+1) give norms of shape (...).  A single
+path is the batch with no leading axis and gets a built-in float; the Monte
+Carlo route in `_batch` runs the same kernels on stacked paths.
 """
 
 from __future__ import annotations
@@ -215,11 +220,27 @@ class GradedVector:
 
 
 # ---------------------------------------------------------------------------
-# scalar norms
+# symbol norms: one kernel each, over leading axes
 # ---------------------------------------------------------------------------
 
 
-def p_variation_1d(values: np.ndarray, p: float) -> float:
+def _unbox(value):
+    """A 0-d result as a built-in float; batched results pass through.
+
+    Roots are taken after unboxing: C pow on a float and NumPy's vectorised
+    power can differ in the last bit, and a single path keeps the former.
+    """
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _path_values(values) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    if x.ndim == 0 or x.shape[-1] < 2:
+        raise ValueError("path needs at least two points")
+    return x
+
+
+def p_variation_1d(values: np.ndarray, p: float) -> float | np.ndarray:
     """|x_0| + (max over grid partitions of sum |increments|^p)^(1/p).
 
     The inner maximum is exact over all subsets of grid points containing the
@@ -227,14 +248,13 @@ def p_variation_1d(values: np.ndarray, p: float) -> float:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    x = np.asarray(values, dtype=float).ravel()
-    n = len(x) - 1
-    if n < 1:
-        raise ValueError("path needs at least two points")
-    best = np.zeros(n + 1)
+    x = _path_values(values)
+    n = x.shape[-1] - 1
+    best = np.zeros(x.shape)
     for j in range(1, n + 1):
-        best[j] = np.max(best[:j] + np.abs(x[j] - x[:j]) ** p)
-    return float(abs(x[0]) + best[n] ** (1.0 / p))
+        gain = np.abs(x[..., j, None] - x[..., :j]) ** p
+        best[..., j] = np.max(best[..., :j] + gain, axis=-1)
+    return _unbox(np.abs(x[..., 0])) + _unbox(best[..., n]) ** (1.0 / p)
 
 
 def p_variation_1d_bruteforce(values: np.ndarray, p: float) -> float:
@@ -248,31 +268,27 @@ def p_variation_1d_bruteforce(values: np.ndarray, p: float) -> float:
     return float(abs(x[0]) + best ** (1.0 / p))
 
 
-def holder_norm_1d(values: np.ndarray, grid: TimeGrid, alpha: float) -> float:
+def holder_norm_1d(values: np.ndarray, grid: TimeGrid, alpha: float) -> float | np.ndarray:
     """max over grid pairs s != t of |x_t - x_s| / |t - s|^alpha."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    x = np.asarray(values, dtype=float).ravel()
-    n = len(x) - 1
-    if n < 1:
-        raise ValueError("path needs at least two points")
-    dt = grid.dt
-    out = 0.0
-    for lag in range(1, n + 1):
-        num = np.max(np.abs(x[lag:] - x[:-lag]))
-        out = max(out, num / (lag * dt) ** alpha)
-    return float(out)
+    x = _path_values(values)
+    out = np.zeros(x.shape[:-1])
+    for lag in range(1, x.shape[-1]):
+        num = np.max(np.abs(x[..., lag:] - x[..., :-lag]), axis=-1)
+        np.maximum(out, num / (lag * grid.dt) ** alpha, out=out)
+    return _unbox(out)
 
 
-def sup_norm_1d(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values)))
+def sup_norm_1d(values: np.ndarray) -> float | np.ndarray:
+    return _unbox(np.max(np.abs(values), axis=-1))
 
 
-def terminal_norm_1d(values: np.ndarray) -> float:
-    return float(abs(np.asarray(values).ravel()[-1]))
+def terminal_norm_1d(values: np.ndarray) -> float | np.ndarray:
+    return _unbox(np.abs(np.asarray(values)[..., -1]))
 
 
-def holder_norm_2param(surface: np.ndarray, grid: TimeGrid, exponent: float) -> float:
+def holder_norm_2param(surface: np.ndarray, grid: TimeGrid, exponent: float) -> float | np.ndarray:
     """max over s != t of |X_{s,t}| / |t - s|^exponent.
 
     For a degree-2 payload in the Hoelder scale the exponent is 2*alpha.
@@ -280,27 +296,26 @@ def holder_norm_2param(surface: np.ndarray, grid: TimeGrid, exponent: float) -> 
     if not 0 < exponent <= 2:
         raise ValueError(f"exponent must lie in (0, 2], got {exponent}")
     X = np.asarray(surface, dtype=float)
-    n = X.shape[0] - 1
-    if X.shape != (n + 1, n + 1) or n < 1:
-        raise ValueError(f"surface must be square (n+1, n+1) with n >= 1, got {X.shape}")
+    n = grid.n_steps
+    if X.shape[-2:] != (n + 1, n + 1):
+        raise ValueError(f"surface must end in the grid's ({n + 1}, {n + 1}), got {X.shape}")
     gaps = np.abs(grid.points[None, :] - grid.points[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(X) / gaps**exponent
-    ratio[gaps == 0] = 0.0
-    return float(np.max(ratio))
+    with np.errstate(divide="ignore"):
+        scale = np.where(gaps > 0, gaps ** (-exponent), 0.0)
+    return _unbox(np.max(np.abs(X) * scale, axis=(-2, -1)))
 
 
-def _grid_partitions(n: int) -> list[np.ndarray]:
-    """Index sets of the full grid partition and all dyadic coarsenings."""
-    parts = [np.arange(n + 1)]
+def _grid_partitions(n: int) -> list[slice]:
+    """The full grid partition and all dyadic coarsenings, as strided slices."""
+    parts = [slice(None)]
     stride = 2
     while n % stride == 0 and n // stride >= 1:
-        parts.append(np.arange(0, n + 1, stride))
+        parts.append(slice(0, n + 1, stride))
         stride *= 2
     return parts
 
 
-def p_variation_2param(surface: np.ndarray, grid: TimeGrid, p: float) -> float:
+def p_variation_2param(surface: np.ndarray, grid: TimeGrid, p: float) -> float | np.ndarray:
     """Grid-restricted two-parameter p-variation.
 
     Evaluates (sum over pairs (t_i, t_j) in Q x Q of |X_{t_i,t_j}|^p)^(1/p) on
@@ -310,24 +325,22 @@ def p_variation_2param(surface: np.ndarray, grid: TimeGrid, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     X = np.asarray(surface, dtype=float)
-    n = grid.n_steps
     best = 0.0
-    for idx in _grid_partitions(n):
-        sub = X[np.ix_(idx, idx)]
-        best = max(best, float(np.sum(np.abs(sub) ** p)))
-    return best ** (1.0 / p)
+    for part in _grid_partitions(grid.n_steps):
+        best = np.maximum(best, np.sum(np.abs(X[..., part, part]) ** p, axis=(-2, -1)))
+    return _unbox(best) ** (1.0 / p)
 
 
-def sup_norm_2param(surface: np.ndarray) -> float:
-    return float(np.max(np.abs(surface)))
+def sup_norm_2param(surface: np.ndarray) -> float | np.ndarray:
+    return _unbox(np.max(np.abs(surface), axis=(-2, -1)))
 
 
-def terminal_norm_2param(surface: np.ndarray) -> float:
-    return float(abs(np.asarray(surface)[0, -1]))
+def terminal_norm_2param(surface: np.ndarray) -> float | np.ndarray:
+    return _unbox(np.abs(np.asarray(surface)[..., 0, -1]))
 
 
-def symbol_norm(payload: np.ndarray, grid: TimeGrid, spec: SymbolSpec) -> float:
-    """Evaluate one symbol's configured norm on its payload."""
+def symbol_norm(payload: np.ndarray, grid: TimeGrid, spec: SymbolSpec) -> float | np.ndarray:
+    """Evaluate one symbol's configured norm on its payload (or a batch of them)."""
     kind = spec.norm.kind
     if spec.arity == 1:
         if kind == "pvar":

@@ -66,7 +66,8 @@ def test_oracle_scaled_sequence_monotone_to_half():
     grid = TimeGrid(1.0, 16)
     eps_list = [0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01]
     scaled = [
-        eps**2 * _oracle_log_prob("reflection", event, grid, eps) for eps in eps_list
+        eps**2 * _oracle_log_prob("reflection", event, GaussianSpec("bm", 1), grid, eps)
+        for eps in eps_list
     ]
     assert all(a < b for a, b in zip(scaled, scaled[1:]))
     assert abs(scaled[-1] + 0.5) <= 0.01
@@ -244,3 +245,50 @@ def test_lift_norm_samples_threads_deterministic():
         GaussianSpec("bm", 1), "ito", ambient, grid, 2_000, 77, threads=3
     )
     assert np.array_equal(a, b)
+
+
+def test_level3_batch_norms_match_single_path():
+    from wienerlift.grids import SamplePath, sample_values_batch
+    from wienerlift.lifts import to_graded
+    from wienerlift.seminorms import homogeneous_norm
+
+    grid = TimeGrid(1.0, 16)
+    spec = GaussianSpec("bm", 2)
+    ambient = ambient_for_levels(2, 3, norm_kind="pvar", p=2.5)
+    norms = lift_norm_samples(spec, "stratonovich", ambient, grid, 6, 12, chunk=4)
+    values = sample_values_batch(spec, grid, 12, 6)
+    for row, v in zip(norms, values):
+        e = stratonovich_lift(SamplePath(grid, v), 3)
+        assert row == pytest.approx(homogeneous_norm(to_graded(e, ambient)), rel=1e-14)
+    event = EventSpec("hom-norm", 1.0, ambient=ambient)
+    assert np.array_equal(event.statistic_batch(values, grid, "stratonovich"), norms)
+
+
+def test_terminal_gauss_oracle_uses_process_variance():
+    # x_T ~ N(0, T^{2H}) for fBm: log p = log 2 Phi(-c / (eps T^H))
+    grid = TimeGrid(2.0, 8)
+    event = EventSpec("terminal-abs", 0.6)
+    spec = GaussianSpec("fbm", 1, hurst=0.3)
+    logp = [_oracle_log_prob("terminal-gauss", event, spec, grid, eps) for eps in (0.4, 0.5)]
+    assert logp == pytest.approx([-1.500, -1.110], abs=5e-4)
+    bm = _oracle_log_prob("terminal-gauss", event, GaussianSpec("bm", 1), grid, 0.4)
+    assert bm == pytest.approx(math.log(2.0 * stats.norm.sf(0.6 / (0.4 * math.sqrt(2.0)))))
+
+
+@pytest.mark.parametrize(
+    "oracle, spec, event",
+    [
+        ("terminal-gauss", GaussianSpec("bm", 2), EventSpec("terminal-abs", 1.0)),
+        ("reflection", GaussianSpec("bm", 2), EventSpec("sup-level1", 1.0)),
+        ("reflection", GaussianSpec("fbm", 1, hurst=0.3), EventSpec("sup-level1", 1.0)),
+    ],
+)
+def test_oracle_refused_outside_its_closed_form(monkeypatch, oracle, spec, event):
+    import wienerlift.asymptotics as asy
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the oracle was checked")
+
+    monkeypatch.setattr(asy, "sample_values_batch", no_sampling)
+    with pytest.raises(ValueError, match=oracle):
+        empirical_rate(spec, "ito", event, [0.5], 100, 1, grid=TimeGrid(1.0, 8), oracle=oracle)

@@ -203,3 +203,58 @@ def test_argument_error_exit_code(tmp_path):
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
+
+
+BAD_CSV = {"header-only-csv": "t,x1\n", "ragged-csv": "t,x1\n0.0,0.0\n0.5\n1.0,0.3\n"}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CSV) + ["json-without-grid"])
+def test_malformed_input_is_an_argument_error(tmp_path, capsys, case):
+    if case in BAD_CSV:
+        infile = tmp_path / f"{case}.csv"
+        infile.write_text(BAD_CSV[case])
+        argv = ["lift", "--in", str(infile), "--out", str(tmp_path / "o.json")]
+    else:
+        lift_json = tmp_path / "lift.json"
+        assert main(["lift", "--steps", "8", "--seed", "1", "--out", str(lift_json)]) == 0
+        doc = json.loads(lift_json.read_text())
+        del doc["grid"]
+        infile = tmp_path / "nogrid.json"
+        infile.write_text(json.dumps(doc))
+        argv = ["norm", "--in", str(infile)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(infile) in err
+    assert "Traceback" not in err
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    from wienerlift import cli
+
+    lift_json = tmp_path / "lift.json"
+    assert main(["lift", "--dim", "2", "--steps", "8", "--seed", "4", "--out", str(lift_json)]) == 0
+    out = tmp_path / "norm.json"
+    argv = ["norm", "--in", str(lift_json), "--out", str(out), "--force"]
+    assert main(argv) == 0
+    before = out.read_bytes()
+    # json.dump has written part of the document when it meets this value
+    monkeypatch.setattr(cli, "banach_norm", lambda gv: object())
+    with pytest.raises(TypeError):
+        main(argv)
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "lift.json", "lift.json.summary.json", "norm.json"
+    ]
+
+
+def test_level3_ambient_on_the_batch_route(tmp_path):
+    out = tmp_path / "rate.csv"
+    rc = main(
+        ["ldp", "--dim", "2", "--steps", "8", "--event", "hom-ge:1",
+         "--ambient", "level3:2.5", "--epsilons", "1.0,0.8", "--samples", "400",
+         "--seed", "2", "--out", str(out)]
+    )
+    assert rc == 0
+    doc = json.loads((tmp_path / "rate.csv.summary.json").read_text())
+    assert doc["results"]["hits"][0] > 0

@@ -148,3 +148,15 @@ def test_reweight_validation():
             "terminal-level1", h, spec=GaussianSpec("bm", 1),
             grid=TimeGrid(1.0, 32), n_samples=10, seed=0,
         )
+
+
+def test_reweight_hom_norm_level3_ambient():
+    from wienerlift.seminorms import ambient_for_levels
+
+    grid = TimeGrid(1.0, 16)
+    h = _random_cm(20, grid, 2, scale=0.5)
+    rep = reweight_check(
+        "hom-norm", h, spec=GaussianSpec("bm", 2), grid=grid, n_samples=4_000,
+        seed=21, scheme="stratonovich", ambient=ambient_for_levels(2, 3, p=2.5),
+    )
+    assert abs(rep.z_score) <= 3.0

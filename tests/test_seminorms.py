@@ -20,6 +20,7 @@ from wienerlift.seminorms import (
     p_variation_1d_bruteforce,
     p_variation_2param,
     rho_variation_covariance,
+    symbol_norm,
 )
 
 
@@ -233,3 +234,30 @@ def test_ambient_validation():
         SymbolNorm("holder", 3.0)
     with pytest.raises(ValueError):
         SymbolNorm("l2")
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("kind", ["pvar", "holder", "sup", "terminal"])
+def test_batch_of_paths_matches_each_path_alone(kind, arity):
+    # one kernel serves both routes: a batch row equals the path computed alone
+    from wienerlift.grids import sample_values_batch
+    from wienerlift.lifts import _pair_base, level2_entry_surface
+
+    grid = TimeGrid(1.0, 64)
+    values = sample_values_batch(GaussianSpec("bm", 2), grid, seed=8, count=8)
+    exponent = {"pvar": 2.5 / arity, "holder": 0.4 * arity}.get(kind)
+    sym = SymbolSpec("s", (1, 2)[:arity], arity, SymbolNorm(kind, exponent), arity)
+    if arity == 1:
+        payloads = values[:, :, 0]
+    else:
+        payloads = level2_entry_surface(values, _pair_base(values, values, "ito"), (1, 2))
+    batch = symbol_norm(payloads, grid, sym)
+    assert batch.shape == (8,)
+    for row, payload in zip(batch, payloads):
+        alone = symbol_norm(payload, grid, sym)
+        assert type(alone) is float
+        if kind == "pvar":
+            # the root of a float and of an array may differ in the last bit
+            assert row == pytest.approx(alone, rel=1e-15)
+        else:
+            assert row == alone
