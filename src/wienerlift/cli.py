@@ -65,9 +65,18 @@ class CliError(Exception):
     """Argument-level failure: message should name the offending parameter."""
 
 
-def _check_out(path: str, force: bool) -> str:
-    if os.path.exists(path) and not force:
-        raise CliError(f"--out target {path!r} exists; pass --force to overwrite")
+def _summary_path(out: str) -> str:
+    return out + ".summary.json"
+
+
+def _check_out(path: str, force: bool, summary: bool = False) -> str:
+    """`path` unless a file the command writes exists and --force is not given.
+
+    With `summary` the command also writes `_summary_path(path)`.
+    """
+    for target in (path, _summary_path(path)) if summary else (path,):
+        if os.path.exists(target) and not force:
+            raise CliError(f"--out target {target!r} exists; pass --force to overwrite")
     return path
 
 
@@ -145,7 +154,7 @@ def _parse_ambient(preset_or_path: str, dim: int) -> AmbientSpec:
     holder2:alpha (levels built for the run's --dim).
     """
     if os.path.exists(preset_or_path):
-        return AmbientSpec.load(preset_or_path)
+        return _read_input(AmbientSpec.load, preset_or_path)
     head, _, arg = preset_or_path.partition(":")
     if head == "classical":
         return classical_ambient(dim, kind=arg or "sup")
@@ -204,18 +213,18 @@ def _parse_shift(text: str, grid: TimeGrid, dim: int) -> CameronMartinPath:
 def _cmd_sample(args) -> int:
     spec = _gaussian_spec(args)
     grid = _grid(args)
-    out = _check_out(args.out, args.force)
+    out = _check_out(args.out, args.force, summary=True)
     path = sample(spec, grid, args.seed)
     with _replacing(out) as tmp:
         write_path_csv(path, tmp)
     config = _process_config(args, seed=args.seed, out=out)
-    _write_summary(out + ".summary.json", "sample", config, {"rows": grid.n_steps + 1})
+    _write_summary(_summary_path(out), "sample", config, {"rows": grid.n_steps + 1})
     print(f"sample: wrote {out} (n={grid.n_steps}, d={spec.dim}, seed={args.seed})")
     return 0
 
 
 def _cmd_lift(args) -> int:
-    out = _check_out(args.out, args.force)
+    out = _check_out(args.out, args.force, summary=True)
     if args.infile:
         x = _read_input(read_path_csv, args.infile)
         source = {"in": args.infile}
@@ -237,7 +246,7 @@ def _cmd_lift(args) -> int:
     config = dict(source, scheme=args.scheme, level=args.level, out=out)
     if args.scheme == "young":
         config["dyadic_level"] = args.dyadic_level
-    _write_summary(out + ".summary.json", "lift", config, {"max_dyadic_chen_residual": residual})
+    _write_summary(_summary_path(out), "lift", config, {"max_dyadic_chen_residual": residual})
     print(f"lift: wrote {out} (scheme={args.scheme}, level={args.level}, chen={residual:.2e})")
     return 0
 
@@ -260,7 +269,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_ldp(args) -> int:
-    out = _check_out(args.out, args.force)
+    out = _check_out(args.out, args.force, summary=True)
     ambient = _parse_ambient(args.ambient, args.dim) if args.ambient else None
     event = _parse_event(args.event, ambient)
     epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
@@ -280,7 +289,7 @@ def _cmd_ldp(args) -> int:
         samples=args.samples, oracle=args.oracle, seed=args.seed, out=out,
     )
     doc = estimate.to_document()
-    _write_summary(out + ".summary.json", "ldp", config, doc)
+    _write_summary(_summary_path(out), "ldp", config, doc)
     _write_csv_rows(out, estimate.csv_rows())
     live = [s for s in estimate.scaled if not np.isnan(s)]
     digest = f"ldp: wrote {out}; extrapolated_rate={estimate.extrapolated_rate!r}"
@@ -314,7 +323,7 @@ def _cmd_eta0(args) -> int:
 
 
 def _cmd_fernique(args) -> int:
-    out = _check_out(args.out, args.force)
+    out = _check_out(args.out, args.force, summary=True)
     ambient = _parse_ambient(args.ambient, args.dim)
     fit = fernique_tail_fit(
         _gaussian_spec(args),
@@ -329,7 +338,7 @@ def _cmd_fernique(args) -> int:
         args, scheme=args.scheme, ambient=args.ambient, samples=args.samples,
         seed=args.seed, out=out,
     )
-    _write_summary(out + ".summary.json", "fernique", config, fit.to_document())
+    _write_summary(_summary_path(out), "fernique", config, fit.to_document())
     _write_csv_rows(out, fit.csv_rows())
     print(f"fernique: wrote {out}; eta_hat={fit.eta_hat!r} over t in {fit.fit_range}")
     return 0
@@ -385,6 +394,8 @@ def _cmd_cm_check(args) -> int:
 
 def _cmd_chaos(args) -> int:
     out = _check_out(args.out, args.force)
+    if args.action in ("project", "proxy") and args.poly is None:
+        raise CliError(f"chaos {args.action} needs --poly")
     if args.action == "project":
         with open(args.poly) as fh:
             obj = chaos_mod.chaos_from_document(json.load(fh))
@@ -397,6 +408,8 @@ def _cmd_chaos(args) -> int:
     if args.action == "proxy":
         if args.seed is None:
             raise CliError("--seed is required for chaos proxy")
+        if args.shift_vector is None:
+            raise CliError("--shift-vector is required for chaos proxy")
         with open(args.poly) as fh:
             obj = chaos_mod.chaos_from_document(json.load(fh))
         if isinstance(obj, chaos_mod.ChaosPolynomial):

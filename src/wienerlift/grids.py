@@ -9,16 +9,15 @@ sum(|h'|^2) * dt is exact for this class.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CHOLESKY_LIMIT = 4096
 
-
-class CholeskyFailure(RuntimeError):
-    """Dense covariance factorization failed (matrix numerically non-PD)."""
+class EmbeddingFailure(RuntimeError):
+    """Circulant embedding of the fBm increment covariance is not PSD."""
 
 
 def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
@@ -151,7 +150,6 @@ class GaussianSpec:
     kind: str
     dim: int
     hurst: float | None = None
-    cholesky_limit: int = field(default=DEFAULT_CHOLESKY_LIMIT, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("bm", "fbm"):
@@ -177,21 +175,47 @@ class GaussianSpec:
         return self.covariance(t[:, None], t[None, :])
 
 
-def _fbm_cholesky(spec: GaussianSpec, grid: TimeGrid) -> np.ndarray:
-    if grid.n_steps > spec.cholesky_limit:
-        raise ValueError(
-            f"n_steps={grid.n_steps} exceeds the dense Cholesky limit "
-            f"{spec.cholesky_limit}; reduce the grid or raise cholesky_limit"
+@functools.lru_cache(maxsize=16)
+def _fbm_cholesky(hurst: float, n_steps: int) -> np.ndarray:
+    """Scaled square roots of the circulant embedding's eigenvalues, (n+1,).
+
+    Unit-step fractional Gaussian noise has autocovariance
+    g(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2.  Its first n lags are embedded
+    in a symmetric circulant of size m = 2n whose eigenvalues l_0..l_{m-1}
+    are one FFT of the first row (Davies & Harte 1987; Dietrich & Newsam
+    1997).  Entry k is sqrt(m l_k) at k = 0 and k = n and sqrt(m l_k / 2)
+    in between: a Hermitian spectrum with standard normal real and imaginary
+    parts scaled by these values has, under `numpy.fft.irfft`, exactly the
+    circulant covariance, whose leading n x n block is the fGn covariance.
+
+    It keeps the name of the dense Cholesky factor it replaced because
+    `perfbench/spans.py` wraps it under that name to time and count the
+    factor step.  Cached per (hurst, n_steps); the returned array is
+    read-only.
+    """
+    n, m = n_steps, 2 * n_steps
+    two_h = 2.0 * hurst
+    # g(k) = k^2H ((1+1/k)^2H - 1 + (1-1/k)^2H - 1) / 2 through expm1/log1p:
+    # the plain second difference cancels about k^2 of its digits, enough to
+    # turn eigenvalues negative at H=0.99, n=2^20
+    k = np.arange(1, n + 1, dtype=float)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1 is exact
+        gamma = 0.5 * k**two_h * (
+            np.expm1(two_h * np.log1p(1.0 / k)) + np.expm1(two_h * np.log1p(-1.0 / k))
         )
-    cov = spec.grid_covariance(grid)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        jitter = 1e-12 * float(np.max(np.diag(cov)))
-        raise CholeskyFailure(
-            f"grid covariance is numerically non-PD (n={grid.n_steps}, "
-            f"hurst={spec.hurst}); try adding diagonal jitter ~{jitter:.1e}"
-        ) from exc
+    row = np.concatenate([[1.0], gamma, gamma[-2::-1]])
+    eig = np.fft.rfft(row).real
+    tol = m * np.finfo(float).eps * float(np.max(np.abs(eig)))
+    if eig.min() < -tol:
+        raise EmbeddingFailure(
+            f"circulant embedding of the fBm covariance has eigenvalue {eig.min():.3e} "
+            f"< 0 (n={n}, hurst={hurst}); the exact sampler needs a PSD embedding"
+        )
+    weight = np.full(n + 1, 0.5 * m)
+    weight[[0, n]] = m
+    scale = np.sqrt(weight * np.maximum(eig, 0.0))
+    scale.flags.writeable = False
+    return scale
 
 
 def sample(spec: GaussianSpec, grid: TimeGrid, seed: int, index: int = 0) -> SamplePath:
@@ -216,10 +240,17 @@ def sample_values_batch(
             rng = derived_rng(seed, start + i)
             np.cumsum(rng.standard_normal((n, d)) * sqdt, axis=0, out=out[i, 1:])
     else:
-        chol = _fbm_cholesky(spec, grid)
+        # m real normals per path and component: the real parts of the
+        # Hermitian spectrum's n+1 entries, then the imaginary parts of
+        # entries 1..n-1 (entries 0 and n are real)
+        scale = _fbm_cholesky(spec.hurst, n) * grid.dt**spec.hurst
+        normals = np.empty((count, 2 * n, d))
         for i in range(count):
-            rng = derived_rng(seed, start + i)
-            out[i, 1:] = chol @ rng.standard_normal((n, d))
+            derived_rng(seed, start + i).standard_normal(out=normals[i])
+        spectrum = normals[:, : n + 1].astype(complex)
+        spectrum.imag[:, 1:n] = normals[:, n + 1 :]
+        spectrum *= scale[:, None]
+        np.cumsum(np.fft.irfft(spectrum, 2 * n, axis=1)[:, :n], axis=1, out=out[:, 1:])
     return out
 
 

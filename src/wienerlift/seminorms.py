@@ -114,17 +114,23 @@ class AmbientSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AmbientSpec":
-        symbols = tuple(
-            SymbolSpec(
-                name=entry["symbol"],
-                indices=tuple(entry["indices"]),
-                degree=int(entry["degree"]),
-                norm=SymbolNorm(entry["norm"]["kind"], entry["norm"].get("exponent")),
-                arity=int(entry["arity"]),
+        """Inverse of `to_config`; a missing or mistyped field raises ValueError."""
+        try:
+            symbols = tuple(
+                SymbolSpec(
+                    name=entry["symbol"],
+                    indices=tuple(entry["indices"]),
+                    degree=int(entry["degree"]),
+                    norm=SymbolNorm(entry["norm"]["kind"], entry["norm"].get("exponent")),
+                    arity=int(entry["arity"]),
+                )
+                for entry in cfg["symbols"]
             )
-            for entry in cfg["symbols"]
-        )
-        return cls(symbols=symbols, distinguished=tuple(cfg["distinguished"]))
+            return cls(symbols=symbols, distinguished=tuple(cfg["distinguished"]))
+        except KeyError as exc:
+            raise ValueError(f"ambient config lacks field {exc.args[0]!r}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"ambient config is malformed: {exc}") from None
 
     def save(self, filename) -> None:
         with open(filename, "w") as fh:
@@ -132,8 +138,12 @@ class AmbientSpec:
 
     @classmethod
     def load(cls, filename) -> "AmbientSpec":
-        with open(filename) as fh:
-            return cls.from_config(json.load(fh))
+        """Read an ambient JSON file; malformed content raises ValueError naming it."""
+        try:
+            with open(filename) as fh:
+                return cls.from_config(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{filename}: {exc}") from exc
 
 
 def _symbol_name(indices: tuple[int, ...]) -> str:

@@ -184,14 +184,94 @@ def test_chaos_commands(tmp_path):
     assert rc == 0
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
-    rc = main(
-        ["sample", "--process", "fbm", "--hurst", "0.3", "--dim", "1",
-         "--steps", "8192", "--horizon", "1", "--seed", "1",
-         "--out", str(tmp_path / "x.csv")]
-    )
-    assert rc == 1
-    assert "Cholesky" in capsys.readouterr().err
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    from wienerlift import grids
+
+    argv = ["sample", "--process", "fbm", "--hurst", "0.3", "--dim", "1",
+            "--steps", "8192", "--horizon", "1", "--seed", "1", "--force",
+            "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0  # no grid cap on the fBm sampler
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda row: -rfft(row))
+    grids._fbm_cholesky.cache_clear()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "circulant embedding" in err
+    assert "Traceback" not in err
+
+
+def test_fbm_byte_determinism_across_threads(tmp_path):
+    def run(threads):
+        out = tmp_path / f"fbm{threads}.csv"
+        rc = main(
+            ["ldp", "--process", "fbm", "--hurst", "0.3", "--dim", "1", "--steps", "64",
+             "--horizon", "2", "--event", "terminal-ge:0.6", "--epsilons", "0.8,0.6",
+             "--samples", "1500", "--seed", "3", "--oracle", "terminal-gauss",
+             "--threads", str(threads), "--out", str(out)]
+        )
+        assert rc == 0
+        return out.read_bytes(), (tmp_path / f"fbm{threads}.csv.summary.json").read_bytes()
+
+    (a, a_sum), (b, b_sum), (c, c_sum) = run(1), run(2), run(4)
+    assert a == b == c
+    # the summary embeds its own --out; everything else agrees
+    assert a_sum.replace(b"fbm1.csv", b"fbm4.csv") == c_sum
+    assert b_sum.replace(b"fbm2.csv", b"fbm4.csv") == c_sum
+
+
+def test_stale_summary_refused_without_force(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    stale = tmp_path / "p.csv.summary.json"
+    stale.write_text("stale")
+    args = ["sample", "--dim", "1", "--steps", "8", "--seed", "1", "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(stale) in err and "--force" in err
+    assert not out.exists()
+    assert stale.read_text() == "stale"
+    assert main(args + ["--force"]) == 0
+    assert json.loads(stale.read_text())["command"] == "sample"
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["project"], "--poly"),
+        (["proxy", "--shift-vector", "0.4"], "--poly"),
+        (["proxy", "--poly", "p.json"], "--shift-vector"),
+    ],
+)
+def test_chaos_missing_option_is_an_argument_error(tmp_path, capsys, args, option):
+    argv = ["chaos"] + args + ["--seed", "1", "--out", str(tmp_path / "c.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
+
+
+SYMBOL_1 = {"symbol": "1", "indices": [0], "degree": 1, "norm": {"kind": "sup"}, "arity": 1}
+BAD_AMBIENT = {
+    "symbols": ({"a": 1}, "lacks field 'symbols'"),
+    "distinguished": ({"symbols": [SYMBOL_1]}, "lacks field 'distinguished'"),
+    "indices": (
+        {"symbols": [{k: v for k, v in SYMBOL_1.items() if k != "indices"}],
+         "distinguished": ["1"]},
+        "lacks field 'indices'",
+    ),
+    "mistyped": ({"symbols": 5, "distinguished": []}, "malformed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_AMBIENT))
+def test_malformed_ambient_file_is_an_argument_error(tmp_path, capsys, case):
+    doc, message = BAD_AMBIENT[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["eta0", "--ambient", str(bad), "--seed", "1", "--out", str(tmp_path / "y.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+    assert "Traceback" not in err
 
 
 def test_argument_error_exit_code(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wienerlift import grids as grids_mod
 from wienerlift.grids import (
     CameronMartinPath,
     GaussianSpec,
@@ -90,10 +91,70 @@ def test_fbm_sampling_variance():
     assert abs(est - target) <= 3 * se
 
 
-def test_fbm_cholesky_limit():
-    spec = GaussianSpec("fbm", 1, hurst=0.3, cholesky_limit=64)
-    with pytest.raises(ValueError, match="Cholesky limit"):
-        sample(spec, TimeGrid(1.0, 128), seed=0)
+def test_fbm_no_grid_cap():
+    # no grid cap on the fBm sampler
+    spec = GaussianSpec("fbm", 1, hurst=0.3)
+    for n in (8192, 16384):
+        x = sample(spec, TimeGrid(1.0, n), seed=0)
+        assert x.values.shape == (n + 1, 1)
+        assert x.values[0, 0] == 0.0
+
+
+def test_fbm_embedding_reproduces_grid_covariance():
+    # the covariance the spectrum induces, summed into path values, is the
+    # dense grid covariance to rounding (deterministic, no sampling)
+    for hurst in (0.1, 0.3, 0.5, 0.8, 0.95):
+        for n in (1, 2, 7, 16, 33):
+            scale = grids_mod._fbm_cholesky(hurst, n)
+            weight = np.full(n + 1, float(n))
+            weight[[0, n]] = 2.0 * n
+            lag_cov = np.fft.irfft(scale**2 / weight, 2 * n)
+            lags = np.arange(n)
+            incr_cov = lag_cov[np.abs(lags[:, None] - lags[None, :])]
+            grid = TimeGrid(float(n), n)  # unit steps
+            dense = GaussianSpec("fbm", 1, hurst=hurst).grid_covariance(grid)
+            induced = np.cumsum(np.cumsum(incr_cov, axis=0), axis=1)
+            assert np.max(np.abs(induced - dense)) <= 1e-12 * np.max(dense)
+
+
+def test_fbm_embedding_psd_near_hurst_one():
+    # a plain second difference for the lag covariance loses ~k^2 of its
+    # digits and gives a negative eigenvalue here
+    try:
+        assert np.all(grids_mod._fbm_cholesky(0.99, 2**20) >= 0.0)
+    finally:
+        grids_mod._fbm_cholesky.cache_clear()
+
+
+def test_fbm_empirical_covariance_matches_dense_oracle():
+    # zero-mean product moments E[x_i x_j] of every pair of coordinates
+    # (times and components) have standard error sqrt((C_ii C_jj + C_ij^2)/N);
+    # about 350 entries in all, so a 4.5 SE band fails by chance < 0.3%
+    count = 40_000
+    for hurst in (0.2, 0.5, 0.8):
+        for n in (1, 2, 7):
+            spec = GaussianSpec("fbm", 2, hurst=hurst)
+            grid = TimeGrid(2.0, n)
+            values = sample_values_batch(spec, grid, seed=31, count=count)
+            flat = values[:, 1:, :].transpose(0, 2, 1).reshape(count, 2 * n)
+            est = flat.T @ flat / count
+            target = np.kron(np.eye(2), spec.grid_covariance(grid))
+            var = np.diag(target)
+            se = np.sqrt((var[:, None] * var[None, :] + target**2) / count)
+            assert np.all(np.abs(est - target) <= 4.5 * se), (hurst, n)
+
+
+def test_fbm_sample_is_batch_row_and_chunking_free():
+    spec = GaussianSpec("fbm", 3, hurst=0.35)
+    grid = TimeGrid(1.5, 17)
+    batch = sample_values_batch(spec, grid, seed=5, count=10, start=3)
+    for k in range(10):
+        assert np.array_equal(sample(spec, grid, seed=5, index=3 + k).values, batch[k])
+    pieces = [
+        sample_values_batch(spec, grid, seed=5, count=c, start=s)
+        for s, c in ((3, 4), (7, 1), (8, 5))
+    ]
+    assert np.array_equal(np.concatenate(pieces), batch)
 
 
 def test_gaussian_spec_validation():
@@ -236,14 +297,10 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, x.values)
 
 
-def test_fbm_cholesky_failure_message(monkeypatch):
-    from wienerlift import grids as grids_mod
-
+def test_fbm_embedding_failure_message(monkeypatch):
     spec = GaussianSpec("fbm", 1, hurst=0.3)
-
-    def bad_cov(self, grid):
-        return -np.eye(grid.n_steps)
-
-    monkeypatch.setattr(GaussianSpec, "grid_covariance", bad_cov)
-    with pytest.raises(grids_mod.CholeskyFailure, match="jitter"):
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda row: -rfft(row))
+    grids_mod._fbm_cholesky.cache_clear()
+    with pytest.raises(grids_mod.EmbeddingFailure, match="circulant embedding"):
         sample(spec, TimeGrid(1.0, 8), seed=0)
