@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import optimize, stats
@@ -23,8 +24,35 @@ from .grids import CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, derived_r
 from .lifts import EnhancedPath, _triple_base, to_graded, young_skeleton_lift
 from .seminorms import AmbientSpec, GradedVector, homogeneous_norm
 
-EVENT_KINDS = ("sup-level1", "hom-norm", "level2-entry", "terminal-abs")
 ORACLES = ("reflection", "terminal-gauss", "level2-diag-gauss")
+
+
+class Statistic(NamedTuple):
+    """One registry entry: a statistic of enhanced paths over any leading axes.
+
+    `fn(values=, base2=, base3=, entry=, ambient=, grid=)` is homogeneous of
+    order `degree` under dilation and reads basepoint tensors up to `level`
+    (None: the ambient's max degree).
+    """
+
+    degree: int
+    level: int | None
+    fn: Callable[..., np.ndarray]
+
+
+STATISTICS = {
+    "sup-level1": Statistic(1, 1, lambda values, **_: np.max(values, axis=(-2, -1))),
+    "terminal-abs": Statistic(1, 1, lambda values, **_: np.linalg.norm(values[..., -1, :], axis=-1)),
+    "terminal-level1": Statistic(1, 1, lambda values, **_: values[..., -1, 0]),
+    "level2-entry": Statistic(2, 2, lambda base2, entry, **_: base2[..., -1, entry[0] - 1, entry[1] - 1]),
+    "hom-norm": Statistic(1, None, lambda values, base2, base3, ambient, grid, **_: (
+        homogeneous_norm_batch(ambient, grid, values, base2, base3))),
+}
+
+
+def _check_statistic(name: str, what: str) -> None:
+    if name not in STATISTICS:
+        raise ValueError(f"{what} must be one of {tuple(STATISTICS)}, got {name!r}")
 
 
 @dataclass(frozen=True)
@@ -41,43 +69,22 @@ class EventSpec:
     ambient: AmbientSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"event kind must be one of {EVENT_KINDS}, got {self.kind!r}")
+        _check_statistic(self.kind, "event kind")
         if self.kind == "hom-norm" and self.ambient is None:
             raise ValueError("hom-norm events need an ambient spec")
 
     @property
     def degree(self) -> int:
-        return 2 if self.kind == "level2-entry" else 1
-
-    def statistic_batch(
-        self, values: np.ndarray, grid: TimeGrid, scheme: str
-    ) -> np.ndarray:
-        if self.kind == "sup-level1":
-            return np.max(values, axis=(1, 2))
-        if self.kind == "terminal-abs":
-            return np.linalg.norm(values[:, -1, :], axis=1)
-        if self.kind == "level2-entry":
-            i, j = self.entry
-            return pair_base_batch(values, scheme)[:, -1, i - 1, j - 1]
-        degree = self.ambient.max_degree
-        base2 = pair_base_batch(values, scheme) if degree >= 2 else None
-        base3 = _triple_base(values, values, values, scheme, pair_ab=base2) if degree >= 3 else None
-        return homogeneous_norm_batch(self.ambient, grid, values, base2, base3)
+        return STATISTICS[self.kind].degree
 
     def statistic(self, e: EnhancedPath) -> float:
-        """Single-path statistic, for cross-checking against the batch route."""
-        if self.kind == "sup-level1":
-            return float(np.max(e.level1.values))
-        if self.kind == "terminal-abs":
-            return float(np.linalg.norm(e.level1.values[-1]))
-        if self.kind == "level2-entry":
-            i, j = self.entry
-            return float(e.level2.base[-1, i - 1, j - 1])
-        return homogeneous_norm(to_graded(e, self.ambient))
-
-    def holds(self, e: EnhancedPath) -> bool:
-        return self.statistic(e) >= self.threshold
+        """The registry statistic on `e`'s own arrays, as a batch of one."""
+        base3 = None if e.level3 is None else e.level3.base[None]
+        stat = STATISTICS[self.kind].fn(
+            values=e.level1.values[None], base2=e.level2.base[None], base3=base3,
+            entry=self.entry, ambient=self.ambient, grid=e.grid,
+        )
+        return float(stat[0])
 
 
 def _oracle_log_prob(
@@ -128,18 +135,7 @@ class RateEstimate:
     censored: list = field(default_factory=list)
 
     def to_document(self) -> dict:
-        return {
-            "epsilons": self.epsilons,
-            "n_samples": self.n_samples,
-            "hits": self.hits,
-            "log_probs": self.log_probs,
-            "log_prob_ses": self.log_prob_ses,
-            "scaled": self.scaled,
-            "scaled_ses": self.scaled_ses,
-            "oracle_values": self.oracle_values,
-            "extrapolated_rate": self.extrapolated_rate,
-            "censored": self.censored,
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list[list]:
         header = [
@@ -201,7 +197,7 @@ def empirical_rate(
             eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps) for eps in epsilons
         ]
 
-    pilot_stats = _collect_statistics(
+    pilot_stats = _event_statistics(
         spec, scheme, event, grid, seed + 1, pilot_samples, chunk, threads
     )
     live: list[float] = []
@@ -220,7 +216,7 @@ def empirical_rate(
             live.append(eps)
 
     stats_main = (
-        _collect_statistics(spec, scheme, event, grid, seed, n_samples, chunk, threads)
+        _event_statistics(spec, scheme, event, grid, seed, n_samples, chunk, threads)
         if live
         else np.empty(0)
     )
@@ -268,15 +264,54 @@ def empirical_rate(
     )
 
 
-def _collect_statistics(spec, scheme, event, grid, seed, count, chunk, threads=1):
-    out = np.empty(count)
+def _collect_statistics(
+    spec, scheme, grid, seed, count, chunk, threads=1, *,
+    names=(), entry=(1, 1), ambient=None, shift=None,
+):
+    """The Monte Carlo driver: sample each chunk once, evaluate every statistic.
+
+    Returns `(plain, shifted, pw)`.  `plain[name]` holds registry statistic
+    `name` on each of the `count` paths drawn from `seed`.  With a
+    Cameron-Martin `shift` h, `shifted[name]` holds it on x + h and `pw` the
+    grid Paley-Wiener sums of h' against the increments of x; without one,
+    `shifted` is empty and `pw` is None.  Base tensors are built once per
+    path set, up to the highest level any named statistic reads.
+    """
+    level = max(
+        (ambient.max_degree if STATISTICS[n].level is None else STATISTICS[n].level for n in names),
+        default=1,
+    )
+    plain = {name: np.empty(count) for name in names}
+    shifted = {} if shift is None else {name: np.empty(count) for name in names}
+    pw = None if shift is None else np.empty(count)
+
+    def evaluate(values, out, rows):
+        base2 = pair_base_batch(values, scheme) if level >= 2 else None
+        base3 = _triple_base(values, values, values, scheme, pair_ab=base2) if level >= 3 else None
+        for name in names:
+            out[name][rows] = STATISTICS[name].fn(
+                values=values, base2=base2, base3=base3, entry=entry, ambient=ambient, grid=grid
+            )
 
     def worker(start, c):
         values = sample_values_batch(spec, grid, seed, c, start=start)
-        out[start : start + c] = event.statistic_batch(values, grid, scheme)
+        rows = slice(start, start + c)
+        if shift is not None:
+            if names:
+                evaluate(values + shift.values[None], shifted, rows)
+            pw[rows] = np.einsum("ki,cki->c", shift.derivative_values, np.diff(values, axis=1))
+        evaluate(values, plain, rows)
 
     parallel_chunks(count, chunk, worker, threads)
-    return out
+    return plain, shifted, pw
+
+
+def _event_statistics(spec, scheme, event, grid, seed, count, chunk, threads):
+    plain, _, _ = _collect_statistics(
+        spec, scheme, grid, seed, count, chunk, threads,
+        names=(event.kind,), entry=event.entry, ambient=event.ambient,
+    )
+    return plain[event.kind]
 
 
 def rate_functional(h: CameronMartinPath) -> float:
@@ -424,14 +459,7 @@ class TailFit:
     fit_range: tuple
 
     def to_document(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "thresholds": self.thresholds,
-            "log_survival": self.log_survival,
-            "exceedances": self.exceedances,
-            "eta_hat": self.eta_hat,
-            "fit_range": list(self.fit_range),
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list[list]:
         rows = [["threshold", "log_survival", "exceedances"]]
@@ -452,7 +480,7 @@ def lift_norm_samples(
 ) -> np.ndarray:
     """Homogeneous norms of n_samples independent lifts."""
     norm = EventSpec("hom-norm", 0.0, ambient=ambient)  # its statistic is the norm
-    return _collect_statistics(spec, scheme, norm, grid, seed, n_samples, chunk, threads)
+    return _event_statistics(spec, scheme, norm, grid, seed, n_samples, chunk, threads)
 
 
 def fernique_tail_fit(

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import chaos as chaos_mod
 from .asymptotics import (
+    STATISTICS,
     EventSpec,
+    _collect_statistics,
     empirical_rate,
     eta0_estimate,
     fernique_tail_fit,
@@ -38,7 +40,7 @@ from .grids import (
     piecewise_linear,
     read_path_csv,
     sample,
-    sample_values_batch,
+    sample_values_batch,  # noqa: F401  (perfbench/spans.py patches it here)
     write_path_csv,
 )
 from .lifts import (
@@ -351,25 +353,23 @@ def _cmd_cm_check(args) -> int:
     h = _parse_shift(args.shift, grid, args.dim)
     half_sq = 0.5 * cm_inner(h, h)
 
-    values = sample_values_batch(spec, grid, args.seed + 10_000, args.samples)
-    pw = np.einsum("ki,cki->c", h.derivative_values, np.diff(values, axis=1))
+    _, _, pw = _collect_statistics(
+        spec, "ito", grid, args.seed + 10_000, args.samples, 2048, args.threads, shift=h
+    )
     density = np.exp(pw - half_sq)
     mean_density = float(np.mean(density))
     se_density = float(np.std(density, ddof=1) / np.sqrt(args.samples))
-    mgf = float(np.mean(np.exp(pw)))
-    mgf_se = float(np.std(np.exp(pw), ddof=1) / np.sqrt(args.samples))
+    exp_pw = np.exp(pw)
+    mgf = float(np.mean(exp_pw))
+    mgf_se = float(np.std(exp_pw, ddof=1) / np.sqrt(args.samples))
     mgf_target = float(np.exp(half_sq))
 
-    functionals = (
-        list(REWEIGHT_FUNCTIONALS) if args.functional == "all" else [args.functional]
+    functionals = REWEIGHT_FUNCTIONALS if args.functional == "all" else (args.functional,)
+    reweight = reweight_check(
+        functionals, h, spec=spec, grid=grid, n_samples=args.samples,
+        seed=args.seed, threads=args.threads,
     )
-    reports = {}
-    for name in functionals:
-        rep = reweight_check(
-            name, h, spec=spec, grid=grid, n_samples=args.samples,
-            seed=args.seed, threads=args.threads,
-        )
-        reports[name] = rep.to_document()
+    reports = {name: rep.to_document() for name, rep in reweight.items()}
     max_z = max(abs(rep["z_score"]) for rep in reports.values())
     results = {
         "mean_density": mean_density,
@@ -528,10 +528,21 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _count(minimum: int = 1):
+    """argparse type for a count: an integer >= minimum, else exit 2 naming the option."""
+
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
 def _add_process_args(p: argparse.ArgumentParser, dim_default: int = 1):
     p.add_argument("--process", choices=("bm", "fbm"), default="bm")
-    p.add_argument("--dim", type=int, default=dim_default)
-    p.add_argument("--steps", type=int, default=256)
+    p.add_argument("--dim", type=_count(), default=dim_default)
+    p.add_argument("--steps", type=_count(), default=256)
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--hurst", type=float, default=None)
 
@@ -575,18 +586,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("ito", "stratonovich"), default="stratonovich")
     p.add_argument("--event", required=True, help="sup-ge:c | terminal-ge:c | hom-ge:c | level2-ge:i,j,c")
     p.add_argument("--epsilons", required=True, help="comma-separated, e.g. 0.5,0.4,0.01")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_count(), required=True)
     p.add_argument("--oracle", choices=("reflection", "terminal-gauss", "level2-diag-gauss"), default=None)
     p.add_argument("--ambient", default=None)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_count(), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_ldp)
 
     p = sub.add_parser("eta0", help="minimize the scale-invariant tail quotient")
     p.add_argument("--ambient", required=True, help="ambient JSON file or preset")
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=_count(), default=1)
     p.add_argument("--segments", type=int, default=16)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--horizon", type=float, default=1.0)
@@ -599,9 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_process_args(p, dim_default=2)
     p.add_argument("--scheme", choices=("ito", "stratonovich"), default="stratonovich")
     p.add_argument("--ambient", required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_count(), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_count(), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_fernique)
@@ -609,10 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cm-check", help="density, mgf, and reweighting checks")
     _add_process_args(p)
     p.add_argument("--shift", default="ramp:1.0", help="ramp:c | onb:k")
-    p.add_argument("--functional", choices=("all",) + REWEIGHT_FUNCTIONALS, default="all")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--functional", choices=("all", *STATISTICS), default="all")
+    p.add_argument("--samples", type=_count(2), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_count(), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_cm_check)
@@ -622,11 +633,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", default=None, help="chaos JSON document")
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--shift-vector", default=None, help="comma-separated h for proxy")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_count(), default=10_000)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=4.0)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_count(), default=2)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")

@@ -11,20 +11,14 @@ discretization error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._batch import homogeneous_norm_batch, pair_base_batch, parallel_chunks
-from .grids import (
-    CameronMartinPath,
-    GaussianSpec,
-    SamplePath,
-    TimeGrid,
-    cm_inner,
-    sample_values_batch,
-)
-from .lifts import _triple_base
+from .asymptotics import _check_statistic, _collect_statistics
+# perfbench/spans.py patches these names here as well as in asymptotics
+from .asymptotics import homogeneous_norm_batch, pair_base_batch, sample_values_batch  # noqa: F401
+from .grids import CameronMartinPath, GaussianSpec, SamplePath, TimeGrid, cm_inner
 from .seminorms import AmbientSpec, ambient_for_levels
 
 REWEIGHT_FUNCTIONALS = ("sup-level1", "terminal-level1", "level2-entry", "hom-norm")
@@ -77,42 +71,11 @@ class ReweightReport:
     z_score: float
 
     def to_document(self) -> dict:
-        return {
-            "functional": self.functional,
-            "n_samples": self.n_samples,
-            "estimate_lhs": self.estimate_lhs,
-            "estimate_rhs": self.estimate_rhs,
-            "se_lhs": self.se_lhs,
-            "se_rhs": self.se_rhs,
-            "z_score": self.z_score,
-        }
-
-
-def _functional_batch(
-    name: str,
-    values: np.ndarray,
-    scheme: str,
-    grid: TimeGrid,
-    ambient: AmbientSpec,
-    entry: tuple[int, int],
-) -> np.ndarray:
-    if name == "sup-level1":
-        return np.max(values, axis=(1, 2))
-    if name == "terminal-level1":
-        return values[:, -1, 0]
-    base2 = pair_base_batch(values, scheme)
-    if name == "level2-entry":
-        i, j = entry
-        return base2[:, -1, i - 1, j - 1]
-    if name == "hom-norm":
-        level3 = ambient.max_degree >= 3
-        base3 = _triple_base(values, values, values, scheme, pair_ab=base2) if level3 else None
-        return homogeneous_norm_batch(ambient, grid, values, base2, base3)
-    raise ValueError(f"functional must be one of {REWEIGHT_FUNCTIONALS}, got {name!r}")
+        return asdict(self)
 
 
 def reweight_check(
-    functional: str,
+    functionals: tuple[str, ...],
     h: CameronMartinPath,
     *,
     spec: GaussianSpec,
@@ -124,45 +87,41 @@ def reweight_check(
     entry: tuple[int, int] = (1, 1),
     chunk: int = 2048,
     threads: int = 1,
-) -> ReweightReport:
+) -> dict[str, ReweightReport]:
     """Compare E[g(lift(x+h))] against E[g(lift(x)) f_h(x)] by Monte Carlo.
 
-    Both estimators use common random numbers (the same driving paths), which
-    is unbiased for each side and shrinks the variance of their difference;
-    the z-score is computed from the paired differences.
+    One report per named statistic g, all from one pass over the paths.  Both
+    estimators use common random numbers (the same driving paths), which is
+    unbiased for each side and shrinks the variance of their difference; the
+    z-score is computed from the paired differences.
     """
-    if functional not in REWEIGHT_FUNCTIONALS:
-        raise ValueError(f"functional must be one of {REWEIGHT_FUNCTIONALS}, got {functional!r}")
+    for name in functionals:
+        _check_statistic(name, "functional")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2 for a standard error, got {n_samples}")
     if h.grid != grid:
         raise ValueError("grid mismatch between shift direction and run grid")
     if ambient is None:
         ambient = ambient_for_levels(spec.dim, 2, norm_kind="holder", alpha=0.4)
-    hv = h.values
-    hderiv = h.derivative_values
-    half_sq = 0.5 * cm_inner(h, h)
-    lhs = np.empty(n_samples)
-    rhs = np.empty(n_samples)
-
-    def worker(start, count):
-        values = sample_values_batch(spec, grid, seed, count, start=start)
-        shifted = values + hv[None]
-        lhs[start : start + count] = _functional_batch(
-            functional, shifted, scheme, grid, ambient, entry
-        )
-        g_plain = _functional_batch(functional, values, scheme, grid, ambient, entry)
-        pw = np.einsum("ki,cki->c", hderiv, np.diff(values, axis=1))
-        rhs[start : start + count] = g_plain * np.exp(pw - half_sq)
-
-    parallel_chunks(n_samples, chunk, worker, threads)
-    diff = lhs - rhs
-    se_diff = float(np.std(diff, ddof=1) / math.sqrt(n_samples))
-    z = float(np.mean(diff) / se_diff) if se_diff > 0 else 0.0
-    return ReweightReport(
-        functional=functional,
-        n_samples=n_samples,
-        estimate_lhs=float(np.mean(lhs)),
-        estimate_rhs=float(np.mean(rhs)),
-        se_lhs=float(np.std(lhs, ddof=1) / math.sqrt(n_samples)),
-        se_rhs=float(np.std(rhs, ddof=1) / math.sqrt(n_samples)),
-        z_score=z,
+    plain, shifted, pw = _collect_statistics(
+        spec, scheme, grid, seed, n_samples, chunk, threads,
+        names=tuple(functionals), entry=entry, ambient=ambient, shift=h,
     )
+    density = np.exp(pw - 0.5 * cm_inner(h, h))
+    root_n = math.sqrt(n_samples)
+    reports = {}
+    for name in functionals:
+        lhs = shifted[name]
+        rhs = plain[name] * density
+        diff = lhs - rhs
+        se_diff = float(np.std(diff, ddof=1) / root_n)
+        reports[name] = ReweightReport(
+            functional=name,
+            n_samples=n_samples,
+            estimate_lhs=float(np.mean(lhs)),
+            estimate_rhs=float(np.mean(rhs)),
+            se_lhs=float(np.std(lhs, ddof=1) / root_n),
+            se_rhs=float(np.std(rhs, ddof=1) / root_n),
+            z_score=float(np.mean(diff) / se_diff) if se_diff > 0 else 0.0,
+        )
+    return reports

@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from wienerlift.asymptotics import (
+    STATISTICS,
     EventSpec,
+    _collect_statistics,
     _oracle_log_prob,
     empirical_rate,
     eta0_estimate,
@@ -20,7 +22,7 @@ from wienerlift.seminorms import ambient_for_levels, classical_ambient
 
 
 def test_event_validation():
-    with pytest.raises(ValueError, match="kind"):
+    with pytest.raises(ValueError, match="kind must be one of .*'terminal-level1'.*got 'max'"):
         EventSpec("max", 1.0)
     with pytest.raises(ValueError, match="ambient"):
         EventSpec("hom-norm", 1.0)
@@ -42,23 +44,20 @@ def test_event_dilation_identity():
 
 
 def test_event_batch_matches_single_path():
+    from wienerlift.grids import SamplePath, sample_values_batch
+
     grid = TimeGrid(1.0, 16)
+    spec = GaussianSpec("bm", 2)
     ambient = ambient_for_levels(2, 2, norm_kind="pvar", p=2.5)
-    from wienerlift.grids import sample_values_batch
-
-    values = sample_values_batch(GaussianSpec("bm", 2), grid, seed=5, count=8)
-    for event in (
-        EventSpec("sup-level1", 1.0),
-        EventSpec("terminal-abs", 1.0),
-        EventSpec("level2-entry", 0.1, entry=(1, 2)),
-        EventSpec("hom-norm", 1.0, ambient=ambient),
-    ):
-        batch = event.statistic_batch(values, grid, "stratonovich")
+    values = sample_values_batch(spec, grid, seed=5, count=8)
+    batch, _, _ = _collect_statistics(
+        spec, "stratonovich", grid, 5, 8, 3, names=tuple(STATISTICS), entry=(1, 2), ambient=ambient
+    )
+    for kind in STATISTICS:
+        event = EventSpec(kind, 0.1, entry=(1, 2), ambient=ambient)
         for i in range(values.shape[0]):
-            from wienerlift.grids import SamplePath
-
             e = stratonovich_lift(SamplePath(grid, values[i]))
-            assert batch[i] == pytest.approx(event.statistic(e), rel=1e-12)
+            assert batch[kind][i] == pytest.approx(event.statistic(e), rel=1e-12)
 
 
 def test_oracle_scaled_sequence_monotone_to_half():
@@ -249,7 +248,7 @@ def test_lift_norm_samples_threads_deterministic():
 
 def test_level3_batch_norms_match_single_path():
     from wienerlift.grids import SamplePath, sample_values_batch
-    from wienerlift.lifts import to_graded
+    from wienerlift.lifts import _pair_base, _triple_base, to_graded
     from wienerlift.seminorms import homogeneous_norm
 
     grid = TimeGrid(1.0, 16)
@@ -260,8 +259,12 @@ def test_level3_batch_norms_match_single_path():
     for row, v in zip(norms, values):
         e = stratonovich_lift(SamplePath(grid, v), 3)
         assert row == pytest.approx(homogeneous_norm(to_graded(e, ambient)), rel=1e-14)
-    event = EventSpec("hom-norm", 1.0, ambient=ambient)
-    assert np.array_equal(event.statistic_batch(values, grid, "stratonovich"), norms)
+    base2 = _pair_base(values, values, "stratonovich")
+    base3 = _triple_base(values, values, values, "stratonovich", pair_ab=base2)
+    whole = STATISTICS["hom-norm"].fn(
+        values=values, base2=base2, base3=base3, entry=(1, 1), ambient=ambient, grid=grid
+    )
+    assert np.array_equal(whole, norms)
 
 
 def test_terminal_gauss_oracle_uses_process_variance():

@@ -153,6 +153,45 @@ def test_cm_check_command(tmp_path):
     assert abs(doc["results"]["mean_density"] - 1.0) <= 5 * doc["results"]["mean_density_se"]
 
 
+def test_cm_check_byte_determinism_across_threads(tmp_path):
+    out = tmp_path / "cm.json"
+
+    def run(threads):
+        rc = main(
+            ["cm-check", "--dim", "2", "--steps", "16", "--shift", "ramp:0.5",
+             "--functional", "all", "--samples", "5000", "--seed", "3",
+             "--threads", str(threads), "--out", str(out), "--force"]
+        )
+        assert rc == 0
+        return out.read_bytes()
+
+    assert run(1) == run(3)
+
+
+BAD_COUNTS = {
+    "cm-samples-0": (["cm-check", "--samples", "0"], "--samples"),
+    "cm-samples-1": (["cm-check", "--samples", "1"], "--samples"),
+    "cm-samples-negative": (["cm-check", "--samples", "-3"], "--samples"),
+    "steps-0": (["cm-check", "--samples", "10", "--steps", "0"], "--steps"),
+    "dim-0": (["cm-check", "--samples", "10", "--dim", "0"], "--dim"),
+    "threads-0": (["cm-check", "--samples", "10", "--threads", "0"], "--threads"),
+    "ldp-samples-0": (["ldp", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "0"],
+                      "--samples"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_malformed_count_is_an_argument_error(tmp_path, capsys, case):
+    args, option = BAD_COUNTS[case]
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected an integer >=" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_chaos_commands(tmp_path):
     poly = ChaosPolynomial(2, {(1, 1): 1.0, (1, 0): 2.0})
     poly_file = tmp_path / "poly.json"

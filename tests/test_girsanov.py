@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wienerlift.girsanov import (
+    REWEIGHT_FUNCTIONALS,
     cm_log_density,
     reweight_check,
     shift_path,
@@ -109,9 +110,9 @@ def test_reweight_terminal_matches_shifted_mean():
     grid = TimeGrid(1.0, 32)
     h = _ramp(grid, 1, slope=0.8)
     rep = reweight_check(
-        "terminal-level1", h, spec=GaussianSpec("bm", 1), grid=grid,
+        ("terminal-level1",), h, spec=GaussianSpec("bm", 1), grid=grid,
         n_samples=40_000, seed=14,
-    )
+    )["terminal-level1"]
     # both estimators target E[x(T) + h(T)] = h(T)
     assert abs(rep.estimate_lhs - 0.8) <= 3 * rep.se_lhs
     assert abs(rep.estimate_rhs - 0.8) <= 3 * rep.se_rhs
@@ -121,33 +122,67 @@ def test_reweight_terminal_matches_shifted_mean():
 def test_reweight_all_functionals_agree():
     grid = TimeGrid(1.0, 32)
     h = _random_cm(15, grid, 2, scale=0.5)
-    for name in ("sup-level1", "terminal-level1", "level2-entry", "hom-norm"):
-        rep = reweight_check(
-            name, h, spec=GaussianSpec("bm", 2), grid=grid,
-            n_samples=20_000, seed=16, scheme="ito", entry=(1, 2),
-        )
+    reports = reweight_check(
+        REWEIGHT_FUNCTIONALS, h, spec=GaussianSpec("bm", 2), grid=grid,
+        n_samples=20_000, seed=16, scheme="ito", entry=(1, 2),
+    )
+    assert list(reports) == list(REWEIGHT_FUNCTIONALS)
+    for name, rep in reports.items():
         assert abs(rep.z_score) <= 3.0, (name, rep)
+
+
+def test_reweight_one_pass_equals_one_name_calls():
+    grid = TimeGrid(1.0, 16)
+    h = _random_cm(22, grid, 2, scale=0.5)
+    kwargs = dict(spec=GaussianSpec("bm", 2), grid=grid, n_samples=1_500, seed=23,
+                  entry=(1, 2), chunk=400)
+    together = reweight_check(REWEIGHT_FUNCTIONALS, h, **kwargs)
+    for name in REWEIGHT_FUNCTIONALS:
+        assert together[name] == reweight_check((name,), h, **kwargs)[name]
+
+
+def test_reweight_draws_each_path_once(monkeypatch):
+    from wienerlift import asymptotics
+
+    drawn = []
+    original = asymptotics.sample_values_batch
+
+    def counting(spec, grid, seed, count, start=0):
+        drawn.extend(range(start, start + count))
+        return original(spec, grid, seed, count, start=start)
+
+    monkeypatch.setattr(asymptotics, "sample_values_batch", counting)
+    grid = TimeGrid(1.0, 8)
+    reweight_check(
+        REWEIGHT_FUNCTIONALS, _random_cm(24, grid, 2), spec=GaussianSpec("bm", 2),
+        grid=grid, n_samples=1_000, seed=25, chunk=300,
+    )
+    assert sorted(drawn) == list(range(1_000))
 
 
 def test_reweight_threads_do_not_change_results():
     grid = TimeGrid(1.0, 16)
     h = _random_cm(17, grid, 1)
     kwargs = dict(spec=GaussianSpec("bm", 1), grid=grid, n_samples=5_000, seed=18)
-    a = reweight_check("terminal-level1", h, **kwargs, threads=1)
-    b = reweight_check("terminal-level1", h, **kwargs, threads=3)
+    a = reweight_check(("terminal-level1",), h, **kwargs, threads=1)
+    b = reweight_check(("terminal-level1",), h, **kwargs, threads=3)
     assert a == b
 
 
 def test_reweight_validation():
     grid = TimeGrid(1.0, 16)
     h = _random_cm(19, grid, 1)
-    with pytest.raises(ValueError, match="functional"):
-        reweight_check("mean", h, spec=GaussianSpec("bm", 1), grid=grid, n_samples=10, seed=0)
+    kwargs = dict(spec=GaussianSpec("bm", 1), grid=grid, seed=0)
+    with pytest.raises(ValueError, match="functional must be one of .*'hom-norm'.*got 'mean'"):
+        reweight_check(("terminal-level1", "mean"), h, n_samples=10, **kwargs)
     with pytest.raises(ValueError, match="grid"):
         reweight_check(
-            "terminal-level1", h, spec=GaussianSpec("bm", 1),
+            ("terminal-level1",), h, spec=GaussianSpec("bm", 1),
             grid=TimeGrid(1.0, 32), n_samples=10, seed=0,
         )
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            reweight_check(("terminal-level1",), h, n_samples=n, **kwargs)
 
 
 def test_reweight_hom_norm_level3_ambient():
@@ -156,7 +191,7 @@ def test_reweight_hom_norm_level3_ambient():
     grid = TimeGrid(1.0, 16)
     h = _random_cm(20, grid, 2, scale=0.5)
     rep = reweight_check(
-        "hom-norm", h, spec=GaussianSpec("bm", 2), grid=grid, n_samples=4_000,
+        ("hom-norm",), h, spec=GaussianSpec("bm", 2), grid=grid, n_samples=4_000,
         seed=21, scheme="stratonovich", ambient=ambient_for_levels(2, 3, p=2.5),
-    )
+    )["hom-norm"]
     assert abs(rep.z_score) <= 3.0
