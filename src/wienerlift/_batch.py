@@ -27,9 +27,9 @@ def homogeneous_norm_batch(
     values: np.ndarray,
     base2: np.ndarray | None = None,
     base3: np.ndarray | None = None,
-) -> np.ndarray:
-    """Homogeneous norms of a batch of enhanced paths, one per leading index."""
-    total = np.zeros(values.shape[0])
+) -> np.ndarray | float:
+    """Homogeneous norms over the leading axes; one path gets a built-in float."""
+    total = 0.0
     for sym in ambient.symbols:
         payload = _symbol_payload(sym, values, base2, base3)
         total += symbol_norm(payload, grid, sym) ** (1.0 / sym.degree)

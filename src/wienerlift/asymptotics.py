@@ -21,10 +21,24 @@ from scipy import optimize, stats
 
 from ._batch import homogeneous_norm_batch, pair_base_batch, parallel_chunks
 from .grids import CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, derived_rng, sample_values_batch
-from .lifts import EnhancedPath, _triple_base, to_graded, young_skeleton_lift
-from .seminorms import AmbientSpec, GradedVector, homogeneous_norm
+from .lifts import EnhancedPath, _triple_base
+from .seminorms import AmbientSpec
+# unused here, but perfbench/spans.py patches these names in this module
+from .lifts import to_graded, young_skeleton_lift  # noqa: F401
+from .seminorms import homogeneous_norm  # noqa: F401
 
-ORACLES = ("reflection", "terminal-gauss", "level2-diag-gauss")
+# the Monte Carlo schemes: left-point sums or the trapezoid rule
+MC_SCHEMES = ("ito", "stratonovich")
+
+# each oracle is a closed form for one registry statistic
+ORACLES = {
+    "reflection": "sup-level1",
+    "terminal-gauss": "terminal-abs",
+    "level2-diag-gauss": "level2-entry",
+}
+
+# largest (chunk, n+1, n+1) float64 surface the driver lets one chunk build
+SURFACE_BYTES = 64 * 2**20
 
 
 class Statistic(NamedTuple):
@@ -87,21 +101,34 @@ class EventSpec:
         return float(stat[0])
 
 
+def _check_oracle(oracle: str, event: EventSpec, spec: GaussianSpec, scheme: str) -> None:
+    """Refuse an oracle that is not a closed form for this event, process and scheme."""
+    if oracle not in ORACLES:
+        raise ValueError(f"oracle must be one of {tuple(ORACLES)}, got {oracle!r}")
+    if event.kind != ORACLES[oracle]:
+        raise ValueError(
+            f"oracle {oracle!r} is a closed form for {ORACLES[oracle]!r} events, got {event.kind!r}"
+        )
+    if oracle == "level2-diag-gauss" and (event.entry[0] != event.entry[1] or scheme == "ito"):
+        raise ValueError(
+            f"oracle {oracle!r} holds for a diagonal entry of a trapezoid lift, "
+            f"got entry {event.entry} under {scheme!r}"
+        )
+    if oracle != "level2-diag-gauss" and spec.dim > 1:
+        raise ValueError(f"oracle {oracle!r} is a one-dimensional closed form, got d={spec.dim}")
+    if oracle == "reflection" and spec.kind != "bm":
+        raise ValueError(f"oracle {oracle!r} holds for Brownian motion only, got {spec.kind!r}")
+
+
 def _oracle_log_prob(
     oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float
 ) -> float:
-    """log P(dilate(eps, lift(X)) in event) for the supported closed forms.
+    """log P(dilate(eps, lift(X)) in event) for an oracle `_check_oracle` accepts.
 
     All three are one-dimensional: x_T ~ N(0, R(T, T)) for the terminal and
     level-2 diagonal tails, and the reflection principle, which holds for
     Brownian motion only, for the running maximum.
     """
-    if oracle not in ORACLES:
-        raise ValueError(f"oracle must be one of {ORACLES}, got {oracle!r}")
-    if oracle != "level2-diag-gauss" and spec.dim > 1:
-        raise ValueError(f"oracle {oracle!r} is a one-dimensional closed form, got d={spec.dim}")
-    if oracle == "reflection" and spec.kind != "bm":
-        raise ValueError(f"oracle {oracle!r} holds for Brownian motion only, got {spec.kind!r}")
     c = event.threshold
     var = float(spec.covariance(grid.horizon, grid.horizon))
     if oracle == "level2-diag-gauss":
@@ -193,6 +220,7 @@ def empirical_rate(
     deg = event.degree
     oracle_values = None
     if oracle is not None:
+        _check_oracle(oracle, event, spec, scheme)
         oracle_values = [
             eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps) for eps in epsilons
         ]
@@ -277,17 +305,21 @@ def _collect_statistics(
     `shifted` is empty and `pw` is None.  Base tensors are built once per
     path set, up to the highest level any named statistic reads.
     """
+    if scheme not in MC_SCHEMES:
+        raise ValueError(f"scheme must be one of {MC_SCHEMES}, got {scheme!r}")
     level = max(
         (ambient.max_degree if STATISTICS[n].level is None else STATISTICS[n].level for n in names),
         default=1,
     )
+    if "hom-norm" in names and ambient.max_degree >= 2:
+        # its symbol norms build (chunk, n+1, n+1) surfaces
+        chunk = max(1, min(chunk, SURFACE_BYTES // (8 * (grid.n_steps + 1) ** 2)))
     plain = {name: np.empty(count) for name in names}
     shifted = {} if shift is None else {name: np.empty(count) for name in names}
     pw = None if shift is None else np.empty(count)
 
     def evaluate(values, out, rows):
-        base2 = pair_base_batch(values, scheme) if level >= 2 else None
-        base3 = _triple_base(values, values, values, scheme, pair_ab=base2) if level >= 3 else None
+        base2, base3 = _base_tensors(values, scheme, level)
         for name in names:
             out[name][rows] = STATISTICS[name].fn(
                 values=values, base2=base2, base3=base3, entry=entry, ambient=ambient, grid=grid
@@ -304,6 +336,13 @@ def _collect_statistics(
 
     parallel_chunks(count, chunk, worker, threads)
     return plain, shifted, pw
+
+
+def _base_tensors(values, scheme, level):
+    """Level-2 and level-3 basepoint tensors of `values` up to `level`; None above it."""
+    base2 = pair_base_batch(values, scheme) if level >= 2 else None
+    base3 = _triple_base(values, values, values, scheme, pair_ab=base2) if level >= 3 else None
+    return base2, base3
 
 
 def _event_statistics(spec, scheme, event, grid, seed, count, chunk, threads):
@@ -343,15 +382,10 @@ class Eta0Result:
 
 
 def skeleton_norm(h: CameronMartinPath, ambient: AmbientSpec) -> float:
-    """Homogeneous norm of the exact lift of h, at the ambient's max degree."""
-    level = ambient.max_degree
-    if level == 1:
-        payloads = {
-            sym.name: h.values[:, sym.indices[0] - 1] for sym in ambient.symbols
-        }
-        return homogeneous_norm(GradedVector(ambient, h.grid, payloads))
-    e = young_skeleton_lift(h, level=level)
-    return homogeneous_norm(to_graded(e, ambient))
+    """Homogeneous norm of the exact (Young) lift of h, at the ambient's max degree."""
+    v = h.values
+    base2, base3 = _base_tensors(v, "young", ambient.max_degree)
+    return homogeneous_norm_batch(ambient, h.grid, v, base2, base3)
 
 
 def eta0_quotient(h: CameronMartinPath, ambient: AmbientSpec) -> float:

@@ -388,22 +388,26 @@ def chaos_to_document(obj: "ChaosPolynomial | GradedChaos") -> dict:
 
 
 def chaos_from_document(doc: dict) -> "ChaosPolynomial | GradedChaos":
-    if doc.get("format_version") != CHAOS_FORMAT_VERSION:
+    """Rebuild a chaos object; a missing field raises ValueError naming it."""
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != CHAOS_FORMAT_VERSION:
         raise ValueError(
-            f"unsupported format_version {doc.get('format_version')!r}, "
-            f"expected {CHAOS_FORMAT_VERSION!r}"
+            f"unsupported format_version {version!r}, expected {CHAOS_FORMAT_VERSION!r}"
         )
-    dim = int(doc["dimension"])
-    if "degrees" not in doc:
-        return ChaosPolynomial(dim, _terms_from_list(doc["terms"], dim))
-    by_symbol: dict[str, list] = {}
-    for term in doc["terms"]:
-        by_symbol.setdefault(term["symbol"], []).append(term)
-    components = {
-        name: ChaosPolynomial(dim, _terms_from_list(terms, dim))
-        for name, terms in by_symbol.items()
-    }
-    degrees = {k: int(v) for k, v in doc["degrees"].items()}
+    try:
+        dim = int(doc["dimension"])
+        if "degrees" not in doc:
+            return ChaosPolynomial(dim, _terms_from_list(doc["terms"], dim))
+        by_symbol: dict[str, list] = {}
+        for term in doc["terms"]:
+            by_symbol.setdefault(term["symbol"], []).append(term)
+        components = {
+            name: ChaosPolynomial(dim, _terms_from_list(terms, dim))
+            for name, terms in by_symbol.items()
+        }
+        degrees = {k: int(v) for k, v in doc["degrees"].items()}
+    except KeyError as exc:
+        raise ValueError(f"chaos document lacks field {exc.args[0]!r}") from None
     for name in degrees:
         components.setdefault(name, ChaosPolynomial(dim, {}))
     return GradedChaos(dim, components, degrees)

@@ -23,6 +23,8 @@ import numpy as np
 
 from . import chaos as chaos_mod
 from .asymptotics import (
+    MC_SCHEMES,
+    ORACLES,
     STATISTICS,
     EventSpec,
     _collect_statistics,
@@ -392,13 +394,21 @@ def _cmd_cm_check(args) -> int:
     return 0
 
 
+def _load_chaos(filename: str):
+    """Read a chaos JSON file; malformed content raises ValueError naming it."""
+    try:
+        with open(filename) as fh:
+            return chaos_mod.chaos_from_document(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{filename}: {exc}") from exc
+
+
 def _cmd_chaos(args) -> int:
     out = _check_out(args.out, args.force)
     if args.action in ("project", "proxy") and args.poly is None:
         raise CliError(f"chaos {args.action} needs --poly")
     if args.action == "project":
-        with open(args.poly) as fh:
-            obj = chaos_mod.chaos_from_document(json.load(fh))
+        obj = _read_input(_load_chaos, args.poly)
         if not isinstance(obj, chaos_mod.ChaosPolynomial):
             raise CliError(f"--poly {args.poly!r} holds a graded family; project wants a scalar polynomial")
         projected = chaos_mod.chaos_project(obj, args.degree)
@@ -410,8 +420,7 @@ def _cmd_chaos(args) -> int:
             raise CliError("--seed is required for chaos proxy")
         if args.shift_vector is None:
             raise CliError("--shift-vector is required for chaos proxy")
-        with open(args.poly) as fh:
-            obj = chaos_mod.chaos_from_document(json.load(fh))
+        obj = _read_input(_load_chaos, args.poly)
         if isinstance(obj, chaos_mod.ChaosPolynomial):
             raise CliError(f"--poly {args.poly!r} holds a scalar polynomial; proxy wants a graded family")
         h = np.array([float(tok) for tok in args.shift_vector.split(",")])
@@ -568,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scheme", choices=("ito", "stratonovich", "young"), default="ito")
     p.add_argument("--level", type=int, choices=(2, 3), default=2)
-    p.add_argument("--dyadic-level", type=int, default=4,
+    p.add_argument("--dyadic-level", type=_count(0), default=4,
                    help="piecewise-linear level for the young scheme")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
@@ -583,11 +592,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ldp", help="scaled log-probabilities of dilated lifts")
     _add_process_args(p)
-    p.add_argument("--scheme", choices=("ito", "stratonovich"), default="stratonovich")
+    p.add_argument("--scheme", choices=MC_SCHEMES, default="stratonovich")
     p.add_argument("--event", required=True, help="sup-ge:c | terminal-ge:c | hom-ge:c | level2-ge:i,j,c")
     p.add_argument("--epsilons", required=True, help="comma-separated, e.g. 0.5,0.4,0.01")
     p.add_argument("--samples", type=_count(), required=True)
-    p.add_argument("--oracle", choices=("reflection", "terminal-gauss", "level2-diag-gauss"), default=None)
+    p.add_argument("--oracle", choices=tuple(ORACLES), default=None)
     p.add_argument("--ambient", default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=_count(), default=1)
@@ -598,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eta0", help="minimize the scale-invariant tail quotient")
     p.add_argument("--ambient", required=True, help="ambient JSON file or preset")
     p.add_argument("--dim", type=_count(), default=1)
-    p.add_argument("--segments", type=int, default=16)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--segments", type=_count(2), default=16)
+    p.add_argument("--restarts", type=_count(), default=8)
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -608,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fernique", help="fit the Gaussian tail slope of lifted norms")
     _add_process_args(p, dim_default=2)
-    p.add_argument("--scheme", choices=("ito", "stratonovich"), default="stratonovich")
+    p.add_argument("--scheme", choices=MC_SCHEMES, default="stratonovich")
     p.add_argument("--ambient", required=True)
     p.add_argument("--samples", type=_count(), required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -631,10 +640,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos", help="chaos-polynomial actions")
     p.add_argument("action", choices=("project", "proxy", "norm-equiv"))
     p.add_argument("--poly", default=None, help="chaos JSON document")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_count(0), default=2)
     p.add_argument("--shift-vector", default=None, help="comma-separated h for proxy")
     p.add_argument("--samples", type=_count(), default=10_000)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count(), default=100)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=4.0)
     p.add_argument("--dim", type=_count(), default=2)

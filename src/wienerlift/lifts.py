@@ -6,11 +6,12 @@ increment is reconstructed through the multiplicative (Chen) relation
     X_{s,t} = X_{0,t} - X_{0,s} - x_{0,s} (x) x_{s,t},
 
 which the discrete schemes satisfy exactly: the Ito scheme uses left-point
-sums (the discrete signature of per-step increments), the Stratonovich scheme
-the trapezoid rule (per-step tensor exponentials), and the Young scheme exact
-per-cell polynomial integration of piecewise-linear paths.  Memory is
-O(n d^level) instead of O(n^2 d^level), and the Chen relation becomes a
-verifiable identity rather than an assumption.
+sums (the discrete signature of per-step increments), and every other scheme
+the trapezoid rule, i.e. the Chen product of per-step tensor exponentials.
+For a piecewise-linear path that product is its signature, so the Young lift
+of a Cameron-Martin skeleton is the same accumulator and exact on that class.
+Memory is O(n d^level) instead of O(n^2 d^level), and the Chen relation
+becomes a verifiable identity rather than an assumption.
 
 The basepoint accumulators and the entry-surface reconstructions take any
 number of leading axes: values (..., n+1, d), basepoint tensors
@@ -139,14 +140,14 @@ def _pair_base(a_values: np.ndarray, b_values: np.ndarray, scheme: str) -> np.nd
     """Basepoint tensors of the discrete integral int a (x) db: (..., n+1, d, d).
 
     Ito: left-point sums  sum_m a_{0,m} (x) db_m.
-    Stratonovich: trapezoid sums sum_m (a_{0,m} + da_m/2) (x) db_m.
+    Any other scheme: trapezoid sums sum_m (a_{0,m} + da_m/2) (x) db_m.
     Both are bilinear in (a, b), which is what makes the lifted shift exact.
     """
     a0 = a_values - a_values[..., :1, :]
     da = np.diff(a_values, axis=-2)
     db = np.diff(b_values, axis=-2)
     contrib = np.einsum("...mi,...mj->...mij", a0[..., :-1, :], db)
-    if scheme == "stratonovich":
+    if scheme != "ito":
         # bracket kept as a separate exactly-symmetric term so the
         # antisymmetric parts of the two schemes agree to the last bit
         contrib = contrib + 0.5 * np.einsum("...mi,...mj->...mij", da, db)
@@ -164,7 +165,7 @@ def _triple_base(
 ) -> np.ndarray:
     """Basepoint tensors of the discrete double integral int (int a db) (x) dc.
 
-    Ito: left-point sums over the level-2 accumulator.  Stratonovich: the
+    Ito: left-point sums over the level-2 accumulator.  Any other scheme: the
     level-3 part of the per-step tensor-exponential product, whose level-2
     part is exactly the trapezoid rule.  Shape (..., n+1, d, d, d).
     """
@@ -175,7 +176,7 @@ def _triple_base(
     db = np.diff(b_values, axis=-2)
     dc = np.diff(c_values, axis=-2)
     contrib = np.einsum("...mij,...mk->...mijk", pair_ab[..., :-1, :, :], dc)
-    if scheme == "stratonovich":
+    if scheme != "ito":
         contrib = contrib + 0.5 * np.einsum("...mi,...mj,...mk->...mijk", a0[..., :-1, :], db, dc)
         contrib = contrib + (1.0 / 6.0) * np.einsum("...mi,...mj,...mk->...mijk", da, db, dc)
     base = np.zeros(a_values.shape[:-1] + contrib.shape[-3:])
@@ -214,7 +215,7 @@ def level3_entry_surface(
     )
 
 
-def _scheme_lift(x: SamplePath, level: int, scheme: str, ambient) -> EnhancedPath:
+def _scheme_lift(x: SamplePath, level: int, scheme: str) -> EnhancedPath:
     if level not in (2, 3):
         raise ValueError(f"level must be 2 or 3, got {level}")
     v = x.values
@@ -224,89 +225,31 @@ def _scheme_lift(x: SamplePath, level: int, scheme: str, ambient) -> EnhancedPat
     if level == 3:
         base3 = _triple_base(v, v, v, scheme, pair_ab=base2)
         level3 = Level3Surface(x.grid, base3, level2)
-    return EnhancedPath(x, level2, level3, scheme=scheme, ambient=ambient)
+    return EnhancedPath(x, level2, level3, scheme=scheme)
 
 
-def ito_lift(x: SamplePath, level: int = 2, ambient: AmbientSpec | None = None) -> EnhancedPath:
+def ito_lift(x: SamplePath, level: int = 2) -> EnhancedPath:
     """Left-point enhancement: A[k] = sum_{m<k} x_{0,t_m} (x) x_{t_m,t_{m+1}}."""
-    return _scheme_lift(x, level, "ito", ambient)
+    return _scheme_lift(x, level, "ito")
 
 
-def stratonovich_lift(
-    x: SamplePath, level: int = 2, ambient: AmbientSpec | None = None
-) -> EnhancedPath:
+def stratonovich_lift(x: SamplePath, level: int = 2) -> EnhancedPath:
     """Trapezoid enhancement; X_{s,t} matches int (x - x_s) (x) circ dx.
 
     Differs from the Ito enhancement by the symmetric bracket term
     sum_m dx_m (x) dx_m / 2, so the antisymmetric parts coincide exactly.
     """
-    return _scheme_lift(x, level, "stratonovich", ambient)
+    return _scheme_lift(x, level, "stratonovich")
 
 
-def young_skeleton_lift(
-    h: CameronMartinPath, level: int = 2, ambient: AmbientSpec | None = None
-) -> EnhancedPath:
-    """Exact iterated integrals of a piecewise-linear path.
+def young_skeleton_lift(h: CameronMartinPath, level: int = 2) -> EnhancedPath:
+    """Exact iterated integrals of a piecewise-linear path: its signature.
 
-    Level 2 integrates the linear cell polynomials in closed form (for this
-    class the trapezoid rule is exact).  At level 3 the diagonal blocks use
-    the closed forms (h_{s,t})^3/6 and int (h^i)^2/2 dh^j, the all-distinct
-    blocks integrate the quadratic cell polynomials of the level-2 surface,
-    and the two mixed blocks per pair are produced from the shuffle relations
-
-        M_ij M_i  = M_iji + 2 M_iij,
-        M_ii M_j  = M_iij + M_iji + M_jii.
+    On each cell h is linear, so its signature there is the tensor
+    exponential of the cell increment, and the lift is the Chen product of
+    those exponentials: the trapezoid accumulator, without quadrature error.
     """
-    if level not in (2, 3):
-        raise ValueError(f"level must be 2 or 3, got {level}")
-    grid = h.grid
-    dt = grid.dt
-    d = h.dim
-    v = h.values  # (n+1, d)
-    dv = h.derivative_values  # (n, d)
-    x = h.as_sample_path()
-
-    # exact: int_cell h^i_{0,r} dh^j = (v_m + dh/2)^i dh^j
-    base2 = _pair_base(v, v, "stratonovich")
-    level2 = Level2Surface(grid, base2, v)
-    level3 = None
-    if level == 3:
-        base3 = np.zeros((grid.n_steps + 1, d, d, d))
-        dh = dv * dt  # per-cell increments
-        vi = v[:-1]
-        # direct per-cell integration, exact for the polynomial integrands
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if i == j == k:
-                        base3[:, i, j, k] = v[:, i] ** 3 / 6.0
-                    elif i == j:
-                        # int (h^i_{0,r})^2 / 2 dh^k, quadratic on each cell
-                        cell = 0.5 * dh[:, k] / dt * (
-                            vi[:, i] ** 2 * dt
-                            + vi[:, i] * dv[:, i] * dt**2
-                            + dv[:, i] ** 2 * dt**3 / 3.0
-                        )
-                        np.cumsum(cell, axis=0, out=base3[1:, i, j, k])
-                    elif i != j and j != k and i != k:
-                        # int Y2^{ij}_{0,r} dh^k with Y2 quadratic on each cell
-                        cell = dh[:, k] / dt * (
-                            base2[:-1, i, j] * dt
-                            + 0.5 * vi[:, i] * dv[:, j] * dt**2
-                            + dv[:, i] * dv[:, j] * dt**3 / 6.0
-                        )
-                        np.cumsum(cell, axis=0, out=base3[1:, i, j, k])
-        # shuffle-derived mixed blocks (i j i) and (j i i), i != j
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                base3[:, i, j, i] = base2[:, i, j] * v[:, i] - 2.0 * base3[:, i, i, j]
-                base3[:, j, i, i] = (
-                    base2[:, i, i] * v[:, j] - base3[:, i, j, i] - base3[:, i, i, j]
-                )
-        level3 = Level3Surface(grid, base3, level2)
-    return EnhancedPath(x, level2, level3, scheme="young", ambient=ambient)
+    return _scheme_lift(h.as_sample_path(), level, "young")
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +272,19 @@ def chen_residual(e: EnhancedPath, s: int, u: int, t: int) -> float:
     """
     if not 0 <= s <= u <= t <= e.grid.n_steps:
         raise ValueError(f"need 0 <= s <= u <= t <= n, got ({s}, {u}, {t})")
-    scheme = "ito" if e.scheme == "ito" else "stratonovich"  # young = exact trapezoid
     v = e.level1.values
     vsub = v[s : u + 1]
     xsu = v[u] - v[s]
     xut = v[t] - v[u]
     l2 = e.level2
-    direct2 = _pair_base(vsub, vsub, scheme)
+    direct2 = _pair_base(vsub, vsub, e.scheme)
     defect2 = (
         l2.increment(s, t) - direct2[-1] - l2.increment(u, t) - np.outer(xsu, xut)
     )
     out = float(np.max(np.abs(defect2)))
     if e.level3 is not None:
         l3 = e.level3
-        direct3 = _triple_base(vsub, vsub, vsub, scheme, pair_ab=direct2)
+        direct3 = _triple_base(vsub, vsub, vsub, e.scheme, pair_ab=direct2)
         defect3 = (
             l3.increment(s, t)
             - direct3[-1]

@@ -7,6 +7,7 @@ from scipy import stats
 from wienerlift.asymptotics import (
     STATISTICS,
     EventSpec,
+    _check_oracle,
     _collect_statistics,
     _oracle_log_prob,
     empirical_rate,
@@ -284,6 +285,15 @@ def test_terminal_gauss_oracle_uses_process_variance():
         ("terminal-gauss", GaussianSpec("bm", 2), EventSpec("terminal-abs", 1.0)),
         ("reflection", GaussianSpec("bm", 2), EventSpec("sup-level1", 1.0)),
         ("reflection", GaussianSpec("fbm", 1, hurst=0.3), EventSpec("sup-level1", 1.0)),
+        # an oracle is a closed form for one statistic only
+        ("reflection", GaussianSpec("bm", 1),
+         EventSpec("hom-norm", 1.0, ambient=ambient_for_levels(1, 2, norm_kind="holder", alpha=0.4))),
+        ("reflection", GaussianSpec("bm", 1), EventSpec("terminal-abs", 1.0)),
+        ("terminal-gauss", GaussianSpec("bm", 1), EventSpec("sup-level1", 1.0)),
+        ("terminal-gauss", GaussianSpec("bm", 1), EventSpec("terminal-level1", 1.0)),
+        ("level2-diag-gauss", GaussianSpec("bm", 1), EventSpec("terminal-abs", 1.0)),
+        # the Ito diagonal is not x_T^2/2
+        ("level2-diag-gauss", GaussianSpec("bm", 1), EventSpec("level2-entry", 0.5)),
     ],
 )
 def test_oracle_refused_outside_its_closed_form(monkeypatch, oracle, spec, event):
@@ -295,3 +305,41 @@ def test_oracle_refused_outside_its_closed_form(monkeypatch, oracle, spec, event
     monkeypatch.setattr(asy, "sample_values_batch", no_sampling)
     with pytest.raises(ValueError, match=oracle):
         empirical_rate(spec, "ito", event, [0.5], 100, 1, grid=TimeGrid(1.0, 8), oracle=oracle)
+
+
+def test_level2_diag_oracle_needs_a_trapezoid_diagonal():
+    diag, off = EventSpec("level2-entry", 0.5), EventSpec("level2-entry", 0.5, entry=(1, 2))
+    for spec in (GaussianSpec("bm", 2), GaussianSpec("fbm", 2, hurst=0.3)):
+        _check_oracle("level2-diag-gauss", diag, spec, "stratonovich")
+        with pytest.raises(ValueError, match="diagonal entry of a trapezoid lift"):
+            _check_oracle("level2-diag-gauss", diag, spec, "ito")
+        with pytest.raises(ValueError, match=r"entry \(1, 2\)"):
+            _check_oracle("level2-diag-gauss", off, spec, "stratonovich")
+
+
+@pytest.mark.parametrize("scheme", ["Stratonovich", "young", "typo"])
+def test_unknown_monte_carlo_scheme_refused(scheme):
+    grid = TimeGrid(1.0, 8)
+    spec = GaussianSpec("bm", 1)
+    with pytest.raises(ValueError, match=r"\('ito', 'stratonovich'\)"):
+        lift_norm_samples(spec, scheme, ambient_for_levels(1, 2), grid, 10, 1)
+    with pytest.raises(ValueError, match=r"\('ito', 'stratonovich'\)"):
+        empirical_rate(spec, scheme, EventSpec("sup-level1", 0.5), [0.5], 100, 1, grid=grid)
+
+
+def test_surface_chunk_capped_by_bytes(monkeypatch):
+    import wienerlift.asymptotics as asy
+
+    chunks = []
+    monkeypatch.setattr(asy, "parallel_chunks", lambda total, chunk, worker, threads=1: chunks.append(chunk))
+    spec = GaussianSpec("bm", 2)
+    level2 = ambient_for_levels(2, 2)
+    lift_norm_samples(spec, "stratonovich", level2, TimeGrid(1.0, 1024), 4096, 1)
+    assert chunks[-1] == asy.SURFACE_BYTES // (8 * 1025**2) < 512
+    lift_norm_samples(spec, "stratonovich", level2, TimeGrid(1.0, 256), 4096, 1, chunk=64)
+    assert chunks[-1] == 64  # 64 (n+1)^2 surfaces stay under the cap
+    # no surfaces: level-1 norms and events on level-2 terminal entries
+    lift_norm_samples(spec, "stratonovich", classical_ambient(2), TimeGrid(1.0, 1024), 4096, 1)
+    _collect_statistics(spec, "stratonovich", TimeGrid(1.0, 1024), 1, 4096, 512,
+                        names=("level2-entry",))
+    assert chunks[-2:] == [512, 512]

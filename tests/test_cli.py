@@ -177,6 +177,12 @@ BAD_COUNTS = {
     "threads-0": (["cm-check", "--samples", "10", "--threads", "0"], "--threads"),
     "ldp-samples-0": (["ldp", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "0"],
                       "--samples"),
+    "eta0-segments-1": (["eta0", "--ambient", "classical", "--segments", "1"], "--segments"),
+    "eta0-restarts-0": (["eta0", "--ambient", "classical", "--restarts", "0"], "--restarts"),
+    "lift-dyadic-level-negative": (["lift", "--scheme", "young", "--dyadic-level", "-1"],
+                                   "--dyadic-level"),
+    "chaos-trials-0": (["chaos", "norm-equiv", "--trials", "0"], "--trials"),
+    "chaos-degree-negative": (["chaos", "norm-equiv", "--degree", "-1"], "--degree"),
 }
 
 
@@ -286,6 +292,27 @@ def test_chaos_missing_option_is_an_argument_error(tmp_path, capsys, args, optio
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert option in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (json.dumps({"format_version": "chaos/v1"}), "lacks field 'dimension'"),
+        (json.dumps({"format_version": "chaos/v1", "dimension": 2}), "lacks field 'terms'"),
+        ("not json", "Expecting value"),
+    ],
+)
+@pytest.mark.parametrize("action", ["project", "proxy"])
+def test_malformed_chaos_document_is_an_argument_error(tmp_path, capsys, action, content, message):
+    poly = tmp_path / "f.json"
+    poly.write_text(content)
+    out = tmp_path / "c.json"
+    argv = ["chaos", action, "--poly", str(poly), "--shift-vector", "0.4", "--seed", "1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(poly) in err and message in err
+    assert "Traceback" not in err and not out.exists()
 
 
 SYMBOL_1 = {"symbol": "1", "indices": [0], "degree": 1, "norm": {"kind": "sup"}, "arity": 1}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -136,10 +137,10 @@ def test_young_level2_matches_reference():
 
 
 def test_young_level3_matches_direct_integration():
-    # shuffle-produced iji/jii blocks must equal direct iterated integrals
-    for seed in range(5):
+    # every block, mixed iji/jii ones included, equals direct iterated integrals
+    for d, seed in [(d, seed) for d in (1, 2, 3) for seed in range(5)]:
         grid = TimeGrid(1.0, 32)
-        h = _random_cm(seed, grid, 2)
+        h = _random_cm(seed, grid, d)
         e = young_skeleton_lift(h, level=3)
         ref = _young_level3_reference(h)
         scale = max(1.0, float(np.max(np.abs(ref))))
@@ -322,7 +323,7 @@ def test_serialization_round_trip(tmp_path):
     grid = TimeGrid(1.0, 32)
     x = sample(GaussianSpec("bm", 2), grid, seed=45)
     ambient = ambient_for_levels(2, 3, p=2.5)
-    e = ito_lift(x, level=3, ambient=ambient)
+    e = dataclasses.replace(ito_lift(x, level=3), ambient=ambient)
     doc = enhanced_to_document(e)
     back = enhanced_from_document(doc)
     assert back.scheme == "ito"
