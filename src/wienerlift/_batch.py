@@ -2,9 +2,9 @@
 
 The kernels live once, in `lifts` and `seminorms`, and take any number of
 leading axes: values (..., n+1, d), basepoint tensors (..., n+1, d, ...),
-entry surfaces (..., n+1, n+1).  A single path is the batch with no leading
-axis.  The names here are the batch route's calls into those kernels, on
-values of shape (C, n+1, d).
+entry column blocks.  A single path is the batch with no leading axis.  The
+names here are the batch route's calls into those kernels, on values of
+shape (C, n+1, d).
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import TimeGrid
-from .lifts import _pair_base, _symbol_payload
-from .seminorms import AmbientSpec, symbol_norm
+from .lifts import _pair_base, entry_columns
+from .seminorms import AmbientSpec, column_norm, symbol_norm
 
 
 def pair_base_batch(values: np.ndarray, scheme: str) -> np.ndarray:
@@ -28,11 +28,18 @@ def homogeneous_norm_batch(
     base2: np.ndarray | None = None,
     base3: np.ndarray | None = None,
 ) -> np.ndarray | float:
-    """Homogeneous norms over the leading axes; one path gets a built-in float."""
+    """Homogeneous norms over the leading axes; one path gets a built-in float.
+
+    Level-2/3 entries stream from the basepoint tensors: O(C n) memory, no surface.
+    """
     total = 0.0
     for sym in ambient.symbols:
-        payload = _symbol_payload(sym, values, base2, base3)
-        total += symbol_norm(payload, grid, sym) ** (1.0 / sym.degree)
+        if sym.degree == 1:
+            norm = symbol_norm(values[..., sym.indices[0] - 1], grid, sym)
+        else:
+            columns = entry_columns(values, base2, base3, sym.indices)
+            norm = column_norm(columns, values.shape[:-2], grid.n_steps, sym.norm, grid.dt)
+        total += norm ** (1.0 / sym.degree)
     return total
 
 

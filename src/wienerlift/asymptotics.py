@@ -37,9 +37,6 @@ ORACLES = {
     "level2-diag-gauss": "level2-entry",
 }
 
-# largest (chunk, n+1, n+1) float64 surface the driver lets one chunk build
-SURFACE_BYTES = 64 * 2**20
-
 
 class Statistic(NamedTuple):
     """One registry entry: a statistic of enhanced paths over any leading axes.
@@ -311,9 +308,6 @@ def _collect_statistics(
         (ambient.max_degree if STATISTICS[n].level is None else STATISTICS[n].level for n in names),
         default=1,
     )
-    if "hom-norm" in names and ambient.max_degree >= 2:
-        # its symbol norms build (chunk, n+1, n+1) surfaces
-        chunk = max(1, min(chunk, SURFACE_BYTES // (8 * (grid.n_steps + 1) ** 2)))
     plain = {name: np.empty(count) for name in names}
     shifted = {} if shift is None else {name: np.empty(count) for name in names}
     pw = None if shift is None else np.empty(count)

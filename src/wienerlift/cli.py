@@ -27,6 +27,7 @@ from .asymptotics import (
     ORACLES,
     STATISTICS,
     EventSpec,
+    _check_oracle,
     _collect_statistics,
     empirical_rate,
     eta0_estimate,
@@ -84,12 +85,19 @@ def _check_out(path: str, force: bool, summary: bool = False) -> str:
     return path
 
 
-def _read_input(load, filename: str):
-    """load(filename), reporting malformed content as an argument error."""
+@contextlib.contextmanager
+def _argument_errors():
+    """Report a ValueError or OSError raised inside as an argument error."""
     try:
-        return load(filename)
-    except ValueError as exc:
+        yield
+    except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from exc
+
+
+def _read_input(load, filename: str):
+    """load(filename), reporting an unreadable file or malformed content as an argument error."""
+    with _argument_errors():
+        return load(filename)
 
 
 @contextlib.contextmanager
@@ -275,10 +283,14 @@ def _cmd_norm(args) -> int:
 def _cmd_ldp(args) -> int:
     out = _check_out(args.out, args.force, summary=True)
     ambient = _parse_ambient(args.ambient, args.dim) if args.ambient else None
-    event = _parse_event(args.event, ambient)
+    spec = _gaussian_spec(args)
+    with _argument_errors():
+        event = _parse_event(args.event, ambient)
+        if args.oracle is not None:
+            _check_oracle(args.oracle, event, spec, args.scheme)
     epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
     estimate = empirical_rate(
-        _gaussian_spec(args),
+        spec,
         args.scheme,
         event,
         epsilons,

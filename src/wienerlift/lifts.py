@@ -13,10 +13,11 @@ of a Cameron-Martin skeleton is the same accumulator and exact on that class.
 Memory is O(n d^level) instead of O(n^2 d^level), and the Chen relation
 becomes a verifiable identity rather than an assumption.
 
-The basepoint accumulators and the entry-surface reconstructions take any
-number of leading axes: values (..., n+1, d), basepoint tensors
-(..., n+1, d, d[, d]) and surfaces (..., n+1, n+1).  One path is the batch
-with no leading axis; the Monte Carlo route in `_batch` stacks paths.
+The basepoint accumulators and the Chen reconstructions take any number of
+leading axes: values (..., n+1, d), basepoint tensors (..., n+1, d, d[, d]),
+entry surfaces (..., n+1, n+1) and entry columns (..., t).  One path is the
+batch with no leading axis; the Monte Carlo route in `_batch` stacks paths
+and reads entries column by column, never as surfaces.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class Level2Surface:
 
     def entry_surface(self, i: int, j: int) -> np.ndarray:
         """Full (n+1, n+1) surface of X^{ij}_{s,t}; 1-based component indices."""
-        return level2_entry_surface(self.level1_values, self.base, (i, j))
+        return entry_surface(self.level1_values, self.base, None, (i, j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +98,7 @@ class Level3Surface:
     def entry_surface(self, i: int, j: int, k: int) -> np.ndarray:
         """Full (n+1, n+1) surface of X^{ijk}_{s,t}; 1-based indices."""
         l2 = self.level2
-        return level3_entry_surface(l2.level1_values, l2.base, self.base, (i, j, k))
+        return entry_surface(l2.level1_values, l2.base, self.base, (i, j, k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,35 +185,45 @@ def _triple_base(
     return base
 
 
-def level2_entry_surface(values: np.ndarray, base: np.ndarray, indices) -> np.ndarray:
-    """Chen surface of X^{ij}_{s,t} over all grid pairs, (..., n+1, n+1); 1-based (i, j)."""
+def _entry_pairs(values, base2, base3, indices):
+    """pairs(s, t) -> X^w_{s,t} by the Chen relation, for a 1-based word w of length 2 or 3.
+
+    With x0 = x - x_0: X^{ij}_{s,t} = (b_t - c_s) - x0^i_s x^j_t, b = X^{ij}_{0,.},
+    c = b - x0^i x^j; X^{ijk}_{s,t} = ((B_t - D_s) - x0^i_s X^{jk}_{s,t}) - b_s x^k_t,
+    B = X^{ijk}_{0,.}, D = B - b x^k.  s and t are index tuples into the time
+    axis that broadcast together, so every caller does the same arithmetic.
+    """
+    level = len(indices)
+    if (base2 if level == 2 else base3) is None:
+        raise ValueError(f"entry {tuple(indices)} needs level {level}, but the path has no level {level}")
     i, j = indices[0] - 1, indices[1] - 1
-    b = base[..., i, j]
-    xi0 = values[..., i] - values[..., :1, i]
-    xj = values[..., j]
-    return (
-        b[..., None, :]
-        - b[..., :, None]
-        - xi0[..., :, None] * (xj[..., None, :] - xj[..., :, None])
-    )
+    x0i = values[..., i] - values[..., :1, i]
+    last = values[..., indices[-1] - 1]
+    if level == 2:
+        top, lead, inner = base2[..., i, j], x0i, None
+    else:
+        top, lead = base3[..., i, j, indices[2] - 1], base2[..., i, j]
+        inner = _entry_pairs(values, base2, None, indices[1:])
+    low = top - lead * last
+
+    def pairs(s, t):
+        out = top[(..., *t)] - low[(..., *s)]
+        if inner is not None:
+            out = out - x0i[(..., *s)] * inner(s, t)
+        return out - lead[(..., *s)] * last[(..., *t)]
+
+    return pairs
 
 
-def level3_entry_surface(
-    values: np.ndarray, base2: np.ndarray, base3: np.ndarray, indices
-) -> np.ndarray:
-    """Chen surface of X^{ijk}_{s,t} over all grid pairs, (..., n+1, n+1); 1-based (i, j, k)."""
-    i, j, k = indices[0] - 1, indices[1] - 1, indices[2] - 1
-    b = base3[..., i, j, k]
-    xi0 = values[..., i] - values[..., :1, i]
-    xk = values[..., k]
-    x2_jk = level2_entry_surface(values, base2, indices[1:])
-    x2_0s_ij = base2[..., i, j]
-    return (
-        b[..., None, :]
-        - b[..., :, None]
-        - xi0[..., :, None] * x2_jk
-        - x2_0s_ij[..., :, None] * (xk[..., None, :] - xk[..., :, None])
-    )
+def entry_surface(values: np.ndarray, base2: np.ndarray, base3, indices) -> np.ndarray:
+    """Chen surface of X^w_{s,t} over all grid pairs, (..., n+1, n+1); 1-based word w."""
+    return _entry_pairs(values, base2, base3, indices)((slice(None), None), (None, slice(None)))
+
+
+def entry_columns(values: np.ndarray, base2: np.ndarray, base3, indices):
+    """(t0, t1) -> `entry_surface`[..., :t1, t0:t1] indexed [t - t0, s], bitwise, without the surface."""
+    pairs = _entry_pairs(values, base2, base3, indices)
+    return lambda t0, t1: pairs((None, slice(0, t1)), (slice(t0, t1), None))
 
 
 def _scheme_lift(x: SamplePath, level: int, scheme: str) -> EnhancedPath:
@@ -367,14 +378,7 @@ def _symbol_payload(sym, values, base2, base3) -> np.ndarray:
     """One symbol's payload with leading axes: a level-1 component or an entry surface."""
     if sym.degree == 1:
         return values[..., sym.indices[0] - 1]
-    level = min(sym.degree, 3)
-    if (base2 if level == 2 else base3) is None:
-        raise ValueError(
-            f"ambient symbol {sym.name!r} has degree {sym.degree} but the path has no level {level}"
-        )
-    if level == 2:
-        return level2_entry_surface(values, base2, sym.indices)
-    return level3_entry_surface(values, base2, base3, sym.indices)
+    return entry_surface(values, base2, base3, sym.indices)
 
 
 def to_graded(e: EnhancedPath, ambient: AmbientSpec | None = None) -> GradedVector:

@@ -5,23 +5,25 @@ one- or two-parameter payload and a norm choice.  The homogeneous distance
 sum_tau ||v_tau||^(1/deg) is compatible with the degree-weighted dilation:
 |||dilation(v, eps)||| = eps * |||v|||.
 
-Two-parameter variation and the covariance rho-variation are evaluated on
-grid partitions only, giving lower bounds for the suprema over arbitrary
-partitions; every scaling identity used elsewhere is exact regardless.
-The plain Banach norm sum_tau ||v_tau|| is provided for completeness; it
-induces the same topology as the homogeneous distance (the identity map is
-locally uniformly continuous both ways) but no quantitative equivalence is
-asserted here.
+Two-parameter payloads X_{s,t} take the homogeneous rough-path norms on the
+grid, which converge under refinement: the exact q-variation over the
+consecutive intervals of grid partitions, and Hoelder and sup over s < t.
+One kernel, `column_norm`, reads them from columns t -> X_{.,t}; the
+one-parameter p-variation and Hoelder norms are X_{s,t} = x_t - x_s.  The
+covariance rho-variation uses the full grid partition only, a lower bound.
+The plain Banach norm sum_tau ||v_tau|| induces the same topology as the
+homogeneous distance, but no quantitative equivalence is asserted here.
 
-Each symbol-norm kernel exists once and takes any number of leading axes:
-payloads (..., n+1) or (..., n+1, n+1) give norms of shape (...).  A single
-path is the batch with no leading axis and gets a built-in float; the Monte
-Carlo route in `_batch` runs the same kernels on stacked paths.
+Every kernel takes any number of leading axes and gives norms of shape
+(...); a single path is the batch with no leading axis and gets a built-in
+float.  The Monte Carlo route in `_batch` streams the columns from the
+basepoint tensors instead of stored surfaces.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -206,7 +208,8 @@ class GradedVector:
     """Ambient spec plus one scalar payload array per symbol.
 
     One-parameter payloads are path values of shape (n+1,); two-parameter
-    payloads are increment surfaces of shape (n+1, n+1) indexed [s, t].
+    payloads are increment surfaces of shape (n+1, n+1) indexed [s, t], of
+    which the norms read s < t.
     """
 
     ambient: AmbientSpec
@@ -250,123 +253,101 @@ def _path_values(values) -> np.ndarray:
     return x
 
 
+# largest (..., width, t1) block of columns that `column_norm` asks for at once
+BLOCK_BYTES = 2**17
+
+
+def column_norm(columns, shape: tuple, n: int, norm: SymbolNorm, dt: float = 1.0) -> float | np.ndarray:
+    """One symbol norm of a two-parameter payload X_{s,t}, a block of columns at a time.
+
+    `columns(t0, t1)` returns X_{s,t} for t0 <= t < t1 and s < t1, indexed
+    [..., t - t0, s]; entries with s >= t are never read.  A block holds at
+    most `BLOCK_BYTES` or one column, so memory is O(C n).  pvar is the exact
+    q-variation over consecutive intervals of grid partitions, by the
+    recursion best[t] = max_{s<t} best[s] + |X_{s,t}|^q; holder is the largest
+    |X_{s,t}| / ((t-s) dt)^e and sup the largest |X_{s,t}| over s < t;
+    terminal is |X_{0,n}|.
+    """
+    kind, e = norm.kind, norm.exponent
+    if kind == "terminal":
+        return _unbox(np.abs(columns(n, n + 1)[..., 0, 0]))
+    width = max(1, BLOCK_BYTES // (8 * (n + 1) * math.prod(shape)))
+    if kind == "pvar":
+        best = np.zeros(shape + (n + 1,))
+    else:
+        best = np.zeros(shape)
+        # divisor per lag t - s, by scalar pow; inf masks the pairs s >= t
+        scale = np.array([np.inf] + [(k * dt) ** e if kind == "holder" else 1.0 for k in range(1, n + 1)])
+    for t0 in range(1, n + 1, width):
+        t1 = min(n + 1, t0 + width)
+        size = np.abs(columns(t0, t1))
+        if kind == "pvar":
+            gain = size**e
+            for t in range(t0, t1):
+                best[..., t] = np.maximum.reduce(best[..., :t] + gain[..., t - t0, :t], axis=-1)
+        else:
+            size /= scale[np.maximum(np.arange(t0, t1)[:, None] - np.arange(t1), 0)]
+            np.maximum(best, np.maximum.reduce(size, axis=(-2, -1)), out=best)
+    if kind == "pvar":
+        return _unbox(best[..., n]) ** (1.0 / e)
+    return _unbox(best)
+
+
+def _increments(x: np.ndarray):
+    """Column blocks of a one-parameter path: x_t - x_s."""
+    return lambda t0, t1: x[..., t0:t1, None] - x[..., None, :t1]
+
+
 def p_variation_1d(values: np.ndarray, p: float) -> float | np.ndarray:
     """|x_0| + (max over grid partitions of sum |increments|^p)^(1/p).
 
     The inner maximum is exact over all subsets of grid points containing the
-    endpoints, by the O(n^2) recursion best[j] = max_i (best[i] + |x_j-x_i|^p).
+    endpoints: `column_norm` on the increments.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     x = _path_values(values)
     n = x.shape[-1] - 1
-    best = np.zeros(x.shape)
-    for j in range(1, n + 1):
-        gain = np.abs(x[..., j, None] - x[..., :j]) ** p
-        best[..., j] = np.max(best[..., :j] + gain, axis=-1)
-    return _unbox(np.abs(x[..., 0])) + _unbox(best[..., n]) ** (1.0 / p)
-
-
-def p_variation_1d_bruteforce(values: np.ndarray, p: float) -> float:
-    """Exhaustive reference over all 2^(n-1) partitions; n <= ~16 only."""
-    x = np.asarray(values, dtype=float).ravel()
-    n = len(x) - 1
-    best = 0.0
-    for mask in range(2 ** (n - 1)):
-        idx = [0] + [i for i in range(1, n) if (mask >> (i - 1)) & 1] + [n]
-        best = max(best, sum(abs(x[b] - x[a]) ** p for a, b in zip(idx, idx[1:])))
-    return float(abs(x[0]) + best ** (1.0 / p))
+    return _unbox(np.abs(x[..., 0])) + column_norm(_increments(x), x.shape[:-1], n, SymbolNorm("pvar", p))
 
 
 def holder_norm_1d(values: np.ndarray, grid: TimeGrid, alpha: float) -> float | np.ndarray:
-    """max over grid pairs s != t of |x_t - x_s| / |t - s|^alpha."""
+    """max over grid pairs s < t of |x_t - x_s| / |t - s|^alpha."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     x = _path_values(values)
-    out = np.zeros(x.shape[:-1])
-    for lag in range(1, x.shape[-1]):
-        num = np.max(np.abs(x[..., lag:] - x[..., :-lag]), axis=-1)
-        np.maximum(out, num / (lag * grid.dt) ** alpha, out=out)
-    return _unbox(out)
+    n = x.shape[-1] - 1
+    return column_norm(_increments(x), x.shape[:-1], n, SymbolNorm("holder", alpha), grid.dt)
 
 
-def sup_norm_1d(values: np.ndarray) -> float | np.ndarray:
-    return _unbox(np.max(np.abs(values), axis=-1))
-
-
-def terminal_norm_1d(values: np.ndarray) -> float | np.ndarray:
-    return _unbox(np.abs(np.asarray(values)[..., -1]))
-
-
-def holder_norm_2param(surface: np.ndarray, grid: TimeGrid, exponent: float) -> float | np.ndarray:
-    """max over s != t of |X_{s,t}| / |t - s|^exponent.
-
-    For a degree-2 payload in the Hoelder scale the exponent is 2*alpha.
-    """
-    if not 0 < exponent <= 2:
-        raise ValueError(f"exponent must lie in (0, 2], got {exponent}")
+def _surface_norm(surface: np.ndarray, grid: TimeGrid, norm: SymbolNorm) -> float | np.ndarray:
+    """A stored surface X[..., s, t] through `column_norm`: only s < t is read."""
     X = np.asarray(surface, dtype=float)
     n = grid.n_steps
     if X.shape[-2:] != (n + 1, n + 1):
         raise ValueError(f"surface must end in the grid's ({n + 1}, {n + 1}), got {X.shape}")
-    gaps = np.abs(grid.points[None, :] - grid.points[:, None])
-    with np.errstate(divide="ignore"):
-        scale = np.where(gaps > 0, gaps ** (-exponent), 0.0)
-    return _unbox(np.max(np.abs(X) * scale, axis=(-2, -1)))
+    return column_norm(lambda t0, t1: X[..., :t1, t0:t1].swapaxes(-2, -1), X.shape[:-2], n, norm, grid.dt)
 
 
-def _grid_partitions(n: int) -> list[slice]:
-    """The full grid partition and all dyadic coarsenings, as strided slices."""
-    parts = [slice(None)]
-    stride = 2
-    while n % stride == 0 and n // stride >= 1:
-        parts.append(slice(0, n + 1, stride))
-        stride *= 2
-    return parts
+def holder_norm_2param(surface: np.ndarray, grid: TimeGrid, exponent: float) -> float | np.ndarray:
+    """max over s < t of |X_{s,t}| / |t - s|^exponent (2*alpha for a degree-2 payload)."""
+    return _surface_norm(surface, grid, SymbolNorm("holder", exponent))
 
 
 def p_variation_2param(surface: np.ndarray, grid: TimeGrid, p: float) -> float | np.ndarray:
-    """Grid-restricted two-parameter p-variation.
-
-    Evaluates (sum over pairs (t_i, t_j) in Q x Q of |X_{t_i,t_j}|^p)^(1/p) on
-    the full grid partition and all dyadic coarsenings, returning the largest
-    value: a lower bound for the supremum over arbitrary partitions.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    X = np.asarray(surface, dtype=float)
-    best = 0.0
-    for part in _grid_partitions(grid.n_steps):
-        best = np.maximum(best, np.sum(np.abs(X[..., part, part]) ** p, axis=(-2, -1)))
-    return _unbox(best) ** (1.0 / p)
-
-
-def sup_norm_2param(surface: np.ndarray) -> float | np.ndarray:
-    return _unbox(np.max(np.abs(surface), axis=(-2, -1)))
-
-
-def terminal_norm_2param(surface: np.ndarray) -> float | np.ndarray:
-    return _unbox(np.abs(np.asarray(surface)[..., 0, -1]))
+    """Exact p-variation of X over the consecutive intervals of grid partitions."""
+    return _surface_norm(surface, grid, SymbolNorm("pvar", p))
 
 
 def symbol_norm(payload: np.ndarray, grid: TimeGrid, spec: SymbolSpec) -> float | np.ndarray:
     """Evaluate one symbol's configured norm on its payload (or a batch of them)."""
-    kind = spec.norm.kind
-    if spec.arity == 1:
-        if kind == "pvar":
-            return p_variation_1d(payload, spec.norm.exponent)
-        if kind == "holder":
-            return holder_norm_1d(payload, grid, spec.norm.exponent)
-        if kind == "sup":
-            return sup_norm_1d(payload)
-        return terminal_norm_1d(payload)
+    kind, e = spec.norm.kind, spec.norm.exponent
+    if spec.arity == 2:
+        return _surface_norm(payload, grid, spec.norm)
     if kind == "pvar":
-        return p_variation_2param(payload, grid, spec.norm.exponent)
+        return p_variation_1d(payload, e)
     if kind == "holder":
-        return holder_norm_2param(payload, grid, spec.norm.exponent)
-    if kind == "sup":
-        return sup_norm_2param(payload)
-    return terminal_norm_2param(payload)
+        return holder_norm_1d(payload, grid, e)
+    x = np.abs(np.asarray(payload))
+    return _unbox(x[..., -1] if kind == "terminal" else np.max(x, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,9 @@ def test_eta0_level2_reproducible_and_positive():
     assert all(v > 0 for v in vals)
     spread = (max(vals) - min(vals)) / np.mean(vals)
     assert spread <= 0.10
+    # d = 1: |||S(h)||| <= sqrt(T) |h|_H (1 + 1/sqrt 2), with equality on the
+    # straight line, so eta0 = (3 - 2 sqrt 2) / T at any segment count
+    assert vals == pytest.approx([3.0 - 2.0 * math.sqrt(2.0)] * 3, rel=1e-9)
 
 
 def test_eta0_validation():
@@ -327,19 +330,38 @@ def test_unknown_monte_carlo_scheme_refused(scheme):
         empirical_rate(spec, scheme, EventSpec("sup-level1", 0.5), [0.5], 100, 1, grid=grid)
 
 
-def test_surface_chunk_capped_by_bytes(monkeypatch):
+def test_level2_norm_memory_linear_in_grid(monkeypatch):
+    # columns are streamed from the basepoint tensors: O(C n), never C (n+1)^2
+    import tracemalloc
+
     import wienerlift.asymptotics as asy
 
+    spec = GaussianSpec("bm", 2)
+    level2 = ambient_for_levels(2, 2, norm_kind="pvar", p=2.5)
+    tracemalloc.start()
+    try:
+        norms = lift_norm_samples(spec, "stratonovich", level2, TimeGrid(1.0, 1024), 64, 1, chunk=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norms.shape == (64,) and np.all(np.isfinite(norms))
+    assert peak < 16 * 2**20  # one (64, 1025, 1025) surface is 514 MiB
     chunks = []
     monkeypatch.setattr(asy, "parallel_chunks", lambda total, chunk, worker, threads=1: chunks.append(chunk))
-    spec = GaussianSpec("bm", 2)
-    level2 = ambient_for_levels(2, 2)
     lift_norm_samples(spec, "stratonovich", level2, TimeGrid(1.0, 1024), 4096, 1)
-    assert chunks[-1] == asy.SURFACE_BYTES // (8 * 1025**2) < 512
-    lift_norm_samples(spec, "stratonovich", level2, TimeGrid(1.0, 256), 4096, 1, chunk=64)
-    assert chunks[-1] == 64  # 64 (n+1)^2 surfaces stay under the cap
-    # no surfaces: level-1 norms and events on level-2 terminal entries
-    lift_norm_samples(spec, "stratonovich", classical_ambient(2), TimeGrid(1.0, 1024), 4096, 1)
-    _collect_statistics(spec, "stratonovich", TimeGrid(1.0, 1024), 1, 4096, 512,
+    lift_norm_samples(spec, "stratonovich", classical_ambient(2), TimeGrid(1.0, 1024), 4096, 1, chunk=64)
+    _collect_statistics(spec, "stratonovich", TimeGrid(1.0, 1024), 1, 4096, 256,
                         names=("level2-entry",))
-    assert chunks[-2:] == [512, 512]
+    assert chunks == [512, 64, 256]  # every run takes the requested chunk
+
+
+def test_eta0_quotient_converges_under_refinement():
+    # a fixed smooth h, h' = cos 3t: with a norm that has a continuum limit the
+    # quotient settles (an all-pairs q-variation halves it at every doubling)
+    ambient = ambient_for_levels(1, 2, norm_kind="pvar", p=2.5)
+    quotients = []
+    for segments in (32, 64):
+        grid = TimeGrid(1.0, segments)
+        h = CameronMartinPath(grid, np.cos(3.0 * (grid.points[:-1] + grid.dt / 2))[:, None])
+        quotients.append(eta0_quotient(h, ambient))
+    assert abs(quotients[1] - quotients[0]) < 0.05 * quotients[0]

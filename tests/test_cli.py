@@ -404,3 +404,28 @@ def test_level3_ambient_on_the_batch_route(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "rate.csv.summary.json").read_text())
     assert doc["results"]["hits"][0] > 0
+
+
+def test_missing_input_file_is_an_argument_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["lift", "--in", str(missing), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_oracle_refused_for_its_event_is_an_argument_error(tmp_path, capsys, monkeypatch):
+    from wienerlift import asymptotics
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the oracle was refused")
+
+    monkeypatch.setattr(asymptotics, "sample_values_batch", no_sampling)
+    out = tmp_path / "x.csv"
+    argv = ["ldp", "--dim", "1", "--steps", "16", "--event", "hom-ge:1",
+            "--ambient", "holder2:0.4", "--epsilons", "1.0,0.8", "--samples", "2000",
+            "--oracle", "reflection", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'reflection' is a closed form for 'sup-level1' events" in err
+    assert not out.exists()

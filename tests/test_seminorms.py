@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from wienerlift.grids import GaussianSpec, TimeGrid
+from wienerlift.grids import CameronMartinPath, GaussianSpec, TimeGrid
 from wienerlift.seminorms import (
     AmbientSpec,
     GradedVector,
@@ -17,11 +18,26 @@ from wienerlift.seminorms import (
     holder_norm_2param,
     homogeneous_norm,
     p_variation_1d,
-    p_variation_1d_bruteforce,
     p_variation_2param,
     rho_variation_covariance,
     symbol_norm,
 )
+
+
+def _pvar_over_all_partitions(surface, q):
+    """(max over partitions 0 = t_0 < ... < t_k = n of sum |X_{t_i, t_i+1}|^q)^(1/q)."""
+    n = surface.shape[-1] - 1
+    best = 0.0
+    for mask in range(2 ** (n - 1)):
+        idx = [0] + [i for i in range(1, n) if (mask >> (i - 1)) & 1] + [n]
+        best = max(best, sum(abs(surface[a, b]) ** q for a, b in zip(idx, idx[1:])))
+    return best ** (1.0 / q)
+
+
+def p_variation_1d_bruteforce(values, p):
+    """Exhaustive reference over all 2^(n-1) partitions; n <= ~16 only."""
+    x = np.asarray(values, dtype=float)
+    return abs(x[0]) + _pvar_over_all_partitions(x[None, :] - x[:, None], p)
 
 
 def test_pvar_tiny_cases():
@@ -93,29 +109,109 @@ def test_holder_exponent_comparison():
         assert lhs <= rhs + 1e-12
 
 
-def test_two_param_pvar_small_case():
-    grid = TimeGrid(1.0, 2)
-    pts = grid.points
-    X = pts[None, :] - pts[:, None]  # X_{s,t} = t - s
-    val = p_variation_2param(X, grid, 1.0)
-    # brute force over the two admissible grid partitions
-    full = sum(abs(X[i, j]) for i in range(3) for j in range(3))
-    coarse = sum(abs(X[i, j]) for i in (0, 2) for j in (0, 2))
-    assert val == pytest.approx(max(full, coarse), rel=1e-14)
-    assert full >= coarse
+def _two_param_paths(n, count=2, seed=4):
+    """Stratonovich level-2/3 basepoint tensors of `count` BM paths, d=2."""
+    from wienerlift.grids import sample_values_batch
+    from wienerlift.lifts import _pair_base, _triple_base
+
+    grid = TimeGrid(1.0, n)
+    values = sample_values_batch(GaussianSpec("bm", 2), grid, seed, count)
+    base2 = _pair_base(values, values, "stratonovich")
+    return grid, values, base2, _triple_base(values, values, values, "stratonovich", pair_ab=base2)
 
 
-def test_two_param_pvar_full_grid_dominates_coarsenings():
+@pytest.mark.parametrize("word", [(1, 2), (2, 2), (1, 2, 1), (2, 1, 1)])
+def test_two_param_pvar_matches_bruteforce_over_partitions(word):
+    from wienerlift.lifts import entry_columns, entry_surface
+    from wienerlift.seminorms import column_norm
+
+    for n in (5, 9, 12):
+        grid, values, base2, base3 = _two_param_paths(n)
+        surfaces = entry_surface(values, base2, base3, word)
+        for q in (1.0, 1.25, 2.0):
+            streamed = column_norm(
+                entry_columns(values, base2, base3, word), (2,), n, SymbolNorm("pvar", q)
+            )
+            for k, surface in enumerate(surfaces):
+                oracle = _pvar_over_all_partitions(surface, q)
+                assert streamed[k] == pytest.approx(oracle, rel=1e-12)
+                assert p_variation_2param(surface, grid, q) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_two_param_pvar_of_linear_path_is_its_single_interval():
+    # x_t = v t lifts to x_{s,t}^{(x)k} / k!, and |X_{s,t}|^q = c (t-s)^(kq) is
+    # superadditive for kq > 1, so the one interval [0, T] attains the q-variation
+    from wienerlift.lifts import young_skeleton_lift
+
+    grid = TimeGrid(2.0, 16)
+    v = np.array([0.7, -1.3])
+    e = young_skeleton_lift(CameronMartinPath(grid, np.tile(v, (16, 1))), level=3)
+    dx = grid.points[None, :] - grid.points[:, None]
+    for i, j in ((1, 1), (1, 2), (2, 1)):
+        surface = e.level2.entry_surface(i, j)
+        expected = v[i - 1] * v[j - 1] * dx**2 / 2
+        assert np.max(np.abs(surface - expected)) <= 1e-14
+        for q in (1.0, 1.25, 2.0):
+            assert p_variation_2param(surface, grid, q) == pytest.approx(abs(expected[0, -1]), rel=1e-13)
+    surface = e.level3.entry_surface(1, 2, 1)
+    expected = v[0] * v[1] * v[0] * dx**3 / 6
+    assert np.max(np.abs(surface - expected)) <= 1e-13
+    for q in (1.0, 1.5):
+        assert p_variation_2param(surface, grid, q) == pytest.approx(abs(expected[0, -1]), rel=1e-13)
+
+
+def test_two_param_holder_and_sup_range_over_s_before_t():
     rng = np.random.default_rng(4)
     grid = TimeGrid(1.0, 8)
-    X = rng.standard_normal((9, 9))
-    p = 1.5
-    full = float(np.sum(np.abs(X) ** p)) ** (1.0 / p)
-    assert p_variation_2param(X, grid, p) == pytest.approx(full, rel=1e-12)
-    for stride in (2, 4, 8):
-        idx = np.arange(0, 9, stride)
-        sub = X[np.ix_(idx, idx)]
-        assert float(np.sum(np.abs(sub) ** p)) ** (1.0 / p) <= full + 1e-12
+    surface = rng.standard_normal((9, 9))
+    surface[np.tril_indices(9)] = 1e6  # s >= t: never read
+    pairs = [(s, t) for t in range(9) for s in range(t)]
+    for e in (0.4, 0.8, 1.6):
+        oracle = max(abs(surface[s, t]) / ((t - s) * grid.dt) ** e for s, t in pairs)
+        assert holder_norm_2param(surface, grid, e) == pytest.approx(oracle, rel=1e-15)
+    sup = SymbolSpec("s", (1, 1), 2, SymbolNorm("sup"), 2)
+    assert symbol_norm(surface, grid, sup) == max(abs(surface[s, t]) for s, t in pairs)
+    terminal = SymbolSpec("s", (1, 1), 2, SymbolNorm("terminal"), 2)
+    assert symbol_norm(surface, grid, terminal) == abs(surface[0, 8])
+
+
+def test_brownian_level2_qvariation_bounded_under_refinement():
+    # the grid q-variation has a continuum limit; an all-pairs sum grows like
+    # n^(2/q), about 80-fold from n = 64 to 1024
+    from wienerlift.grids import sample_values_batch
+    from wienerlift.lifts import _pair_base, entry_columns
+    from wienerlift.seminorms import column_norm
+
+    fine = sample_values_batch(GaussianSpec("bm", 2), TimeGrid(1.0, 1024), 2024, 16)
+    medians = []
+    for n in (64, 128, 256, 512, 1024):
+        values = fine[:, :: 1024 // n]
+        base2 = _pair_base(values, values, "stratonovich")
+        qvar = column_norm(entry_columns(values, base2, None, (1, 2)), (16,), n, SymbolNorm("pvar", 1.25))
+        medians.append(float(np.median(qvar)))
+    assert max(medians) <= 1.5 * min(medians)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("kind", ["pvar", "holder", "sup", "terminal"])
+def test_surface_and_base_tensor_routes_agree_bitwise(kind, level):
+    # norm/selftest read a stored surface, the Monte Carlo route streams columns
+    from wienerlift._batch import homogeneous_norm_batch
+    from wienerlift.grids import SamplePath
+    from wienerlift.lifts import stratonovich_lift, to_graded
+
+    grid, values, base2, base3 = _two_param_paths(32, count=1, seed=9)
+    ambient = ambient_for_levels(2, level, norm_kind="holder" if kind == "holder" else "pvar", p=2.5)
+    if kind in ("sup", "terminal"):
+        ambient = AmbientSpec(
+            tuple(dataclasses.replace(s, norm=SymbolNorm(kind)) for s in ambient.symbols),
+            ambient.distinguished,
+        )
+    e = stratonovich_lift(SamplePath(grid, values[0]), level=level)
+    stored = homogeneous_norm(to_graded(e, ambient))
+    streamed = homogeneous_norm_batch(ambient, grid, values[0], base2[0], base3[0] if level == 3 else None)
+    assert type(streamed) is float
+    assert streamed == stored
 
 
 def _single_symbol_vector(norm_kind, payload, grid, degree=2):
@@ -241,7 +337,7 @@ def test_ambient_validation():
 def test_batch_of_paths_matches_each_path_alone(kind, arity):
     # one kernel serves both routes: a batch row equals the path computed alone
     from wienerlift.grids import sample_values_batch
-    from wienerlift.lifts import _pair_base, level2_entry_surface
+    from wienerlift.lifts import _pair_base, entry_surface
 
     grid = TimeGrid(1.0, 64)
     values = sample_values_batch(GaussianSpec("bm", 2), grid, seed=8, count=8)
@@ -250,7 +346,7 @@ def test_batch_of_paths_matches_each_path_alone(kind, arity):
     if arity == 1:
         payloads = values[:, :, 0]
     else:
-        payloads = level2_entry_surface(values, _pair_base(values, values, "ito"), (1, 2))
+        payloads = entry_surface(values, _pair_base(values, values, "ito"), None, (1, 2))
     batch = symbol_norm(payloads, grid, sym)
     assert batch.shape == (8,)
     for row, payload in zip(batch, payloads):
@@ -261,3 +357,17 @@ def test_batch_of_paths_matches_each_path_alone(kind, arity):
             assert row == pytest.approx(alone, rel=1e-15)
         else:
             assert row == alone
+
+
+def test_column_blocks_do_not_change_bits(monkeypatch):
+    # one column per block and one block for all columns give the same floats
+    import wienerlift.seminorms as sm
+    from wienerlift._batch import homogeneous_norm_batch
+
+    grid, values, base2, base3 = _two_param_paths(24, count=5, seed=12)
+    ambients = [ambient_for_levels(2, 3, norm_kind="pvar", p=2.5),
+                ambient_for_levels(2, 2, norm_kind="holder", alpha=0.4)]
+    whole = [homogeneous_norm_batch(a, grid, values, base2, base3) for a in ambients]
+    monkeypatch.setattr(sm, "BLOCK_BYTES", 1)
+    for ambient, ref in zip(ambients, whole):
+        assert np.array_equal(homogeneous_norm_batch(ambient, grid, values, base2, base3), ref)
