@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import stats
 
 from ._batch import homogeneous_norm_batch, pair_base_batch, parallel_chunks
 from .grids import CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, derived_rng, sample_values_batch
@@ -214,6 +214,8 @@ def empirical_rate(
     epsilons = sorted(float(e) for e in epsilons)[::-1]
     if not epsilons:
         raise ValueError("epsilons must be non-empty")
+    if not all(math.isfinite(e) and e > 0 for e in epsilons):
+        raise ValueError(f"epsilons must be positive and finite, got {epsilons}")
     deg = event.degree
     oracle_values = None
     if oracle is not None:
@@ -359,11 +361,15 @@ def rate_functional(h: CameronMartinPath) -> float:
 
 @dataclass
 class Eta0Result:
+    """The search outcome; `evaluations` and `converged` are per restart."""
+
     eta0_hat: float
     argmin_h: CameronMartinPath
     restarts_used: int
     quotient_history: list
     all_converged: bool
+    evaluations: list
+    converged: list
 
     def to_document(self) -> dict:
         return {
@@ -371,6 +377,8 @@ class Eta0Result:
             "restarts_used": self.restarts_used,
             "quotient_history": self.quotient_history,
             "all_converged": self.all_converged,
+            "evaluations": self.evaluations,
+            "converged": self.converged,
             "argmin_derivative": self.argmin_h.derivative_values.tolist(),
         }
 
@@ -382,12 +390,111 @@ def skeleton_norm(h: CameronMartinPath, ambient: AmbientSpec) -> float:
     return homogeneous_norm_batch(ambient, h.grid, v, base2, base3)
 
 
+def _eta0_quotients(ambient: AmbientSpec, grid: TimeGrid, vecs: np.ndarray) -> np.ndarray:
+    """R(h) for each row of `vecs` (k, n d), the cell derivatives of h.
+
+    Non-finite rows, rows within 1e-12 of zero and rows whose lift has norm 0
+    give inf.
+    """
+    out = np.full(len(vecs), np.inf)
+    ok = np.isfinite(vecs).all(axis=1) & (np.abs(vecs).max(axis=1) >= 1e-12)
+    if not ok.any():
+        return out
+    deriv = vecs[ok].reshape(-1, grid.n_steps, ambient.noise_dim)
+    values = np.zeros((len(deriv), grid.n_steps + 1, ambient.noise_dim))
+    np.cumsum(deriv * grid.dt, axis=1, out=values[:, 1:])
+    base2, base3 = _base_tensors(values, "young", ambient.max_degree)
+    norm = homogeneous_norm_batch(ambient, grid, values, base2, base3)
+    energy = 0.5 * (deriv**2).sum(axis=(1, 2)) * grid.dt
+    out[ok] = np.divide(energy, norm**2, out=out[ok], where=norm > 0)
+    return out
+
+
 def eta0_quotient(h: CameronMartinPath, ambient: AmbientSpec) -> float:
-    """R(h) = (|h|_H^2 / 2) / |||lift(h)|||^2; invariant under h -> c h."""
-    norm = skeleton_norm(h, ambient)
-    if norm <= 0:
-        return float("inf")
-    return rate_functional(h) / norm**2
+    """R(h) = (|h|_H^2 / 2) / |||lift(h)|||^2; invariant under h -> c h.
+
+    The search's objective on a batch of one.
+    """
+    return float(_eta0_quotients(ambient, h.grid, h.derivative_values.reshape(1, -1))[0])
+
+
+class _SimplexResult(NamedTuple):
+    """Per start: best vertex (R, N), its value, evaluation count, convergence."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    evaluations: np.ndarray
+    converged: np.ndarray
+
+
+def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> _SimplexResult:
+    """Minimize `fun` from every row of x0 (R, N) by Nelder-Mead, all starts in lock step.
+
+    `fun` maps (k, N) points to (k,) values.  Each start follows scipy's
+    non-adaptive method on its own (Lagarias et al. 1998): reflection,
+    expansion, contraction and shrink coefficients 1, 2, 1/2, 1/2, and an
+    initial simplex that scales one coordinate of x0 by 1.05 (a zero becomes
+    0.00025).  A start is frozen, converged, once its vertices lie within
+    `xatol` and their values within `fatol` of its best vertex; starts still
+    moving after `maxiter - 1` iterations are unconverged.  Each iteration
+    makes one call of `fun` for the reflections, at most one for the
+    expansion and contraction points and at most one for the shrinks.
+    """
+    starts, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    diag = np.arange(n)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = fun(sim.reshape(-1, n)).reshape(starts, n + 1)
+    result = _SimplexResult(
+        np.empty((starts, n)), np.empty(starts), np.full(starts, n + 1), np.zeros(starts, dtype=bool)
+    )
+    live = np.arange(starts)
+    for iteration in range(maxiter):
+        order = fsim.argsort(axis=1)
+        rows = np.arange(live.size)[:, None]
+        sim, fsim = sim[rows, order], fsim[rows, order]
+        result.x[live], result.fun[live] = sim[:, 0], fsim[:, 0]
+        if iteration == maxiter - 1:
+            break
+        done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+        )
+        if done.any():
+            result.converged[live[done]] = True
+            live, sim, fsim = live[~done], sim[~done], fsim[~done]
+            if not live.size:
+                break
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst = sim[:, -1]
+        xr = 2 * xbar - worst
+        fxr = fun(xr)
+        result.evaluations[live] += 1
+        expand = fxr < fsim[:, 0]
+        take_r = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~take_r & (fxr < fsim[:, -1])
+        inside = ~(expand | take_r | outside)
+        # a xbar - b worst: expansion (3, 2), outside contraction (1.5, 0.5),
+        # inside contraction (0.5, -0.5)
+        a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))[:, None]
+        b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
+        x2 = a * xbar - b * worst
+        f2 = np.full(live.size, np.inf)
+        second = ~take_r
+        if second.any():
+            f2[second] = fun(x2[second])
+            result.evaluations[live[second]] += 1
+        use2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
+        step = take_r | expand | use2
+        sim[step, -1] = np.where(use2[:, None], x2, xr)[step]
+        fsim[step, -1] = np.where(use2, f2, fxr)[step]
+        shrink = ~step
+        if shrink.any():
+            best = sim[shrink, :1]
+            moved = best + 0.5 * (sim[shrink, 1:] - best)
+            sim[shrink, 1:] = moved
+            fsim[shrink, 1:] = fun(moved.reshape(-1, n)).reshape(-1, n)
+            result.evaluations[live[shrink]] += n
+    return result
 
 
 def eta0_estimate(
@@ -405,68 +512,46 @@ def eta0_estimate(
     piecewise-linear h equals the constrained infimum of |h|_H^2/2 over the
     unit sphere of the lifted homogeneous norm, so no constraint handling is
     needed.  Sup-type norms make R nonsmooth; a derivative-free simplex
-    search with random restarts is used and the best quotient is returned.
+    search runs from `restarts` random starts in lock step, one batched
+    objective call for all of them at a time, and the best quotient is
+    polished and returned.
     """
     if segments < 2:
         raise ValueError(f"segments must be >= 2, got {segments}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if maxiter is not None and maxiter < 0:
+        raise ValueError(f"maxiter must be >= 0, got {maxiter}")
     d = ambient.noise_dim
     grid = TimeGrid(horizon, segments)
     n_var = segments * d
+    maxiter = maxiter or 400 * n_var
 
-    def objective(vec: np.ndarray) -> float:
-        if not np.all(np.isfinite(vec)) or np.max(np.abs(vec)) < 1e-12:
-            return float("inf")
-        h = CameronMartinPath(grid, vec.reshape(segments, d))
-        return eta0_quotient(h, ambient)
+    def objective(vecs: np.ndarray) -> np.ndarray:
+        return _eta0_quotients(ambient, grid, vecs)
 
-    best_val = float("inf")
-    best_vec = None
-    history = []
-    all_converged = True
-    for r in range(restarts):
-        rng = derived_rng(seed, r)
-        x0 = rng.standard_normal(n_var)
-        x0 /= math.sqrt(float(np.mean(x0**2)))
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": maxiter or 400 * n_var,
-                "xatol": 1e-8,
-                "fatol": 1e-12,
-            },
-        )
-        val = float(res.fun)
-        history.append(val)
-        all_converged = all_converged and bool(res.success)
-        if val < best_val:
-            best_val = val
-            best_vec = res.x
-    if best_vec is None or not math.isfinite(best_val):
+    x0 = np.stack([derived_rng(seed, r).standard_normal(n_var) for r in range(restarts)])
+    x0 /= np.sqrt(np.mean(x0**2, axis=1, keepdims=True))
+    search = _nelder_mead(objective, x0, maxiter, xatol=1e-8, fatol=1e-12)
+    winner = int(np.argmin(search.fun))
+    best_val, best_vec = float(search.fun[winner]), search.x[winner]
+    if not math.isfinite(best_val):
         raise RuntimeError("all restarts collapsed to the zero path")
     # polish the winning restart; the simplex often stalls on sup-type norms
-    polish = optimize.minimize(
-        objective,
-        best_vec,
-        method="Nelder-Mead",
-        options={"maxiter": maxiter or 400 * n_var, "xatol": 1e-10, "fatol": 1e-14},
-    )
-    if math.isfinite(polish.fun) and polish.fun < best_val:
-        best_val = float(polish.fun)
-        best_vec = polish.x
+    polish = _nelder_mead(objective, best_vec[None], maxiter, xatol=1e-10, fatol=1e-14)
+    if polish.fun[0] < best_val:
+        best_val, best_vec = float(polish.fun[0]), polish.x[0]
     argmin = CameronMartinPath(grid, best_vec.reshape(segments, d))
     # report the argmin on the unit sphere of the lifted norm
-    scale = skeleton_norm(argmin, ambient)
-    argmin = argmin.scaled(1.0 / scale)
+    argmin = argmin.scaled(1.0 / skeleton_norm(argmin, ambient))
     return Eta0Result(
         eta0_hat=best_val,
         argmin_h=argmin,
         restarts_used=restarts,
-        quotient_history=history,
-        all_converged=all_converged,
+        quotient_history=search.fun.tolist(),
+        all_converged=bool(search.converged.all()),
+        evaluations=search.evaluations.tolist(),
+        converged=search.converged.tolist(),
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -185,21 +186,27 @@ def _parse_event(text: str, ambient: AmbientSpec | None) -> EventSpec:
     head, _, arg = text.partition(":")
     if not arg:
         raise CliError(f"--event {text!r} is missing its threshold")
+
+    def number(convert, token: str, what: str):
+        try:
+            return convert(token)
+        except ValueError:
+            raise CliError(f"--event {text!r}: malformed {what} {token!r}") from None
+
     if head == "sup-ge":
-        return EventSpec("sup-level1", float(arg))
+        return EventSpec("sup-level1", number(float, arg, "threshold"))
     if head == "terminal-ge":
-        return EventSpec("terminal-abs", float(arg))
+        return EventSpec("terminal-abs", number(float, arg, "threshold"))
     if head == "hom-ge":
         if ambient is None:
             raise CliError("--event hom-ge needs --ambient")
-        return EventSpec("hom-norm", float(arg), ambient=ambient)
+        return EventSpec("hom-norm", number(float, arg, "threshold"), ambient=ambient)
     if head == "level2-ge":
         parts = arg.split(",")
         if len(parts) != 3:
             raise CliError(f"--event level2-ge wants i,j,c, got {arg!r}")
-        return EventSpec(
-            "level2-entry", float(parts[2]), entry=(int(parts[0]), int(parts[1]))
-        )
+        entry = (number(int, parts[0], "entry index"), number(int, parts[1], "entry index"))
+        return EventSpec("level2-entry", number(float, parts[2], "threshold"), entry=entry)
     raise CliError(f"--event kind {head!r} unknown")
 
 
@@ -288,12 +295,11 @@ def _cmd_ldp(args) -> int:
         event = _parse_event(args.event, ambient)
         if args.oracle is not None:
             _check_oracle(args.oracle, event, spec, args.scheme)
-    epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
     estimate = empirical_rate(
         spec,
         args.scheme,
         event,
-        epsilons,
+        args.epsilons,
         args.samples,
         args.seed,
         grid=_grid(args),
@@ -301,7 +307,7 @@ def _cmd_ldp(args) -> int:
         threads=args.threads,
     )
     config = _process_config(
-        args, scheme=args.scheme, event=args.event, epsilons=epsilons,
+        args, scheme=args.scheme, event=args.event, epsilons=args.epsilons,
         samples=args.samples, oracle=args.oracle, seed=args.seed, out=out,
     )
     doc = estimate.to_document()
@@ -333,7 +339,7 @@ def _cmd_eta0(args) -> int:
     _write_summary(out, "eta0", config, result.to_document())
     print(
         f"eta0: wrote {out}; eta0_hat={result.eta0_hat!r} "
-        f"(restarts={result.restarts_used}, converged={result.all_converged})"
+        f"({sum(result.converged)} of {result.restarts_used} restarts converged)"
     )
     return 0
 
@@ -560,11 +566,30 @@ def _count(minimum: int = 1):
     return parse
 
 
+def _positive(text: str) -> float:
+    """argparse type for a positive finite number, else exit 2 naming the option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _positive_list(text: str) -> list[float]:
+    """argparse type for comma-separated positive finite numbers, at least one."""
+    values = [_positive(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive numbers, got {text!r}")
+    return values
+
+
 def _add_process_args(p: argparse.ArgumentParser, dim_default: int = 1):
     p.add_argument("--process", choices=("bm", "fbm"), default="bm")
     p.add_argument("--dim", type=_count(), default=dim_default)
     p.add_argument("--steps", type=_count(), default=256)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=_positive, default=1.0)
     p.add_argument("--hurst", type=float, default=None)
 
 
@@ -606,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_process_args(p)
     p.add_argument("--scheme", choices=MC_SCHEMES, default="stratonovich")
     p.add_argument("--event", required=True, help="sup-ge:c | terminal-ge:c | hom-ge:c | level2-ge:i,j,c")
-    p.add_argument("--epsilons", required=True, help="comma-separated, e.g. 0.5,0.4,0.01")
+    p.add_argument("--epsilons", type=_positive_list, required=True, help="comma-separated, e.g. 0.5,0.4,0.01")
     p.add_argument("--samples", type=_count(), required=True)
     p.add_argument("--oracle", choices=tuple(ORACLES), default=None)
     p.add_argument("--ambient", default=None)
@@ -621,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_count(), default=1)
     p.add_argument("--segments", type=_count(2), default=16)
     p.add_argument("--restarts", type=_count(), default=8)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=_positive, default=1.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")

@@ -187,6 +187,8 @@ def test_eta0_validation():
         eta0_estimate(classical_ambient(1), segments=1, restarts=2, seed=0)
     with pytest.raises(ValueError):
         eta0_estimate(classical_ambient(1), segments=4, restarts=0, seed=0)
+    with pytest.raises(ValueError, match="maxiter"):
+        eta0_estimate(classical_ambient(1), segments=4, restarts=1, seed=0, maxiter=-1)
 
 
 def test_fernique_gaussian_control():
@@ -365,3 +367,58 @@ def test_eta0_quotient_converges_under_refinement():
         h = CameronMartinPath(grid, np.cos(3.0 * (grid.points[:-1] + grid.dt / 2))[:, None])
         quotients.append(eta0_quotient(h, ambient))
     assert abs(quotients[1] - quotients[0]) < 0.05 * quotients[0]
+
+
+def test_empirical_rate_refuses_nonpositive_epsilons():
+    event = EventSpec("sup-level1", 0.5)
+    for bad in ([0.0], [0.5, -1.0], [math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="epsilons must be positive and finite"):
+            empirical_rate(GaussianSpec("bm", 1), "ito", event, bad, 100, 1, grid=TimeGrid(1.0, 8))
+
+
+def _shifted_quadratic(x):
+    return np.sum((x - np.array([0.3, -1.2, 2.0, 0.7])) ** 2, axis=-1)
+
+
+def _rosenbrock(x):
+    return np.sum(100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (1.0 - x[..., :-1]) ** 2, axis=-1)
+
+
+@pytest.mark.parametrize("fun", [_shifted_quadratic, _rosenbrock])
+def test_lockstep_simplex_reaches_the_scipy_minimizer(fun):
+    # scipy's own Nelder-Mead is the oracle here, one start at a time
+    from scipy import optimize
+
+    from wienerlift.asymptotics import _nelder_mead
+
+    x0 = np.random.default_rng(3).standard_normal((5, 4))
+    found = _nelder_mead(fun, x0, 2000, xatol=1e-8, fatol=1e-12)
+    assert found.converged.all()
+    for start, x, value, evaluations in zip(x0, found.x, found.fun, found.evaluations):
+        ref = optimize.minimize(lambda v: float(fun(v)), start, method="Nelder-Mead",
+                                options={"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-12})
+        assert ref.success
+        assert np.max(np.abs(x - ref.x)) <= 1e-6
+        assert value == pytest.approx(ref.fun, abs=1e-10)
+        assert evaluations == ref.nfev
+
+
+def test_eta0_restarts_do_not_depend_on_their_neighbours():
+    ambient = classical_ambient(1, "sup")
+    four = eta0_estimate(ambient, segments=6, restarts=4, seed=9, maxiter=300)
+    eight = eta0_estimate(ambient, segments=6, restarts=8, seed=9, maxiter=300)
+    assert eight.quotient_history[:4] == four.quotient_history
+    assert eight.evaluations[:4] == four.evaluations
+    assert eight.converged[:4] == four.converged
+
+
+def test_eta0_reports_evaluations_per_restart():
+    ambient = ambient_for_levels(1, 2, norm_kind="pvar", p=2.5)
+    capped = eta0_estimate(ambient, segments=4, restarts=3, seed=1, maxiter=10)
+    # 5 initial vertices and at most 2 + 4 evaluations in each of 9 iterations
+    assert all(5 + 9 <= e <= 5 + 9 * 6 for e in capped.evaluations)
+    assert capped.converged == [False] * 3 and not capped.all_converged
+    free = eta0_estimate(classical_ambient(1, "terminal"), segments=2, restarts=3, seed=1)
+    assert free.all_converged and free.converged == [True] * 3
+    doc = free.to_document()
+    assert doc["evaluations"] == free.evaluations and doc["converged"] == [True] * 3

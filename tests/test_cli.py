@@ -429,3 +429,57 @@ def test_oracle_refused_for_its_event_is_an_argument_error(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert "'reflection' is a closed form for 'sup-level1' events" in err
     assert not out.exists()
+
+
+BAD_VALUES = {
+    "ldp-epsilon-0": (["ldp", "--event", "sup-ge:1", "--epsilons", "0", "--samples", "10"],
+                      "argument --epsilons: expected a positive finite number, got '0'"),
+    "ldp-epsilon-negative": (["ldp", "--event", "sup-ge:1", "--epsilons", "-1", "--samples", "10"],
+                             "argument --epsilons: expected a positive finite number, got '-1'"),
+    "ldp-epsilon-word": (["ldp", "--event", "sup-ge:1", "--epsilons", "1,abc", "--samples", "10"],
+                         "argument --epsilons: expected a positive finite number, got 'abc'"),
+    "ldp-epsilons-empty": (["ldp", "--event", "sup-ge:1", "--epsilons", ",", "--samples", "10"],
+                           "argument --epsilons: expected comma-separated positive numbers"),
+    "ldp-threshold-word": (["ldp", "--event", "sup-ge:abc", "--epsilons", "1", "--samples", "10"],
+                           "--event 'sup-ge:abc': malformed threshold 'abc'"),
+    "ldp-entry-word": (["ldp", "--event", "level2-ge:a,1,0.5", "--epsilons", "1",
+                        "--samples", "10"],
+                       "--event 'level2-ge:a,1,0.5': malformed entry index 'a'"),
+    "ldp-horizon-0": (["ldp", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "10",
+                       "--horizon", "0"],
+                      "argument --horizon: expected a positive finite number, got '0'"),
+    "sample-horizon-negative": (["sample", "--horizon", "-1"],
+                                "argument --horizon: expected a positive finite number"),
+    "cm-horizon-nan": (["cm-check", "--samples", "10", "--horizon", "nan"],
+                       "argument --horizon: expected a positive finite number"),
+}
+BAD_VALUES.update(
+    (f"eta0-horizon-{text}", (["eta0", "--ambient", "classical", "--horizon", text],
+                              f"argument --horizon: expected a positive finite number, got '{text}'"))
+    for text in ("0", "-1", "nan", "inf")
+)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_malformed_value_is_an_argument_error(tmp_path, capsys, case):
+    args, message = BAD_VALUES[case]
+    out = tmp_path / "o.csv"
+    try:
+        code = main(args + ["--seed", "1", "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_eta0_digest_counts_converged_restarts(tmp_path, capsys):
+    out = tmp_path / "eta0.json"
+    argv = ["eta0", "--ambient", "classical:sup", "--segments", "4", "--restarts", "3",
+            "--seed", "2", "--out", str(out)]
+    assert main(argv) == 0
+    results = json.loads(out.read_text())["results"]
+    assert len(results["evaluations"]) == len(results["converged"]) == 3
+    converged = sum(results["converged"])
+    assert f"({converged} of 3 restarts converged)" in capsys.readouterr().out
