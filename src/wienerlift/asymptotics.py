@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from ._batch import homogeneous_norm_batch, pair_base_batch, parallel_chunks
 from .grids import CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, derived_rng, sample_values_batch
@@ -126,13 +125,17 @@ def _oracle_log_prob(
     level-2 diagonal tails, and the reflection principle, which holds for
     Brownian motion only, for the running maximum.
     """
+    # scipy.special is imported here, not at module level, so that runs which
+    # ask for no oracle never load scipy
+    from scipy.special import log_ndtr
+
     c = event.threshold
     var = float(spec.covariance(grid.horizon, grid.horizon))
     if oracle == "level2-diag-gauss":
         # trapezoid diagonal is x_T^2/2 exactly, so the event is an x_T tail
-        return math.log(2.0) + float(stats.norm.logcdf(-math.sqrt(2.0 * c / var) / eps))
+        return math.log(2.0) + float(log_ndtr(-math.sqrt(2.0 * c / var) / eps))
     # reflection: P(max_{t<=T} B_t >= a) = 2 P(B_T >= a) = P(|B_T| >= a)
-    return math.log(2.0) + float(stats.norm.logcdf(-c / (eps * math.sqrt(var))))
+    return math.log(2.0) + float(log_ndtr(-c / (eps * math.sqrt(var))))
 
 
 @dataclass

@@ -214,13 +214,19 @@ def _parse_shift(text: str, grid: TimeGrid, dim: int) -> CameronMartinPath:
     """Shift syntax: ramp:c (h(t) = c t in every component) | onb:k (d=1)."""
     head, _, arg = text.partition(":")
     if head == "ramp":
-        c = float(arg or 1.0)
+        c = _number(arg or "1.0")
+        if not math.isfinite(c):
+            raise CliError(f"--shift {text!r}: expected a finite slope, got {arg!r}")
         deriv = np.full((grid.n_steps, dim), c)
         return CameronMartinPath(grid, deriv)
     if head == "onb":
         if dim != 1:
             raise CliError("--shift onb:k is defined for --dim 1")
-        return brownian_onb(int(arg or 1), grid)
+        try:
+            k = _count()(arg or "1")
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"--shift {text!r}: {exc}") from None
+        return brownian_onb(k, grid)
     raise CliError(f"--shift {text!r} unknown (use ramp:c or onb:k)")
 
 
@@ -459,6 +465,8 @@ def _cmd_chaos(args) -> int:
     # norm-equiv
     if args.seed is None:
         raise CliError("--seed is required for chaos norm-equiv")
+    if not 1 < args.p <= args.q < math.inf:
+        raise CliError(f"--p and --q need 1 < p <= q < inf, got --p {args.p} --q {args.q}")
     report = chaos_mod.chaos_norm_equivalence_probe(
         args.degree, args.p, args.q, args.trials, dimension=args.dim, seed=args.seed
     )
@@ -566,14 +574,27 @@ def _count(minimum: int = 1):
     return parse
 
 
+def _number(text: str) -> float:
+    """float(text), or NaN when `text` is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _positive(text: str) -> float:
     """argparse type for a positive finite number, else exit 2 naming the option."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _number(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _open_unit(text: str) -> float:
+    """argparse type for a number strictly between 0 and 1, else exit 2 naming the option."""
+    value = _number(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
     return value
 
 
@@ -590,7 +611,7 @@ def _add_process_args(p: argparse.ArgumentParser, dim_default: int = 1):
     p.add_argument("--dim", type=_count(), default=dim_default)
     p.add_argument("--steps", type=_count(), default=256)
     p.add_argument("--horizon", type=_positive, default=1.0)
-    p.add_argument("--hurst", type=float, default=None)
+    p.add_argument("--hurst", type=_open_unit, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -603,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw a Gaussian path and write it as CSV")
     _add_process_args(p)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_sample)
@@ -611,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="enhance a path (ito, stratonovich, or young)")
     _add_process_args(p)
     p.add_argument("--in", dest="infile", default=None, help="path CSV to lift")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--scheme", choices=("ito", "stratonovich", "young"), default="ito")
     p.add_argument("--level", type=int, choices=(2, 3), default=2)
     p.add_argument("--dyadic-level", type=_count(0), default=4,
@@ -635,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count(), required=True)
     p.add_argument("--oracle", choices=tuple(ORACLES), default=None)
     p.add_argument("--ambient", default=None)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--threads", type=_count(), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
@@ -647,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=_count(2), default=16)
     p.add_argument("--restarts", type=_count(), default=8)
     p.add_argument("--horizon", type=_positive, default=1.0)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_eta0)
@@ -657,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=MC_SCHEMES, default="stratonovich")
     p.add_argument("--ambient", required=True)
     p.add_argument("--samples", type=_count(), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--threads", type=_count(), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
@@ -668,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", default="ramp:1.0", help="ramp:c | onb:k")
     p.add_argument("--functional", choices=("all", *STATISTICS), default="all")
     p.add_argument("--samples", type=_count(2), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--threads", type=_count(), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
@@ -684,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=4.0)
     p.add_argument("--dim", type=_count(), default=2)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_chaos)

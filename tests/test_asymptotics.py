@@ -287,6 +287,29 @@ def test_terminal_gauss_oracle_uses_process_variance():
 @pytest.mark.parametrize(
     "oracle, spec, event",
     [
+        ("reflection", GaussianSpec("bm", 1), EventSpec("sup-level1", 1.0)),
+        ("terminal-gauss", GaussianSpec("bm", 1), EventSpec("terminal-abs", 0.6)),
+        ("terminal-gauss", GaussianSpec("fbm", 1, hurst=0.3), EventSpec("terminal-abs", 0.6)),
+        ("level2-diag-gauss", GaussianSpec("bm", 1), EventSpec("level2-entry", 0.5)),
+    ],
+)
+def test_oracle_keeps_the_bits_of_scipy_stats(oracle, spec, event):
+    # scipy.stats is only the reference here: the package calls log_ndtr itself
+    grid = TimeGrid(2.0, 8)
+    var = float(spec.covariance(2.0, 2.0))
+    c = event.threshold
+    for eps in (0.5, 0.1, 0.01, 0.001):
+        if oracle == "level2-diag-gauss":
+            x = -math.sqrt(2.0 * c / var) / eps
+        else:
+            x = -c / (eps * math.sqrt(var))
+        expected = math.log(2.0) + float(stats.norm.logcdf(x))
+        assert _oracle_log_prob(oracle, event, spec, grid, eps) == expected
+
+
+@pytest.mark.parametrize(
+    "oracle, spec, event",
+    [
         ("terminal-gauss", GaussianSpec("bm", 2), EventSpec("terminal-abs", 1.0)),
         ("reflection", GaussianSpec("bm", 2), EventSpec("sup-level1", 1.0)),
         ("reflection", GaussianSpec("fbm", 1, hurst=0.3), EventSpec("sup-level1", 1.0)),

@@ -1,8 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wienerlift
 from wienerlift.chaos import ChaosPolynomial, GradedChaos, chaos_to_document
 from wienerlift.cli import main
 
@@ -458,6 +464,27 @@ BAD_VALUES.update(
                               f"argument --horizon: expected a positive finite number, got '{text}'"))
     for text in ("0", "-1", "nan", "inf")
 )
+BAD_VALUES.update(
+    (f"sample-hurst-{text}", (["sample", "--process", "fbm", "--hurst", text],
+                              f"argument --hurst: expected a number in (0, 1), got '{text}'"))
+    for text in ("1.5", "nan", "0", "1", "-0.3", "inf", "abc")
+)
+BAD_VALUES.update(
+    (f"cm-shift-{text}", (["cm-check", "--samples", "10", "--shift", text],
+                          f"--shift {text!r}: expected {message}"))
+    for text, message in (
+        ("ramp:abc", "a finite slope, got 'abc'"),
+        ("ramp:nan", "a finite slope, got 'nan'"),
+        ("ramp:-inf", "a finite slope, got '-inf'"),
+        ("onb:0", "an integer >= 1, got '0'"),
+        ("onb:x", "an integer >= 1, got 'x'"),
+    )
+)
+BAD_VALUES.update(
+    (f"chaos-p-q-{'-'.join(pq)}", (["chaos", "norm-equiv", "--p", pq[0], "--q", pq[1]],
+                                   f"--p and --q need 1 < p <= q < inf, got --p {pq[0]} --q {pq[1]}"))
+    for pq in (("0.5", "4.0"), ("nan", "4.0"), ("1.0", "4.0"), ("3.0", "2.0"), ("2.0", "inf"))
+)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
@@ -483,3 +510,76 @@ def test_eta0_digest_counts_converged_restarts(tmp_path, capsys):
     assert len(results["evaluations"]) == len(results["converged"]) == 3
     converged = sum(results["converged"])
     assert f"({converged} of 3 restarts converged)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sample"],
+        ["lift"],
+        ["ldp", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "10"],
+        ["eta0", "--ambient", "classical"],
+        ["fernique", "--ambient", "level2:2.5", "--samples", "10"],
+        ["cm-check", "--samples", "10"],
+        ["chaos", "norm-equiv"],
+    ],
+)
+def test_negative_seed_is_an_argument_error(tmp_path, capsys, args):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected an integer >= 0, got '-1'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_brownian_motion_accepts_a_hurst_value(tmp_path):
+    out = tmp_path / "bm.csv"
+    argv = ["sample", "--process", "bm", "--hurst", "0.3", "--steps", "8", "--seed", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "bm.csv.summary.json").read_text())["config"]["hurst"] == 0.3
+
+
+SRC = str(Path(wienerlift.__file__).resolve().parents[1])
+SCIPY_MODULES = 'sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))'
+
+
+def _fresh_python(code: str, cwd) -> dict:
+    """Run `code` in a new interpreter on this package; its last stdout line is JSON."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_selftest_load_no_scipy(tmp_path):
+    code = (
+        "import json, sys\n"
+        "import wienerlift, wienerlift.cli\n"
+        f"imported = {SCIPY_MODULES}\n"
+        "rc = wienerlift.cli.main(['selftest'])\n"
+        f"print(json.dumps({{'rc': rc, 'imported': imported, 'after': {SCIPY_MODULES}}}))\n"
+    )
+    report = _fresh_python(code, tmp_path)
+    assert report == {"rc": 0, "imported": [], "after": []}
+
+
+@pytest.mark.parametrize(
+    "event, oracle",
+    [("sup-ge:1", "reflection"), ("level2-ge:1,1,0.5", "level2-diag-gauss")],
+)
+def test_oracle_run_loads_scipy_special(tmp_path, event, oracle):
+    argv = ["ldp", "--steps", "16", "--event", event, "--oracle", oracle, "--epsilons", "0.5",
+            "--samples", "500", "--seed", "1", "--out", str(tmp_path / "o.csv")]
+    code = (
+        "import json, sys\n"
+        "from wienerlift.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "print(json.dumps({'rc': rc, 'special': 'scipy.special' in sys.modules}))\n"
+    )
+    assert _fresh_python(code, tmp_path) == {"rc": 0, "special": True}
+    oracle_values = json.loads((tmp_path / "o.csv.summary.json").read_text())["results"]["oracle_values"]
+    assert len(oracle_values) == 1 and math.isfinite(oracle_values[0])
