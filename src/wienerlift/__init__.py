@@ -18,6 +18,7 @@ from .grids import (
     piecewise_linear,
     cm_norm,
     cm_inner,
+    paley_wiener,
     brownian_onb,
     write_path_csv,
     read_path_csv,
@@ -39,8 +40,6 @@ from .seminorms import (
     rho_variation_covariance,
 )
 from .lifts import (
-    Level2Surface,
-    Level3Surface,
     EnhancedPath,
     ito_lift,
     stratonovich_lift,

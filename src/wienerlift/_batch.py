@@ -1,10 +1,12 @@
-"""Monte Carlo entry points over stacked paths (internal).
+"""Batch entry points over stacked paths (internal).
 
 The kernels live once, in `lifts` and `seminorms`, and take any number of
 leading axes: values (..., n+1, d), basepoint tensors (..., n+1, d, ...),
-entry column blocks.  A single path is the batch with no leading axis.  The
-names here are the batch route's calls into those kernels, on values of
-shape (C, n+1, d).
+entry column blocks.  A single path is the batch with no leading axis: the
+Monte Carlo route and the eta0 search pass values of shape (C, n+1, d), and
+`norm` and the selftest pass one lift's own arrays.  Graded norms read
+level-2/3 entries from the basepoint tensors column by column and never
+build a surface.
 """
 
 from __future__ import annotations
@@ -21,6 +23,28 @@ def pair_base_batch(values: np.ndarray, scheme: str) -> np.ndarray:
     return _pair_base(values, values, scheme)
 
 
+def symbol_norms(
+    ambient: AmbientSpec,
+    grid: TimeGrid,
+    values: np.ndarray,
+    base2: np.ndarray | None = None,
+    base3: np.ndarray | None = None,
+):
+    """(symbol, its norm over the leading axes) for each symbol of `ambient`, in order.
+
+    Level-2/3 entries stream from the basepoint tensors: O(C n) memory, no surface.
+    """
+    for sym in ambient.symbols:
+        if sym.degree == 1:
+            norm = symbol_norm(values[..., sym.indices[0] - 1], grid, sym)
+        elif sym.arity != 2:
+            raise ValueError(f"symbol {sym.name!r} of degree {sym.degree} needs a two-parameter payload")
+        else:
+            columns = entry_columns(values, base2, base3, sym.indices)
+            norm = column_norm(columns, values.shape[:-2], grid.n_steps, sym.norm, grid.dt)
+        yield sym, norm
+
+
 def homogeneous_norm_batch(
     ambient: AmbientSpec,
     grid: TimeGrid,
@@ -28,17 +52,9 @@ def homogeneous_norm_batch(
     base2: np.ndarray | None = None,
     base3: np.ndarray | None = None,
 ) -> np.ndarray | float:
-    """Homogeneous norms over the leading axes; one path gets a built-in float.
-
-    Level-2/3 entries stream from the basepoint tensors: O(C n) memory, no surface.
-    """
+    """Homogeneous norms sum_tau ||X_tau||^(1/degree) over the leading axes; one path gets a built-in float."""
     total = 0.0
-    for sym in ambient.symbols:
-        if sym.degree == 1:
-            norm = symbol_norm(values[..., sym.indices[0] - 1], grid, sym)
-        else:
-            columns = entry_columns(values, base2, base3, sym.indices)
-            norm = column_norm(columns, values.shape[:-2], grid.n_steps, sym.norm, grid.dt)
+    for sym, norm in symbol_norms(ambient, grid, values, base2, base3):
         total += norm ** (1.0 / sym.degree)
     return total
 

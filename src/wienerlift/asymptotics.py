@@ -19,7 +19,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._batch import homogeneous_norm_batch, pair_base_batch, parallel_chunks
-from .grids import CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, derived_rng, sample_values_batch
+from .grids import (
+    CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, derived_rng, paley_wiener, sample_values_batch,
+)
 from .lifts import EnhancedPath, _triple_base
 from .seminorms import AmbientSpec
 # unused here, but perfbench/spans.py patches these names in this module
@@ -89,9 +91,9 @@ class EventSpec:
 
     def statistic(self, e: EnhancedPath) -> float:
         """The registry statistic on `e`'s own arrays, as a batch of one."""
-        base3 = None if e.level3 is None else e.level3.base[None]
+        base3 = None if e.base3 is None else e.base3[None]
         stat = STATISTICS[self.kind].fn(
-            values=e.level1.values[None], base2=e.level2.base[None], base3=base3,
+            values=e.level1.values[None], base2=e.base2[None], base3=base3,
             entry=self.entry, ambient=self.ambient, grid=e.grid,
         )
         return float(stat[0])
@@ -330,7 +332,7 @@ def _collect_statistics(
         if shift is not None:
             if names:
                 evaluate(values + shift.values[None], shifted, rows)
-            pw[rows] = np.einsum("ki,cki->c", shift.derivative_values, np.diff(values, axis=1))
+            pw[rows] = paley_wiener(shift, values)
         evaluate(values, plain, rows)
 
     parallel_chunks(count, chunk, worker, threads)

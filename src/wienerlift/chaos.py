@@ -19,6 +19,10 @@ import numpy as np
 from .grids import derived_rng
 
 MAX_HERMITE_DEGREE = 60
+# the norm-equivalence probe's tensor quadrature has about (k q)^dimension nodes
+PROBE_MAX_DEGREE = 4
+PROBE_MAX_DIMENSION = 3
+PROXY_MIN_SAMPLES = 1000
 
 MultiIndex = tuple[int, ...]
 
@@ -244,8 +248,8 @@ def proxy_restriction_mc(
 
     Returns {symbol: (estimate, standard_error)}.
     """
-    if n_samples < 1000:
-        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
+    if n_samples < PROXY_MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {PROXY_MIN_SAMPLES}, got {n_samples}")
     h = np.asarray(h, dtype=float)
     if h.shape != (graded.dimension,):
         raise ValueError(f"h has shape {h.shape}, expected ({graded.dimension},)")
@@ -303,10 +307,10 @@ def chaos_norm_equivalence_probe(
     """
     if not 1 < p <= q:
         raise ValueError(f"need 1 < p <= q, got p={p}, q={q}")
-    if k > 4:
-        raise ValueError(f"k must be <= 4 for quadrature feasibility, got {k}")
-    if dimension > 3:
-        raise ValueError(f"dimension must be <= 3, got {dimension}")
+    if k > PROBE_MAX_DEGREE:
+        raise ValueError(f"k must be <= {PROBE_MAX_DEGREE} for quadrature feasibility, got {k}")
+    if dimension > PROBE_MAX_DIMENSION:
+        raise ValueError(f"dimension must be <= {PROBE_MAX_DIMENSION}, got {dimension}")
     rng = derived_rng(seed)
     bound = ((q - 1.0) / (p - 1.0)) ** (k / 2.0)
     max_deg = int(math.ceil(k * q / 2.0) * 2)

@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from . import chaos as chaos_mod
+from ._batch import homogeneous_norm_batch, symbol_norms
 from .asymptotics import (
     MC_SCHEMES,
     ORACLES,
@@ -48,21 +49,16 @@ from .grids import (
     write_path_csv,
 )
 from .lifts import (
+    dilate_enhanced,
     ito_lift,
+    lifted_shift,
     max_chen_residual,
     save_enhanced,
     load_enhanced,
     stratonovich_lift,
-    to_graded,
     young_skeleton_lift,
 )
-from .seminorms import (
-    AmbientSpec,
-    ambient_for_levels,
-    banach_norm,
-    classical_ambient,
-    homogeneous_norm,
-)
+from .seminorms import AmbientSpec, ambient_for_levels, classical_ambient
 
 SUMMARY_FORMAT_VERSION = "run-summary/v1"
 
@@ -169,15 +165,24 @@ def _parse_ambient(preset_or_path: str, dim: int) -> AmbientSpec:
     if os.path.exists(preset_or_path):
         return _read_input(AmbientSpec.load, preset_or_path)
     head, _, arg = preset_or_path.partition(":")
-    if head == "classical":
-        return classical_ambient(dim, kind=arg or "sup")
-    if head == "terminal":
-        return classical_ambient(dim, kind="terminal")
-    if head in ("level1", "level2", "level3"):
-        level = int(head[-1])
-        return ambient_for_levels(dim, level, norm_kind="pvar", p=float(arg or 2.5))
-    if head == "holder2":
-        return ambient_for_levels(dim, 2, norm_kind="holder", alpha=float(arg or 0.4))
+
+    def number(default: float) -> float:
+        value = _number(arg) if arg else default
+        if not (math.isfinite(value) and value > 0):
+            raise CliError(f"--ambient {preset_or_path!r}: expected a positive finite number, got {arg!r}")
+        return value
+
+    try:
+        if head == "classical":
+            return classical_ambient(dim, kind=arg or "sup")
+        if head == "terminal":
+            return classical_ambient(dim, kind="terminal")
+        if head in ("level1", "level2", "level3"):
+            return ambient_for_levels(dim, int(head[-1]), norm_kind="pvar", p=number(2.5))
+        if head == "holder2":
+            return ambient_for_levels(dim, 2, norm_kind="holder", alpha=number(0.4))
+    except ValueError as exc:
+        raise CliError(f"--ambient {preset_or_path!r}: {exc}") from None
     raise CliError(f"--ambient {preset_or_path!r} is neither a file nor a known preset")
 
 
@@ -263,8 +268,10 @@ def _cmd_lift(args) -> int:
     elif args.scheme == "stratonovich":
         e = stratonovich_lift(x, level=args.level)
     else:
-        h = piecewise_linear(x, args.dyadic_level)
-        e = young_skeleton_lift(h, level=args.level)
+        m, n = args.dyadic_level, x.grid.n_steps
+        if m >= n.bit_length() or n % 2**m:
+            raise CliError(f"--dyadic-level {m}: 2^{m} must divide the path's {n} steps")
+        e = young_skeleton_lift(piecewise_linear(x, m), level=args.level)
     with _replacing(out) as tmp:
         save_enhanced(e, tmp)
     residual = max_chen_residual(e)
@@ -278,10 +285,15 @@ def _cmd_lift(args) -> int:
 
 def _cmd_norm(args) -> int:
     e = _read_input(load_enhanced, args.infile)
-    ambient = _parse_ambient(args.ambient, e.dim) if args.ambient else None
-    gv = to_graded(e, ambient)
-    hom = homogeneous_norm(gv)
-    ban = banach_norm(gv)
+    if args.ambient:
+        ambient = _parse_ambient(args.ambient, e.dim)
+    else:
+        ambient = e.ambient or ambient_for_levels(e.dim, e.max_level)
+    # each symbol's norm once, streamed from the basepoint tensors
+    hom = ban = 0.0
+    for sym, norm in symbol_norms(ambient, e.grid, e.level1.values, e.base2, e.base3):
+        hom += norm ** (1.0 / sym.degree)
+        ban += norm
     results = {"homogeneous_norm": hom, "banach_norm": ban}
     config = {"in": args.infile, "ambient": args.ambient}
     if args.out:
@@ -447,7 +459,11 @@ def _cmd_chaos(args) -> int:
         obj = _read_input(_load_chaos, args.poly)
         if isinstance(obj, chaos_mod.ChaosPolynomial):
             raise CliError(f"--poly {args.poly!r} holds a scalar polynomial; proxy wants a graded family")
-        h = np.array([float(tok) for tok in args.shift_vector.split(",")])
+        h = np.array([_number(tok) for tok in args.shift_vector.split(",")])
+        if not np.isfinite(h).all():
+            raise CliError(f"--shift-vector {args.shift_vector!r}: expected comma-separated finite numbers")
+        if h.shape != (obj.dimension,):
+            raise CliError(f"--shift-vector has {h.size} entries, the family lives on R^{obj.dimension}")
         exact = chaos_mod.proxy_restriction_exact(obj, h)
         mc = chaos_mod.proxy_restriction_mc(obj, h, args.samples, args.seed)
         results = {
@@ -467,6 +483,10 @@ def _cmd_chaos(args) -> int:
         raise CliError("--seed is required for chaos norm-equiv")
     if not 1 < args.p <= args.q < math.inf:
         raise CliError(f"--p and --q need 1 < p <= q < inf, got --p {args.p} --q {args.q}")
+    if args.degree > chaos_mod.PROBE_MAX_DEGREE:
+        raise CliError(f"--degree {args.degree}: norm-equiv takes degrees up to {chaos_mod.PROBE_MAX_DEGREE}")
+    if args.dim > chaos_mod.PROBE_MAX_DIMENSION:
+        raise CliError(f"--dim {args.dim}: norm-equiv takes dimensions up to {chaos_mod.PROBE_MAX_DIMENSION}")
     report = chaos_mod.chaos_norm_equivalence_probe(
         args.degree, args.p, args.q, args.trials, dimension=args.dim, seed=args.seed
     )
@@ -503,7 +523,7 @@ def _cmd_selftest(args) -> int:
     worst = max(max_chen_residual(e) for e in (ei, es, ey))
     check("chen-relation", worst <= 1e-10, f"max residual {worst:.2e}")
 
-    b2, b3, v = ey.level2.base, ey.level3.base, ey.level1.values
+    b2, b3, v = ey.base2, ey.base3, ey.level1.values
     d = 2
     worst = 0.0
     for i in range(d):
@@ -515,17 +535,19 @@ def _cmd_selftest(args) -> int:
             worst = max(worst, r1, r2)
     check("shuffle-relations", worst <= 1e-10, f"max defect {worst:.2e}")
 
-    from .lifts import dilate_enhanced
     ambient = ambient_for_levels(2, 2)
-    gv = to_graded(es, ambient)
+
+    def lift_norm(e):
+        return homogeneous_norm_batch(ambient, e.grid, e.level1.values, e.base2, e.base3)
+
     worst = 0.0
     for eps in (0.1, 0.5, 2.0):
-        lhs = homogeneous_norm(to_graded(dilate_enhanced(es, eps), ambient))
-        rhs = eps * homogeneous_norm(gv)
+        lhs = lift_norm(dilate_enhanced(es, eps))
+        rhs = eps * lift_norm(es)
         worst = max(worst, abs(lhs - rhs) / rhs)
         scaled = young_skeleton_lift(h.scaled(eps), level=2)
-        base_ref = eps**2 * young_skeleton_lift(h, level=2).level2.base
-        worst = max(worst, np.max(np.abs(scaled.level2.base - base_ref)) / max(1.0, np.max(np.abs(base_ref))))
+        base_ref = eps**2 * young_skeleton_lift(h, level=2).base2
+        worst = max(worst, np.max(np.abs(scaled.base2 - base_ref)) / max(1.0, np.max(np.abs(base_ref))))
     check("homogeneity", worst <= 1e-12, f"max rel defect {worst:.2e}")
 
     worst = 0.0
@@ -538,12 +560,11 @@ def _cmd_selftest(args) -> int:
             worst = max(worst, abs(val - target))
     check("hermite-orthogonality", worst <= 1e-9, f"max defect {worst:.2e}")
 
-    from .lifts import lifted_shift as lshift
-    shifted = lshift(ei, h)
+    shifted = lifted_shift(ei, h)
     direct = ito_lift(shift_path(x, h), level=3)
     worst = max(
-        float(np.max(np.abs(shifted.level2.base - direct.level2.base))),
-        float(np.max(np.abs(shifted.level3.base - direct.level3.base))),
+        float(np.max(np.abs(shifted.base2 - direct.base2))),
+        float(np.max(np.abs(shifted.base3 - direct.base3))),
     )
     check("lifted-shift", worst <= 1e-10, f"max residual {worst:.2e}")
 
@@ -700,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", default=None, help="chaos JSON document")
     p.add_argument("--degree", type=_count(0), default=2)
     p.add_argument("--shift-vector", default=None, help="comma-separated h for proxy")
-    p.add_argument("--samples", type=_count(), default=10_000)
+    p.add_argument("--samples", type=_count(chaos_mod.PROXY_MIN_SAMPLES), default=10_000)
     p.add_argument("--trials", type=_count(), default=100)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=4.0)

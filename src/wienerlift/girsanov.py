@@ -18,7 +18,7 @@ import numpy as np
 from .asymptotics import _check_statistic, _collect_statistics
 # perfbench/spans.py patches these names here as well as in asymptotics
 from .asymptotics import homogeneous_norm_batch, pair_base_batch, sample_values_batch  # noqa: F401
-from .grids import CameronMartinPath, GaussianSpec, SamplePath, TimeGrid, cm_inner
+from .grids import CameronMartinPath, GaussianSpec, SamplePath, TimeGrid, cm_inner, paley_wiener
 from .seminorms import AmbientSpec, ambient_for_levels
 
 REWEIGHT_FUNCTIONALS = ("sup-level1", "terminal-level1", "level2-entry", "hom-norm")
@@ -46,14 +46,13 @@ def cm_log_density(x: SamplePath, h: CameronMartinPath) -> CmDensityEval:
     """Evaluate log f_h(x) = h_pw(x) - |h|^2_H / 2 on the grid.
 
     Valid as a density evaluation when x is Brownian-distributed; the grid
-    Paley-Wiener sum is sum over cells and components of h' (x(t_{k+1}) -
-    x(t_k)).
+    Paley-Wiener sum is `paley_wiener` on the batch of one.
     """
     if h.grid != x.grid:
         raise ValueError("grid mismatch between path and shift direction")
     if h.dim != x.dim:
         raise ValueError(f"dimension mismatch: path d={x.dim}, shift d={h.dim}")
-    pw = float(np.sum(h.derivative_values * x.increments))
+    pw = float(paley_wiener(h, x.values))
     half_sq = 0.5 * cm_inner(h, h)
     return CmDensityEval(
         log_density=pw - half_sq, paley_wiener_term=pw, half_norm_sq=half_sq

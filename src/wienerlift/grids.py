@@ -134,6 +134,11 @@ def cm_inner(h: CameronMartinPath, k: CameronMartinPath) -> float:
     return float(np.sum(h.derivative_values * k.derivative_values) * h.grid.dt)
 
 
+def paley_wiener(h: CameronMartinPath, values: np.ndarray) -> np.ndarray:
+    """Grid Paley-Wiener sums of h' against the increments of paths `values` (..., n+1, d): shape (...)."""
+    return np.einsum("ki,...ki->...", h.derivative_values, np.diff(values, axis=-2))
+
+
 def cm_norm(h: CameronMartinPath) -> float:
     """Cameron-Martin norm (sum over cells and components of |h'|^2 dt)^(1/2)."""
     return math.sqrt(cm_inner(h, h))

@@ -13,11 +13,13 @@ of a Cameron-Martin skeleton is the same accumulator and exact on that class.
 Memory is O(n d^level) instead of O(n^2 d^level), and the Chen relation
 becomes a verifiable identity rather than an assumption.
 
-The basepoint accumulators and the Chen reconstructions take any number of
-leading axes: values (..., n+1, d), basepoint tensors (..., n+1, d, d[, d]),
-entry surfaces (..., n+1, n+1) and entry columns (..., t).  One path is the
-batch with no leading axis; the Monte Carlo route in `_batch` stacks paths
-and reads entries column by column, never as surfaces.
+An `EnhancedPath` is these arrays: level-1 values (n+1, d) and basepoint
+tensors `base2` (n+1, d, d) and `base3` (n+1, d, d, d).  The accumulators
+and the Chen reconstructions take any number of leading axes; one path is
+the batch with no leading axis.  `chen_increment` rebuilds whole tensors
+X_{s,t} for the Chen check, and the norms read entries X^w_{s,t} column by
+column (`entry_columns`), never as surfaces.  Only `to_graded`, the
+explicit-payload reference, stores (n+1, n+1) entry surfaces.
 """
 
 from __future__ import annotations
@@ -36,88 +38,26 @@ SCHEMES = ("ito", "stratonovich", "young")
 
 
 @dataclass(frozen=True, eq=False)
-class Level2Surface:
-    """Basepoint level-2 tensors A[k] = X_{0,t_k} plus the level-1 reference."""
-
-    grid: TimeGrid
-    base: np.ndarray  # (n+1, d, d)
-    level1_values: np.ndarray  # (n+1, d)
-
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        n, d = self.grid.n_steps, self.level1_values.shape[1]
-        if base.shape != (n + 1, d, d):
-            raise ValueError(f"level-2 base has shape {base.shape}, expected {(n + 1, d, d)}")
-        object.__setattr__(self, "base", base)
-
-    @property
-    def dim(self) -> int:
-        return self.level1_values.shape[1]
-
-    def increment(self, s: int, t: int) -> np.ndarray:
-        """X_{s,t} via Chen reconstruction; s, t are grid indices."""
-        v = self.level1_values
-        x0s = v[s] - v[0]
-        xst = v[t] - v[s]
-        return self.base[t] - self.base[s] - np.outer(x0s, xst)
-
-    def entry_surface(self, i: int, j: int) -> np.ndarray:
-        """Full (n+1, n+1) surface of X^{ij}_{s,t}; 1-based component indices."""
-        return entry_surface(self.level1_values, self.base, None, (i, j))
-
-
-@dataclass(frozen=True, eq=False)
-class Level3Surface:
-    """Basepoint level-3 tensors B[k] = X_{0,t_k}, with level-1/2 references."""
-
-    grid: TimeGrid
-    base: np.ndarray  # (n+1, d, d, d)
-    level2: Level2Surface
-
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        n, d = self.grid.n_steps, self.level2.dim
-        if base.shape != (n + 1, d, d, d):
-            raise ValueError(f"level-3 base has shape {base.shape}, expected {(n + 1, d, d, d)}")
-        object.__setattr__(self, "base", base)
-
-    def increment(self, s: int, t: int) -> np.ndarray:
-        """Level-3 Chen reconstruction of X_{s,t}; s, t are grid indices."""
-        v = self.level2.level1_values
-        x0s = v[s] - v[0]
-        xst = v[t] - v[s]
-        x2_st = self.level2.increment(s, t)
-        x2_0s = self.level2.base[s]
-        return (
-            self.base[t]
-            - self.base[s]
-            - np.einsum("i,jk->ijk", x0s, x2_st)
-            - np.einsum("ij,k->ijk", x2_0s, xst)
-        )
-
-    def entry_surface(self, i: int, j: int, k: int) -> np.ndarray:
-        """Full (n+1, n+1) surface of X^{ijk}_{s,t}; 1-based indices."""
-        l2 = self.level2
-        return entry_surface(l2.level1_values, l2.base, self.base, (i, j, k))
-
-
-@dataclass(frozen=True, eq=False)
 class EnhancedPath:
-    """Graded levels of a lifted path: increments, level-2, optional level-3."""
+    """A lifted path: level-1 values, level-2 and optional level-3 basepoint tensors."""
 
     level1: SamplePath
-    level2: Level2Surface
-    level3: Level3Surface | None = None
+    base2: np.ndarray
+    base3: np.ndarray | None = None
     scheme: str = "ito"
     ambient: AmbientSpec | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.level2.grid != self.level1.grid:
-            raise ValueError("level-2 grid differs from level-1 grid")
-        if self.level3 is not None and self.level3.grid != self.level1.grid:
-            raise ValueError("level-3 grid differs from level-1 grid")
+        n, d = self.grid.n_steps, self.dim
+        for level in (2, 3) if self.base3 is not None else (2,):
+            name = f"base{level}"
+            base = np.asarray(getattr(self, name), dtype=float)
+            expected = (n + 1,) + (d,) * level
+            if base.shape != expected:
+                raise ValueError(f"level-{level} base has shape {base.shape}, expected {expected}")
+            object.__setattr__(self, name, base)
 
     @property
     def grid(self) -> TimeGrid:
@@ -129,7 +69,7 @@ class EnhancedPath:
 
     @property
     def max_level(self) -> int:
-        return 3 if self.level3 is not None else 2
+        return 3 if self.base3 is not None else 2
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +155,21 @@ def _entry_pairs(values, base2, base3, indices):
     return pairs
 
 
+def chen_increment(values, base2, base3, s: int, t: int):
+    """(X^2_{s,t}, X^3_{s,t}) at grid indices s, t by the Chen relation; X^3 is None without base3.
+
+    X^2_{s,t} = X^2_{0,t} - X^2_{0,s} - x_{0,s} (x) x_{s,t} and
+    X^3_{s,t} = X^3_{0,t} - X^3_{0,s} - x_{0,s} (x) X^2_{s,t} - X^2_{0,s} (x) x_{s,t}.
+    """
+    x0s = values[s] - values[0]
+    xst = values[t] - values[s]
+    x2 = base2[t] - base2[s] - np.outer(x0s, xst)
+    if base3 is None:
+        return x2, None
+    x3 = base3[t] - base3[s] - np.einsum("i,jk->ijk", x0s, x2) - np.einsum("ij,k->ijk", base2[s], xst)
+    return x2, x3
+
+
 def entry_surface(values: np.ndarray, base2: np.ndarray, base3, indices) -> np.ndarray:
     """Chen surface of X^w_{s,t} over all grid pairs, (..., n+1, n+1); 1-based word w."""
     return _entry_pairs(values, base2, base3, indices)((slice(None), None), (None, slice(None)))
@@ -231,12 +186,8 @@ def _scheme_lift(x: SamplePath, level: int, scheme: str) -> EnhancedPath:
         raise ValueError(f"level must be 2 or 3, got {level}")
     v = x.values
     base2 = _pair_base(v, v, scheme)
-    level2 = Level2Surface(x.grid, base2, v)
-    level3 = None
-    if level == 3:
-        base3 = _triple_base(v, v, v, scheme, pair_ab=base2)
-        level3 = Level3Surface(x.grid, base3, level2)
-    return EnhancedPath(x, level2, level3, scheme=scheme)
+    base3 = _triple_base(v, v, v, scheme, pair_ab=base2) if level == 3 else None
+    return EnhancedPath(x, base2, base3, scheme=scheme)
 
 
 def ito_lift(x: SamplePath, level: int = 2) -> EnhancedPath:
@@ -287,20 +238,18 @@ def chen_residual(e: EnhancedPath, s: int, u: int, t: int) -> float:
     vsub = v[s : u + 1]
     xsu = v[u] - v[s]
     xut = v[t] - v[u]
-    l2 = e.level2
+    st2, st3 = chen_increment(v, e.base2, e.base3, s, t)
+    ut2, ut3 = chen_increment(v, e.base2, e.base3, u, t)
     direct2 = _pair_base(vsub, vsub, e.scheme)
-    defect2 = (
-        l2.increment(s, t) - direct2[-1] - l2.increment(u, t) - np.outer(xsu, xut)
-    )
+    defect2 = st2 - direct2[-1] - ut2 - np.outer(xsu, xut)
     out = float(np.max(np.abs(defect2)))
-    if e.level3 is not None:
-        l3 = e.level3
+    if e.base3 is not None:
         direct3 = _triple_base(vsub, vsub, vsub, e.scheme, pair_ab=direct2)
         defect3 = (
-            l3.increment(s, t)
+            st3
             - direct3[-1]
-            - l3.increment(u, t)
-            - np.einsum("i,jk->ijk", xsu, l2.increment(u, t))
+            - ut3
+            - np.einsum("i,jk->ijk", xsu, ut2)
             - np.einsum("ij,k->ijk", direct2[-1], xut)
         )
         out = max(out, float(np.max(np.abs(defect3))))
@@ -346,20 +295,18 @@ def lifted_shift(e: EnhancedPath, h: CameronMartinPath) -> EnhancedPath:
     hv = h.values
     new1 = SamplePath(e.grid, xv + hv)
     base2 = (
-        e.level2.base
+        e.base2
         + _pair_base(hv, xv, scheme)
         + _pair_base(xv, hv, scheme)
         + _pair_base(hv, hv, scheme)
     )
-    level2 = Level2Surface(e.grid, base2, new1.values)
-    level3 = None
-    if e.level3 is not None:
-        base3 = e.level3.base.copy()
+    base3 = None
+    if e.base3 is not None:
+        base3 = e.base3.copy()
         for word in range(1, 8):  # every {x,h}^3 word with at least one h
             slots = [hv if (word >> b) & 1 else xv for b in (2, 1, 0)]
             base3 += _triple_base(slots[0], slots[1], slots[2], scheme)
-        level3 = Level3Surface(e.grid, base3, level2)
-    return EnhancedPath(new1, level2, level3, scheme=scheme, ambient=e.ambient)
+    return EnhancedPath(new1, base2, base3, scheme=scheme, ambient=e.ambient)
 
 
 def dilate_enhanced(e: EnhancedPath, eps: float) -> EnhancedPath:
@@ -367,28 +314,18 @@ def dilate_enhanced(e: EnhancedPath, eps: float) -> EnhancedPath:
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     new1 = SamplePath(e.grid, eps * e.level1.values)
-    level2 = Level2Surface(e.grid, eps**2 * e.level2.base, new1.values)
-    level3 = None
-    if e.level3 is not None:
-        level3 = Level3Surface(e.grid, eps**3 * e.level3.base, level2)
-    return EnhancedPath(new1, level2, level3, scheme=e.scheme, ambient=e.ambient)
-
-
-def _symbol_payload(sym, values, base2, base3) -> np.ndarray:
-    """One symbol's payload with leading axes: a level-1 component or an entry surface."""
-    if sym.degree == 1:
-        return values[..., sym.indices[0] - 1]
-    return entry_surface(values, base2, base3, sym.indices)
+    base3 = None if e.base3 is None else eps**3 * e.base3
+    return EnhancedPath(new1, eps**2 * e.base2, base3, scheme=e.scheme, ambient=e.ambient)
 
 
 def to_graded(e: EnhancedPath, ambient: AmbientSpec | None = None) -> GradedVector:
-    """Pair an enhanced path with an ambient spec, materializing payloads."""
+    """Pair an enhanced path with an ambient spec, storing a level-1 component or an entry surface per symbol."""
     spec = ambient or e.ambient
     if spec is None:
         spec = ambient_for_levels(e.dim, e.max_level)
-    base3 = None if e.level3 is None else e.level3.base
+    v = e.level1.values
     payloads = {
-        sym.name: _symbol_payload(sym, e.level1.values, e.level2.base, base3)
+        sym.name: v[:, sym.indices[0] - 1] if sym.degree == 1 else entry_surface(v, e.base2, e.base3, sym.indices)
         for sym in spec.symbols
     }
     return GradedVector(spec, e.grid, payloads)
@@ -410,14 +347,14 @@ def enhanced_to_document(e: EnhancedPath) -> dict:
             "data": e.level1.values.ravel().tolist(),
         },
         "level2": {
-            "shape": list(e.level2.base.shape),
-            "data": e.level2.base.ravel().tolist(),
+            "shape": list(e.base2.shape),
+            "data": e.base2.ravel().tolist(),
         },
     }
-    if e.level3 is not None:
+    if e.base3 is not None:
         doc["level3"] = {
-            "shape": list(e.level3.base.shape),
-            "data": e.level3.base.ravel().tolist(),
+            "shape": list(e.base3.shape),
+            "data": e.base3.ravel().tolist(),
         }
     if e.ambient is not None:
         doc["ambient"] = e.ambient.to_config()
@@ -433,13 +370,11 @@ def enhanced_from_document(doc: dict) -> EnhancedPath:
         lvl1 = np.asarray(doc["level1"]["data"]).reshape(doc["level1"]["shape"])
         path = SamplePath(grid, lvl1)
         base2 = np.asarray(doc["level2"]["data"]).reshape(doc["level2"]["shape"])
-        level2 = Level2Surface(grid, base2, path.values)
-        level3 = None
+        base3 = None
         if "level3" in doc:
             base3 = np.asarray(doc["level3"]["data"]).reshape(doc["level3"]["shape"])
-            level3 = Level3Surface(grid, base3, level2)
         ambient = AmbientSpec.from_config(doc["ambient"]) if "ambient" in doc else None
-        return EnhancedPath(path, level2, level3, scheme=doc["scheme"], ambient=ambient)
+        return EnhancedPath(path, base2, base3, scheme=doc["scheme"], ambient=ambient)
     except KeyError as exc:
         raise ValueError(f"enhanced-path document lacks field {exc.args[0]!r}") from None
 

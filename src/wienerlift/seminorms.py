@@ -44,8 +44,8 @@ class SymbolNorm:
     def __post_init__(self):
         if self.kind not in NORM_KINDS:
             raise ValueError(f"norm kind must be one of {NORM_KINDS}, got {self.kind!r}")
-        if self.kind == "pvar" and (self.exponent is None or self.exponent < 1):
-            raise ValueError(f"pvar exponent must be >= 1, got {self.exponent}")
+        if self.kind == "pvar" and (self.exponent is None or not 1 <= self.exponent < math.inf):
+            raise ValueError(f"pvar exponent must be finite and >= 1, got {self.exponent}")
         if self.kind == "holder" and (self.exponent is None or not 0 < self.exponent <= 2):
             raise ValueError(f"holder exponent must lie in (0, 2], got {self.exponent}")
 
@@ -177,7 +177,8 @@ def ambient_for_levels(
     for k in range(1, level + 1):
         for word in product(range(1, dim + 1), repeat=k):
             if norm_kind == "pvar":
-                norm = SymbolNorm("pvar", max(1.0, p / k))
+                # max(p / k, 1.0), not max(1.0, p / k): a NaN p reaches SymbolNorm
+                norm = SymbolNorm("pvar", max(p / k, 1.0))
             else:
                 norm = SymbolNorm("holder", k * alpha)
             symbols.append(

@@ -42,6 +42,7 @@ from wienerlift.grids import (
 )
 from wienerlift.lifts import (
     dilate_enhanced,
+    entry_surface,
     ito_lift,
     lifted_shift,
     max_chen_residual,
@@ -54,6 +55,11 @@ from wienerlift.seminorms import (
     classical_ambient,
     homogeneous_norm,
 )
+
+
+def _surface(e, *word):
+    """Chen surface of X^word_{s,t} of lift e over all grid pairs."""
+    return entry_surface(e.level1.values, e.base2, e.base3, word)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -79,8 +85,8 @@ def test_criterion_01_chen_relation():
     ):
         scale = max(
             1.0,
-            float(np.max(np.abs(e.level2.base))),
-            float(np.max(np.abs(e.level3.base))),
+            float(np.max(np.abs(e.base2))),
+            float(np.max(np.abs(e.base3))),
         )
         worst = max(worst, max_chen_residual(e) / scale)
     elapsed = time.perf_counter() - start
@@ -148,8 +154,8 @@ def test_criterion_03_homogeneity():
             target = dilate_enhanced(ref, eps)
             for lhs, rhs in (
                 (lifted.level1.values, target.level1.values),
-                (lifted.level2.base, target.level2.base),
-                (lifted.level3.base, target.level3.base),
+                (lifted.base2, target.base2),
+                (lifted.base3, target.base3),
             ):
                 scale = max(1e-30, float(np.max(np.abs(rhs))))
                 worst_lift = max(worst_lift, float(np.max(np.abs(lhs - rhs))) / scale)
@@ -172,11 +178,11 @@ def test_criterion_04_shuffle_identities():
         for i, j in ((1, 2), (2, 1)):
             m_i = v[None, :, i - 1] - v[:, None, i - 1]
             m_j = v[None, :, j - 1] - v[:, None, j - 1]
-            m_ij = e.level2.entry_surface(i, j)
-            m_ii = e.level2.entry_surface(i, i)
-            m_iij = e.level3.entry_surface(i, i, j)
-            m_iji = e.level3.entry_surface(i, j, i)
-            m_jii = e.level3.entry_surface(j, i, i)
+            m_ij = _surface(e, i, j)
+            m_ii = _surface(e, i, i)
+            m_iij = _surface(e, i, i, j)
+            m_iji = _surface(e, i, j, i)
+            m_jii = _surface(e, j, i, i)
             worst = max(
                 worst,
                 float(np.max(np.abs(m_ij * m_i - m_iji - 2.0 * m_iij))),
@@ -215,7 +221,7 @@ def test_criterion_05_proxy_restriction_of_ito_lift():
         mean = sums[k] / n_samples
         var = sums_sq[k] / n_samples - mean**2
         se = np.sqrt(var / n_samples)
-        exact = young_skeleton_lift(h).level2.base[-1]
+        exact = young_skeleton_lift(h).base2[-1]
         z = np.max(np.abs(mean - exact) / np.maximum(se, 1e-15))
         worst_z = max(worst_z, float(z))
         ok = ok and z <= 3.0
@@ -301,8 +307,8 @@ def test_criterion_08_lifted_shift():
         direct = ito_lift(SamplePath(grid, x.values + h.values), level=3)
         worst = max(
             worst,
-            float(np.max(np.abs(shifted.level2.base - direct.level2.base))),
-            float(np.max(np.abs(shifted.level3.base - direct.level3.base))),
+            float(np.max(np.abs(shifted.base2 - direct.base2))),
+            float(np.max(np.abs(shifted.base3 - direct.base3))),
         )
     _report(
         "8 lifted-shift",

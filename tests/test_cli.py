@@ -358,9 +358,15 @@ def test_selftest_passes():
 
 
 BAD_CSV = {"header-only-csv": "t,x1\n", "ragged-csv": "t,x1\n0.0,0.0\n0.5\n1.0,0.3\n"}
+# faults put into an n=8, d=1 enhanced-path document
+BAD_LIFT = {
+    "json-without-grid": lambda doc: doc.pop("grid"),
+    "json-short-level2": lambda doc: doc.update(level2={"shape": [8, 1, 1], "data": [0.0] * 8}),
+    "json-flat-level3": lambda doc: doc.update(level3={"shape": [9, 1, 1], "data": [0.0] * 9}),
+}
 
 
-@pytest.mark.parametrize("case", sorted(BAD_CSV) + ["json-without-grid"])
+@pytest.mark.parametrize("case", sorted(BAD_CSV) + sorted(BAD_LIFT))
 def test_malformed_input_is_an_argument_error(tmp_path, capsys, case):
     if case in BAD_CSV:
         infile = tmp_path / f"{case}.csv"
@@ -370,8 +376,8 @@ def test_malformed_input_is_an_argument_error(tmp_path, capsys, case):
         lift_json = tmp_path / "lift.json"
         assert main(["lift", "--steps", "8", "--seed", "1", "--out", str(lift_json)]) == 0
         doc = json.loads(lift_json.read_text())
-        del doc["grid"]
-        infile = tmp_path / "nogrid.json"
+        BAD_LIFT[case](doc)
+        infile = tmp_path / "bad.json"
         infile.write_text(json.dumps(doc))
         argv = ["norm", "--in", str(infile)]
     capsys.readouterr()
@@ -390,14 +396,34 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     argv = ["norm", "--in", str(lift_json), "--out", str(out), "--force"]
     assert main(argv) == 0
     before = out.read_bytes()
-    # json.dump has written part of the document when it meets this value
-    monkeypatch.setattr(cli, "banach_norm", lambda gv: object())
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write('{"format_version": ')
+        raise TypeError("unserializable value")
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
     with pytest.raises(TypeError):
         main(argv)
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "lift.json", "lift.json.summary.json", "norm.json"
     ]
+
+
+@pytest.mark.parametrize("ambient", ["level3:2.5", "holder2:0.4"])
+def test_norm_memory_is_linear_in_steps(tmp_path, capsys, ambient):
+    # one (n+1, n+1) float surface is 8.4 MB at n = 1024; the norms stream columns
+    import tracemalloc
+
+    lift_json = tmp_path / "lift.json"
+    assert main(["lift", "--dim", "2", "--steps", "1024", "--seed", "3", "--scheme", "stratonovich",
+                 "--level", "3", "--out", str(lift_json)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["norm", "--in", str(lift_json), "--ambient", ambient]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
 
 
 def test_level3_ambient_on_the_batch_route(tmp_path):
@@ -485,11 +511,43 @@ BAD_VALUES.update(
                                    f"--p and --q need 1 < p <= q < inf, got --p {pq[0]} --q {pq[1]}"))
     for pq in (("0.5", "4.0"), ("nan", "4.0"), ("1.0", "4.0"), ("3.0", "2.0"), ("2.0", "inf"))
 )
+BAD_VALUES.update({
+    "chaos-degree-5": (["chaos", "norm-equiv", "--degree", "5"],
+                       "--degree 5: norm-equiv takes degrees up to 4"),
+    "chaos-dim-4": (["chaos", "norm-equiv", "--dim", "4"], "--dim 4: norm-equiv takes dimensions up to 3"),
+    "chaos-shift-vector-word": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "1,abc"],
+                                "--shift-vector '1,abc': expected comma-separated finite numbers"),
+    "chaos-shift-vector-nan": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "nan,1"],
+                               "--shift-vector 'nan,1': expected comma-separated finite numbers"),
+    "chaos-shift-vector-length": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "1,2,3"],
+                                  "--shift-vector has 3 entries, the family lives on R^2"),
+    "chaos-samples-10": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "1,2", "--samples", "10"],
+                         "argument --samples: expected an integer >= 1000, got '10'"),
+    "lift-dyadic-level-9": (["lift", "--scheme", "young", "--dyadic-level", "9", "--steps", "256"],
+                            "--dyadic-level 9: 2^9 must divide the path's 256 steps"),
+    "lift-dyadic-level-3": (["lift", "--scheme", "young", "--dyadic-level", "3", "--steps", "12"],
+                            "--dyadic-level 3: 2^3 must divide the path's 12 steps"),
+})
+BAD_VALUES.update(
+    (f"eta0-ambient-{text}", (["eta0", "--ambient", text], f"--ambient {text!r}: {message}"))
+    for text, message in (
+        ("level2:abc", "expected a positive finite number, got 'abc'"),
+        ("level2:nan", "expected a positive finite number, got 'nan'"),
+        ("level3:-1", "expected a positive finite number, got '-1'"),
+        ("holder2:0", "expected a positive finite number, got '0'"),
+        ("holder2:1.5", "holder exponent must lie in (0, 2], got 3.0"),
+        ("classical:foo", "norm kind must be one of"),
+    )
+)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_malformed_value_is_an_argument_error(tmp_path, capsys, case):
     args, message = BAD_VALUES[case]
+    if "GRADED" in args:  # a graded family on R^2
+        graded = GradedChaos(2, components={"a": ChaosPolynomial(2, {(1, 0): 1.0})}, degrees={"a": 1})
+        (tmp_path / "graded.json").write_text(json.dumps(chaos_to_document(graded)))
+        args = [str(tmp_path / "graded.json") if a == "GRADED" else a for a in args]
     out = tmp_path / "o.csv"
     try:
         code = main(args + ["--seed", "1", "--out", str(out)])

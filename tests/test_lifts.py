@@ -18,6 +18,7 @@ from wienerlift.lifts import (
     dyadic_triples,
     enhanced_from_document,
     enhanced_to_document,
+    entry_surface,
     ito_lift,
     lifted_shift,
     max_chen_residual,
@@ -26,6 +27,11 @@ from wienerlift.lifts import (
     young_skeleton_lift,
 )
 from wienerlift.seminorms import ambient_for_levels
+
+
+def _surface(e, *word):
+    """Chen surface of X^word_{s,t} of lift e over all grid pairs."""
+    return entry_surface(e.level1.values, e.base2, e.base3, word)
 
 
 def _random_cm(seed, grid, d):
@@ -60,15 +66,15 @@ def test_ito_deterministic_closed_form():
     lin = SamplePath(grid, np.stack([grid.points, grid.points], axis=1))
     e = ito_lift(lin)
     expected = 0.5 - 0.5 * grid.dt  # sum of t_m dt = T^2/2 - T dt / 2
-    assert e.level2.base[-1, 0, 1] == pytest.approx(expected, rel=1e-13)
+    assert e.base2[-1, 0, 1] == pytest.approx(expected, rel=1e-13)
 
 
 def test_zero_path_zero_enhancement():
     grid = TimeGrid(1.0, 32)
     zero = SamplePath(grid, np.zeros((33, 2)))
     e = ito_lift(zero, level=3)
-    assert np.all(e.level2.base == 0.0)
-    assert np.all(e.level3.base == 0.0)
+    assert np.all(e.base2 == 0.0)
+    assert np.all(e.base3 == 0.0)
 
 
 def test_ito_offdiagonal_is_centered():
@@ -93,9 +99,9 @@ def test_bracket_diagonal_and_antisymmetry():
         assert abs(est - 0.5) <= 3 * se
     x = SamplePath(grid, values[0])
     ei, es = ito_lift(x), stratonovich_lift(x)
-    diff = es.level2.base - ei.level2.base
+    diff = es.base2 - ei.base2
     asym = diff - np.swapaxes(diff, 1, 2)
-    scale = max(1.0, float(np.max(np.abs(es.level2.base))))
+    scale = max(1.0, float(np.max(np.abs(es.base2))))
     assert np.max(np.abs(asym)) <= 1e-13 * scale
 
 
@@ -106,7 +112,7 @@ def test_strat_matches_young_on_smooth_path():
         pts = grid.points
         x = SamplePath(grid, np.stack([pts, pts**2], axis=1))
         e = stratonovich_lift(x)
-        err = abs(e.level2.base[-1, 0, 1] - 2.0 / 3.0)
+        err = abs(e.base2[-1, 0, 1] - 2.0 / 3.0)
         assert err <= 2.0 * grid.dt**2
 
 
@@ -114,8 +120,8 @@ def test_young_closed_forms():
     grid = TimeGrid(1.0, 128)
     h = CameronMartinPath(grid, np.ones((128, 2)))
     e = young_skeleton_lift(h, level=3)
-    assert e.level2.base[-1, 0, 1] == pytest.approx(0.5, rel=1e-14)
-    assert e.level3.base[-1, 0, 0, 0] == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert e.base2[-1, 0, 1] == pytest.approx(0.5, rel=1e-14)
+    assert e.base3[-1, 0, 0, 0] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
 
 def test_young_diagonal_identity_on_increments():
@@ -124,7 +130,7 @@ def test_young_diagonal_identity_on_increments():
     e = young_skeleton_lift(h)
     v = h.values
     for i in (1, 2):
-        surf = e.level2.entry_surface(i, i)
+        surf = _surface(e, i, i)
         ref = 0.5 * (v[None, :, i - 1] - v[:, None, i - 1]) ** 2
         assert np.max(np.abs(surf - ref)) <= 1e-12
 
@@ -133,7 +139,7 @@ def test_young_level2_matches_reference():
     grid = TimeGrid(1.0, 64)
     h = _random_cm(6, grid, 3)
     e = young_skeleton_lift(h)
-    assert np.max(np.abs(e.level2.base - _young_level2_reference(h))) <= 1e-12
+    assert np.max(np.abs(e.base2 - _young_level2_reference(h))) <= 1e-12
 
 
 def test_young_level3_matches_direct_integration():
@@ -144,7 +150,7 @@ def test_young_level3_matches_direct_integration():
         e = young_skeleton_lift(h, level=3)
         ref = _young_level3_reference(h)
         scale = max(1.0, float(np.max(np.abs(ref))))
-        assert np.max(np.abs(e.level3.base - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(e.base3 - ref)) <= 1e-12 * scale
 
 
 def test_shuffle_identities_pointwise():
@@ -155,11 +161,11 @@ def test_shuffle_identities_pointwise():
     for i, j in ((1, 2), (2, 1)):
         m_i = v[None, :, i - 1] - v[:, None, i - 1]
         m_j = v[None, :, j - 1] - v[:, None, j - 1]
-        m_ij = e.level2.entry_surface(i, j)
-        m_ii = e.level2.entry_surface(i, i)
-        m_iij = e.level3.entry_surface(i, i, j)
-        m_iji = e.level3.entry_surface(i, j, i)
-        m_jii = e.level3.entry_surface(j, i, i)
+        m_ij = _surface(e, i, j)
+        m_ii = _surface(e, i, i)
+        m_iij = _surface(e, i, i, j)
+        m_iji = _surface(e, i, j, i)
+        m_jii = _surface(e, j, i, i)
         assert np.max(np.abs(m_ij * m_i - m_iji - 2.0 * m_iij)) <= 1e-10
         assert np.max(np.abs(m_ii * m_j - m_iij - m_iji - m_jii)) <= 1e-10
 
@@ -182,7 +188,7 @@ def test_multilinearity_level2():
     combo = CameronMartinPath(
         grid, a * h.derivative_values + b * k.derivative_values
     )
-    lhs = young_skeleton_lift(combo).level2.base[-1]
+    lhs = young_skeleton_lift(combo).base2[-1]
     rhs = (
         a * a * cross(h, h)
         + a * b * cross(h, k)
@@ -211,7 +217,7 @@ def test_chen_residuals_all_schemes():
         stratonovich_lift(x, level=3),
         young_skeleton_lift(h, level=3),
     ):
-        scale = max(1.0, float(np.max(np.abs(e.level2.base))))
+        scale = max(1.0, float(np.max(np.abs(e.base2))))
         assert max_chen_residual(e) <= 1e-10 * scale
 
 
@@ -228,11 +234,11 @@ def test_chen_residual_detects_corruption():
     grid = TimeGrid(1.0, 16)
     x = sample(GaussianSpec("bm", 2), grid, seed=39)
     e = ito_lift(x)
-    corrupted = e.level2.base.copy()
+    corrupted = e.base2.copy()
     corrupted[8, 0, 1] += 1.0
-    from wienerlift.lifts import EnhancedPath, Level2Surface
+    from wienerlift.lifts import EnhancedPath
 
-    bad = EnhancedPath(x, Level2Surface(grid, corrupted, x.values), scheme="ito")
+    bad = EnhancedPath(x, corrupted, scheme="ito")
     assert chen_residual(bad, 0, 8, 16) >= 0.99
 
 
@@ -240,8 +246,8 @@ def test_single_step_grid_is_degenerate_not_error():
     grid = TimeGrid(1.0, 1)
     x = sample(GaussianSpec("bm", 2), grid, seed=40)
     e = ito_lift(x)
-    assert np.all(e.level2.base[0] == 0.0)
-    assert np.all(e.level2.base[-1] == 0.0)  # single left-point term vanishes
+    assert np.all(e.base2[0] == 0.0)
+    assert np.all(e.base2[-1] == 0.0)  # single left-point term vanishes
 
 
 def test_young_homogeneity():
@@ -253,8 +259,8 @@ def test_young_homogeneity():
         ref = dilate_enhanced(base, eps)
         for lhs, rhs in (
             (scaled.level1.values, ref.level1.values),
-            (scaled.level2.base, ref.level2.base),
-            (scaled.level3.base, ref.level3.base),
+            (scaled.base2, ref.base2),
+            (scaled.base3, ref.base3),
         ):
             scale = max(1.0, float(np.max(np.abs(rhs))))
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
@@ -268,11 +274,11 @@ def test_lifted_shift_identity_and_zero():
     for lift in (ito_lift, stratonovich_lift):
         e = lift(x, level=3)
         unchanged = lifted_shift(e, zero)
-        assert np.array_equal(unchanged.level2.base, e.level2.base)
+        assert np.array_equal(unchanged.base2, e.base2)
         shifted = lifted_shift(e, h)
         direct = lift(SamplePath(grid, x.values + h.values), level=3)
-        assert np.max(np.abs(shifted.level2.base - direct.level2.base)) <= 1e-10
-        assert np.max(np.abs(shifted.level3.base - direct.level3.base)) <= 1e-10
+        assert np.max(np.abs(shifted.base2 - direct.base2)) <= 1e-10
+        assert np.max(np.abs(shifted.base3 - direct.base3)) <= 1e-10
 
 
 def test_lifted_shift_of_zero_path_approximates_young():
@@ -282,7 +288,7 @@ def test_lifted_shift_of_zero_path_approximates_young():
         zero = SamplePath(grid, np.zeros((n + 1, 2)))
         shifted = lifted_shift(ito_lift(zero), h)
         young = young_skeleton_lift(h)
-        gap = np.max(np.abs(shifted.level2.base - young.level2.base))
+        gap = np.max(np.abs(shifted.base2 - young.base2))
         # left-point vs exact integration differs by the half bracket, O(dt)
         bound = 0.6 * float(np.sum(h.derivative_values**2)) * grid.dt**2
         assert gap <= bound
@@ -296,8 +302,8 @@ def test_lifted_shift_group_law():
     e = ito_lift(x, level=3)
     lhs = lifted_shift(lifted_shift(e, h), k)
     rhs = lifted_shift(e, h + k)
-    assert np.max(np.abs(lhs.level2.base - rhs.level2.base)) <= 1e-10
-    assert np.max(np.abs(lhs.level3.base - rhs.level3.base)) <= 1e-10
+    assert np.max(np.abs(lhs.base2 - rhs.base2)) <= 1e-10
+    assert np.max(np.abs(lhs.base3 - rhs.base3)) <= 1e-10
 
 
 def test_lifted_shift_rejects_young_and_mismatch():
@@ -328,8 +334,8 @@ def test_serialization_round_trip(tmp_path):
     back = enhanced_from_document(doc)
     assert back.scheme == "ito"
     assert np.array_equal(back.level1.values, e.level1.values)
-    assert np.array_equal(back.level2.base, e.level2.base)
-    assert np.array_equal(back.level3.base, e.level3.base)
+    assert np.array_equal(back.base2, e.base2)
+    assert np.array_equal(back.base3, e.base3)
     assert back.ambient == ambient
     with pytest.raises(ValueError, match="format_version"):
         enhanced_from_document({"format_version": "bogus"})

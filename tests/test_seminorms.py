@@ -141,19 +141,19 @@ def test_two_param_pvar_matches_bruteforce_over_partitions(word):
 def test_two_param_pvar_of_linear_path_is_its_single_interval():
     # x_t = v t lifts to x_{s,t}^{(x)k} / k!, and |X_{s,t}|^q = c (t-s)^(kq) is
     # superadditive for kq > 1, so the one interval [0, T] attains the q-variation
-    from wienerlift.lifts import young_skeleton_lift
+    from wienerlift.lifts import entry_surface, young_skeleton_lift
 
     grid = TimeGrid(2.0, 16)
     v = np.array([0.7, -1.3])
     e = young_skeleton_lift(CameronMartinPath(grid, np.tile(v, (16, 1))), level=3)
     dx = grid.points[None, :] - grid.points[:, None]
     for i, j in ((1, 1), (1, 2), (2, 1)):
-        surface = e.level2.entry_surface(i, j)
+        surface = entry_surface(e.level1.values, e.base2, None, (i, j))
         expected = v[i - 1] * v[j - 1] * dx**2 / 2
         assert np.max(np.abs(surface - expected)) <= 1e-14
         for q in (1.0, 1.25, 2.0):
             assert p_variation_2param(surface, grid, q) == pytest.approx(abs(expected[0, -1]), rel=1e-13)
-    surface = e.level3.entry_surface(1, 2, 1)
+    surface = entry_surface(e.level1.values, e.base2, e.base3, (1, 2, 1))
     expected = v[0] * v[1] * v[0] * dx**3 / 6
     assert np.max(np.abs(surface - expected)) <= 1e-13
     for q in (1.0, 1.5):
@@ -195,8 +195,8 @@ def test_brownian_level2_qvariation_bounded_under_refinement():
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("kind", ["pvar", "holder", "sup", "terminal"])
 def test_surface_and_base_tensor_routes_agree_bitwise(kind, level):
-    # norm/selftest read a stored surface, the Monte Carlo route streams columns
-    from wienerlift._batch import homogeneous_norm_batch
+    # to_graded stores surfaces; norm, selftest and the Monte Carlo route stream columns
+    from wienerlift._batch import homogeneous_norm_batch, symbol_norms
     from wienerlift.grids import SamplePath
     from wienerlift.lifts import stratonovich_lift, to_graded
 
@@ -208,10 +208,15 @@ def test_surface_and_base_tensor_routes_agree_bitwise(kind, level):
             ambient.distinguished,
         )
     e = stratonovich_lift(SamplePath(grid, values[0]), level=level)
-    stored = homogeneous_norm(to_graded(e, ambient))
-    streamed = homogeneous_norm_batch(ambient, grid, values[0], base2[0], base3[0] if level == 3 else None)
+    gv = to_graded(e, ambient)
+    arrays = (values[0], base2[0], base3[0] if level == 3 else None)
+    streamed = homogeneous_norm_batch(ambient, grid, *arrays)
     assert type(streamed) is float
-    assert streamed == stored
+    assert streamed == homogeneous_norm(gv)
+    # the per-symbol norms `norm` sums both ways, each evaluated once
+    norms = list(symbol_norms(ambient, grid, *arrays))
+    assert [sym for sym, _ in norms] == list(ambient.symbols)
+    assert sum(norm for _, norm in norms) == banach_norm(gv)
 
 
 def _single_symbol_vector(norm_kind, payload, grid, degree=2):
@@ -324,8 +329,12 @@ def test_ambient_validation():
     with pytest.raises(ValueError, match="unique"):
         dup = SymbolSpec("a", (1,), 1, SymbolNorm("sup"), 1)
         AmbientSpec(symbols=(dup, dup), distinguished=("a",))
-    with pytest.raises(ValueError):
-        SymbolNorm("pvar", 0.5)
+    for exponent in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="pvar exponent"):
+            SymbolNorm("pvar", exponent)
+    # a NaN p is not clamped to exponent 1
+    with pytest.raises(ValueError, match="pvar exponent"):
+        ambient_for_levels(2, 2, p=math.nan)
     with pytest.raises(ValueError):
         SymbolNorm("holder", 3.0)
     with pytest.raises(ValueError):
