@@ -2,7 +2,7 @@
 
 The package provides samplers for Brownian and fractional Brownian paths,
 their level-2/3 enhancements (Ito, Stratonovich, Young), graded path-space
-norms with dilation, finite-dimensional Wiener-Ito chaos utilities,
+norms, finite-dimensional Wiener-Ito chaos utilities,
 Cameron-Martin reweighting, and Monte Carlo estimators for small-noise
 rates and Gaussian tail constants.
 """
@@ -27,16 +27,12 @@ from .seminorms import (
     SymbolNorm,
     SymbolSpec,
     AmbientSpec,
-    GradedVector,
     ambient_for_levels,
     classical_ambient,
     p_variation_1d,
-    p_variation_2param,
     holder_norm_1d,
-    holder_norm_2param,
     homogeneous_norm,
     banach_norm,
-    dilation,
     rho_variation_covariance,
 )
 from .lifts import (

@@ -4,7 +4,7 @@ Raw Monte Carlo can only see events with probability down to ~2e-3, so the
 epsilon -> 0 limits are carried by closed-form Gaussian oracles (reflection
 principle, Gaussian tails, the B_T^2/2 identity of the trapezoid diagonal);
 Monte Carlo verifies the moderate-epsilon regime against the same oracles.
-Every event statistic used here is homogeneous under dilation, so one batch
+Every event statistic used here is homogeneous under dilations, so one batch
 of statistics serves every epsilon by rescaling the threshold; the identity
 P(dilate(eps, lift) in A_c) = P(stat >= c / eps^degree) is exact and tested.
 """
@@ -43,7 +43,7 @@ class Statistic(NamedTuple):
     """One registry entry: a statistic of enhanced paths over any leading axes.
 
     `fn(values=, base2=, base3=, entry=, ambient=, grid=)` is homogeneous of
-    order `degree` under dilation and reads basepoint tensors up to `level`
+    order `degree` under dilations and reads basepoint tensors up to `level`
     (None: the ambient's max degree).
     """
 
@@ -71,7 +71,7 @@ def _check_statistic(name: str, what: str) -> None:
 class EventSpec:
     """Closed event {statistic >= threshold} evaluated on an enhanced path.
 
-    The statistic is positively homogeneous of order `degree` under dilation,
+    The statistic is positively homogeneous of order `degree` under dilations,
     which lets one sample of statistics serve every epsilon.
     """
 

@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from . import chaos as chaos_mod
-from ._batch import homogeneous_norm_batch, symbol_norms
 from .asymptotics import (
     MC_SCHEMES,
     ORACLES,
@@ -56,9 +55,10 @@ from .lifts import (
     save_enhanced,
     load_enhanced,
     stratonovich_lift,
+    to_graded,
     young_skeleton_lift,
 )
-from .seminorms import AmbientSpec, ambient_for_levels, classical_ambient
+from .seminorms import AmbientSpec, ambient_for_levels, banach_norm, classical_ambient, homogeneous_norm
 
 SUMMARY_FORMAT_VERSION = "run-summary/v1"
 
@@ -160,10 +160,9 @@ def _parse_ambient(preset_or_path: str, dim: int) -> AmbientSpec:
     """--ambient accepts a JSON file path or a preset string.
 
     Presets: classical[:kind], terminal, level1:p, level2:p, level3:p,
-    holder2:alpha (levels built for the run's --dim).
+    holder2:alpha (levels built for the run's --dim).  A file's symbols must
+    read components 1..dim.
     """
-    if os.path.exists(preset_or_path):
-        return _read_input(AmbientSpec.load, preset_or_path)
     head, _, arg = preset_or_path.partition(":")
 
     def number(default: float) -> float:
@@ -173,17 +172,26 @@ def _parse_ambient(preset_or_path: str, dim: int) -> AmbientSpec:
         return value
 
     try:
-        if head == "classical":
-            return classical_ambient(dim, kind=arg or "sup")
-        if head == "terminal":
-            return classical_ambient(dim, kind="terminal")
-        if head in ("level1", "level2", "level3"):
-            return ambient_for_levels(dim, int(head[-1]), norm_kind="pvar", p=number(2.5))
-        if head == "holder2":
-            return ambient_for_levels(dim, 2, norm_kind="holder", alpha=number(0.4))
-    except ValueError as exc:
-        raise CliError(f"--ambient {preset_or_path!r}: {exc}") from None
-    raise CliError(f"--ambient {preset_or_path!r} is neither a file nor a known preset")
+        if os.path.exists(preset_or_path):
+            ambient = AmbientSpec.load(preset_or_path)
+        elif head == "classical":
+            ambient = classical_ambient(dim, kind=arg or "sup")
+        elif head == "terminal":
+            ambient = classical_ambient(dim, kind="terminal")
+        elif head in ("level1", "level2", "level3"):
+            ambient = ambient_for_levels(dim, int(head[-1]), norm_kind="pvar", p=number(2.5))
+        elif head == "holder2":
+            ambient = ambient_for_levels(dim, 2, norm_kind="holder", alpha=number(0.4))
+        else:
+            raise CliError(f"--ambient {preset_or_path!r} is neither a file nor a known preset")
+    except (ValueError, OSError) as exc:
+        # AmbientSpec.load chains the cause to an error that repeats the file name
+        raise CliError(f"--ambient {preset_or_path!r}: {exc.__cause__ or exc}") from None
+    for sym in ambient.symbols:
+        if max(sym.indices) > dim:
+            raise CliError(f"--ambient {preset_or_path!r}: symbol {sym.name!r} reads component "
+                           f"{max(sym.indices)}, but the path has d={dim}")
+    return ambient
 
 
 def _parse_event(text: str, ambient: AmbientSpec | None) -> EventSpec:
@@ -285,15 +293,13 @@ def _cmd_lift(args) -> int:
 
 def _cmd_norm(args) -> int:
     e = _read_input(load_enhanced, args.infile)
-    if args.ambient:
-        ambient = _parse_ambient(args.ambient, e.dim)
-    else:
-        ambient = e.ambient or ambient_for_levels(e.dim, e.max_level)
+    ambient = _parse_ambient(args.ambient, e.dim) if args.ambient else None
+    if ambient is not None and ambient.max_degree > e.max_level:
+        raise CliError(f"--ambient {args.ambient!r} has degree-{ambient.max_degree} symbols, "
+                       f"but the lift stops at level {e.max_level}")
     # each symbol's norm once, streamed from the basepoint tensors
-    hom = ban = 0.0
-    for sym, norm in symbol_norms(ambient, e.grid, e.level1.values, e.base2, e.base3):
-        hom += norm ** (1.0 / sym.degree)
-        ban += norm
+    norms = to_graded(e, ambient)
+    hom, ban = homogeneous_norm(norms), banach_norm(norms)
     results = {"homogeneous_norm": hom, "banach_norm": ban}
     config = {"in": args.infile, "ambient": args.ambient}
     if args.out:
@@ -536,14 +542,10 @@ def _cmd_selftest(args) -> int:
     check("shuffle-relations", worst <= 1e-10, f"max defect {worst:.2e}")
 
     ambient = ambient_for_levels(2, 2)
-
-    def lift_norm(e):
-        return homogeneous_norm_batch(ambient, e.grid, e.level1.values, e.base2, e.base3)
-
     worst = 0.0
     for eps in (0.1, 0.5, 2.0):
-        lhs = lift_norm(dilate_enhanced(es, eps))
-        rhs = eps * lift_norm(es)
+        lhs = homogeneous_norm(to_graded(dilate_enhanced(es, eps), ambient))
+        rhs = eps * homogeneous_norm(to_graded(es, ambient))
         worst = max(worst, abs(lhs - rhs) / rhs)
         scaled = young_skeleton_lift(h.scaled(eps), level=2)
         base_ref = eps**2 * young_skeleton_lift(h, level=2).base2

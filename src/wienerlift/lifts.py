@@ -17,9 +17,10 @@ An `EnhancedPath` is these arrays: level-1 values (n+1, d) and basepoint
 tensors `base2` (n+1, d, d) and `base3` (n+1, d, d, d).  The accumulators
 and the Chen reconstructions take any number of leading axes; one path is
 the batch with no leading axis.  `chen_increment` rebuilds whole tensors
-X_{s,t} for the Chen check, and the norms read entries X^w_{s,t} column by
-column (`entry_columns`), never as surfaces.  Only `to_graded`, the
-explicit-payload reference, stores (n+1, n+1) entry surfaces.
+X_{s,t} for the Chen check.  The graded norms read entries X^w_{s,t} column
+by column (`entry_columns`), so no (n+1, n+1) surface is ever stored:
+`symbol_norms` yields each ambient symbol's norm over the leading axes, and
+`to_graded` is its list for one lift.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import CameronMartinPath, SamplePath, TimeGrid
-from .seminorms import AmbientSpec, GradedVector, ambient_for_levels
+from .seminorms import AmbientSpec, SymbolSpec, ambient_for_levels, column_norm, symbol_norm
 
 FORMAT_VERSION = "enhanced-path/v1"
 
@@ -170,15 +171,31 @@ def chen_increment(values, base2, base3, s: int, t: int):
     return x2, x3
 
 
-def entry_surface(values: np.ndarray, base2: np.ndarray, base3, indices) -> np.ndarray:
-    """Chen surface of X^w_{s,t} over all grid pairs, (..., n+1, n+1); 1-based word w."""
-    return _entry_pairs(values, base2, base3, indices)((slice(None), None), (None, slice(None)))
-
-
 def entry_columns(values: np.ndarray, base2: np.ndarray, base3, indices):
-    """(t0, t1) -> `entry_surface`[..., :t1, t0:t1] indexed [t - t0, s], bitwise, without the surface."""
+    """(t0, t1) -> X^w_{s,t} for s < t1 and t0 <= t < t1, indexed [..., t - t0, s]; 1-based word w."""
     pairs = _entry_pairs(values, base2, base3, indices)
     return lambda t0, t1: pairs((None, slice(0, t1)), (slice(t0, t1), None))
+
+
+def symbol_norms(
+    ambient: AmbientSpec,
+    grid: TimeGrid,
+    values: np.ndarray,
+    base2: np.ndarray | None = None,
+    base3: np.ndarray | None = None,
+):
+    """(symbol, its norm over the leading axes) for each symbol of `ambient`, in order.
+
+    Degree-1 symbols read a component of `values`; level-2/3 entries stream
+    from the basepoint tensors by `entry_columns`: O(C n) memory, no surface.
+    """
+    for sym in ambient.symbols:
+        if sym.degree == 1:
+            norm = symbol_norm(values[..., sym.indices[0] - 1], grid, sym)
+        else:
+            columns = entry_columns(values, base2, base3, sym.indices)
+            norm = column_norm(columns, values.shape[:-2], grid.n_steps, sym.norm, grid.dt)
+        yield sym, norm
 
 
 def _scheme_lift(x: SamplePath, level: int, scheme: str) -> EnhancedPath:
@@ -318,17 +335,10 @@ def dilate_enhanced(e: EnhancedPath, eps: float) -> EnhancedPath:
     return EnhancedPath(new1, eps**2 * e.base2, base3, scheme=e.scheme, ambient=e.ambient)
 
 
-def to_graded(e: EnhancedPath, ambient: AmbientSpec | None = None) -> GradedVector:
-    """Pair an enhanced path with an ambient spec, storing a level-1 component or an entry surface per symbol."""
-    spec = ambient or e.ambient
-    if spec is None:
-        spec = ambient_for_levels(e.dim, e.max_level)
-    v = e.level1.values
-    payloads = {
-        sym.name: v[:, sym.indices[0] - 1] if sym.degree == 1 else entry_surface(v, e.base2, e.base3, sym.indices)
-        for sym in spec.symbols
-    }
-    return GradedVector(spec, e.grid, payloads)
+def to_graded(e: EnhancedPath, ambient: AmbientSpec | None = None) -> list[tuple[SymbolSpec, float]]:
+    """(symbol, norm) pairs of lift e under `ambient`, else `e.ambient`, else the standard levels of e."""
+    spec = ambient or e.ambient or ambient_for_levels(e.dim, e.max_level)
+    return list(symbol_norms(spec, e.grid, e.level1.values, e.base2, e.base3))
 
 
 # ---------------------------------------------------------------------------

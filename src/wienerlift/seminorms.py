@@ -1,9 +1,10 @@
-"""Graded ambient-space norms, homogeneous distance, and dilation.
+"""Graded ambient-space norms and the homogeneous and Banach sums.
 
-An ambient spec lists symbols with integer degrees; each symbol carries a
-one- or two-parameter payload and a norm choice.  The homogeneous distance
-sum_tau ||v_tau||^(1/deg) is compatible with the degree-weighted dilation:
-|||dilation(v, eps)||| = eps * |||v|||.
+An ambient spec lists symbols with degrees 1-3: a degree-k symbol names a
+word of k component indices, read as a one-parameter path (k = 1) or as a
+two-parameter entry X^w_{s,t} (k = 2, 3), and carries a norm choice.  The
+homogeneous norm sum_tau ||X_tau||^(1/deg) is compatible with the
+degree-weighted dilations of a lift: |||delta_eps X||| = eps * |||X|||.
 
 Two-parameter payloads X_{s,t} take the homogeneous rough-path norms on the
 grid, which converge under refinement: the exact q-variation over the
@@ -16,8 +17,8 @@ homogeneous distance, but no quantitative equivalence is asserted here.
 
 Every kernel takes any number of leading axes and gives norms of shape
 (...); a single path is the batch with no leading axis and gets a built-in
-float.  The Monte Carlo route in `_batch` streams the columns from the
-basepoint tensors instead of stored surfaces.
+float.  `lifts.symbol_norms` streams a lift's columns from its basepoint
+tensors; `homogeneous_norm` and `banach_norm` sum the (symbol, norm) pairs.
 """
 
 from __future__ import annotations
@@ -61,10 +62,15 @@ class SymbolSpec:
     arity: int
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if self.arity not in (1, 2):
-            raise ValueError(f"arity must be 1 or 2, got {self.arity}")
+        if self.degree not in (1, 2, 3):
+            raise ValueError(f"degree must be 1, 2 or 3, got {self.degree}")
+        if not all(isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in self.indices):
+            raise ValueError(f"indices must be integers >= 1, got {self.indices!r}")
+        if len(self.indices) != self.degree:
+            raise ValueError(f"a degree-{self.degree} symbol needs a word of length {self.degree}, got {self.indices!r}")
+        arity = 1 if self.degree == 1 else 2
+        if self.arity != arity:
+            raise ValueError(f"a degree-{self.degree} symbol has arity {arity}, got {self.arity}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,8 @@ class AmbientSpec:
     distinguished: tuple[str, ...]
 
     def __post_init__(self):
+        if not self.symbols:
+            raise ValueError("an ambient needs at least one symbol")
         names = [s.name for s in self.symbols]
         if len(set(names)) != len(names):
             raise ValueError("symbol names must be unique")
@@ -204,35 +212,6 @@ def classical_ambient(dim: int, kind: str = "sup") -> AmbientSpec:
     return AmbientSpec(symbols=symbols, distinguished=tuple(s.name for s in symbols))
 
 
-@dataclass(frozen=True, eq=False)
-class GradedVector:
-    """Ambient spec plus one scalar payload array per symbol.
-
-    One-parameter payloads are path values of shape (n+1,); two-parameter
-    payloads are increment surfaces of shape (n+1, n+1) indexed [s, t], of
-    which the norms read s < t.
-    """
-
-    ambient: AmbientSpec
-    grid: TimeGrid
-    payloads: dict
-
-    def __post_init__(self):
-        for sym in self.ambient.symbols:
-            if sym.name not in self.payloads:
-                raise ValueError(f"missing payload for symbol {sym.name!r}")
-            arr = np.asarray(self.payloads[sym.name], dtype=float)
-            expected = (self.grid.n_steps + 1,) if sym.arity == 1 else (
-                self.grid.n_steps + 1,
-                self.grid.n_steps + 1,
-            )
-            if arr.shape != expected:
-                raise ValueError(
-                    f"payload for {sym.name!r} has shape {arr.shape}, expected {expected}"
-                )
-            self.payloads[sym.name] = arr
-
-
 # ---------------------------------------------------------------------------
 # symbol norms: one kernel each, over leading axes
 # ---------------------------------------------------------------------------
@@ -319,30 +298,9 @@ def holder_norm_1d(values: np.ndarray, grid: TimeGrid, alpha: float) -> float | 
     return column_norm(_increments(x), x.shape[:-1], n, SymbolNorm("holder", alpha), grid.dt)
 
 
-def _surface_norm(surface: np.ndarray, grid: TimeGrid, norm: SymbolNorm) -> float | np.ndarray:
-    """A stored surface X[..., s, t] through `column_norm`: only s < t is read."""
-    X = np.asarray(surface, dtype=float)
-    n = grid.n_steps
-    if X.shape[-2:] != (n + 1, n + 1):
-        raise ValueError(f"surface must end in the grid's ({n + 1}, {n + 1}), got {X.shape}")
-    return column_norm(lambda t0, t1: X[..., :t1, t0:t1].swapaxes(-2, -1), X.shape[:-2], n, norm, grid.dt)
-
-
-def holder_norm_2param(surface: np.ndarray, grid: TimeGrid, exponent: float) -> float | np.ndarray:
-    """max over s < t of |X_{s,t}| / |t - s|^exponent (2*alpha for a degree-2 payload)."""
-    return _surface_norm(surface, grid, SymbolNorm("holder", exponent))
-
-
-def p_variation_2param(surface: np.ndarray, grid: TimeGrid, p: float) -> float | np.ndarray:
-    """Exact p-variation of X over the consecutive intervals of grid partitions."""
-    return _surface_norm(surface, grid, SymbolNorm("pvar", p))
-
-
 def symbol_norm(payload: np.ndarray, grid: TimeGrid, spec: SymbolSpec) -> float | np.ndarray:
-    """Evaluate one symbol's configured norm on its payload (or a batch of them)."""
+    """A degree-1 symbol's configured norm on its path values (..., n+1)."""
     kind, e = spec.norm.kind, spec.norm.exponent
-    if spec.arity == 2:
-        return _surface_norm(payload, grid, spec.norm)
     if kind == "pvar":
         return p_variation_1d(payload, e)
     if kind == "holder":
@@ -356,27 +314,20 @@ def symbol_norm(payload: np.ndarray, grid: TimeGrid, spec: SymbolSpec) -> float 
 # ---------------------------------------------------------------------------
 
 
-def homogeneous_norm(v: GradedVector) -> float:
-    """sum over symbols of ||v_tau||^(1/degree); the dilation-compatible metric."""
+def homogeneous_norm(norms) -> float | np.ndarray:
+    """sum over (symbol, norm) pairs of norm^(1/degree); homogeneous under `dilate_enhanced`."""
     total = 0.0
-    for sym in v.ambient.symbols:
-        total += symbol_norm(v.payloads[sym.name], v.grid, sym) ** (1.0 / sym.degree)
+    for sym, norm in norms:
+        total += norm ** (1.0 / sym.degree)
     return total
 
 
-def banach_norm(v: GradedVector) -> float:
-    """Plain sum of per-symbol norms, without degree weighting."""
-    return sum(symbol_norm(v.payloads[sym.name], v.grid, sym) for sym in v.ambient.symbols)
-
-
-def dilation(v: GradedVector, eps: float) -> GradedVector:
-    """Degree-weighted scaling: symbol tau is multiplied by eps^degree(tau)."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    payloads = {
-        sym.name: eps**sym.degree * v.payloads[sym.name] for sym in v.ambient.symbols
-    }
-    return GradedVector(v.ambient, v.grid, payloads)
+def banach_norm(norms) -> float | np.ndarray:
+    """Plain sum over (symbol, norm) pairs, without degree weighting."""
+    total = 0.0
+    for _, norm in norms:
+        total += norm
+    return total
 
 
 def rho_variation_covariance(spec: GaussianSpec, grid: TimeGrid, rho: float) -> float:

@@ -42,7 +42,6 @@ from wienerlift.grids import (
 )
 from wienerlift.lifts import (
     dilate_enhanced,
-    entry_surface,
     ito_lift,
     lifted_shift,
     max_chen_residual,
@@ -56,10 +55,7 @@ from wienerlift.seminorms import (
     homogeneous_norm,
 )
 
-
-def _surface(e, *word):
-    """Chen surface of X^word_{s,t} of lift e over all grid pairs."""
-    return entry_surface(e.level1.values, e.base2, e.base3, word)
+from surface_oracle import lift_surface as _surface
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

@@ -321,7 +321,7 @@ def test_malformed_chaos_document_is_an_argument_error(tmp_path, capsys, action,
     assert "Traceback" not in err and not out.exists()
 
 
-SYMBOL_1 = {"symbol": "1", "indices": [0], "degree": 1, "norm": {"kind": "sup"}, "arity": 1}
+SYMBOL_1 = {"symbol": "1", "indices": [1], "degree": 1, "norm": {"kind": "sup"}, "arity": 1}
 BAD_AMBIENT = {
     "symbols": ({"a": 1}, "lacks field 'symbols'"),
     "distinguished": ({"symbols": [SYMBOL_1]}, "lacks field 'distinguished'"),
@@ -342,7 +342,49 @@ def test_malformed_ambient_file_is_an_argument_error(tmp_path, capsys, case):
     argv = ["eta0", "--ambient", str(bad), "--seed", "1", "--out", str(tmp_path / "y.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert str(bad) in err and message in err
+    assert f"--ambient {str(bad)!r}" in err and message in err
+    assert "Traceback" not in err
+
+
+# faults in an ambient file's symbol, met by `norm` on a d=2, level-3 lift and by `eta0 --dim 2`
+BAD_SYMBOL = {
+    "index-3": ({"indices": [3]}, "symbol 'w' reads component 3, but the path has d=2"),
+    "index-0": ({"indices": [0]}, "indices must be integers >= 1, got (0,)"),
+    "index-negative": ({"indices": [-1]}, "indices must be integers >= 1, got (-1,)"),
+    "indices-string": ({"indices": "12"}, "indices must be integers >= 1, got ('1', '2')"),
+    "degree-2-word-121": ({"symbol": "121", "indices": [1, 2, 1], "degree": 2, "arity": 2},
+                          "a degree-2 symbol needs a word of length 2, got (1, 2, 1)"),
+    "degree-1-word-12": ({"indices": [1, 2]}, "a degree-1 symbol needs a word of length 1, got (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("command", ["norm", "eta0"])
+@pytest.mark.parametrize("case", sorted(BAD_SYMBOL))
+def test_ambient_symbol_outside_the_path_is_an_argument_error(tmp_path, capsys, case, command):
+    fields, message = BAD_SYMBOL[case]
+    amb = tmp_path / "amb.json"
+    amb.write_text(json.dumps({"symbols": [SYMBOL_1, {**SYMBOL_1, "symbol": "w", **fields}], "distinguished": ["1"]}))
+    if command == "norm":
+        lift_json = tmp_path / "lift.json"
+        assert main(["lift", "--dim", "2", "--steps", "8", "--level", "3", "--seed", "1",
+                     "--out", str(lift_json)]) == 0
+        argv = ["norm", "--in", str(lift_json), "--ambient", str(amb)]
+    else:
+        argv = ["eta0", "--ambient", str(amb), "--dim", "2", "--seed", "1", "--out", str(tmp_path / "y.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--ambient {str(amb)!r}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_norm_refuses_an_ambient_above_the_lift_level(tmp_path, capsys):
+    lift_json = tmp_path / "lift.json"
+    assert main(["lift", "--dim", "2", "--steps", "8", "--seed", "1", "--out", str(lift_json)]) == 0
+    capsys.readouterr()
+    assert main(["norm", "--in", str(lift_json), "--ambient", "level3:2.5"]) == 2
+    err = capsys.readouterr().err
+    assert "--ambient 'level3:2.5' has degree-3 symbols, but the lift stops at level 2" in err
     assert "Traceback" not in err
 
 

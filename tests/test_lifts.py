@@ -18,7 +18,6 @@ from wienerlift.lifts import (
     dyadic_triples,
     enhanced_from_document,
     enhanced_to_document,
-    entry_surface,
     ito_lift,
     lifted_shift,
     max_chen_residual,
@@ -28,10 +27,7 @@ from wienerlift.lifts import (
 )
 from wienerlift.seminorms import ambient_for_levels
 
-
-def _surface(e, *word):
-    """Chen surface of X^word_{s,t} of lift e over all grid pairs."""
-    return entry_surface(e.level1.values, e.base2, e.base3, word)
+from surface_oracle import lift_surface as _surface
 
 
 def _random_cm(seed, grid, d):
@@ -342,12 +338,15 @@ def test_serialization_round_trip(tmp_path):
 
 
 def test_to_graded_payload_shapes():
+    # one built-in float per symbol, in the ambient's order; the default ambient follows the lift
     grid = TimeGrid(1.0, 16)
     x = sample(GaussianSpec("bm", 2), grid, seed=46)
     e = stratonovich_lift(x, level=3)
-    gv = to_graded(e, ambient_for_levels(2, 3, p=2.5))
-    assert gv.payloads["1"].shape == (17,)
-    assert gv.payloads["12"].shape == (17, 17)
-    assert gv.payloads["121"].shape == (17, 17)
+    ambient = ambient_for_levels(2, 3, p=2.5)
+    norms = to_graded(e, ambient)
+    assert [sym for sym, _ in norms] == list(ambient.symbols)
+    assert all(type(norm) is float and norm > 0 for _, norm in norms)
+    assert to_graded(e) == norms
+    assert to_graded(dataclasses.replace(e, ambient=ambient_for_levels(2, 1))) == to_graded(e, ambient_for_levels(2, 1))
     with pytest.raises(ValueError, match="level 3"):
         to_graded(stratonovich_lift(x, level=2), ambient_for_levels(2, 3))

@@ -4,24 +4,28 @@ import math
 import numpy as np
 import pytest
 
-from wienerlift.grids import CameronMartinPath, GaussianSpec, TimeGrid
+from wienerlift.grids import CameronMartinPath, GaussianSpec, SamplePath, TimeGrid, sample
+from wienerlift.lifts import dilate_enhanced, stratonovich_lift, to_graded
 from wienerlift.seminorms import (
     AmbientSpec,
-    GradedVector,
     SymbolNorm,
     SymbolSpec,
     ambient_for_levels,
     banach_norm,
-    classical_ambient,
-    dilation,
+    column_norm,
     holder_norm_1d,
-    holder_norm_2param,
     homogeneous_norm,
     p_variation_1d,
-    p_variation_2param,
     rho_variation_covariance,
     symbol_norm,
 )
+
+from surface_oracle import entry_surface, lift_surface, surface_columns
+
+
+def _surface_norm(surface, grid, norm):
+    """One symbol norm of stored surfaces X[..., s, t] through `column_norm`."""
+    return column_norm(surface_columns(surface), surface.shape[:-2], grid.n_steps, norm, grid.dt)
 
 
 def _pvar_over_all_partitions(surface, q):
@@ -88,7 +92,7 @@ def test_pvar_rejects_small_p():
     with pytest.raises(ValueError):
         p_variation_1d(np.zeros(4), 0.5)
     with pytest.raises(ValueError):
-        p_variation_2param(np.zeros((4, 4)), TimeGrid(1.0, 3), 0.9)
+        SymbolSpec("s", (1, 2), 2, SymbolNorm("pvar", 0.9), 2)
 
 
 def test_holder_closed_forms():
@@ -96,7 +100,7 @@ def test_holder_closed_forms():
     assert holder_norm_1d(grid.points, grid, 1.0) == pytest.approx(1.0, rel=1e-12)
     # |t - s| / |t - s|^(1/2) maximized at the full interval
     assert holder_norm_1d(grid.points, grid, 0.5) == pytest.approx(1.0, rel=1e-12)
-    assert holder_norm_2param(np.zeros((101, 101)), grid, 0.8) == 0.0
+    assert _surface_norm(np.zeros((101, 101)), grid, SymbolNorm("holder", 0.8)) == 0.0
 
 
 def test_holder_exponent_comparison():
@@ -122,8 +126,7 @@ def _two_param_paths(n, count=2, seed=4):
 
 @pytest.mark.parametrize("word", [(1, 2), (2, 2), (1, 2, 1), (2, 1, 1)])
 def test_two_param_pvar_matches_bruteforce_over_partitions(word):
-    from wienerlift.lifts import entry_columns, entry_surface
-    from wienerlift.seminorms import column_norm
+    from wienerlift.lifts import entry_columns
 
     for n in (5, 9, 12):
         grid, values, base2, base3 = _two_param_paths(n)
@@ -135,29 +138,29 @@ def test_two_param_pvar_matches_bruteforce_over_partitions(word):
             for k, surface in enumerate(surfaces):
                 oracle = _pvar_over_all_partitions(surface, q)
                 assert streamed[k] == pytest.approx(oracle, rel=1e-12)
-                assert p_variation_2param(surface, grid, q) == pytest.approx(oracle, rel=1e-12)
+                assert _surface_norm(surface, grid, SymbolNorm("pvar", q)) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_two_param_pvar_of_linear_path_is_its_single_interval():
     # x_t = v t lifts to x_{s,t}^{(x)k} / k!, and |X_{s,t}|^q = c (t-s)^(kq) is
     # superadditive for kq > 1, so the one interval [0, T] attains the q-variation
-    from wienerlift.lifts import entry_surface, young_skeleton_lift
+    from wienerlift.lifts import young_skeleton_lift
 
     grid = TimeGrid(2.0, 16)
     v = np.array([0.7, -1.3])
     e = young_skeleton_lift(CameronMartinPath(grid, np.tile(v, (16, 1))), level=3)
     dx = grid.points[None, :] - grid.points[:, None]
     for i, j in ((1, 1), (1, 2), (2, 1)):
-        surface = entry_surface(e.level1.values, e.base2, None, (i, j))
+        surface = lift_surface(e, i, j)
         expected = v[i - 1] * v[j - 1] * dx**2 / 2
         assert np.max(np.abs(surface - expected)) <= 1e-14
         for q in (1.0, 1.25, 2.0):
-            assert p_variation_2param(surface, grid, q) == pytest.approx(abs(expected[0, -1]), rel=1e-13)
-    surface = entry_surface(e.level1.values, e.base2, e.base3, (1, 2, 1))
+            assert _surface_norm(surface, grid, SymbolNorm("pvar", q)) == pytest.approx(abs(expected[0, -1]), rel=1e-13)
+    surface = lift_surface(e, 1, 2, 1)
     expected = v[0] * v[1] * v[0] * dx**3 / 6
     assert np.max(np.abs(surface - expected)) <= 1e-13
     for q in (1.0, 1.5):
-        assert p_variation_2param(surface, grid, q) == pytest.approx(abs(expected[0, -1]), rel=1e-13)
+        assert _surface_norm(surface, grid, SymbolNorm("pvar", q)) == pytest.approx(abs(expected[0, -1]), rel=1e-13)
 
 
 def test_two_param_holder_and_sup_range_over_s_before_t():
@@ -168,11 +171,9 @@ def test_two_param_holder_and_sup_range_over_s_before_t():
     pairs = [(s, t) for t in range(9) for s in range(t)]
     for e in (0.4, 0.8, 1.6):
         oracle = max(abs(surface[s, t]) / ((t - s) * grid.dt) ** e for s, t in pairs)
-        assert holder_norm_2param(surface, grid, e) == pytest.approx(oracle, rel=1e-15)
-    sup = SymbolSpec("s", (1, 1), 2, SymbolNorm("sup"), 2)
-    assert symbol_norm(surface, grid, sup) == max(abs(surface[s, t]) for s, t in pairs)
-    terminal = SymbolSpec("s", (1, 1), 2, SymbolNorm("terminal"), 2)
-    assert symbol_norm(surface, grid, terminal) == abs(surface[0, 8])
+        assert _surface_norm(surface, grid, SymbolNorm("holder", e)) == pytest.approx(oracle, rel=1e-15)
+    assert _surface_norm(surface, grid, SymbolNorm("sup")) == max(abs(surface[s, t]) for s, t in pairs)
+    assert _surface_norm(surface, grid, SymbolNorm("terminal")) == abs(surface[0, 8])
 
 
 def test_brownian_level2_qvariation_bounded_under_refinement():
@@ -180,7 +181,6 @@ def test_brownian_level2_qvariation_bounded_under_refinement():
     # n^(2/q), about 80-fold from n = 64 to 1024
     from wienerlift.grids import sample_values_batch
     from wienerlift.lifts import _pair_base, entry_columns
-    from wienerlift.seminorms import column_norm
 
     fine = sample_values_batch(GaussianSpec("bm", 2), TimeGrid(1.0, 1024), 2024, 16)
     medians = []
@@ -192,111 +192,127 @@ def test_brownian_level2_qvariation_bounded_under_refinement():
     assert max(medians) <= 1.5 * min(medians)
 
 
+def _loop_norm(payload, grid, norm):
+    """One symbol norm by explicit loops, on a path (n+1,) or on a surface X[s, t] at s < t."""
+    n, kind, e = grid.n_steps, norm.kind, norm.exponent
+    if payload.ndim == 1:
+        if kind in ("sup", "terminal"):
+            return abs(payload[-1]) if kind == "terminal" else max(abs(v) for v in payload)
+        start = abs(payload[0]) if kind == "pvar" else 0.0
+        return start + _loop_norm(payload[None, :] - payload[:, None], grid, norm)
+    pairs = [(s, t) for t in range(n + 1) for s in range(t)]
+    if kind == "pvar":
+        return _pvar_over_all_partitions(payload, e)
+    if kind == "holder":
+        return max(abs(payload[s, t]) / ((t - s) * grid.dt) ** e for s, t in pairs)
+    if kind == "sup":
+        return max(abs(payload[s, t]) for s, t in pairs)
+    return abs(payload[0, n])
+
+
+def _reference_paths(grid):
+    """BM, fBm with H = 0.3, a linear path and the zero path, d = 2."""
+    return {
+        "bm": sample(GaussianSpec("bm", 2), grid, seed=31),
+        "fbm": sample(GaussianSpec("fbm", 2, hurst=0.3), grid, seed=32),
+        "linear": SamplePath(grid, grid.points[:, None] * np.array([0.7, -1.3])),
+        "zero": SamplePath(grid, np.zeros((grid.n_steps + 1, 2))),
+    }
+
+
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("kind", ["pvar", "holder", "sup", "terminal"])
-def test_surface_and_base_tensor_routes_agree_bitwise(kind, level):
-    # to_graded stores surfaces; norm, selftest and the Monte Carlo route stream columns
-    from wienerlift._batch import homogeneous_norm_batch, symbol_norms
-    from wienerlift.grids import SamplePath
-    from wienerlift.lifts import stratonovich_lift, to_graded
-
-    grid, values, base2, base3 = _two_param_paths(32, count=1, seed=9)
+def test_to_graded_norms_match_explicit_loops(kind, level):
+    # streamed from the basepoint tensors vs loops over the oracle's stored surfaces
+    grid = TimeGrid(1.0, 10)
     ambient = ambient_for_levels(2, level, norm_kind="holder" if kind == "holder" else "pvar", p=2.5)
     if kind in ("sup", "terminal"):
         ambient = AmbientSpec(
             tuple(dataclasses.replace(s, norm=SymbolNorm(kind)) for s in ambient.symbols),
             ambient.distinguished,
         )
-    e = stratonovich_lift(SamplePath(grid, values[0]), level=level)
-    gv = to_graded(e, ambient)
-    arrays = (values[0], base2[0], base3[0] if level == 3 else None)
-    streamed = homogeneous_norm_batch(ambient, grid, *arrays)
-    assert type(streamed) is float
-    assert streamed == homogeneous_norm(gv)
-    # the per-symbol norms `norm` sums both ways, each evaluated once
-    norms = list(symbol_norms(ambient, grid, *arrays))
-    assert [sym for sym, _ in norms] == list(ambient.symbols)
-    assert sum(norm for _, norm in norms) == banach_norm(gv)
-
-
-def _single_symbol_vector(norm_kind, payload, grid, degree=2):
-    sym = SymbolSpec(
-        name="s", indices=(1,) * degree, degree=degree,
-        norm=SymbolNorm(norm_kind, None), arity=2,
-    )
-    ambient = AmbientSpec(symbols=(sym,), distinguished=())
-    return GradedVector(ambient, grid, {"s": payload})
+    for name, x in _reference_paths(grid).items():
+        e = stratonovich_lift(x, level=level)
+        norms = to_graded(e, ambient)
+        assert [sym for sym, _ in norms] == list(ambient.symbols)
+        loops = [
+            _loop_norm(x.values[:, sym.indices[0] - 1] if sym.degree == 1 else lift_surface(e, *sym.indices),
+                       grid, sym.norm)
+            for sym in ambient.symbols
+        ]
+        for (sym, norm), loop in zip(norms, loops):
+            assert norm == pytest.approx(loop, rel=1e-12, abs=0), (name, sym.name)
+        hom = sum(loop ** (1.0 / sym.degree) for sym, loop in zip(ambient.symbols, loops))
+        assert homogeneous_norm(norms) == pytest.approx(hom, rel=1e-12, abs=0), name
+        assert banach_norm(norms) == pytest.approx(sum(loops), rel=1e-12, abs=0), name
 
 
 def test_homogeneous_norm_degree_weighting():
     grid = TimeGrid(1.0, 4)
-    zero = _single_symbol_vector("sup", np.zeros((5, 5)), grid)
-    assert homogeneous_norm(zero) == 0.0
+    sym = SymbolSpec("s", (1, 1), 2, SymbolNorm("sup"), 2)
+    assert homogeneous_norm([(sym, _surface_norm(np.zeros((5, 5)), grid, sym.norm))]) == 0.0
     payload = np.zeros((5, 5))
     payload[0, -1] = 4.0
-    v = _single_symbol_vector("sup", payload, grid)
-    assert homogeneous_norm(v) == pytest.approx(2.0, rel=1e-14)
-    assert banach_norm(v) == pytest.approx(4.0, rel=1e-14)
+    norms = [(sym, _surface_norm(payload, grid, sym.norm))]
+    assert homogeneous_norm(norms) == pytest.approx(2.0, rel=1e-14)
+    assert banach_norm(norms) == pytest.approx(4.0, rel=1e-14)
+    cube = SymbolSpec("c", (1, 1, 1), 3, SymbolNorm("sup"), 2)
+    assert homogeneous_norm(norms + [(cube, 27.0)]) == pytest.approx(5.0, rel=1e-14)
 
 
-def _random_graded(seed, grid, ambient):
-    rng = np.random.default_rng(seed)
-    payloads = {}
-    for sym in ambient.symbols:
-        if sym.arity == 1:
-            z = np.concatenate([[0.0], np.cumsum(rng.standard_normal(grid.n_steps))])
-            payloads[sym.name] = z
-        else:
-            payloads[sym.name] = rng.standard_normal((grid.n_steps + 1,) * 2)
-    return GradedVector(ambient, grid, payloads)
+def _lift_arrays(e):
+    return e.level1.values, e.base2, e.base3
 
 
 def test_dilation_homogeneity_and_semigroup():
+    # dilate_enhanced scales level k by eps^k, so the homogeneous norm scales by eps
     grid = TimeGrid(1.0, 16)
-    ambient = ambient_for_levels(2, 2, norm_kind="pvar", p=2.5)
+    ambients = (ambient_for_levels(2, 3, norm_kind="pvar", p=2.5),
+                ambient_for_levels(2, 3, norm_kind="holder", alpha=0.4))
     for seed in range(5):
-        v = _random_graded(seed, grid, ambient)
-        base = homogeneous_norm(v)
-        for eps in (0.1, 0.5, 2.0):
-            assert homogeneous_norm(dilation(v, eps)) == pytest.approx(
-                eps * base, rel=1e-12
-            )
-        w = dilation(dilation(v, 0.7), 3.0)
-        ref = dilation(v, 2.1)
-        for sym in ambient.symbols:
-            assert np.allclose(
-                w.payloads[sym.name], ref.payloads[sym.name], rtol=1e-12, atol=0
-            )
+        e = stratonovich_lift(sample(GaussianSpec("bm", 2), grid, seed=seed), level=3)
+        for ambient in ambients:
+            base = homogeneous_norm(to_graded(e, ambient))
+            for eps in (0.1, 0.5, 2.0):
+                scaled = homogeneous_norm(to_graded(dilate_enhanced(e, eps), ambient))
+                assert scaled == pytest.approx(eps * base, rel=1e-12)
+        w = dilate_enhanced(dilate_enhanced(e, 0.7), 3.0)
+        for a, b in zip(_lift_arrays(w), _lift_arrays(dilate_enhanced(e, 2.1))):
+            assert np.allclose(a, b, rtol=1e-12, atol=0)
 
 
 def test_dilation_edge_cases():
-    grid = TimeGrid(1.0, 8)
-    ambient = classical_ambient(1)
-    v = _random_graded(1, grid, ambient)
-    same = dilation(v, 1.0)
-    assert np.array_equal(same.payloads["1"], v.payloads["1"])
-    zero = dilation(v, 0.0)
-    assert np.all(zero.payloads["1"] == 0.0)
+    e = stratonovich_lift(sample(GaussianSpec("bm", 2), TimeGrid(1.0, 8), seed=1), level=3)
+    for a, b in zip(_lift_arrays(dilate_enhanced(e, 1.0)), _lift_arrays(e)):
+        assert np.array_equal(a, b)
+    assert all(np.all(a == 0.0) for a in _lift_arrays(dilate_enhanced(e, 0.0)))
     with pytest.raises(ValueError):
-        dilation(v, -0.2)
+        dilate_enhanced(e, -0.2)
 
 
 def test_homogeneous_distance_triangle_inequality():
+    # random paths (degree 1) and surfaces (degree 2); distances on their differences
     grid = TimeGrid(1.0, 16)
+    n = grid.n_steps
     ambient = ambient_for_levels(1, 2, norm_kind="pvar", p=2.5)
-    vs = [_random_graded(seed, grid, ambient) for seed in range(3)]
 
-    def diff(a, b):
-        payloads = {
-            s.name: a.payloads[s.name] - b.payloads[s.name] for s in ambient.symbols
+    def element(seed):
+        rng = np.random.default_rng(seed)
+        return {
+            sym.name: np.concatenate([[0.0], np.cumsum(rng.standard_normal(n))])
+            if sym.degree == 1 else rng.standard_normal((n + 1, n + 1))
+            for sym in ambient.symbols
         }
-        return GradedVector(ambient, grid, payloads)
 
-    u, v, w = vs
-    duw = homogeneous_norm(diff(u, w))
-    duv = homogeneous_norm(diff(u, v))
-    dvw = homogeneous_norm(diff(v, w))
-    assert duw <= duv + dvw + 1e-12
+    def distance(a, b):
+        return homogeneous_norm(
+            (sym, symbol_norm(a[sym.name] - b[sym.name], grid, sym) if sym.degree == 1
+             else _surface_norm(a[sym.name] - b[sym.name], grid, sym.norm))
+            for sym in ambient.symbols
+        )
+
+    u, v, w = (element(seed) for seed in range(3))
+    assert distance(u, w) <= distance(u, v) + distance(v, w) + 1e-12
 
 
 def test_rho_variation_brownian_and_fbm():
@@ -323,7 +339,7 @@ def test_ambient_config_round_trip(tmp_path):
 
 
 def test_ambient_validation():
-    bad = SymbolSpec("a", (1,), 2, SymbolNorm("sup"), 1)
+    bad = SymbolSpec("a", (1, 1), 2, SymbolNorm("sup"), 2)
     with pytest.raises(ValueError, match="degree 1"):
         AmbientSpec(symbols=(bad,), distinguished=("a",))
     with pytest.raises(ValueError, match="unique"):
@@ -339,6 +355,22 @@ def test_ambient_validation():
         SymbolNorm("holder", 3.0)
     with pytest.raises(ValueError):
         SymbolNorm("l2")
+    # a symbol is a word of `degree` indices into components 1, 2, ...
+    for indices, degree, arity, message in (
+        ((0,), 1, 1, "integers >= 1"),
+        ((-1,), 1, 1, "integers >= 1"),
+        (("1", "2"), 2, 2, "integers >= 1"),
+        ((True,), 1, 1, "integers >= 1"),
+        ((1, 2, 1), 2, 2, "word of length 2"),
+        ((1, 2), 1, 1, "word of length 1"),
+        ((1, 2), 2, 1, "arity 2"),
+        ((1,), 1, 2, "arity 1"),
+        ((1, 1, 1, 1), 4, 2, "degree must be 1, 2 or 3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SymbolSpec("s", indices, degree, SymbolNorm("sup"), arity)
+    with pytest.raises(ValueError, match="at least one symbol"):
+        AmbientSpec(symbols=(), distinguished=())
 
 
 @pytest.mark.parametrize("arity", [1, 2])
@@ -346,7 +378,7 @@ def test_ambient_validation():
 def test_batch_of_paths_matches_each_path_alone(kind, arity):
     # one kernel serves both routes: a batch row equals the path computed alone
     from wienerlift.grids import sample_values_batch
-    from wienerlift.lifts import _pair_base, entry_surface
+    from wienerlift.lifts import _pair_base
 
     grid = TimeGrid(1.0, 64)
     values = sample_values_batch(GaussianSpec("bm", 2), grid, seed=8, count=8)
@@ -354,12 +386,14 @@ def test_batch_of_paths_matches_each_path_alone(kind, arity):
     sym = SymbolSpec("s", (1, 2)[:arity], arity, SymbolNorm(kind, exponent), arity)
     if arity == 1:
         payloads = values[:, :, 0]
+        norm_of = lambda payload: symbol_norm(payload, grid, sym)  # noqa: E731
     else:
         payloads = entry_surface(values, _pair_base(values, values, "ito"), None, (1, 2))
-    batch = symbol_norm(payloads, grid, sym)
+        norm_of = lambda payload: _surface_norm(payload, grid, sym.norm)  # noqa: E731
+    batch = norm_of(payloads)
     assert batch.shape == (8,)
     for row, payload in zip(batch, payloads):
-        alone = symbol_norm(payload, grid, sym)
+        alone = norm_of(payload)
         assert type(alone) is float
         if kind == "pvar":
             # the root of a float and of an array may differ in the last bit
