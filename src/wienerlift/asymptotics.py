@@ -214,7 +214,8 @@ def empirical_rate(
     A pilot run drops epsilons whose expected hit count falls below
     `min_expected_hits` (they are reported as censored, with a warning, and
     never enter the fit); an epsilon that still records zero hits in the main
-    run is likewise censored rather than reported as -inf.
+    run is likewise censored rather than reported as -inf.  The pilot draws
+    the `pilot_samples` samples of `seed` that follow the main run's.
     """
     epsilons = sorted(float(e) for e in epsilons)[::-1]
     if not epsilons:
@@ -230,7 +231,7 @@ def empirical_rate(
         ]
 
     pilot_stats = _event_statistics(
-        spec, scheme, event, grid, seed + 1, pilot_samples, chunk, threads
+        spec, scheme, event, grid, seed, pilot_samples, chunk, threads, start=n_samples
     )
     live: list[float] = []
     censored: list[float] = []
@@ -298,12 +299,12 @@ def empirical_rate(
 
 def _collect_statistics(
     spec, scheme, grid, seed, count, chunk, threads=1, *,
-    names=(), entry=(1, 1), ambient=None, shift=None,
+    start=0, names=(), entry=(1, 1), ambient=None, shift=None,
 ):
     """The Monte Carlo driver: sample each chunk once, evaluate every statistic.
 
     Returns `(plain, shifted, pw)`.  `plain[name]` holds registry statistic
-    `name` on each of the `count` paths drawn from `seed`.  With a
+    `name` on samples start..start+count-1 of `seed`.  With a
     Cameron-Martin `shift` h, `shifted[name]` holds it on x + h and `pw` the
     grid Paley-Wiener sums of h' against the increments of x; without one,
     `shifted` is empty and `pw` is None.  Base tensors are built once per
@@ -326,9 +327,9 @@ def _collect_statistics(
                 values=values, base2=base2, base3=base3, entry=entry, ambient=ambient, grid=grid
             )
 
-    def worker(start, c):
-        values = sample_values_batch(spec, grid, seed, c, start=start)
-        rows = slice(start, start + c)
+    def worker(first, c):
+        values = sample_values_batch(spec, grid, seed, c, start=start + first)
+        rows = slice(first, first + c)
         if shift is not None:
             if names:
                 evaluate(values + shift.values[None], shifted, rows)
@@ -346,9 +347,9 @@ def _base_tensors(values, scheme, level):
     return base2, base3
 
 
-def _event_statistics(spec, scheme, event, grid, seed, count, chunk, threads):
+def _event_statistics(spec, scheme, event, grid, seed, count, chunk, threads, start=0):
     plain, _, _ = _collect_statistics(
-        spec, scheme, grid, seed, count, chunk, threads,
+        spec, scheme, grid, seed, count, chunk, threads, start=start,
         names=(event.kind,), entry=event.entry, ambient=event.ambient,
     )
     return plain[event.kind]
@@ -564,6 +565,8 @@ def eta0_estimate(
 # Fernique tail fit
 # ---------------------------------------------------------------------------
 
+FERNIQUE_MIN_SAMPLES = 10**4
+
 
 @dataclass
 class TailFit:
@@ -620,7 +623,7 @@ def fernique_tail_fit(
     largest threshold that keeps at least `min_exceedances` samples above it;
     the slope of log-survival against t^2 over those points gives eta_hat.
     """
-    if n_samples < 10**4:
+    if n_samples < FERNIQUE_MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
     norms = lift_norm_samples(spec, scheme, ambient, grid, n_samples, seed, chunk, threads)
     if np.max(norms) - np.min(norms) <= 1e-15 * max(1.0, abs(float(np.max(norms)))):

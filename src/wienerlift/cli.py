@@ -24,12 +24,12 @@ import numpy as np
 
 from . import chaos as chaos_mod
 from .asymptotics import (
+    FERNIQUE_MIN_SAMPLES,
     MC_SCHEMES,
     ORACLES,
     STATISTICS,
     EventSpec,
     _check_oracle,
-    _collect_statistics,
     empirical_rate,
     eta0_estimate,
     fernique_tail_fit,
@@ -40,7 +40,6 @@ from .grids import (
     GaussianSpec,
     TimeGrid,
     brownian_onb,
-    cm_inner,
     piecewise_linear,
     read_path_csv,
     sample,
@@ -156,12 +155,12 @@ def _process_config(args, **extra) -> dict:
     )
 
 
-def _parse_ambient(preset_or_path: str, dim: int) -> AmbientSpec:
+def _parse_ambient(preset_or_path: str, dim: int, level: int = 3) -> AmbientSpec:
     """--ambient accepts a JSON file path or a preset string.
 
     Presets: classical[:kind], terminal, level1:p, level2:p, level3:p,
-    holder2:alpha (levels built for the run's --dim).  A file's symbols must
-    read components 1..dim.
+    holder2:alpha (levels built for the run's --dim).  The ambient must fit a
+    path of dimension `dim` lifted to `level`.
     """
     head, _, arg = preset_or_path.partition(":")
 
@@ -184,13 +183,10 @@ def _parse_ambient(preset_or_path: str, dim: int) -> AmbientSpec:
             ambient = ambient_for_levels(dim, 2, norm_kind="holder", alpha=number(0.4))
         else:
             raise CliError(f"--ambient {preset_or_path!r} is neither a file nor a known preset")
+        ambient.check_fits(dim, level)
     except (ValueError, OSError) as exc:
         # AmbientSpec.load chains the cause to an error that repeats the file name
         raise CliError(f"--ambient {preset_or_path!r}: {exc.__cause__ or exc}") from None
-    for sym in ambient.symbols:
-        if max(sym.indices) > dim:
-            raise CliError(f"--ambient {preset_or_path!r}: symbol {sym.name!r} reads component "
-                           f"{max(sym.indices)}, but the path has d={dim}")
     return ambient
 
 
@@ -293,10 +289,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_norm(args) -> int:
     e = _read_input(load_enhanced, args.infile)
-    ambient = _parse_ambient(args.ambient, e.dim) if args.ambient else None
-    if ambient is not None and ambient.max_degree > e.max_level:
-        raise CliError(f"--ambient {args.ambient!r} has degree-{ambient.max_degree} symbols, "
-                       f"but the lift stops at level {e.max_level}")
+    ambient = _parse_ambient(args.ambient, e.dim, e.max_level) if args.ambient else None
     # each symbol's norm once, streamed from the basepoint tensors
     norms = to_graded(e, ambient)
     hom, ban = homogeneous_norm(norms), banach_norm(norms)
@@ -392,45 +385,20 @@ def _cmd_fernique(args) -> int:
 
 def _cmd_cm_check(args) -> int:
     out = _check_out(args.out, args.force)
-    spec = _gaussian_spec(args)
     grid = _grid(args)
-    h = _parse_shift(args.shift, grid, args.dim)
-    half_sq = 0.5 * cm_inner(h, h)
-
-    _, _, pw = _collect_statistics(
-        spec, "ito", grid, args.seed + 10_000, args.samples, 2048, args.threads, shift=h
-    )
-    density = np.exp(pw - half_sq)
-    mean_density = float(np.mean(density))
-    se_density = float(np.std(density, ddof=1) / np.sqrt(args.samples))
-    exp_pw = np.exp(pw)
-    mgf = float(np.mean(exp_pw))
-    mgf_se = float(np.std(exp_pw, ddof=1) / np.sqrt(args.samples))
-    mgf_target = float(np.exp(half_sq))
-
     functionals = REWEIGHT_FUNCTIONALS if args.functional == "all" else (args.functional,)
-    reweight = reweight_check(
-        functionals, h, spec=spec, grid=grid, n_samples=args.samples,
-        seed=args.seed, threads=args.threads,
+    check = reweight_check(
+        functionals, _parse_shift(args.shift, grid, args.dim), spec=_gaussian_spec(args), grid=grid,
+        n_samples=args.samples, seed=args.seed, threads=args.threads,
     )
-    reports = {name: rep.to_document() for name, rep in reweight.items()}
-    max_z = max(abs(rep["z_score"]) for rep in reports.values())
-    results = {
-        "mean_density": mean_density,
-        "mean_density_se": se_density,
-        "mgf_estimate": mgf,
-        "mgf_se": mgf_se,
-        "mgf_target": mgf_target,
-        "half_norm_sq": half_sq,
-        "reweight": reports,
-    }
     config = _process_config(
         args, shift=args.shift, functional=args.functional, samples=args.samples,
         seed=args.seed, out=out,
     )
-    _write_summary(out, "cm-check", config, results)
+    _write_summary(out, "cm-check", config, check.to_document())
+    max_z = max(abs(rep.z_score) for rep in check.reweight.values())
     print(
-        f"cm-check: wrote {out}; E[f_h]={mean_density:.4f}+-{se_density:.4f}, "
+        f"cm-check: wrote {out}; E[f_h]={check.mean_density:.4f}+-{check.mean_density_se:.4f}, "
         f"max |z|={max_z:.2f}"
     )
     return 0
@@ -629,8 +597,8 @@ def _positive_list(text: str) -> list[float]:
     return values
 
 
-def _add_process_args(p: argparse.ArgumentParser, dim_default: int = 1):
-    p.add_argument("--process", choices=("bm", "fbm"), default="bm")
+def _add_process_args(p: argparse.ArgumentParser, dim_default: int = 1, processes=("bm", "fbm")):
+    p.add_argument("--process", choices=processes, default="bm")
     p.add_argument("--dim", type=_count(), default=dim_default)
     p.add_argument("--steps", type=_count(), default=256)
     p.add_argument("--horizon", type=_positive, default=1.0)
@@ -700,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_process_args(p, dim_default=2)
     p.add_argument("--scheme", choices=MC_SCHEMES, default="stratonovich")
     p.add_argument("--ambient", required=True)
-    p.add_argument("--samples", type=_count(), required=True)
+    p.add_argument("--samples", type=_count(FERNIQUE_MIN_SAMPLES), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--threads", type=_count(), default=1)
     p.add_argument("--out", required=True)
@@ -708,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fernique)
 
     p = sub.add_parser("cm-check", help="density, mgf, and reweighting checks")
-    _add_process_args(p)
+    _add_process_args(p, processes=("bm",))  # the shift density is Brownian-only
     p.add_argument("--shift", default="ramp:1.0", help="ramp:c | onb:k")
     p.add_argument("--functional", choices=("all", *STATISTICS), default="all")
     p.add_argument("--samples", type=_count(2), required=True)

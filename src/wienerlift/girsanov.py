@@ -69,6 +69,22 @@ class ReweightReport:
     se_rhs: float
     z_score: float
 
+
+@dataclass(frozen=True)
+class CameronMartinCheck:
+    """E[G(X + h)] = E[G(X) f_h(X)] on one pass over Brownian paths.
+
+    `reweight` has a report per functional G; E[f_h] = 1 and E[exp(h_pw)] = exp(|h|^2/2) are G = 1.
+    """
+
+    reweight: dict[str, ReweightReport]
+    half_norm_sq: float
+    mgf_target: float
+    mean_density: float
+    mean_density_se: float
+    mgf_estimate: float
+    mgf_se: float
+
     def to_document(self) -> dict:
         return asdict(self)
 
@@ -86,16 +102,18 @@ def reweight_check(
     entry: tuple[int, int] = (1, 1),
     chunk: int = 2048,
     threads: int = 1,
-) -> dict[str, ReweightReport]:
+) -> CameronMartinCheck:
     """Compare E[g(lift(x+h))] against E[g(lift(x)) f_h(x)] by Monte Carlo.
 
     One report per named statistic g, all from one pass over the paths.  Both
     estimators use common random numbers (the same driving paths), which is
     unbiased for each side and shrinks the variance of their difference; the
-    z-score is computed from the paired differences.
+    z-score is computed from the paired differences.  `spec` must be Brownian.
     """
     for name in functionals:
         _check_statistic(name, "functional")
+    if spec.kind != "bm":
+        raise ValueError(f"the Cameron-Martin density is Brownian-only, got process {spec.kind!r}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 for a standard error, got {n_samples}")
     if h.grid != grid:
@@ -106,21 +124,20 @@ def reweight_check(
         spec, scheme, grid, seed, n_samples, chunk, threads,
         names=tuple(functionals), entry=entry, ambient=ambient, shift=h,
     )
-    density = np.exp(pw - 0.5 * cm_inner(h, h))
+    half_sq = 0.5 * cm_inner(h, h)
+    density = np.exp(pw - half_sq)
     root_n = math.sqrt(n_samples)
+
+    def mean_se(a: np.ndarray) -> tuple[float, float]:
+        return float(np.mean(a)), float(np.std(a, ddof=1) / root_n)
+
     reports = {}
     for name in functionals:
-        lhs = shifted[name]
-        rhs = plain[name] * density
-        diff = lhs - rhs
-        se_diff = float(np.std(diff, ddof=1) / root_n)
-        reports[name] = ReweightReport(
-            functional=name,
-            n_samples=n_samples,
-            estimate_lhs=float(np.mean(lhs)),
-            estimate_rhs=float(np.mean(rhs)),
-            se_lhs=float(np.std(lhs, ddof=1) / root_n),
-            se_rhs=float(np.std(rhs, ddof=1) / root_n),
-            z_score=float(np.mean(diff) / se_diff) if se_diff > 0 else 0.0,
-        )
-    return reports
+        lhs, rhs = shifted[name], plain[name] * density
+        (est_lhs, se_lhs), (est_rhs, se_rhs) = mean_se(lhs), mean_se(rhs)
+        mean_diff, se_diff = mean_se(lhs - rhs)
+        z_score = mean_diff / se_diff if se_diff > 0 else 0.0
+        reports[name] = ReweightReport(name, n_samples, est_lhs, est_rhs, se_lhs, se_rhs, z_score)
+    return CameronMartinCheck(
+        reports, half_sq, float(np.exp(half_sq)), *mean_se(density), *mean_se(np.exp(pw))
+    )

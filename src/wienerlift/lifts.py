@@ -59,6 +59,8 @@ class EnhancedPath:
             if base.shape != expected:
                 raise ValueError(f"level-{level} base has shape {base.shape}, expected {expected}")
             object.__setattr__(self, name, base)
+        if self.ambient is not None:
+            self.ambient.check_fits(d, self.max_level)
 
     @property
     def grid(self) -> TimeGrid:

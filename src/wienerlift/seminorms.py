@@ -107,6 +107,14 @@ class AmbientSpec:
     def noise_dim(self) -> int:
         return len(self.distinguished)
 
+    def check_fits(self, dim: int, level: int) -> None:
+        """Refuse, naming the symbol, one that reads a component above `dim` or a level above `level`."""
+        for s in self.symbols:
+            if max(s.indices) > dim:
+                raise ValueError(f"symbol {s.name!r} reads component {max(s.indices)}, but the path has d={dim}")
+            if s.degree > level:
+                raise ValueError(f"symbol {s.name!r} has degree {s.degree}, but the lift stops at level {level}")
+
     def to_config(self) -> dict:
         return {
             "symbols": [

@@ -280,7 +280,7 @@ def test_criterion_07_cameron_martin():
     reports = reweight_check(
         REWEIGHT_FUNCTIONALS, h, spec=spec, grid=grid, n_samples=n_samples, seed=7200,
         scheme="ito", entry=(1, 2),
-    )
+    ).reweight
     zs = {name: rep.z_score for name, rep in reports.items()}
     ok = ok and all(abs(z) <= 3.0 for z in zs.values())
     _report(

@@ -97,6 +97,25 @@ def test_empirical_rate_censors_small_epsilons():
     assert math.isfinite(est.oracle_values[-1])  # oracle still attached
 
 
+def test_empirical_rate_draws_each_path_once_from_its_seed(monkeypatch):
+    from wienerlift import asymptotics
+
+    drawn = []
+    original = asymptotics.sample_values_batch
+
+    def counting(spec, grid, seed, count, start=0):
+        drawn.extend((seed, i) for i in range(start, start + count))
+        return original(spec, grid, seed, count, start=start)
+
+    monkeypatch.setattr(asymptotics, "sample_values_batch", counting)
+    empirical_rate(
+        GaussianSpec("bm", 1), "ito", EventSpec("sup-level1", 0.5), [0.8, 0.6], 700, 11,
+        grid=TimeGrid(1.0, 8), pilot_samples=300, chunk=128,
+    )
+    # the main run reads samples 0..699, the pilot the 300 after them
+    assert sorted(drawn) == [(11, i) for i in range(1_000)]
+
+
 def test_empirical_rate_threshold_zero_is_certain():
     grid = TimeGrid(1.0, 32)
     event = EventSpec("sup-level1", 0.0)

@@ -174,6 +174,23 @@ def test_cm_check_byte_determinism_across_threads(tmp_path):
     assert run(1) == run(3)
 
 
+def test_cm_check_draws_each_sample_once_from_its_seed(tmp_path, monkeypatch):
+    from wienerlift import asymptotics
+
+    drawn = []
+    original = asymptotics.sample_values_batch
+
+    def counting(spec, grid, seed, count, start=0):
+        drawn.extend((seed, i) for i in range(start, start + count))
+        return original(spec, grid, seed, count, start=start)
+
+    monkeypatch.setattr(asymptotics, "sample_values_batch", counting)
+    rc = main(["cm-check", "--dim", "2", "--steps", "8", "--shift", "ramp:0.5", "--functional", "all",
+               "--samples", "3000", "--seed", "4", "--out", str(tmp_path / "cm.json")])
+    assert rc == 0
+    assert sorted(drawn) == [(4, i) for i in range(3000)]
+
+
 BAD_COUNTS = {
     "cm-samples-0": (["cm-check", "--samples", "0"], "--samples"),
     "cm-samples-1": (["cm-check", "--samples", "1"], "--samples"),
@@ -189,6 +206,7 @@ BAD_COUNTS = {
                                    "--dyadic-level"),
     "chaos-trials-0": (["chaos", "norm-equiv", "--trials", "0"], "--trials"),
     "chaos-degree-negative": (["chaos", "norm-equiv", "--degree", "-1"], "--degree"),
+    "fernique-samples-400": (["fernique", "--ambient", "level2:2.5", "--samples", "400"], "--samples"),
 }
 
 
@@ -384,7 +402,30 @@ def test_norm_refuses_an_ambient_above_the_lift_level(tmp_path, capsys):
     capsys.readouterr()
     assert main(["norm", "--in", str(lift_json), "--ambient", "level3:2.5"]) == 2
     err = capsys.readouterr().err
-    assert "--ambient 'level3:2.5' has degree-3 symbols, but the lift stops at level 2" in err
+    assert "--ambient 'level3:2.5': symbol '111' has degree 3, but the lift stops at level 2" in err
+    assert "Traceback" not in err
+
+
+# an ambient embedded in a d=2, level-2 lift document that does not fit the lift
+EMBEDDED_AMBIENT = {
+    "index-3": ({"symbol": "w", "indices": [3]}, "symbol 'w' reads component 3, but the path has d=2"),
+    "degree-3": ({"symbol": "121", "indices": [1, 2, 1], "degree": 3, "arity": 2},
+                 "symbol '121' has degree 3, but the lift stops at level 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMBEDDED_AMBIENT))
+def test_norm_refuses_an_embedded_ambient_that_does_not_fit(tmp_path, capsys, case):
+    fields, message = EMBEDDED_AMBIENT[case]
+    lift_json = tmp_path / "lift.json"
+    assert main(["lift", "--dim", "2", "--steps", "8", "--seed", "1", "--out", str(lift_json)]) == 0
+    doc = json.loads(lift_json.read_text())
+    doc["ambient"] = {"symbols": [SYMBOL_1, {**SYMBOL_1, **fields}], "distinguished": ["1"]}
+    lift_json.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["norm", "--in", str(lift_json)]) == 2
+    err = capsys.readouterr().err
+    assert f"{lift_json}: {message}" in err
     assert "Traceback" not in err
 
 
@@ -526,6 +567,9 @@ BAD_VALUES = {
                                 "argument --horizon: expected a positive finite number"),
     "cm-horizon-nan": (["cm-check", "--samples", "10", "--horizon", "nan"],
                        "argument --horizon: expected a positive finite number"),
+    # the shift density is Brownian-only
+    "cm-process-fbm": (["cm-check", "--process", "fbm", "--hurst", "0.3", "--samples", "2000", "--steps", "16"],
+                       "argument --process: invalid choice: 'fbm'"),
 }
 BAD_VALUES.update(
     (f"eta0-horizon-{text}", (["eta0", "--ambient", "classical", "--horizon", text],
@@ -619,7 +663,7 @@ def test_eta0_digest_counts_converged_restarts(tmp_path, capsys):
         ["lift"],
         ["ldp", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "10"],
         ["eta0", "--ambient", "classical"],
-        ["fernique", "--ambient", "level2:2.5", "--samples", "10"],
+        ["fernique", "--ambient", "level2:2.5", "--samples", "10000"],
         ["cm-check", "--samples", "10"],
         ["chaos", "norm-equiv"],
     ],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_reweight_terminal_matches_shifted_mean():
     rep = reweight_check(
         ("terminal-level1",), h, spec=GaussianSpec("bm", 1), grid=grid,
         n_samples=40_000, seed=14,
-    )["terminal-level1"]
+    ).reweight["terminal-level1"]
     # both estimators target E[x(T) + h(T)] = h(T)
     assert abs(rep.estimate_lhs - 0.8) <= 3 * rep.se_lhs
     assert abs(rep.estimate_rhs - 0.8) <= 3 * rep.se_rhs
@@ -125,7 +126,7 @@ def test_reweight_all_functionals_agree():
     reports = reweight_check(
         REWEIGHT_FUNCTIONALS, h, spec=GaussianSpec("bm", 2), grid=grid,
         n_samples=20_000, seed=16, scheme="ito", entry=(1, 2),
-    )
+    ).reweight
     assert list(reports) == list(REWEIGHT_FUNCTIONALS)
     for name, rep in reports.items():
         assert abs(rep.z_score) <= 3.0, (name, rep)
@@ -138,7 +139,9 @@ def test_reweight_one_pass_equals_one_name_calls():
                   entry=(1, 2), chunk=400)
     together = reweight_check(REWEIGHT_FUNCTIONALS, h, **kwargs)
     for name in REWEIGHT_FUNCTIONALS:
-        assert together[name] == reweight_check((name,), h, **kwargs)[name]
+        alone = reweight_check((name,), h, **kwargs)
+        assert together.reweight[name] == alone.reweight[name]
+        assert together.mean_density == alone.mean_density and together.mgf_estimate == alone.mgf_estimate
 
 
 def test_reweight_draws_each_path_once(monkeypatch):
@@ -158,6 +161,38 @@ def test_reweight_draws_each_path_once(monkeypatch):
         grid=grid, n_samples=1_000, seed=25, chunk=300,
     )
     assert sorted(drawn) == list(range(1_000))
+
+
+def test_density_and_mgf_read_the_reweighting_draws():
+    grid = TimeGrid(1.0, 16)
+    h = _random_cm(26, grid, 2, scale=0.5)
+    spec = GaussianSpec("bm", 2)
+    check = reweight_check(("terminal-level1",), h, spec=spec, grid=grid, n_samples=3_000, seed=27)
+    values = sample_values_batch(spec, grid, seed=27, count=3_000)
+    pw = np.einsum("ki,cki->c", h.derivative_values, np.diff(values, axis=1))
+    half_sq = 0.5 * cm_inner(h, h)
+    density, mgf = np.exp(pw - half_sq), np.exp(pw)
+    root_n = math.sqrt(3_000)
+    assert check.half_norm_sq == half_sq
+    assert check.mgf_target == pytest.approx(math.exp(half_sq), rel=1e-14)
+    assert check.mean_density == pytest.approx(np.mean(density), rel=1e-12)
+    assert check.mean_density_se == pytest.approx(np.std(density, ddof=1) / root_n, rel=1e-9)
+    assert check.mgf_estimate == pytest.approx(np.mean(mgf), rel=1e-12)
+    assert check.mgf_se == pytest.approx(np.std(mgf, ddof=1) / root_n, rel=1e-9)
+    assert abs(check.mean_density - 1.0) <= 3 * check.mean_density_se
+    doc = check.to_document()
+    assert set(doc) == {"mean_density", "mean_density_se", "mgf_estimate", "mgf_se", "mgf_target",
+                        "half_norm_sq", "reweight"}
+    assert doc["reweight"]["terminal-level1"] == dataclasses.asdict(check.reweight["terminal-level1"])
+
+
+def test_reweight_refuses_a_non_brownian_process():
+    grid = TimeGrid(1.0, 16)
+    with pytest.raises(ValueError, match="Brownian-only, got process 'fbm'"):
+        reweight_check(
+            ("terminal-level1",), _random_cm(28, grid, 1), spec=GaussianSpec("fbm", 1, hurst=0.3),
+            grid=grid, n_samples=10, seed=0,
+        )
 
 
 def test_reweight_threads_do_not_change_results():
@@ -193,5 +228,5 @@ def test_reweight_hom_norm_level3_ambient():
     rep = reweight_check(
         ("hom-norm",), h, spec=GaussianSpec("bm", 2), grid=grid, n_samples=4_000,
         seed=21, scheme="stratonovich", ambient=ambient_for_levels(2, 3, p=2.5),
-    )["hom-norm"]
+    ).reweight["hom-norm"]
     assert abs(rep.z_score) <= 3.0
