@@ -1,0 +1,57 @@
+"""The one file layer: how every document the package writes is written and read.
+
+Writes are atomic.  The content goes to a temporary file beside the target,
+which is moved onto it only once complete, so a failed write leaves any
+previous file as it was and no temporary file behind.  Readers name the file
+in every ValueError they raise.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import json
+import os
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Yield a temporary name beside `path`, moved onto `path` if the block completes, else removed."""
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(path, doc: dict, indent: int | None = None) -> None:
+    """`doc` as JSON with sorted keys: on one line by default, `indent` for documents read by people."""
+    with replacing(path) as tmp, open(tmp, "w") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True)
+
+
+def write_csv_rows(path, rows) -> None:
+    """One CSV line per row; floats as their repr, so they read back to the same bits."""
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def read_json(path, from_document):
+    """from_document(the JSON content of `path`); a ValueError names the file."""
+    try:
+        with open(path) as fh:
+            return from_document(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def check_format(doc, expected: str) -> None:
+    """Refuse a document whose `format_version` is not `expected`."""
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != expected:
+        raise ValueError(f"unsupported format_version {version!r}, expected {expected!r}")

@@ -316,6 +316,8 @@ def _collect_statistics(
         (ambient.max_degree if STATISTICS[n].level is None else STATISTICS[n].level for n in names),
         default=1,
     )
+    if ambient is not None:
+        ambient.check_fits(spec.dim, ambient.max_degree)
     plain = {name: np.empty(count) for name in names}
     shifted = {} if shift is None else {name: np.empty(count) for name in names}
     pw = None if shift is None else np.empty(count)
@@ -529,6 +531,8 @@ def eta0_estimate(
     if maxiter is not None and maxiter < 0:
         raise ValueError(f"maxiter must be >= 0, got {maxiter}")
     d = ambient.noise_dim
+    # the skeleton h has one component per distinguished symbol
+    ambient.check_fits(d, ambient.max_degree)
     grid = TimeGrid(horizon, segments)
     n_var = segments * d
     maxiter = maxiter or 400 * n_var

@@ -16,6 +16,7 @@ from itertools import product
 
 import numpy as np
 
+from . import _files
 from .grids import derived_rng
 
 MAX_HERMITE_DEGREE = 60
@@ -393,11 +394,7 @@ def chaos_to_document(obj: "ChaosPolynomial | GradedChaos") -> dict:
 
 def chaos_from_document(doc: dict) -> "ChaosPolynomial | GradedChaos":
     """Rebuild a chaos object; a missing field raises ValueError naming it."""
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != CHAOS_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported format_version {version!r}, expected {CHAOS_FORMAT_VERSION!r}"
-        )
+    _files.check_format(doc, CHAOS_FORMAT_VERSION)
     try:
         dim = int(doc["dimension"])
         if "degrees" not in doc:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
 
 import numpy as np
 
+from . import _files
 from . import chaos as chaos_mod
 from .asymptotics import (
     FERNIQUE_MIN_SAMPLES,
@@ -90,53 +90,16 @@ def _argument_errors():
         raise CliError(str(exc)) from exc
 
 
-def _read_input(load, filename: str):
-    """load(filename), reporting an unreadable file or malformed content as an argument error."""
+def _read_input(load, filename: str, *rest):
+    """load(filename, *rest), reporting an unreadable file or malformed content as an argument error."""
     with _argument_errors():
-        return load(filename)
-
-
-@contextlib.contextmanager
-def _replacing(path: str):
-    """Yield a temporary name beside `path`, moved onto `path` once written.
-
-    A write that fails leaves any previous `path` as it was and removes the
-    temporary file.
-    """
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with _replacing(path) as tmp, open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        return load(filename, *rest)
 
 
 def _write_summary(path: str, command: str, config: dict, results: dict) -> None:
-    _write_json(
-        path,
-        {
-            "format_version": SUMMARY_FORMAT_VERSION,
-            "command": command,
-            "config": config,
-            "results": results,
-        },
-    )
-
-
-def _write_csv_rows(path: str, rows: list) -> None:
-    import csv
-
-    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    """The run's summary; a command with a data file writes it last, after the data."""
+    doc = {"format_version": SUMMARY_FORMAT_VERSION, "command": command, "config": config, "results": results}
+    _files.write_json(path, doc, indent=2)
 
 
 def _gaussian_spec(args) -> GaussianSpec:
@@ -249,8 +212,7 @@ def _cmd_sample(args) -> int:
     grid = _grid(args)
     out = _check_out(args.out, args.force, summary=True)
     path = sample(spec, grid, args.seed)
-    with _replacing(out) as tmp:
-        write_path_csv(path, tmp)
+    write_path_csv(path, out)
     config = _process_config(args, seed=args.seed, out=out)
     _write_summary(_summary_path(out), "sample", config, {"rows": grid.n_steps + 1})
     print(f"sample: wrote {out} (n={grid.n_steps}, d={spec.dim}, seed={args.seed})")
@@ -276,8 +238,7 @@ def _cmd_lift(args) -> int:
         if m >= n.bit_length() or n % 2**m:
             raise CliError(f"--dyadic-level {m}: 2^{m} must divide the path's {n} steps")
         e = young_skeleton_lift(piecewise_linear(x, m), level=args.level)
-    with _replacing(out) as tmp:
-        save_enhanced(e, tmp)
+    save_enhanced(e, out)
     residual = max_chen_residual(e)
     config = dict(source, scheme=args.scheme, level=args.level, out=out)
     if args.scheme == "young":
@@ -325,11 +286,10 @@ def _cmd_ldp(args) -> int:
     )
     config = _process_config(
         args, scheme=args.scheme, event=args.event, epsilons=args.epsilons,
-        samples=args.samples, oracle=args.oracle, seed=args.seed, out=out,
+        samples=args.samples, oracle=args.oracle, ambient=args.ambient, seed=args.seed, out=out,
     )
-    doc = estimate.to_document()
-    _write_summary(_summary_path(out), "ldp", config, doc)
-    _write_csv_rows(out, estimate.csv_rows())
+    _files.write_csv_rows(out, estimate.csv_rows())
+    _write_summary(_summary_path(out), "ldp", config, estimate.to_document())
     live = [s for s in estimate.scaled if not np.isnan(s)]
     digest = f"ldp: wrote {out}; extrapolated_rate={estimate.extrapolated_rate!r}"
     if estimate.oracle_values:
@@ -345,9 +305,11 @@ def _cmd_ldp(args) -> int:
 def _cmd_eta0(args) -> int:
     out = _check_out(args.out, args.force)
     ambient = _parse_ambient(args.ambient, args.dim)
-    result = eta0_estimate(
-        ambient, args.segments, args.restarts, args.seed, horizon=args.horizon
-    )
+    try:
+        result = eta0_estimate(ambient, args.segments, args.restarts, args.seed, horizon=args.horizon)
+    except ValueError as exc:
+        # the parser checked every other argument, so this is the ambient not fitting its noise symbols
+        raise CliError(f"--ambient {args.ambient!r}: {exc}") from None
     config = {
         "ambient": args.ambient, "dim": args.dim, "segments": args.segments,
         "restarts": args.restarts, "horizon": args.horizon, "seed": args.seed,
@@ -377,8 +339,8 @@ def _cmd_fernique(args) -> int:
         args, scheme=args.scheme, ambient=args.ambient, samples=args.samples,
         seed=args.seed, out=out,
     )
+    _files.write_csv_rows(out, fit.csv_rows())
     _write_summary(_summary_path(out), "fernique", config, fit.to_document())
-    _write_csv_rows(out, fit.csv_rows())
     print(f"fernique: wrote {out}; eta_hat={fit.eta_hat!r} over t in {fit.fit_range}")
     return 0
 
@@ -404,25 +366,16 @@ def _cmd_cm_check(args) -> int:
     return 0
 
 
-def _load_chaos(filename: str):
-    """Read a chaos JSON file; malformed content raises ValueError naming it."""
-    try:
-        with open(filename) as fh:
-            return chaos_mod.chaos_from_document(json.load(fh))
-    except ValueError as exc:
-        raise ValueError(f"{filename}: {exc}") from exc
-
-
 def _cmd_chaos(args) -> int:
     out = _check_out(args.out, args.force)
     if args.action in ("project", "proxy") and args.poly is None:
         raise CliError(f"chaos {args.action} needs --poly")
     if args.action == "project":
-        obj = _read_input(_load_chaos, args.poly)
+        obj = _read_input(_files.read_json, args.poly, chaos_mod.chaos_from_document)
         if not isinstance(obj, chaos_mod.ChaosPolynomial):
             raise CliError(f"--poly {args.poly!r} holds a graded family; project wants a scalar polynomial")
         projected = chaos_mod.chaos_project(obj, args.degree)
-        _write_json(out, chaos_mod.chaos_to_document(projected))
+        _files.write_json(out, chaos_mod.chaos_to_document(projected), indent=2)
         print(f"chaos project: wrote {out} ({len(projected.coeffs)} terms at degree {args.degree})")
         return 0
     if args.action == "proxy":
@@ -430,7 +383,7 @@ def _cmd_chaos(args) -> int:
             raise CliError("--seed is required for chaos proxy")
         if args.shift_vector is None:
             raise CliError("--shift-vector is required for chaos proxy")
-        obj = _read_input(_load_chaos, args.poly)
+        obj = _read_input(_files.read_json, args.poly, chaos_mod.chaos_from_document)
         if isinstance(obj, chaos_mod.ChaosPolynomial):
             raise CliError(f"--poly {args.poly!r} holds a scalar polynomial; proxy wants a graded family")
         h = np.array([_number(tok) for tok in args.shift_vector.split(",")])

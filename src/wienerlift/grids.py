@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _files
+
 
 class EmbeddingFailure(RuntimeError):
     """Circulant embedding of the fBm increment covariance is not PSD."""
@@ -326,12 +328,9 @@ def piecewise_linear(x: SamplePath, m: int) -> CameronMartinPath:
 
 def write_path_csv(path: SamplePath, filename) -> None:
     """CSV with header t,x1,...,xd and one row per grid point."""
-    d = path.dim
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i}" for i in range(1, d + 1)])
-        for t, row in zip(path.grid.points, path.values):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    header = ["t"] + [f"x{i}" for i in range(1, path.dim + 1)]
+    rows = [[t, *row] for t, row in zip(path.grid.points.tolist(), path.values.tolist())]
+    _files.write_csv_rows(filename, [header] + rows)
 
 
 def read_path_csv(filename) -> SamplePath:

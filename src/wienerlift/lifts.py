@@ -25,11 +25,11 @@ by column (`entry_columns`), so no (n+1, n+1) surface is ever stored:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _files
 from .grids import CameronMartinPath, SamplePath, TimeGrid
 from .seminorms import AmbientSpec, SymbolSpec, ambient_for_levels, column_norm, symbol_norm
 
@@ -338,7 +338,12 @@ def dilate_enhanced(e: EnhancedPath, eps: float) -> EnhancedPath:
 
 
 def to_graded(e: EnhancedPath, ambient: AmbientSpec | None = None) -> list[tuple[SymbolSpec, float]]:
-    """(symbol, norm) pairs of lift e under `ambient`, else `e.ambient`, else the standard levels of e."""
+    """(symbol, norm) pairs of lift e under `ambient`, else `e.ambient`, else the standard levels of e.
+
+    An `ambient` that does not fit e raises ValueError naming the symbol.
+    """
+    if ambient is not None:
+        ambient.check_fits(e.dim, e.max_level)
     spec = ambient or e.ambient or ambient_for_levels(e.dim, e.max_level)
     return list(symbol_norms(spec, e.grid, e.level1.values, e.base2, e.base3))
 
@@ -374,9 +379,7 @@ def enhanced_to_document(e: EnhancedPath) -> dict:
 
 
 def enhanced_from_document(doc: dict) -> EnhancedPath:
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION!r}")
+    _files.check_format(doc, FORMAT_VERSION)
     try:
         grid = TimeGrid(horizon=doc["grid"]["horizon"], n_steps=doc["grid"]["n_steps"])
         lvl1 = np.asarray(doc["level1"]["data"]).reshape(doc["level1"]["shape"])
@@ -392,14 +395,9 @@ def enhanced_from_document(doc: dict) -> EnhancedPath:
 
 
 def save_enhanced(e: EnhancedPath, filename) -> None:
-    with open(filename, "w") as fh:
-        json.dump(enhanced_to_document(e), fh, sort_keys=True)
+    _files.write_json(filename, enhanced_to_document(e))
 
 
 def load_enhanced(filename) -> EnhancedPath:
     """Read an enhanced-path JSON file; malformed content raises ValueError naming it."""
-    try:
-        with open(filename) as fh:
-            return enhanced_from_document(json.load(fh))
-    except ValueError as exc:
-        raise ValueError(f"{filename}: {exc}") from exc
+    return _files.read_json(filename, enhanced_from_document)

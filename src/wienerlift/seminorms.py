@@ -23,13 +23,13 @@ tensors; `homogeneous_norm` and `banach_norm` sum the (symbol, norm) pairs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
+from . import _files
 from .grids import GaussianSpec, TimeGrid
 
 NORM_KINDS = ("pvar", "holder", "sup", "terminal")
@@ -93,12 +93,6 @@ class AmbientSpec:
             if by_name[name].degree != 1:
                 raise ValueError(f"distinguished symbol {name!r} must have degree 1")
 
-    def __getitem__(self, name: str) -> SymbolSpec:
-        for s in self.symbols:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
     @property
     def max_degree(self) -> int:
         return max(s.degree for s in self.symbols)
@@ -151,17 +145,12 @@ class AmbientSpec:
             raise ValueError(f"ambient config is malformed: {exc}") from None
 
     def save(self, filename) -> None:
-        with open(filename, "w") as fh:
-            json.dump(self.to_config(), fh, indent=2, sort_keys=True)
+        _files.write_json(filename, self.to_config(), indent=2)
 
     @classmethod
     def load(cls, filename) -> "AmbientSpec":
         """Read an ambient JSON file; malformed content raises ValueError naming it."""
-        try:
-            with open(filename) as fh:
-                return cls.from_config(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"{filename}: {exc}") from exc
+        return _files.read_json(filename, cls.from_config)
 
 
 def _symbol_name(indices: tuple[int, ...]) -> str:

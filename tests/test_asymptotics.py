@@ -18,8 +18,8 @@ from wienerlift.asymptotics import (
     rate_functional,
 )
 from wienerlift.grids import CameronMartinPath, GaussianSpec, TimeGrid, sample
-from wienerlift.lifts import dilate_enhanced, stratonovich_lift
-from wienerlift.seminorms import ambient_for_levels, classical_ambient
+from wienerlift.lifts import dilate_enhanced, ito_lift, stratonovich_lift, to_graded
+from wienerlift.seminorms import AmbientSpec, ambient_for_levels, classical_ambient
 
 
 def test_event_validation():
@@ -208,6 +208,30 @@ def test_eta0_validation():
         eta0_estimate(classical_ambient(1), segments=4, restarts=0, seed=0)
     with pytest.raises(ValueError, match="maxiter"):
         eta0_estimate(classical_ambient(1), segments=4, restarts=1, seed=0, maxiter=-1)
+
+
+# at each library entry point, an ambient reading a component the path lacks
+UNFITTED_AMBIENT = {
+    "to_graded": (
+        lambda: to_graded(ito_lift(sample(GaussianSpec("bm", 2), TimeGrid(1.0, 8), 1)), ambient_for_levels(3, 1)),
+        "symbol '3' reads component 3, but the path has d=2",
+    ),
+    "lift_norm_samples": (
+        lambda: lift_norm_samples(GaussianSpec("bm", 1), "ito", ambient_for_levels(2, 2), TimeGrid(1.0, 8), 4, 1),
+        "symbol '2' reads component 2, but the path has d=1",
+    ),
+    "eta0_estimate": (  # the skeleton has one component per distinguished symbol
+        lambda: eta0_estimate(AmbientSpec(classical_ambient(2).symbols, ("1",)), 4, 1, 1),
+        "symbol '2' reads component 2, but the path has d=1",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(UNFITTED_AMBIENT))
+def test_library_refuses_an_ambient_that_does_not_fit(route):
+    call, message = UNFITTED_AMBIENT[route]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_fernique_gaussian_control():

@@ -66,6 +66,16 @@ def test_byte_determinism_across_runs_and_threads(tmp_path):
     assert a == b == c
 
 
+@pytest.mark.parametrize("ambient", [None, "holder2:0.4"])
+def test_ldp_summary_records_the_ambient(tmp_path, ambient):
+    out = tmp_path / "rate.csv"
+    argv = ["ldp", "--dim", "2", "--steps", "16", "--event", "hom-ge:1" if ambient else "sup-ge:1",
+            "--epsilons", "1.0", "--samples", "400", "--seed", "1", "--out", str(out)]
+    assert main(argv + (["--ambient", ambient] if ambient else [])) == 0
+    config = json.loads((tmp_path / "rate.csv.summary.json").read_text())["config"]
+    assert config["ambient"] == ambient
+
+
 def test_ldp_oracle_digest(tmp_path, capsys):
     out = tmp_path / "ldp.csv"
     rc = main(
@@ -396,6 +406,20 @@ def test_ambient_symbol_outside_the_path_is_an_argument_error(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+def test_eta0_refuses_an_ambient_wider_than_its_noise(tmp_path, capsys):
+    # one distinguished symbol makes the skeleton one-dimensional; symbol '2' reads past it
+    amb = tmp_path / "amb.json"
+    amb.write_text(json.dumps({"symbols": [SYMBOL_1, {**SYMBOL_1, "symbol": "2", "indices": [2]}],
+                               "distinguished": ["1"]}))
+    out = tmp_path / "e.json"
+    argv = ["eta0", "--ambient", str(amb), "--dim", "2", "--segments", "4", "--restarts", "1",
+            "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--ambient {str(amb)!r}: symbol '2' reads component 2, but the path has d=1" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_norm_refuses_an_ambient_above_the_lift_level(tmp_path, capsys):
     lift_json = tmp_path / "lift.json"
     assert main(["lift", "--dim", "2", "--steps", "8", "--seed", "1", "--out", str(lift_json)]) == 0
@@ -471,8 +495,6 @@ def test_malformed_input_is_an_argument_error(tmp_path, capsys, case):
 
 
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
-    from wienerlift import cli
-
     lift_json = tmp_path / "lift.json"
     assert main(["lift", "--dim", "2", "--steps", "8", "--seed", "4", "--out", str(lift_json)]) == 0
     out = tmp_path / "norm.json"
@@ -483,7 +505,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
         fh.write('{"format_version": ')
         raise TypeError("unserializable value")
 
-    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    monkeypatch.setattr(json, "dump", dump_then_fail)
     with pytest.raises(TypeError):
         main(argv)
     assert out.read_bytes() == before

@@ -348,5 +348,5 @@ def test_to_graded_payload_shapes():
     assert all(type(norm) is float and norm > 0 for _, norm in norms)
     assert to_graded(e) == norms
     assert to_graded(dataclasses.replace(e, ambient=ambient_for_levels(2, 1))) == to_graded(e, ambient_for_levels(2, 1))
-    with pytest.raises(ValueError, match="level 3"):
+    with pytest.raises(ValueError, match="symbol '111' has degree 3, but the lift stops at level 2"):
         to_graded(stratonovich_lift(x, level=2), ambient_for_levels(2, 3))
