@@ -402,19 +402,25 @@ def _eta0_quotients(ambient: AmbientSpec, grid: TimeGrid, vecs: np.ndarray) -> n
     """R(h) for each row of `vecs` (k, n d), the cell derivatives of h.
 
     Non-finite rows, rows within 1e-12 of zero and rows whose lift has norm 0
-    give inf.
+    give inf.  A row's value does not depend, to the last bit, on the other rows.
     """
-    out = np.full(len(vecs), np.inf)
-    ok = np.isfinite(vecs).all(axis=1) & (np.abs(vecs).max(axis=1) >= 1e-12)
-    if not ok.any():
-        return out
-    deriv = vecs[ok].reshape(-1, grid.n_steps, ambient.noise_dim)
+    # NaN propagates through the max and fails both tests; inf fails the second
+    size = np.abs(vecs).max(axis=1)
+    ok = (size >= 1e-12) & (size < np.inf)
+    every = ok.all()
+    if not every and not ok.any():
+        return np.full(len(vecs), np.inf)
+    deriv = (vecs if every else vecs[ok]).reshape(-1, grid.n_steps, ambient.noise_dim)
     values = np.zeros((len(deriv), grid.n_steps + 1, ambient.noise_dim))
     np.cumsum(deriv * grid.dt, axis=1, out=values[:, 1:])
     base2, base3 = _base_tensors(values, "young", ambient.max_degree)
     norm = homogeneous_norm_batch(ambient, grid, values, base2, base3)
     energy = 0.5 * (deriv**2).sum(axis=(1, 2)) * grid.dt
-    out[ok] = np.divide(energy, norm**2, out=out[ok], where=norm > 0)
+    quotients = np.divide(energy, norm**2, out=np.full(len(deriv), np.inf), where=norm > 0)
+    if every:
+        return quotients
+    out = np.full(len(vecs), np.inf)
+    out[ok] = quotients
     return out
 
 
@@ -438,15 +444,22 @@ class _SimplexResult(NamedTuple):
 def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> _SimplexResult:
     """Minimize `fun` from every row of x0 (R, N) by Nelder-Mead, all starts in lock step.
 
-    `fun` maps (k, N) points to (k,) values.  Each start follows scipy's
-    non-adaptive method on its own (Lagarias et al. 1998): reflection,
-    expansion, contraction and shrink coefficients 1, 2, 1/2, 1/2, and an
-    initial simplex that scales one coordinate of x0 by 1.05 (a zero becomes
-    0.00025).  A start is frozen, converged, once its vertices lie within
-    `xatol` and their values within `fatol` of its best vertex; starts still
-    moving after `maxiter - 1` iterations are unconverged.  Each iteration
-    makes one call of `fun` for the reflections, at most one for the
-    expansion and contraction points and at most one for the shrinks.
+    `fun` maps (k, N) points to (k,) values, each row's value independent of
+    the others.  Each start follows scipy's non-adaptive method on its own
+    (Lagarias et al. 1998): reflection, expansion, contraction and shrink
+    coefficients 1, 2, 1/2, 1/2, and an initial simplex that scales one
+    coordinate of x0 by 1.05 (a zero becomes 0.00025).  A start is frozen,
+    converged, once its vertices lie within `xatol` and their values within
+    `fatol` of its best vertex; starts still moving after `maxiter - 1`
+    iterations are unconverged.
+
+    Each iteration evaluates all four candidate points of every live start
+    (reflection, expansion, outside and inside contraction) in one call of
+    `fun`, then each start takes its point by scipy's comparisons; only
+    shrinks make a second call.  `evaluations` counts what scipy's `nfev`
+    counts: the initial simplex, the reflection, the expansion or contraction
+    point when scipy's step reads it, and the N shrunk vertices, but not the
+    candidates a start left unused.
     """
     starts, n = x0.shape
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
@@ -454,54 +467,51 @@ def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) 
     sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     fsim = fun(sim.reshape(-1, n)).reshape(starts, n + 1)
     result = _SimplexResult(
-        np.empty((starts, n)), np.empty(starts), np.full(starts, n + 1), np.zeros(starts, dtype=bool)
+        np.empty((starts, n)), np.empty(starts), np.empty(starts, dtype=int), np.zeros(starts, dtype=bool)
     )
-    live = np.arange(starts)
+    # candidate points a xbar - b worst: reflection, expansion, outside and inside contraction
+    a = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
+    b = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]
+    live, evaluations = np.arange(starts), np.full(starts, n + 1)
+    rows = live[:, None]
     for iteration in range(maxiter):
         order = fsim.argsort(axis=1)
-        rows = np.arange(live.size)[:, None]
         sim, fsim = sim[rows, order], fsim[rows, order]
-        result.x[live], result.fun[live] = sim[:, 0], fsim[:, 0]
         if iteration == maxiter - 1:
             break
-        done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
-        )
+        # sorted values: the largest |f_0 - f_j| is f_N - f_0
+        done = fsim[:, -1] - fsim[:, 0] <= fatol
         if done.any():
-            result.converged[live[done]] = True
-            live, sim, fsim = live[~done], sim[~done], fsim[~done]
-            if not live.size:
-                break
+            done[done] = np.abs(sim[done, 1:] - sim[done, :1]).max(axis=(1, 2)) <= xatol
+            if done.any():
+                frozen = live[done]
+                result.x[frozen], result.fun[frozen] = sim[done, 0], fsim[done, 0]
+                result.evaluations[frozen], result.converged[frozen] = evaluations[done], True
+                keep = ~done
+                live, sim, fsim, evaluations = live[keep], sim[keep], fsim[keep], evaluations[keep]
+                if not live.size:
+                    break
+                rows = np.arange(live.size)[:, None]
         xbar = np.add.reduce(sim[:, :-1], 1) / n
-        worst = sim[:, -1]
-        xr = 2 * xbar - worst
-        fxr = fun(xr)
-        result.evaluations[live] += 1
-        expand = fxr < fsim[:, 0]
-        take_r = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~take_r & (fxr < fsim[:, -1])
-        inside = ~(expand | take_r | outside)
-        # a xbar - b worst: expansion (3, 2), outside contraction (1.5, 0.5),
-        # inside contraction (0.5, -0.5)
-        a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))[:, None]
-        b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
-        x2 = a * xbar - b * worst
-        f2 = np.full(live.size, np.inf)
-        second = ~take_r
-        if second.any():
-            f2[second] = fun(x2[second])
-            result.evaluations[live[second]] += 1
-        use2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
-        step = take_r | expand | use2
-        sim[step, -1] = np.where(use2[:, None], x2, xr)[step]
-        fsim[step, -1] = np.where(use2, f2, fxr)[step]
-        shrink = ~step
-        if shrink.any():
+        points = a * xbar - b * sim[:, -1]
+        f = fun(points.reshape(-1, n)).reshape(4, -1)
+        fr, fe, fo, fi = f
+        expand = fr < fsim[:, 0]
+        take_r = ~expand & (fr < fsim[:, -2])
+        # each start's move: 0 reflection, 1 expansion, 2 outside, 3 inside contraction, 4 shrink
+        contract = np.where(fr < fsim[:, -1], np.where(fo <= fr, 2, 4), np.where(fi < fsim[:, -1], 3, 4))
+        choice = np.where(expand, fe < fr, np.where(take_r, 0, contract))
+        evaluations += 2 - take_r
+        step = np.flatnonzero(choice < 4)
+        if step.size < live.size:
+            shrink = choice == 4
             best = sim[shrink, :1]
             moved = best + 0.5 * (sim[shrink, 1:] - best)
             sim[shrink, 1:] = moved
             fsim[shrink, 1:] = fun(moved.reshape(-1, n)).reshape(-1, n)
-            result.evaluations[live[shrink]] += n
+            evaluations[shrink] += n
+        sim[step, -1], fsim[step, -1] = points[choice[step], step], f[choice[step], step]
+    result.x[live], result.fun[live], result.evaluations[live] = sim[:, 0], fsim[:, 0], evaluations
     return result
 
 

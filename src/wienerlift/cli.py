@@ -118,12 +118,12 @@ def _process_config(args, **extra) -> dict:
     )
 
 
-def _parse_ambient(preset_or_path: str, dim: int, level: int = 3) -> AmbientSpec:
+def _parse_ambient(preset_or_path: str, dim: int, level: int = 3, *, fit: bool = True) -> AmbientSpec:
     """--ambient accepts a JSON file path or a preset string.
 
     Presets: classical[:kind], terminal, level1:p, level2:p, level3:p,
-    holder2:alpha (levels built for the run's --dim).  The ambient must fit a
-    path of dimension `dim` lifted to `level`.
+    holder2:alpha (levels built for the run's --dim).  With `fit`, the
+    ambient must fit a path of dimension `dim` lifted to `level`.
     """
     head, _, arg = preset_or_path.partition(":")
 
@@ -146,7 +146,8 @@ def _parse_ambient(preset_or_path: str, dim: int, level: int = 3) -> AmbientSpec
             ambient = ambient_for_levels(dim, 2, norm_kind="holder", alpha=number(0.4))
         else:
             raise CliError(f"--ambient {preset_or_path!r} is neither a file nor a known preset")
-        ambient.check_fits(dim, level)
+        if fit:
+            ambient.check_fits(dim, level)
     except (ValueError, OSError) as exc:
         # AmbientSpec.load chains the cause to an error that repeats the file name
         raise CliError(f"--ambient {preset_or_path!r}: {exc.__cause__ or exc}") from None
@@ -304,14 +305,16 @@ def _cmd_ldp(args) -> int:
 
 def _cmd_eta0(args) -> int:
     out = _check_out(args.out, args.force)
-    ambient = _parse_ambient(args.ambient, args.dim)
+    # --dim builds presets only: the skeleton has one component per distinguished symbol,
+    # and eta0_estimate checks the ambient against that noise dimension
+    ambient = _parse_ambient(args.ambient, args.dim, fit=False)
     try:
         result = eta0_estimate(ambient, args.segments, args.restarts, args.seed, horizon=args.horizon)
     except ValueError as exc:
         # the parser checked every other argument, so this is the ambient not fitting its noise symbols
         raise CliError(f"--ambient {args.ambient!r}: {exc}") from None
     config = {
-        "ambient": args.ambient, "dim": args.dim, "segments": args.segments,
+        "ambient": args.ambient, "dim": ambient.noise_dim, "segments": args.segments,
         "restarts": args.restarts, "horizon": args.horizon, "seed": args.seed,
         "out": out,
     }
@@ -608,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eta0", help="minimize the scale-invariant tail quotient")
     p.add_argument("--ambient", required=True, help="ambient JSON file or preset")
-    p.add_argument("--dim", type=_count(), default=1)
+    p.add_argument("--dim", type=_count(), default=1, help="path dimension of a preset ambient")
     p.add_argument("--segments", type=_count(2), default=16)
     p.add_argument("--restarts", type=_count(), default=8)
     p.add_argument("--horizon", type=_positive, default=1.0)

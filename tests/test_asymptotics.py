@@ -9,6 +9,7 @@ from wienerlift.asymptotics import (
     EventSpec,
     _check_oracle,
     _collect_statistics,
+    _eta0_quotients,
     _oracle_log_prob,
     empirical_rate,
     eta0_estimate,
@@ -450,23 +451,79 @@ def _rosenbrock(x):
     return np.sum(100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (1.0 - x[..., :-1]) ** 2, axis=-1)
 
 
-@pytest.mark.parametrize("fun", [_shifted_quadratic, _rosenbrock])
-def test_lockstep_simplex_reaches_the_scipy_minimizer(fun):
-    # scipy's own Nelder-Mead is the oracle here, one start at a time
+def _eta0_objective(ambient, segments):
+    grid = TimeGrid(1.0, segments)
+    return lambda x: _eta0_quotients(ambient, grid, x)
+
+
+# objective, starts (R, N), maxiter; the eta0 caps stop some starts unconverged
+SCIPY_CASES = {
+    "_shifted_quadratic": (_shifted_quadratic, np.random.default_rng(3).standard_normal((5, 4)), 2000),
+    "_rosenbrock": (_rosenbrock, np.random.default_rng(3).standard_normal((5, 4)), 2000),
+    "eta0-classical-sup": (_eta0_objective(classical_ambient(1, "sup"), 6),
+                           np.random.default_rng(4).standard_normal((4, 6)), 150),
+    "eta0-level2": (_eta0_objective(ambient_for_levels(1, 2, norm_kind="pvar", p=2.5), 4),
+                    np.random.default_rng(5).standard_normal((4, 4)), 60),
+}
+
+
+@pytest.mark.parametrize("case", list(SCIPY_CASES))
+def test_lockstep_simplex_reaches_the_scipy_minimizer(case):
+    # scipy's own Nelder-Mead is the oracle here, one start at a time, to the last bit
     from scipy import optimize
 
     from wienerlift.asymptotics import _nelder_mead
 
-    x0 = np.random.default_rng(3).standard_normal((5, 4))
-    found = _nelder_mead(fun, x0, 2000, xatol=1e-8, fatol=1e-12)
-    assert found.converged.all()
-    for start, x, value, evaluations in zip(x0, found.x, found.fun, found.evaluations):
-        ref = optimize.minimize(lambda v: float(fun(v)), start, method="Nelder-Mead",
-                                options={"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-12})
-        assert ref.success
-        assert np.max(np.abs(x - ref.x)) <= 1e-6
-        assert value == pytest.approx(ref.fun, abs=1e-10)
+    fun, x0, maxiter = SCIPY_CASES[case]
+    found = _nelder_mead(fun, x0, maxiter, xatol=1e-8, fatol=1e-12)
+    if case.startswith("_"):
+        assert found.converged.all()
+    else:
+        assert not found.converged.all()
+    for start, x, value, evaluations, converged in zip(x0, *found):
+        ref = optimize.minimize(lambda v: float(fun(v[None])[0]), start, method="Nelder-Mead",
+                                options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-12})
+        assert converged == ref.success
+        assert np.array_equal(x, ref.x)
+        assert value == ref.fun
         assert evaluations == ref.nfev
+
+
+# level-1, -2 and -3 ambients over every norm kind, on a d=2 skeleton
+ROW_AMBIENTS = {
+    "classical-sup": classical_ambient(2, "sup"),
+    "classical-terminal": classical_ambient(2, "terminal"),
+    **{f"level{k}-{kind}": ambient_for_levels(2, k, norm_kind=kind) for k in (1, 2, 3) for kind in ("pvar", "holder")},
+    **{f"mixed-{kind}": AmbientSpec.from_config({
+        "symbols": [
+            {"symbol": "1", "indices": [1], "degree": 1, "norm": {"kind": "pvar", "exponent": 2.5}, "arity": 1},
+            {"symbol": "2", "indices": [2], "degree": 1, "norm": {"kind": "holder", "exponent": 0.4}, "arity": 1},
+            {"symbol": "12", "indices": [1, 2], "degree": 2, "norm": {"kind": kind, "exponent": e}, "arity": 2},
+            {"symbol": "121", "indices": [1, 2, 1], "degree": 3, "norm": {"kind": kind, "exponent": e}, "arity": 2},
+        ],
+        "distinguished": ["1", "2"],
+    }) for kind, e in (("sup", None), ("terminal", None), ("pvar", 1.3), ("holder", 1.1))},
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_AMBIENTS))
+def test_eta0_quotient_rows_do_not_depend_on_their_batch(name):
+    # the lock-step search evaluates every start's candidates in one call
+    ambient = ROW_AMBIENTS[name]
+    grid = TimeGrid(1.0, 7)
+    rng = np.random.default_rng(11)
+    vecs = rng.standard_normal((12, 14)) * rng.uniform(0.01, 100.0, (12, 1))
+    vecs[1] = 0.0
+    vecs[2, 3] = np.nan
+    vecs[3, 0] = np.inf
+    vecs[4, 5] = -np.inf
+    vecs[5] = rng.uniform(-9e-13, 9e-13, 14)
+    batch = _eta0_quotients(ambient, grid, vecs)
+    alone = np.concatenate([_eta0_quotients(ambient, grid, row[None]) for row in vecs])
+    assert batch.tobytes() == alone.tobytes()
+    assert np.isinf(batch[1:6]).all() and np.isfinite(batch[6:]).all()
+    # a batch of valid rows only takes the route without the gather and scatter
+    assert _eta0_quotients(ambient, grid, vecs[6:]).tobytes() == alone[6:].tobytes()
 
 
 def test_eta0_restarts_do_not_depend_on_their_neighbours():

@@ -374,7 +374,8 @@ def test_malformed_ambient_file_is_an_argument_error(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-# faults in an ambient file's symbol, met by `norm` on a d=2, level-3 lift and by `eta0 --dim 2`
+# faults in an ambient file's symbol, met by `norm` on a d=2, level-3 lift and by `eta0 --dim 2`,
+# which checks a file against its own noise dimension, d=1 here, and not against --dim
 BAD_SYMBOL = {
     "index-3": ({"indices": [3]}, "symbol 'w' reads component 3, but the path has d=2"),
     "index-0": ({"indices": [0]}, "indices must be integers >= 1, got (0,)"),
@@ -399,11 +400,31 @@ def test_ambient_symbol_outside_the_path_is_an_argument_error(tmp_path, capsys, 
         argv = ["norm", "--in", str(lift_json), "--ambient", str(amb)]
     else:
         argv = ["eta0", "--ambient", str(amb), "--dim", "2", "--seed", "1", "--out", str(tmp_path / "y.json")]
+        message = message.replace("d=2", "d=1")
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"--ambient {str(amb)!r}: {message}" in err
     assert "Traceback" not in err
+
+
+def test_eta0_file_ambient_brings_its_own_noise_dimension(tmp_path, monkeypatch, capsys):
+    # two distinguished sup symbols make the skeleton two-dimensional, whatever --dim says
+    amb = tmp_path / "amb2.json"
+    amb.write_text(json.dumps({"symbols": [SYMBOL_1, {**SYMBOL_1, "symbol": "2", "indices": [2]}],
+                               "distinguished": ["1", "2"]}))
+    outputs = []
+    for run, dim in (("default", []), ("dim-3", ["--dim", "3"])):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        argv = ["eta0", "--ambient", str(amb), *dim, "--segments", "4", "--restarts", "1",
+                "--seed", "1", "--out", "e.json"]
+        assert main(argv) == 0
+        outputs.append(Path("e.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0])
+    assert doc["config"]["dim"] == 2 and len(doc["results"]["argmin_derivative"][0]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_eta0_refuses_an_ambient_wider_than_its_noise(tmp_path, capsys):
