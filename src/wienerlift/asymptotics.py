@@ -67,6 +67,14 @@ def _check_statistic(name: str, what: str) -> None:
         raise ValueError(f"{what} must be one of {tuple(STATISTICS)}, got {name!r}")
 
 
+def _check_entry(entry, dim: int | None = None) -> None:
+    """Refuse a level-2 entry that is not two integers >= 1, or that reads a component above `dim`."""
+    if len(entry) != 2 or not all(isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in entry):
+        raise ValueError(f"entry must be two integers >= 1, got {entry!r}")
+    if dim is not None and max(entry) > dim:
+        raise ValueError(f"entry {tuple(entry)} reads component {max(entry)}, but the path has d={dim}")
+
+
 @dataclass(frozen=True)
 class EventSpec:
     """Closed event {statistic >= threshold} evaluated on an enhanced path.
@@ -82,6 +90,9 @@ class EventSpec:
 
     def __post_init__(self):
         _check_statistic(self.kind, "event kind")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
+        _check_entry(self.entry)
         if self.kind == "hom-norm" and self.ambient is None:
             raise ValueError("hom-norm events need an ambient spec")
 
@@ -204,24 +215,27 @@ def empirical_rate(
     *,
     grid: TimeGrid,
     oracle: str | None = None,
-    min_expected_hits: int = 20,
     pilot_samples: int = 2000,
     chunk: int = 512,
     threads: int = 1,
 ) -> RateEstimate:
     """Monte Carlo estimate of eps^2 log P(dilate(eps, lift(X)) in event).
 
-    A pilot run drops epsilons whose expected hit count falls below
-    `min_expected_hits` (they are reported as censored, with a warning, and
-    never enter the fit); an epsilon that still records zero hits in the main
-    run is likewise censored rather than reported as -inf.  The pilot draws
-    the `pilot_samples` samples of `seed` that follow the main run's.
+    One driver pass draws samples 0..n_samples+pilot_samples-1 of `seed`: the
+    first `n_samples` are the main run, the rest the pilot.  The pilot drops
+    epsilons whose expected hit count falls below `MIN_EXPECTED_HITS` (they
+    are reported as censored, with a warning, and never enter the fit); an
+    epsilon that still records zero hits in the main run is likewise
+    censored rather than reported as -inf.
     """
     epsilons = sorted(float(e) for e in epsilons)[::-1]
     if not epsilons:
         raise ValueError("epsilons must be non-empty")
     if not all(math.isfinite(e) and e > 0 for e in epsilons):
         raise ValueError(f"epsilons must be positive and finite, got {epsilons}")
+    # one pass splits at n_samples, so a negative count would move the split
+    if n_samples < 0 or pilot_samples < 0:
+        raise ValueError(f"sample counts must be >= 0, got n_samples={n_samples}, pilot_samples={pilot_samples}")
     deg = event.degree
     oracle_values = None
     if oracle is not None:
@@ -230,29 +244,21 @@ def empirical_rate(
             eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps) for eps in epsilons
         ]
 
-    pilot_stats = _event_statistics(
-        spec, scheme, event, grid, seed, pilot_samples, chunk, threads, start=n_samples
+    plain, _, _ = _collect_statistics(
+        spec, scheme, grid, seed, n_samples + pilot_samples, chunk, threads,
+        names=(event.kind,), entry=event.entry, ambient=event.ambient,
     )
-    live: list[float] = []
+    stats_main, pilot_stats = np.split(plain[event.kind], [n_samples])
     censored: list[float] = []
     for eps in epsilons:
-        cut = event.threshold / eps**deg
-        expected = float(np.mean(pilot_stats >= cut)) * n_samples
-        if expected < min_expected_hits:
+        expected = float(np.mean(pilot_stats >= event.threshold / eps**deg)) * n_samples
+        if expected < MIN_EXPECTED_HITS:
             censored.append(eps)
             warnings.warn(
                 f"epsilon={eps} excluded: expected hits {expected:.1f} < "
-                f"{min_expected_hits} at n_samples={n_samples}",
+                f"{MIN_EXPECTED_HITS} at n_samples={n_samples}",
                 stacklevel=2,
             )
-        else:
-            live.append(eps)
-
-    stats_main = (
-        _event_statistics(spec, scheme, event, grid, seed, n_samples, chunk, threads)
-        if live
-        else np.empty(0)
-    )
 
     hits, log_probs, log_ses, scaled, scaled_ses = [], [], [], [], []
     for eps in epsilons:
@@ -299,16 +305,17 @@ def empirical_rate(
 
 def _collect_statistics(
     spec, scheme, grid, seed, count, chunk, threads=1, *,
-    start=0, names=(), entry=(1, 1), ambient=None, shift=None,
+    names=(), entry=(1, 1), ambient=None, shift=None,
 ):
     """The Monte Carlo driver: sample each chunk once, evaluate every statistic.
 
-    Returns `(plain, shifted, pw)`.  `plain[name]` holds registry statistic
-    `name` on samples start..start+count-1 of `seed`.  With a
-    Cameron-Martin `shift` h, `shifted[name]` holds it on x + h and `pw` the
-    grid Paley-Wiener sums of h' against the increments of x; without one,
-    `shifted` is empty and `pw` is None.  Base tensors are built once per
-    path set, up to the highest level any named statistic reads.
+    Every estimator makes one pass.  Returns `(plain, shifted, pw)`.
+    `plain[name]` holds registry statistic `name` on samples 0..count-1 of
+    `seed`.  With a Cameron-Martin `shift` h, `shifted[name]` holds it on
+    x + h and `pw` the grid Paley-Wiener sums of h' against the increments
+    of x; without one, `shifted` is empty and `pw` is None.  Base tensors are
+    built once per path set, up to the highest level any named statistic
+    reads.
     """
     if scheme not in MC_SCHEMES:
         raise ValueError(f"scheme must be one of {MC_SCHEMES}, got {scheme!r}")
@@ -318,6 +325,7 @@ def _collect_statistics(
     )
     if ambient is not None:
         ambient.check_fits(spec.dim, ambient.max_degree)
+    _check_entry(entry, spec.dim)
     plain = {name: np.empty(count) for name in names}
     shifted = {} if shift is None else {name: np.empty(count) for name in names}
     pw = None if shift is None else np.empty(count)
@@ -330,7 +338,7 @@ def _collect_statistics(
             )
 
     def worker(first, c):
-        values = sample_values_batch(spec, grid, seed, c, start=start + first)
+        values = sample_values_batch(spec, grid, seed, c, start=first)
         rows = slice(first, first + c)
         if shift is not None:
             if names:
@@ -347,14 +355,6 @@ def _base_tensors(values, scheme, level):
     base2 = pair_base_batch(values, scheme) if level >= 2 else None
     base3 = _triple_base(values, values, values, scheme, pair_ab=base2) if level >= 3 else None
     return base2, base3
-
-
-def _event_statistics(spec, scheme, event, grid, seed, count, chunk, threads, start=0):
-    plain, _, _ = _collect_statistics(
-        spec, scheme, grid, seed, count, chunk, threads, start=start,
-        names=(event.kind,), entry=event.entry, ambient=event.ambient,
-    )
-    return plain[event.kind]
 
 
 def rate_functional(h: CameronMartinPath) -> float:
@@ -580,6 +580,9 @@ def eta0_estimate(
 # ---------------------------------------------------------------------------
 
 FERNIQUE_MIN_SAMPLES = 10**4
+FERNIQUE_THRESHOLDS = 12
+FERNIQUE_MIN_EXCEEDANCES = 30
+MIN_EXPECTED_HITS = 20  # empirical_rate censors an epsilon expected to hit fewer times
 
 
 @dataclass
@@ -614,8 +617,10 @@ def lift_norm_samples(
     threads: int = 1,
 ) -> np.ndarray:
     """Homogeneous norms of n_samples independent lifts."""
-    norm = EventSpec("hom-norm", 0.0, ambient=ambient)  # its statistic is the norm
-    return _event_statistics(spec, scheme, norm, grid, seed, n_samples, chunk, threads)
+    plain, _, _ = _collect_statistics(
+        spec, scheme, grid, seed, n_samples, chunk, threads, names=("hom-norm",), ambient=ambient
+    )
+    return plain["hom-norm"]
 
 
 def fernique_tail_fit(
@@ -626,15 +631,14 @@ def fernique_tail_fit(
     seed: int,
     *,
     grid: TimeGrid,
-    n_thresholds: int = 12,
-    min_exceedances: int = 30,
     chunk: int = 512,
     threads: int = 1,
 ) -> TailFit:
     """Fit exp(-eta t^2) decay to the upper tail of the lifted norm.
 
-    Thresholds are spaced evenly in t^2 from the 90th percentile up to the
-    largest threshold that keeps at least `min_exceedances` samples above it;
+    `FERNIQUE_THRESHOLDS` thresholds are spaced evenly in t^2 from the 90th
+    percentile up to the largest threshold that keeps at least
+    `FERNIQUE_MIN_EXCEEDANCES` samples above it;
     the slope of log-survival against t^2 over those points gives eta_hat.
     """
     if n_samples < FERNIQUE_MIN_SAMPLES:
@@ -643,16 +647,17 @@ def fernique_tail_fit(
     if np.max(norms) - np.min(norms) <= 1e-15 * max(1.0, abs(float(np.max(norms)))):
         raise ValueError("degenerate norm sample: all values equal")
     sorted_norms = np.sort(norms)
-    t_lo = float(np.quantile(norms, 0.9))
-    t_hi = float(sorted_norms[-min_exceedances])
+    t_lo = float(np.quantile(sorted_norms, 0.9))
+    t_hi = float(sorted_norms[-FERNIQUE_MIN_EXCEEDANCES])
     if not t_hi > t_lo:
         raise ValueError(
             "tail too short to fit: the 90th percentile already has fewer "
-            f"than {min_exceedances} exceedances"
+            f"than {FERNIQUE_MIN_EXCEEDANCES} exceedances"
         )
-    ts = np.sqrt(np.linspace(t_lo**2, t_hi**2, n_thresholds))
-    exceed = np.array([int(np.sum(norms >= t)) for t in ts])
-    keep = exceed >= min_exceedances
+    ts = np.sqrt(np.linspace(t_lo**2, t_hi**2, FERNIQUE_THRESHOLDS))
+    # searchsorted counts the samples below each threshold
+    exceed = n_samples - np.searchsorted(sorted_norms, ts)
+    keep = exceed >= FERNIQUE_MIN_EXCEEDANCES
     ts, exceed = ts[keep], exceed[keep]
     log_surv = np.log(exceed / n_samples)
     slope, _ = np.polyfit(ts**2, log_surv, 1)

@@ -29,6 +29,7 @@ from .asymptotics import (
     ORACLES,
     STATISTICS,
     EventSpec,
+    _check_entry,
     _check_oracle,
     empirical_rate,
     eta0_estimate,
@@ -154,17 +155,20 @@ def _parse_ambient(preset_or_path: str, dim: int, level: int = 3, *, fit: bool =
     return ambient
 
 
-def _parse_event(text: str, ambient: AmbientSpec | None) -> EventSpec:
-    """Event syntax: sup-ge:c | terminal-ge:c | hom-ge:c | level2-ge:i,j,c."""
+def _parse_event(text: str, ambient: AmbientSpec | None, dim: int) -> EventSpec:
+    """Event syntax: sup-ge:c | terminal-ge:c | hom-ge:c | level2-ge:i,j,c (i, j <= dim)."""
     head, _, arg = text.partition(":")
     if not arg:
         raise CliError(f"--event {text!r} is missing its threshold")
 
     def number(convert, token: str, what: str):
         try:
-            return convert(token)
+            value = convert(token)
         except ValueError:
-            raise CliError(f"--event {text!r}: malformed {what} {token!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise CliError(f"--event {text!r}: malformed {what} {token!r}")
+        return value
 
     if head == "sup-ge":
         return EventSpec("sup-level1", number(float, arg, "threshold"))
@@ -179,6 +183,10 @@ def _parse_event(text: str, ambient: AmbientSpec | None) -> EventSpec:
         if len(parts) != 3:
             raise CliError(f"--event level2-ge wants i,j,c, got {arg!r}")
         entry = (number(int, parts[0], "entry index"), number(int, parts[1], "entry index"))
+        try:
+            _check_entry(entry, dim)
+        except ValueError as exc:
+            raise CliError(f"--event {text!r}: {exc}") from None
         return EventSpec("level2-entry", number(float, parts[2], "threshold"), entry=entry)
     raise CliError(f"--event kind {head!r} unknown")
 
@@ -271,7 +279,7 @@ def _cmd_ldp(args) -> int:
     ambient = _parse_ambient(args.ambient, args.dim) if args.ambient else None
     spec = _gaussian_spec(args)
     with _argument_errors():
-        event = _parse_event(args.event, ambient)
+        event = _parse_event(args.event, ambient, args.dim)
         if args.oracle is not None:
             _check_oracle(args.oracle, event, spec, args.scheme)
     estimate = empirical_rate(

@@ -62,8 +62,8 @@ class SamplePath:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError(f"values must be 2-d (n_steps+1, dim), got shape {values.shape}")
+        if values.ndim != 2 or values.shape[1] == 0:
+            raise ValueError(f"values must be 2-d (n_steps+1, dim) with dim >= 1, got shape {values.shape}")
         if values.shape[0] != self.grid.n_steps + 1:
             raise ValueError(
                 f"values has {values.shape[0]} rows, grid needs {self.grid.n_steps + 1}"
@@ -338,8 +338,8 @@ def read_path_csv(filename) -> SamplePath:
     with open(filename, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        if not header or header[0] != "t":
-            raise ValueError(f"bad CSV header in {filename}: expected leading 't' column")
+        if len(header) < 2 or header[0] != "t":
+            raise ValueError(f"bad CSV header in {filename}: expected a leading 't' column and a value column")
         rows = []
         for line, row in enumerate(reader, start=2):
             try:

@@ -28,6 +28,12 @@ def test_event_validation():
         EventSpec("max", 1.0)
     with pytest.raises(ValueError, match="ambient"):
         EventSpec("hom-norm", 1.0)
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            EventSpec("sup-level1", threshold)
+    for entry in ((0, 1), (1, -1), (1,), (1, 1.0)):
+        with pytest.raises(ValueError, match="entry must be two integers >= 1"):
+            EventSpec("level2-entry", 1.0, entry=entry)
 
 
 def test_event_dilation_identity():
@@ -115,6 +121,28 @@ def test_empirical_rate_draws_each_path_once_from_its_seed(monkeypatch):
     )
     # the main run reads samples 0..699, the pilot the 300 after them
     assert sorted(drawn) == [(11, i) for i in range(1_000)]
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=")
+@pytest.mark.parametrize("threshold, censored", [(0.5, []), (50.0, [0.8, 0.6])])
+def test_empirical_rate_makes_one_driver_pass(monkeypatch, threshold, censored):
+    from wienerlift import asymptotics
+
+    counts = []
+    original = asymptotics._collect_statistics
+
+    def counting(spec, scheme, grid, seed, count, *args, **kwargs):
+        counts.append(count)
+        return original(spec, scheme, grid, seed, count, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "_collect_statistics", counting)
+    est = empirical_rate(
+        GaussianSpec("bm", 1), "ito", EventSpec("sup-level1", threshold), [0.8, 0.6], 700, 11,
+        grid=TimeGrid(1.0, 8), pilot_samples=300, chunk=128,
+    )
+    # the main run and its pilot share one pass, also when the pilot censors every epsilon
+    assert counts == [1_000]
+    assert est.censored == censored
 
 
 def test_empirical_rate_threshold_zero_is_certain():
@@ -228,6 +256,15 @@ UNFITTED_AMBIENT = {
 }
 
 
+UNFITTED_AMBIENT["empirical_rate-entry"] = (
+    lambda: empirical_rate(
+        GaussianSpec("bm", 2), "ito", EventSpec("level2-entry", 0.5, entry=(3, 1)), [1.0], 4, 1,
+        grid=TimeGrid(1.0, 8), pilot_samples=4,
+    ),
+    r"entry \(3, 1\) reads component 3, but the path has d=2",
+)
+
+
 @pytest.mark.parametrize("route", sorted(UNFITTED_AMBIENT))
 def test_library_refuses_an_ambient_that_does_not_fit(route):
     call, message = UNFITTED_AMBIENT[route]
@@ -284,6 +321,20 @@ def test_fernique_degenerate_sample():
             )
     finally:
         asy.lift_norm_samples = original
+
+
+def test_fernique_exceedances_count_the_samples_at_or_above_each_threshold(monkeypatch):
+    import wienerlift.asymptotics as asy
+
+    # rounded norms carry ties, and the top threshold is itself a sample
+    norms = np.round(np.abs(np.random.default_rng(3).standard_normal(10_000)), 2)
+    monkeypatch.setattr(asy, "lift_norm_samples", lambda *a, **k: norms)
+    fit = fernique_tail_fit(
+        GaussianSpec("bm", 1), "ito", classical_ambient(1, "terminal"), 10_000, 1, grid=TimeGrid(1.0, 8)
+    )
+    assert fit.thresholds[0] == np.quantile(norms, 0.9)
+    assert fit.thresholds[-1] in norms
+    assert fit.exceedances == [int(np.sum(norms >= t)) for t in fit.thresholds]
 
 
 def test_lift_norm_samples_threads_deterministic():
@@ -441,6 +492,9 @@ def test_empirical_rate_refuses_nonpositive_epsilons():
     for bad in ([0.0], [0.5, -1.0], [math.inf], [math.nan]):
         with pytest.raises(ValueError, match="epsilons must be positive and finite"):
             empirical_rate(GaussianSpec("bm", 1), "ito", event, bad, 100, 1, grid=TimeGrid(1.0, 8))
+    for n, pilot in ((-10, 100), (100, -50)):
+        with pytest.raises(ValueError, match="sample counts must be >= 0"):
+            empirical_rate(GaussianSpec("bm", 1), "ito", event, [0.5], n, 1, grid=TimeGrid(1.0, 8), pilot_samples=pilot)
 
 
 def _shifted_quadratic(x):

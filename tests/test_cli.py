@@ -485,7 +485,11 @@ def test_selftest_passes():
     assert main(["selftest"]) == 0
 
 
-BAD_CSV = {"header-only-csv": "t,x1\n", "ragged-csv": "t,x1\n0.0,0.0\n0.5\n1.0,0.3\n"}
+BAD_CSV = {
+    "header-only-csv": "t,x1\n",
+    "ragged-csv": "t,x1\n0.0,0.0\n0.5\n1.0,0.3\n",
+    "no-value-column-csv": "t\n0.0\n0.5\n1.0\n",
+}
 # faults put into an n=8, d=1 enhanced-path document
 BAD_LIFT = {
     "json-without-grid": lambda doc: doc.pop("grid"),
@@ -600,9 +604,20 @@ BAD_VALUES = {
                            "argument --epsilons: expected comma-separated positive numbers"),
     "ldp-threshold-word": (["ldp", "--event", "sup-ge:abc", "--epsilons", "1", "--samples", "10"],
                            "--event 'sup-ge:abc': malformed threshold 'abc'"),
+    "ldp-threshold-nan": (["ldp", "--event", "sup-ge:nan", "--epsilons", "1", "--samples", "10"],
+                          "--event 'sup-ge:nan': malformed threshold 'nan'"),
+    "ldp-threshold-inf": (["ldp", "--event", "sup-ge:inf", "--epsilons", "1", "--samples", "10"],
+                          "--event 'sup-ge:inf': malformed threshold 'inf'"),
     "ldp-entry-word": (["ldp", "--event", "level2-ge:a,1,0.5", "--epsilons", "1",
                         "--samples", "10"],
                        "--event 'level2-ge:a,1,0.5': malformed entry index 'a'"),
+    "ldp-entry-0": (["ldp", "--event", "level2-ge:0,1,1", "--epsilons", "1", "--samples", "10"],
+                    "--event 'level2-ge:0,1,1': entry must be two integers >= 1, got (0, 1)"),
+    "ldp-entry-negative": (["ldp", "--event", "level2-ge:-1,1,1", "--epsilons", "1", "--samples", "10"],
+                           "--event 'level2-ge:-1,1,1': entry must be two integers >= 1, got (-1, 1)"),
+    "ldp-entry-above-dim": (["ldp", "--dim", "2", "--event", "level2-ge:3,1,1", "--epsilons", "1",
+                             "--samples", "10"],
+                            "--event 'level2-ge:3,1,1': entry (3, 1) reads component 3, but the path has d=2"),
     "ldp-horizon-0": (["ldp", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "10",
                        "--horizon", "0"],
                       "argument --horizon: expected a positive finite number, got '0'"),

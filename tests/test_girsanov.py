@@ -218,6 +218,11 @@ def test_reweight_validation():
     for n in (0, 1):
         with pytest.raises(ValueError, match="n_samples must be >= 2"):
             reweight_check(("terminal-level1",), h, n_samples=n, **kwargs)
+    for entry in ((0, 1), (1, -1)):
+        with pytest.raises(ValueError, match="entry must be two integers >= 1"):
+            reweight_check(("level2-entry",), h, n_samples=10, entry=entry, **kwargs)
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) reads component 2, but the path has d=1"):
+        reweight_check(("level2-entry",), h, n_samples=10, entry=(1, 2), **kwargs)
 
 
 def test_reweight_hom_norm_level3_ambient():

@@ -37,6 +37,8 @@ def test_sample_path_validation():
         SamplePath(grid, np.zeros((3, 1)))
     with pytest.raises(ValueError):
         SamplePath(grid, np.full((5, 1), np.nan))
+    with pytest.raises(ValueError, match="dim >= 1"):
+        SamplePath(grid, np.zeros((5, 0)))
 
 
 def test_seeded_determinism():
