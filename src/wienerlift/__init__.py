@@ -14,7 +14,6 @@ from .grids import (
     GaussianSpec,
     sample,
     sample_values_batch,
-    kl_truncate,
     piecewise_linear,
     cm_norm,
     cm_inner,
@@ -33,7 +32,6 @@ from .seminorms import (
     holder_norm_1d,
     homogeneous_norm,
     banach_norm,
-    rho_variation_covariance,
 )
 from .lifts import (
     EnhancedPath,
@@ -51,11 +49,9 @@ from .chaos import (
     ChaosPolynomial,
     GradedChaos,
     chaos_project,
-    conditional_expectation,
     proxy_restriction_exact,
     proxy_restriction_mc,
     chaos_norm_equivalence_probe,
-    monomial_to_hermite,
 )
 from .girsanov import (
     CmDensityEval,
@@ -69,7 +65,6 @@ from .asymptotics import (
     Eta0Result,
     TailFit,
     empirical_rate,
-    rate_functional,
     eta0_estimate,
     fernique_tail_fit,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._batch import homogeneous_norm_batch, pair_base_batch, parallel_chunks
 from .grids import (
-    CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, derived_rng, paley_wiener, sample_values_batch,
+    CameronMartinPath, GaussianSpec, TimeGrid, derived_rng, paley_wiener, sample_values_batch,
 )
 from .lifts import EnhancedPath, _triple_base
 from .seminorms import AmbientSpec
@@ -226,7 +226,9 @@ def empirical_rate(
     epsilons whose expected hit count falls below `MIN_EXPECTED_HITS` (they
     are reported as censored, with a warning, and never enter the fit); an
     epsilon that still records zero hits in the main run is likewise
-    censored rather than reported as -inf.
+    censored rather than reported as -inf.  pilot_samples=0 means no pilot
+    censoring: the expected-hits test is skipped, and only zero-hit epsilons
+    are censored.
     """
     epsilons = sorted(float(e) for e in epsilons)[::-1]
     if not epsilons:
@@ -250,7 +252,7 @@ def empirical_rate(
     )
     stats_main, pilot_stats = np.split(plain[event.kind], [n_samples])
     censored: list[float] = []
-    for eps in epsilons:
+    for eps in epsilons if pilot_samples else ():
         expected = float(np.mean(pilot_stats >= event.threshold / eps**deg)) * n_samples
         if expected < MIN_EXPECTED_HITS:
             censored.append(eps)
@@ -355,11 +357,6 @@ def _base_tensors(values, scheme, level):
     base2 = pair_base_batch(values, scheme) if level >= 2 else None
     base3 = _triple_base(values, values, values, scheme, pair_ab=base2) if level >= 3 else None
     return base2, base3
-
-
-def rate_functional(h: CameronMartinPath) -> float:
-    """Good-rate value of a Cameron-Martin direction: |h|_H^2 / 2."""
-    return 0.5 * cm_norm(h) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -538,14 +535,15 @@ def eta0_estimate(
         raise ValueError(f"segments must be >= 2, got {segments}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if maxiter is not None and maxiter < 0:
-        raise ValueError(f"maxiter must be >= 0, got {maxiter}")
+    if maxiter is not None and maxiter < 1:
+        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     d = ambient.noise_dim
     # the skeleton h has one component per distinguished symbol
     ambient.check_fits(d, ambient.max_degree)
     grid = TimeGrid(horizon, segments)
     n_var = segments * d
-    maxiter = maxiter or 400 * n_var
+    if maxiter is None:
+        maxiter = 400 * n_var
 
     def objective(vecs: np.ndarray) -> np.ndarray:
         return _eta0_quotients(ambient, grid, vecs)

@@ -4,8 +4,7 @@ Polynomials are stored by their coefficients in the monic probabilists'
 Hermite basis H_alpha(z) = prod_i h_{alpha_i}(z_i), with h_0 = 1, h_1 = x,
 h_2 = x^2 - 1, ...  In this convention E[H_alpha H_beta] = delta_{alpha,beta}
 alpha!, so projections that are written against unnormalized H_alpha need the
-1/alpha! factor; `conditional_expectation` exposes both conventions and the
-normalized one is the default (it is the one under which E[psi | F_n] = psi).
+1/alpha! factor.
 """
 
 from __future__ import annotations
@@ -65,14 +64,6 @@ def multi_index_factorial(alpha: MultiIndex) -> int:
     for a in alpha:
         out *= math.factorial(a)
     return out
-
-
-def in_degree_set(alpha: MultiIndex, k: int, n: int, upto: bool = False) -> bool:
-    """Membership in A^k_n (degree k, support inside 1..n); A^{<=k}_n if upto."""
-    if len(alpha) > n and any(a > 0 for a in alpha[n:]):
-        return False
-    deg = multi_index_degree(alpha)
-    return deg <= k if upto else deg == k
 
 
 @dataclass
@@ -137,61 +128,6 @@ def chaos_project(psi: ChaosPolynomial, k: int) -> ChaosPolynomial:
     return ChaosPolynomial(
         psi.dimension, {a: c for a, c in psi.coeffs.items() if multi_index_degree(a) == k}
     )
-
-
-def conditional_expectation(
-    psi: ChaosPolynomial, m: int, normalized: bool = True
-) -> ChaosPolynomial:
-    """E[psi | sigma(z_1..z_m)]: keep multi-indices supported in 1..m.
-
-    With normalized=True the retained coefficients are kept as they are,
-    which realizes the conditional expectation exactly (the projection
-    coefficient is E[psi H_alpha]/alpha!).  normalized=False reproduces the
-    unnormalized convention sum E[psi H_alpha] H_alpha, which inflates each
-    retained coefficient by alpha!; it is exposed for comparison only.
-    """
-    if m > psi.dimension:
-        raise ValueError(f"m = {m} exceeds dimension {psi.dimension}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    kept = {}
-    for alpha, c in psi.coeffs.items():
-        if all(a == 0 for a in alpha[m:]):
-            kept[alpha] = c if normalized else c * multi_index_factorial(alpha)
-    return ChaosPolynomial(psi.dimension, kept)
-
-
-def monomial_to_hermite(powers: MultiIndex) -> ChaosPolynomial:
-    """Expand the monomial prod z_i^{p_i} in the Hermite basis.
-
-    Uses x^{p} = x * x^{p-1} together with x h_k = h_{k+1} + k h_{k-1},
-    coordinate by coordinate.
-    """
-
-    def univariate(p: int) -> dict[int, float]:
-        coeffs = {0: 1.0}
-        for _ in range(p):
-            nxt: dict[int, float] = {}
-            for k, c in coeffs.items():
-                nxt[k + 1] = nxt.get(k + 1, 0.0) + c
-                if k >= 1:
-                    nxt[k - 1] = nxt.get(k - 1, 0.0) + c * k
-            coeffs = nxt
-        return coeffs
-
-    n = len(powers)
-    out: dict[MultiIndex, float] = {tuple([0] * n): 1.0}
-    for i, p in enumerate(powers):
-        uni = univariate(int(p))
-        nxt_out: dict[MultiIndex, float] = {}
-        for alpha, c in out.items():
-            for k, w in uni.items():
-                beta = list(alpha)
-                beta[i] = k
-                beta = tuple(beta)
-                nxt_out[beta] = nxt_out.get(beta, 0.0) + c * w
-        out = nxt_out
-    return ChaosPolynomial(n, out)
 
 
 @dataclass
@@ -393,7 +329,7 @@ def chaos_to_document(obj: "ChaosPolynomial | GradedChaos") -> dict:
 
 
 def chaos_from_document(doc: dict) -> "ChaosPolynomial | GradedChaos":
-    """Rebuild a chaos object; a missing field raises ValueError naming it."""
+    """Rebuild a chaos object; a missing or mistyped field raises ValueError."""
     _files.check_format(doc, CHAOS_FORMAT_VERSION)
     try:
         dim = int(doc["dimension"])
@@ -409,6 +345,8 @@ def chaos_from_document(doc: dict) -> "ChaosPolynomial | GradedChaos":
         degrees = {k: int(v) for k, v in doc["degrees"].items()}
     except KeyError as exc:
         raise ValueError(f"chaos document lacks field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"chaos document is malformed: {exc}") from None
     for name in degrees:
         components.setdefault(name, ChaosPolynomial(dim, {}))
     return GradedChaos(dim, components, degrees)

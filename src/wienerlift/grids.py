@@ -122,9 +122,6 @@ class CameronMartinPath:
             raise ValueError("grid mismatch between Cameron-Martin paths")
         return CameronMartinPath(self.grid, self.derivative_values + other.derivative_values)
 
-    def __neg__(self) -> "CameronMartinPath":
-        return CameronMartinPath(self.grid, -self.derivative_values)
-
     def scaled(self, c: float) -> "CameronMartinPath":
         return CameronMartinPath(self.grid, c * self.derivative_values)
 
@@ -274,33 +271,6 @@ def brownian_onb(k: int, grid: TimeGrid) -> CameronMartinPath:
     mid = (grid.points[:-1] + grid.points[1:]) / 2.0
     deriv = math.sqrt(2.0 / T) * np.cos(omega * mid)
     return CameronMartinPath(grid, deriv[:, None])
-
-
-def _onb_derivative_at(k_max: int, t: np.ndarray, T: float) -> np.ndarray:
-    """e_k'(t) for k = 1..k_max, shape (k_max, len(t))."""
-    ks = np.arange(1, k_max + 1)
-    omega = (ks - 0.5) * math.pi / T
-    return math.sqrt(2.0 / T) * np.cos(omega[:, None] * t[None, :])
-
-
-def kl_truncate(x: SamplePath, m: int) -> CameronMartinPath:
-    """Spectral truncation of a Brownian path onto the first m basis elements.
-
-    Coefficients are grid Paley-Wiener sums sum_i e_k'(t_i) (x(t_{i+1})-x(t_i)),
-    one per component; the returned derivative is the exact basis derivative
-    (sampled at cell midpoints) weighted by those coefficients.  Valid for
-    paths distributed as Brownian motion, where the closed-form basis applies.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    grid, T = x.grid, x.grid.horizon
-    left = grid.points[:-1]
-    mid = (grid.points[:-1] + grid.points[1:]) / 2.0
-    e_left = _onb_derivative_at(m, left, T)  # (m, n)
-    e_mid = _onb_derivative_at(m, mid, T)
-    coeff = e_left @ x.increments  # (m, d)
-    deriv = e_mid.T @ coeff  # (n, d)
-    return CameronMartinPath(grid, deriv)
 
 
 def piecewise_linear(x: SamplePath, m: int) -> CameronMartinPath:

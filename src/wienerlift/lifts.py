@@ -392,6 +392,8 @@ def enhanced_from_document(doc: dict) -> EnhancedPath:
         return EnhancedPath(path, base2, base3, scheme=doc["scheme"], ambient=ambient)
     except KeyError as exc:
         raise ValueError(f"enhanced-path document lacks field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"enhanced-path document is malformed: {exc}") from None
 
 
 def save_enhanced(e: EnhancedPath, filename) -> None:

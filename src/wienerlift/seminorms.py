@@ -11,8 +11,7 @@ grid, which converge under refinement: the exact q-variation over the
 consecutive intervals of grid partitions, and Hoelder and sup over s < t.
 One kernel, `column_norm`, reads them from columns t -> X_{.,t}; the
 one-parameter p-variation and Hoelder norms are X_{s,t} = x_t - x_s.  The
-covariance rho-variation uses the full grid partition only, a lower bound.
-The plain Banach norm sum_tau ||v_tau|| induces the same topology as the
+plain Banach norm sum_tau ||v_tau|| induces the same topology as the
 homogeneous distance, but no quantitative equivalence is asserted here.
 
 Every kernel takes any number of leading axes and gives norms of shape
@@ -30,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from . import _files
-from .grids import GaussianSpec, TimeGrid
+from .grids import TimeGrid
 
 NORM_KINDS = ("pvar", "holder", "sup", "terminal")
 
@@ -326,17 +325,3 @@ def banach_norm(norms) -> float | np.ndarray:
         total += norm
     return total
 
-
-def rho_variation_covariance(spec: GaussianSpec, grid: TimeGrid, rho: float) -> float:
-    """Grid-restricted rho-variation of the increment covariance.
-
-    Uses the full grid partition for both partitions of the defining supremum
-    (a lower bound): (sum_{i,j} |E[dX_i dX_j]|^rho)^(1/rho), computed from the
-    scalar component covariance.
-    """
-    if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
-    t = grid.points
-    R = spec.covariance(t[:, None], t[None, :])
-    incr_cov = R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
-    return float(np.sum(np.abs(incr_cov) ** rho) ** (1.0 / rho))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,8 @@ from wienerlift.asymptotics import (
     eta0_quotient,
     fernique_tail_fit,
     lift_norm_samples,
-    rate_functional,
 )
-from wienerlift.grids import CameronMartinPath, GaussianSpec, TimeGrid, sample
+from wienerlift.grids import CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, sample
 from wienerlift.lifts import dilate_enhanced, ito_lift, stratonovich_lift, to_graded
 from wienerlift.seminorms import AmbientSpec, ambient_for_levels, classical_ambient
 
@@ -104,6 +104,21 @@ def test_empirical_rate_censors_small_epsilons():
     assert math.isfinite(est.oracle_values[-1])  # oracle still attached
 
 
+def test_empirical_rate_without_pilot_censors_only_zero_hits():
+    args = (GaussianSpec("bm", 1), "ito", EventSpec("sup-level1", 1.0), [0.5, 0.38, 0.35, 0.01], 2_000, 7)
+    with pytest.warns(UserWarning, match="excluded"):
+        piloted = empirical_rate(*args, grid=TimeGrid(1.0, 32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bare = empirical_rate(*args, grid=TimeGrid(1.0, 32), pilot_samples=0)
+    assert piloted.censored == [0.38, 0.35, 0.01]
+    assert bare.censored == [0.01] and bare.hits[1:3] == [11, 5]
+    # the main samples are the same draws, so the entries the pilot kept agree bit for bit
+    kept = [i for i, e in enumerate(piloted.epsilons) if e not in piloted.censored]
+    for field in ("hits", "log_probs", "log_prob_ses", "scaled", "scaled_ses"):
+        assert [getattr(bare, field)[i] for i in kept] == [getattr(piloted, field)[i] for i in kept]
+
+
 def test_empirical_rate_draws_each_path_once_from_its_seed(monkeypatch):
     from wienerlift import asymptotics
 
@@ -182,14 +197,6 @@ def test_empirical_rate_threads_deterministic():
     assert a.scaled == b.scaled and a.hits == b.hits
 
 
-def test_rate_functional_values():
-    grid = TimeGrid(1.0, 32)
-    zero = CameronMartinPath(grid, np.zeros((32, 1)))
-    assert rate_functional(zero) == 0.0
-    ramp = CameronMartinPath(grid, np.ones((32, 1)))
-    assert rate_functional(ramp) == pytest.approx(0.5, rel=1e-12)
-
-
 def test_eta0_classical_recovers_half():
     result = eta0_estimate(classical_ambient(1, "sup"), segments=16, restarts=8, seed=5)
     assert 0.49 <= result.eta0_hat <= 0.53
@@ -213,7 +220,7 @@ def test_eta0_constrained_search_consistency():
 
     argmin = result.argmin_h
     unit = argmin.scaled(1.0 / skeleton_norm(argmin, ambient))
-    assert rate_functional(unit) >= result.eta0_hat * 0.95
+    assert 0.5 * cm_norm(unit) ** 2 >= result.eta0_hat * 0.95
 
 
 def test_eta0_level2_reproducible_and_positive():
@@ -235,8 +242,9 @@ def test_eta0_validation():
         eta0_estimate(classical_ambient(1), segments=1, restarts=2, seed=0)
     with pytest.raises(ValueError):
         eta0_estimate(classical_ambient(1), segments=4, restarts=0, seed=0)
-    with pytest.raises(ValueError, match="maxiter"):
-        eta0_estimate(classical_ambient(1), segments=4, restarts=1, seed=0, maxiter=-1)
+    for maxiter in (-1, 0):
+        with pytest.raises(ValueError, match="maxiter"):
+            eta0_estimate(classical_ambient(1), segments=4, restarts=1, seed=0, maxiter=maxiter)
 
 
 # at each library entry point, an ambient reading a component the path lacks

@@ -11,11 +11,9 @@ from wienerlift.chaos import (
     chaos_norm_equivalence_probe,
     chaos_project,
     chaos_to_document,
-    conditional_expectation,
     expectation_quadrature,
     hermite,
     hermite_binomial_expand,
-    monomial_to_hermite,
     multi_index_factorial,
     proxy_restriction_exact,
     proxy_restriction_mc,
@@ -84,18 +82,35 @@ def test_projection_idempotent_and_sums_to_identity():
 def test_projection_of_coordinates_and_products():
     z1 = ChaosPolynomial(2, {(1, 0): 1.0})
     assert chaos_project(z1, 1).coeffs == {(1, 0): 1.0}
-    prod = monomial_to_hermite((1, 1))  # z1 z2 = H_(1,1)
+    prod = ChaosPolynomial(2, {(1, 1): 1.0})  # z1 z2 = H_(1,1)
     assert chaos_project(prod, 2).coeffs == {(1, 1): 1.0}
     assert chaos_project(prod, 0).coeffs == {}
 
 
-def test_monomial_to_hermite_via_evaluation():
-    rng = np.random.default_rng(2)
-    z = rng.standard_normal((50, 2))
-    for powers in ((2, 0), (1, 1), (3, 2)):
-        psi = monomial_to_hermite(powers)
+def test_evaluate_matches_monomials_in_the_hermite_basis():
+    # z^2 = h_2 + 1 and z^3 = h_3 + 3 h_1, so z1^3 z2^2 = (H_3 + 3 H_1)(H_2 + 1)
+    expansions = {
+        (2, 0): {(2, 0): 1.0, (0, 0): 1.0},
+        (1, 1): {(1, 1): 1.0},
+        (3, 2): {(3, 2): 1.0, (3, 0): 1.0, (1, 2): 3.0, (1, 0): 3.0},
+    }
+    z = np.random.default_rng(2).standard_normal((50, 2))
+    for powers, coeffs in expansions.items():
+        psi = ChaosPolynomial(2, coeffs)
         direct = z[:, 0] ** powers[0] * z[:, 1] ** powers[1]
         assert np.max(np.abs(psi.evaluate(z) - direct)) <= 1e-10
+
+
+def test_multivariate_hermite_orthogonality_by_quadrature():
+    # E[H_alpha H_beta] = delta_{alpha,beta} alpha!
+    indices = [a for a in product(range(4), repeat=2) if sum(a) <= 3]
+    for alpha in indices:
+        h_alpha = ChaosPolynomial(2, {alpha: 1.0})
+        for beta in indices:
+            h_beta = ChaosPolynomial(2, {beta: 1.0})
+            val = expectation_quadrature(lambda z: h_alpha.evaluate(z) * h_beta.evaluate(z), 2, 3)
+            target = float(multi_index_factorial(alpha)) if alpha == beta else 0.0
+            assert abs(val - target) <= 1e-9 * max(1.0, target)
 
 
 def _graded_example(rng, dimension=4):
@@ -183,43 +198,6 @@ def test_proxy_lifting_property():
         assert out[f"e{i}"] == pytest.approx(h[i], rel=1e-14)
 
 
-def test_conditional_expectation_support_rule():
-    psi = ChaosPolynomial(2, {(0, 2): 1.0})
-    assert conditional_expectation(psi, 1).coeffs == {}
-    rng = np.random.default_rng(9)
-    full = _random_poly(rng, 3, 3)
-    assert conditional_expectation(full, 3).coeffs == full.coeffs
-    with pytest.raises(ValueError):
-        conditional_expectation(full, 4)
-
-
-def test_conditional_expectation_normalization_flag():
-    psi = ChaosPolynomial(2, {(2, 0): 1.5, (1, 1): 1.0})
-    normalized = conditional_expectation(psi, 1)
-    assert normalized.coeffs == {(2, 0): 1.5}
-    raw = conditional_expectation(psi, 1, normalized=False)
-    # unnormalized convention inflates by alpha! = 2
-    assert raw.coeffs == {(2, 0): 3.0}
-
-
-def test_conditional_expectation_mc_orthogonality():
-    rng = np.random.default_rng(10)
-    psi = _random_poly(rng, 3, 3)
-    m = 2
-    proj = conditional_expectation(psi, m)
-    resid_coeffs = dict(psi.coeffs)
-    for alpha, c in proj.coeffs.items():
-        resid_coeffs[alpha] = resid_coeffs.get(alpha, 0.0) - c
-    resid = ChaosPolynomial(3, resid_coeffs)
-    g = _random_poly(rng, 3, 2)  # depends on z1..z2 only
-    g = ChaosPolynomial(3, {a: c for a, c in g.coeffs.items() if a[2] == 0})
-    z = np.random.default_rng(11).standard_normal((200_000, 3))
-    vals = resid.evaluate(z) * g.evaluate(z)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-    assert abs(est) <= 3 * max(se, 1e-12)
-
-
 def test_norm_equivalence_probe():
     # ||z1||_4 / ||z1||_2 = 3^(1/4) <= sqrt(3)
     report = chaos_norm_equivalence_probe(1, 2.0, 4.0, trials=1, dimension=1, seed=0)
@@ -268,12 +246,3 @@ def test_graded_degree_budget_enforced():
 
 def test_multi_index_factorial():
     assert multi_index_factorial((2, 0, 3)) == 12
-
-
-def test_degree_set_membership():
-    from wienerlift.chaos import in_degree_set
-
-    assert in_degree_set((2, 1, 0), 3, 3)
-    assert not in_degree_set((2, 1, 0), 2, 3)
-    assert in_degree_set((2, 0, 0), 3, 3, upto=True)
-    assert not in_degree_set((0, 0, 1), 1, 2)  # support outside 1..2

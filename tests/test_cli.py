@@ -333,6 +333,11 @@ def test_chaos_missing_option_is_an_argument_error(tmp_path, capsys, args, optio
     [
         (json.dumps({"format_version": "chaos/v1"}), "lacks field 'dimension'"),
         (json.dumps({"format_version": "chaos/v1", "dimension": 2}), "lacks field 'terms'"),
+        (json.dumps({"format_version": "chaos/v1", "dimension": 2,
+                     "terms": [{"symbol": None, "multi_index": 5, "coefficient": 1.0}]}), "malformed"),
+        (json.dumps({"format_version": "chaos/v1", "dimension": 2,
+                     "terms": [{"symbol": None, "multi_index": [[1, 1]], "coefficient": None}]}), "malformed"),
+        (json.dumps({"format_version": "chaos/v1", "dimension": 2, "degrees": [1], "terms": []}), "malformed"),
         ("not json", "Expecting value"),
     ],
 )
@@ -495,6 +500,7 @@ BAD_LIFT = {
     "json-without-grid": lambda doc: doc.pop("grid"),
     "json-short-level2": lambda doc: doc.update(level2={"shape": [8, 1, 1], "data": [0.0] * 8}),
     "json-flat-level3": lambda doc: doc.update(level3={"shape": [9, 1, 1], "data": [0.0] * 9}),
+    "json-list-grid": lambda doc: doc.update(grid=[1, 2]),
 }
 
 

@@ -12,7 +12,6 @@ from wienerlift.grids import (
     brownian_onb,
     cm_inner,
     cm_norm,
-    kl_truncate,
     piecewise_linear,
     read_path_csv,
     sample,
@@ -178,53 +177,24 @@ def test_cm_norm_values():
     assert abs(cm_norm(e1) - 1.0) <= 1e-3
 
 
-def test_kl_truncate_recovers_basis_element():
+def test_brownian_onb_is_orthonormal_in_cameron_martin_space():
     grid = TimeGrid(1.0, 1024)
-    e1 = brownian_onb(1, grid)
-    out = kl_truncate(e1.as_sample_path(), 1)
-    # coefficient extracted from the first cell (output is c * e1' at midpoints)
-    mid0 = grid.dt / 2.0
-    ref = math.sqrt(2.0) * math.cos(0.5 * math.pi * mid0)
-    coeff = out.derivative_values[0, 0] / ref
-    assert abs(coeff - 1.0) <= 1e-3
-    sup_err = np.max(np.abs(out.values - e1.values))
-    assert sup_err <= 2e-3
+    basis = [brownian_onb(k, grid) for k in range(1, 5)]
+    gram = np.array([[cm_inner(e, f) for f in basis] for e in basis])
+    assert np.max(np.abs(gram - np.eye(4))) <= 1e-4
 
 
-def test_kl_truncate_zero_and_validation():
-    grid = TimeGrid(1.0, 64)
-    zero = SamplePath(grid, np.zeros((65, 1)))
-    out = kl_truncate(zero, 1)
-    assert np.array_equal(out.derivative_values, np.zeros((64, 1)))
-    with pytest.raises(ValueError):
-        kl_truncate(zero, 0)
-
-
-def test_kl_truncate_linearity():
-    grid = TimeGrid(1.0, 128)
-    x = sample(GaussianSpec("bm", 2), grid, seed=5)
-    y = sample(GaussianSpec("bm", 2), grid, seed=6)
-    combo = SamplePath(grid, 0.3 * x.values - 1.7 * y.values)
-    lhs = kl_truncate(combo, 8).derivative_values
-    rhs = (
-        0.3 * kl_truncate(x, 8).derivative_values
-        - 1.7 * kl_truncate(y, 8).derivative_values
-    )
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
-def test_kl_sup_error_decreases_in_m():
-    grid = TimeGrid(1.0, 256)
-    spec = GaussianSpec("bm", 1)
-    ms = [4, 16, 64]
-    errs = {m: [] for m in ms}
-    for seed in range(100):
-        x = sample(spec, grid, seed=seed)
-        for m in ms:
-            approx = kl_truncate(x, m)
-            errs[m].append(float(np.max(np.abs(approx.values - x.values))))
-    medians = [float(np.median(errs[m])) for m in ms]
-    assert medians[0] >= medians[1] >= medians[2]
+def test_brownian_onb_matches_its_closed_form():
+    T = 2.0
+    grid = TimeGrid(T, 2048)
+    for k in (1, 3):
+        omega = (k - 0.5) * math.pi / T
+        closed = math.sqrt(2.0 * T) * np.sin(omega * grid.points) / ((k - 0.5) * math.pi)
+        values = brownian_onb(k, grid).values
+        assert values[0, 0] == 0.0
+        assert np.max(np.abs(values[:, 0] - closed)) <= 1e-5
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        brownian_onb(0, grid)
 
 
 def test_piecewise_linear_exact_on_linear_paths():

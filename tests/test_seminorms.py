@@ -16,7 +16,6 @@ from wienerlift.seminorms import (
     holder_norm_1d,
     homogeneous_norm,
     p_variation_1d,
-    rho_variation_covariance,
     symbol_norm,
 )
 
@@ -313,21 +312,6 @@ def test_homogeneous_distance_triangle_inequality():
 
     u, v, w = (element(seed) for seed in range(3))
     assert distance(u, w) <= distance(u, v) + distance(v, w) + 1e-12
-
-
-def test_rho_variation_brownian_and_fbm():
-    grid = TimeGrid(1.0, 128)
-    assert rho_variation_covariance(GaussianSpec("bm", 1), grid, 1.0) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    assert rho_variation_covariance(
-        GaussianSpec("fbm", 1, hurst=0.5), grid, 1.0
-    ) == pytest.approx(1.0, abs=1e-10)
-    rough = GaussianSpec("fbm", 1, hurst=0.25)
-    a = rho_variation_covariance(rough, TimeGrid(1.0, 256), 2.0)
-    b = rho_variation_covariance(rough, TimeGrid(1.0, 512), 2.0)
-    assert math.isfinite(a) and math.isfinite(b)
-    assert abs(a - b) <= 0.02 * abs(b)
 
 
 def test_ambient_config_round_trip(tmp_path):
