@@ -1,14 +1,15 @@
 """Command-line entry point for reproducible runs with file outputs.
 
-Every stochastic subcommand takes an explicit --seed; outputs are refused if
-the target exists unless --force is given; each run writes a JSON summary
-embedding the fully resolved configuration next to its data files and prints
-a one-line digest.  Exit codes: 0 success, 1 numerical failure, 2 argument
-errors.
+Each subcommand declares exactly the options it reads.  Every stochastic
+subcommand takes an explicit --seed; outputs are refused if the target exists
+unless --force is given; each run writes a JSON summary next to its data and
+prints a one-line digest.  Exit codes: 0 success, 1 numerical failure, 2
+argument errors.
 
---threads only controls the worker count; per-sample derived seeding makes
-results independent of it, so it is deliberately left out of the embedded
-provenance config (outputs stay byte-identical across thread counts).
+A summary's config is every option the command declares (`_config`) but
+--force and --threads: per-sample derived seeding makes outputs byte-identical
+across thread counts.  `eta0` records its ambient's noise dimension as dim;
+`lift` records its source and `norm` only --in and --ambient.
 """
 
 from __future__ import annotations
@@ -72,10 +73,13 @@ def _summary_path(out: str) -> str:
 
 
 def _check_out(path: str, force: bool, summary: bool = False) -> str:
-    """`path` unless a file the command writes exists and --force is not given.
+    """`path` unless its directory is missing, or a file the command writes exists and --force is not given.
 
     With `summary` the command also writes `_summary_path(path)`.
     """
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise CliError(f"--out {path!r}: directory {directory!r} does not exist")
     for target in (path, _summary_path(path)) if summary else (path,):
         if os.path.exists(target) and not force:
             raise CliError(f"--out target {target!r} exists; pass --force to overwrite")
@@ -98,25 +102,36 @@ def _read_input(load, filename: str, *rest):
 
 
 def _write_summary(path: str, command: str, config: dict, results: dict) -> None:
-    """The run's summary; a command with a data file writes it last, after the data."""
+    """The run's summary document at `path`."""
     doc = {"format_version": SUMMARY_FORMAT_VERSION, "command": command, "config": config, "results": results}
     _files.write_json(path, doc, indent=2)
 
 
+def _write_run(out: str, write_data, command: str, config: dict, results: dict) -> None:
+    """Remove `out`'s old summary, write_data(), then the summary: no data sits beside an older summary."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(_summary_path(out))
+    write_data()
+    _write_summary(_summary_path(out), command, config, results)
+
+
+# the parser's own keys and the options that cannot change an output
+_UNRECORDED = ("command", "action", "fn", "force", "threads")
+
+
+def _config(args, **override) -> dict:
+    """A summary's config: every parsed option of the command, then `override`."""
+    return {k: v for k, v in vars(args).items() if k not in _UNRECORDED} | override
+
+
 def _gaussian_spec(args) -> GaussianSpec:
-    return GaussianSpec(kind=args.process, dim=args.dim, hurst=getattr(args, "hurst", None))
+    if args.process == "fbm" and args.hurst is None:
+        raise CliError("--process fbm needs --hurst")
+    return GaussianSpec(kind=args.process, dim=args.dim, hurst=args.hurst)
 
 
 def _grid(args) -> TimeGrid:
     return TimeGrid(horizon=args.horizon, n_steps=args.steps)
-
-
-def _process_config(args, **extra) -> dict:
-    """The process and grid options of a run, plus `extra`, for its summary."""
-    return dict(
-        process=args.process, dim=args.dim, steps=args.steps, horizon=args.horizon,
-        hurst=args.hurst, **extra,
-    )
 
 
 def _parse_ambient(preset_or_path: str, dim: int, level: int = 3, *, fit: bool = True) -> AmbientSpec:
@@ -221,9 +236,7 @@ def _cmd_sample(args) -> int:
     grid = _grid(args)
     out = _check_out(args.out, args.force, summary=True)
     path = sample(spec, grid, args.seed)
-    write_path_csv(path, out)
-    config = _process_config(args, seed=args.seed, out=out)
-    _write_summary(_summary_path(out), "sample", config, {"rows": grid.n_steps + 1})
+    _write_run(out, lambda: write_path_csv(path, out), "sample", _config(args), {"rows": grid.n_steps + 1})
     print(f"sample: wrote {out} (n={grid.n_steps}, d={spec.dim}, seed={args.seed})")
     return 0
 
@@ -234,10 +247,8 @@ def _cmd_lift(args) -> int:
         x = _read_input(read_path_csv, args.infile)
         source = {"in": args.infile}
     else:
-        if args.seed is None:
-            raise CliError("--seed is required when sampling (no --in given)")
         x = sample(_gaussian_spec(args), _grid(args), args.seed)
-        source = _process_config(args, seed=args.seed)
+        source = {k: getattr(args, k) for k in ("process", "dim", "steps", "horizon", "hurst", "seed")}
     if args.scheme == "ito":
         e = ito_lift(x, level=args.level)
     elif args.scheme == "stratonovich":
@@ -247,12 +258,11 @@ def _cmd_lift(args) -> int:
         if m >= n.bit_length() or n % 2**m:
             raise CliError(f"--dyadic-level {m}: 2^{m} must divide the path's {n} steps")
         e = young_skeleton_lift(piecewise_linear(x, m), level=args.level)
-    save_enhanced(e, out)
     residual = max_chen_residual(e)
     config = dict(source, scheme=args.scheme, level=args.level, out=out)
     if args.scheme == "young":
         config["dyadic_level"] = args.dyadic_level
-    _write_summary(_summary_path(out), "lift", config, {"max_dyadic_chen_residual": residual})
+    _write_run(out, lambda: save_enhanced(e, out), "lift", config, {"max_dyadic_chen_residual": residual})
     print(f"lift: wrote {out} (scheme={args.scheme}, level={args.level}, chen={residual:.2e})")
     return 0
 
@@ -293,12 +303,8 @@ def _cmd_ldp(args) -> int:
         oracle=args.oracle,
         threads=args.threads,
     )
-    config = _process_config(
-        args, scheme=args.scheme, event=args.event, epsilons=args.epsilons,
-        samples=args.samples, oracle=args.oracle, ambient=args.ambient, seed=args.seed, out=out,
-    )
-    _files.write_csv_rows(out, estimate.csv_rows())
-    _write_summary(_summary_path(out), "ldp", config, estimate.to_document())
+    _write_run(out, lambda: _files.write_csv_rows(out, estimate.csv_rows()), "ldp", _config(args),
+               estimate.to_document())
     live = [s for s in estimate.scaled if not np.isnan(s)]
     digest = f"ldp: wrote {out}; extrapolated_rate={estimate.extrapolated_rate!r}"
     if estimate.oracle_values:
@@ -321,12 +327,7 @@ def _cmd_eta0(args) -> int:
     except ValueError as exc:
         # the parser checked every other argument, so this is the ambient not fitting its noise symbols
         raise CliError(f"--ambient {args.ambient!r}: {exc}") from None
-    config = {
-        "ambient": args.ambient, "dim": ambient.noise_dim, "segments": args.segments,
-        "restarts": args.restarts, "horizon": args.horizon, "seed": args.seed,
-        "out": out,
-    }
-    _write_summary(out, "eta0", config, result.to_document())
+    _write_summary(out, "eta0", _config(args, dim=ambient.noise_dim), result.to_document())
     print(
         f"eta0: wrote {out}; eta0_hat={result.eta0_hat!r} "
         f"({sum(result.converged)} of {result.restarts_used} restarts converged)"
@@ -346,12 +347,8 @@ def _cmd_fernique(args) -> int:
         grid=_grid(args),
         threads=args.threads,
     )
-    config = _process_config(
-        args, scheme=args.scheme, ambient=args.ambient, samples=args.samples,
-        seed=args.seed, out=out,
-    )
-    _files.write_csv_rows(out, fit.csv_rows())
-    _write_summary(_summary_path(out), "fernique", config, fit.to_document())
+    _write_run(out, lambda: _files.write_csv_rows(out, fit.csv_rows()), "fernique", _config(args),
+               fit.to_document())
     print(f"fernique: wrote {out}; eta_hat={fit.eta_hat!r} over t in {fit.fit_range}")
     return 0
 
@@ -364,11 +361,7 @@ def _cmd_cm_check(args) -> int:
         functionals, _parse_shift(args.shift, grid, args.dim), spec=_gaussian_spec(args), grid=grid,
         n_samples=args.samples, seed=args.seed, threads=args.threads,
     )
-    config = _process_config(
-        args, shift=args.shift, functional=args.functional, samples=args.samples,
-        seed=args.seed, out=out,
-    )
-    _write_summary(out, "cm-check", config, check.to_document())
+    _write_summary(out, "cm-check", _config(args), check.to_document())
     max_z = max(abs(rep.z_score) for rep in check.reweight.values())
     print(
         f"cm-check: wrote {out}; E[f_h]={check.mean_density:.4f}+-{check.mean_density_se:.4f}, "
@@ -377,48 +370,38 @@ def _cmd_cm_check(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
+def _cmd_chaos_project(args) -> int:
     out = _check_out(args.out, args.force)
-    if args.action in ("project", "proxy") and args.poly is None:
-        raise CliError(f"chaos {args.action} needs --poly")
-    if args.action == "project":
-        obj = _read_input(_files.read_json, args.poly, chaos_mod.chaos_from_document)
-        if not isinstance(obj, chaos_mod.ChaosPolynomial):
-            raise CliError(f"--poly {args.poly!r} holds a graded family; project wants a scalar polynomial")
-        projected = chaos_mod.chaos_project(obj, args.degree)
-        _files.write_json(out, chaos_mod.chaos_to_document(projected), indent=2)
-        print(f"chaos project: wrote {out} ({len(projected.coeffs)} terms at degree {args.degree})")
-        return 0
-    if args.action == "proxy":
-        if args.seed is None:
-            raise CliError("--seed is required for chaos proxy")
-        if args.shift_vector is None:
-            raise CliError("--shift-vector is required for chaos proxy")
-        obj = _read_input(_files.read_json, args.poly, chaos_mod.chaos_from_document)
-        if isinstance(obj, chaos_mod.ChaosPolynomial):
-            raise CliError(f"--poly {args.poly!r} holds a scalar polynomial; proxy wants a graded family")
-        h = np.array([_number(tok) for tok in args.shift_vector.split(",")])
-        if not np.isfinite(h).all():
-            raise CliError(f"--shift-vector {args.shift_vector!r}: expected comma-separated finite numbers")
-        if h.shape != (obj.dimension,):
-            raise CliError(f"--shift-vector has {h.size} entries, the family lives on R^{obj.dimension}")
-        exact = chaos_mod.proxy_restriction_exact(obj, h)
-        mc = chaos_mod.proxy_restriction_mc(obj, h, args.samples, args.seed)
-        results = {
-            "exact": exact,
-            "mc": {k: {"estimate": v[0], "se": v[1]} for k, v in mc.items()},
-        }
-        config = {"poly": args.poly, "shift_vector": args.shift_vector,
-                  "samples": args.samples, "seed": args.seed, "out": out}
-        _write_summary(out, "chaos proxy", config, results)
-        worst = max(
-            (abs(exact[k] - mc[k][0]) / (mc[k][1] or 1.0) for k in exact), default=0.0
-        )
-        print(f"chaos proxy: wrote {out}; worst |exact-mc|/se = {worst:.2f}")
-        return 0
-    # norm-equiv
-    if args.seed is None:
-        raise CliError("--seed is required for chaos norm-equiv")
+    obj = _read_input(_files.read_json, args.poly, chaos_mod.chaos_from_document)
+    if not isinstance(obj, chaos_mod.ChaosPolynomial):
+        raise CliError(f"--poly {args.poly!r} holds a graded family; project wants a scalar polynomial")
+    projected = chaos_mod.chaos_project(obj, args.degree)
+    _files.write_json(out, chaos_mod.chaos_to_document(projected), indent=2)
+    print(f"chaos project: wrote {out} ({len(projected.coeffs)} terms at degree {args.degree})")
+    return 0
+
+
+def _cmd_chaos_proxy(args) -> int:
+    out = _check_out(args.out, args.force)
+    obj = _read_input(_files.read_json, args.poly, chaos_mod.chaos_from_document)
+    if isinstance(obj, chaos_mod.ChaosPolynomial):
+        raise CliError(f"--poly {args.poly!r} holds a scalar polynomial; proxy wants a graded family")
+    h = np.array([_number(tok) for tok in args.shift_vector.split(",")])
+    if not np.isfinite(h).all():
+        raise CliError(f"--shift-vector {args.shift_vector!r}: expected comma-separated finite numbers")
+    if h.shape != (obj.dimension,):
+        raise CliError(f"--shift-vector has {h.size} entries, the family lives on R^{obj.dimension}")
+    exact = chaos_mod.proxy_restriction_exact(obj, h)
+    mc = chaos_mod.proxy_restriction_mc(obj, h, args.samples, args.seed)
+    results = {"exact": exact, "mc": {k: {"estimate": v[0], "se": v[1]} for k, v in mc.items()}}
+    _write_summary(out, "chaos proxy", _config(args), results)
+    worst = max((abs(exact[k] - mc[k][0]) / (mc[k][1] or 1.0) for k in exact), default=0.0)
+    print(f"chaos proxy: wrote {out}; worst |exact-mc|/se = {worst:.2f}")
+    return 0
+
+
+def _cmd_chaos_norm_equiv(args) -> int:
+    out = _check_out(args.out, args.force)
     if not 1 < args.p <= args.q < math.inf:
         raise CliError(f"--p and --q need 1 < p <= q < inf, got --p {args.p} --q {args.q}")
     if args.degree > chaos_mod.PROBE_MAX_DEGREE:
@@ -428,9 +411,7 @@ def _cmd_chaos(args) -> int:
     report = chaos_mod.chaos_norm_equivalence_probe(
         args.degree, args.p, args.q, args.trials, dimension=args.dim, seed=args.seed
     )
-    config = {"degree": args.degree, "p": args.p, "q": args.q,
-              "trials": args.trials, "dim": args.dim, "seed": args.seed, "out": out}
-    _write_summary(out, "chaos norm-equiv", config, report)
+    _write_summary(out, "chaos norm-equiv", _config(args), report)
     print(
         f"chaos norm-equiv: wrote {out}; worst ratio {report['worst_ratio']:.4f} "
         f"vs bound {report['bound']:.4f}, violations={report['violations']}"
@@ -569,6 +550,11 @@ def _add_process_args(p: argparse.ArgumentParser, dim_default: int = 1, processe
     p.add_argument("--hurst", type=_open_unit, default=None)
 
 
+def _add_output_args(p: argparse.ArgumentParser, required: bool = True):
+    p.add_argument("--out", required=required)
+    p.add_argument("--force", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wienerlift",
@@ -580,27 +566,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a Gaussian path and write it as CSV")
     _add_process_args(p)
     p.add_argument("--seed", type=_count(0), required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    _add_output_args(p)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("lift", help="enhance a path (ito, stratonovich, or young)")
     _add_process_args(p)
-    p.add_argument("--in", dest="infile", default=None, help="path CSV to lift")
-    p.add_argument("--seed", type=_count(0), default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="path CSV to lift")
+    source.add_argument("--seed", type=_count(0), help="seed of a path sampled from the process options")
     p.add_argument("--scheme", choices=("ito", "stratonovich", "young"), default="ito")
     p.add_argument("--level", type=int, choices=(2, 3), default=2)
     p.add_argument("--dyadic-level", type=_count(0), default=4,
                    help="piecewise-linear level for the young scheme")
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    _add_output_args(p)
     p.set_defaults(fn=_cmd_lift)
 
     p = sub.add_parser("norm", help="graded norms of a stored enhanced path")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--ambient", default=None, help="ambient JSON file or preset")
-    p.add_argument("--out", default=None)
-    p.add_argument("--force", action="store_true")
+    _add_output_args(p, required=False)
     p.set_defaults(fn=_cmd_norm)
 
     p = sub.add_parser("ldp", help="scaled log-probabilities of dilated lifts")
@@ -613,8 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", default=None)
     p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--threads", type=_count(), default=1)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    _add_output_args(p)
     p.set_defaults(fn=_cmd_ldp)
 
     p = sub.add_parser("eta0", help="minimize the scale-invariant tail quotient")
@@ -624,8 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_count(), default=8)
     p.add_argument("--horizon", type=_positive, default=1.0)
     p.add_argument("--seed", type=_count(0), required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    _add_output_args(p)
     p.set_defaults(fn=_cmd_eta0)
 
     p = sub.add_parser("fernique", help="fit the Gaussian tail slope of lifted norms")
@@ -635,8 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count(FERNIQUE_MIN_SAMPLES), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--threads", type=_count(), default=1)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    _add_output_args(p)
     p.set_defaults(fn=_cmd_fernique)
 
     p = sub.add_parser("cm-check", help="density, mgf, and reweighting checks")
@@ -646,24 +627,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count(2), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--threads", type=_count(), default=1)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    _add_output_args(p)
     p.set_defaults(fn=_cmd_cm_check)
 
-    p = sub.add_parser("chaos", help="chaos-polynomial actions")
-    p.add_argument("action", choices=("project", "proxy", "norm-equiv"))
-    p.add_argument("--poly", default=None, help="chaos JSON document")
+    actions = sub.add_parser("chaos", help="chaos-polynomial actions").add_subparsers(dest="action", required=True)
+
+    p = actions.add_parser("project", help="project a polynomial onto one chaos degree")
+    p.add_argument("--poly", required=True, help="chaos JSON document")
     p.add_argument("--degree", type=_count(0), default=2)
-    p.add_argument("--shift-vector", default=None, help="comma-separated h for proxy")
+    _add_output_args(p)
+    p.set_defaults(fn=_cmd_chaos_project)
+
+    p = actions.add_parser("proxy", help="exact and Monte Carlo proxy restrictions of a graded family")
+    p.add_argument("--poly", required=True, help="chaos JSON document")
+    p.add_argument("--shift-vector", required=True, help="comma-separated h")
     p.add_argument("--samples", type=_count(chaos_mod.PROXY_MIN_SAMPLES), default=10_000)
+    p.add_argument("--seed", type=_count(0), required=True)
+    _add_output_args(p)
+    p.set_defaults(fn=_cmd_chaos_proxy)
+
+    p = actions.add_parser("norm-equiv", help="probe the L^p-L^q norm equivalence on one chaos")
+    p.add_argument("--degree", type=_count(0), default=2)
     p.add_argument("--trials", type=_count(), default=100)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=4.0)
     p.add_argument("--dim", type=_count(), default=2)
-    p.add_argument("--seed", type=_count(0), default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(fn=_cmd_chaos)
+    p.add_argument("--seed", type=_count(0), required=True)
+    _add_output_args(p)
+    p.set_defaults(fn=_cmd_chaos_norm_equiv)
 
     p = sub.add_parser("selftest", help="run the invariant suites")
     p.set_defaults(fn=_cmd_selftest)

@@ -85,6 +85,9 @@ class AmbientSpec:
         names = [s.name for s in self.symbols]
         if len(set(names)) != len(names):
             raise ValueError("symbol names must be unique")
+        for s in self.symbols:
+            if s.degree == 1 and s.norm.kind == "holder" and s.norm.exponent > 1:
+                raise ValueError(f"symbol {s.name!r}: a degree-1 holder exponent must lie in (0, 1], got {s.norm.exponent}")
         by_name = {s.name: s for s in self.symbols}
         for name in self.distinguished:
             if name not in by_name:

@@ -317,13 +317,15 @@ def test_stale_summary_refused_without_force(tmp_path, capsys):
     "args, option",
     [
         (["project"], "--poly"),
-        (["proxy", "--shift-vector", "0.4"], "--poly"),
-        (["proxy", "--poly", "p.json"], "--shift-vector"),
+        (["proxy", "--shift-vector", "0.4", "--seed", "1"], "--poly"),
+        (["proxy", "--poly", "p.json", "--seed", "1"], "--shift-vector"),
     ],
 )
 def test_chaos_missing_option_is_an_argument_error(tmp_path, capsys, args, option):
-    argv = ["chaos"] + args + ["--seed", "1", "--out", str(tmp_path / "c.json")]
-    assert main(argv) == 2
+    argv = ["chaos"] + args + ["--out", str(tmp_path / "c.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     err = capsys.readouterr().err
     assert option in err and "Traceback" not in err
 
@@ -346,8 +348,8 @@ def test_malformed_chaos_document_is_an_argument_error(tmp_path, capsys, action,
     poly = tmp_path / "f.json"
     poly.write_text(content)
     out = tmp_path / "c.json"
-    argv = ["chaos", action, "--poly", str(poly), "--shift-vector", "0.4", "--seed", "1",
-            "--out", str(out)]
+    proxy_args = ["--shift-vector", "0.4", "--seed", "1"] if action == "proxy" else []
+    argv = ["chaos", action, "--poly", str(poly), *proxy_args, "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(poly) in err and message in err
@@ -389,6 +391,8 @@ BAD_SYMBOL = {
     "degree-2-word-121": ({"symbol": "121", "indices": [1, 2, 1], "degree": 2, "arity": 2},
                           "a degree-2 symbol needs a word of length 2, got (1, 2, 1)"),
     "degree-1-word-12": ({"indices": [1, 2]}, "a degree-1 symbol needs a word of length 1, got (1, 2)"),
+    "holder-1.5": ({"norm": {"kind": "holder", "exponent": 1.5}},
+                   "symbol 'w': a degree-1 holder exponent must lie in (0, 1], got 1.5"),
 }
 
 
@@ -634,6 +638,9 @@ BAD_VALUES = {
     # the shift density is Brownian-only
     "cm-process-fbm": (["cm-check", "--process", "fbm", "--hurst", "0.3", "--samples", "2000", "--steps", "16"],
                        "argument --process: invalid choice: 'fbm'"),
+    "sample-fbm-without-hurst": (["sample", "--process", "fbm", "--steps", "4"], "--process fbm needs --hurst"),
+    "ldp-fbm-without-hurst": (["ldp", "--process", "fbm", "--event", "sup-ge:1", "--epsilons", "1",
+                               "--samples", "10"], "--process fbm needs --hurst"),
 }
 BAD_VALUES.update(
     (f"eta0-horizon-{text}", (["eta0", "--ambient", "classical", "--horizon", text],
@@ -740,6 +747,65 @@ def test_negative_seed_is_an_argument_error(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert "argument --seed: expected an integer >= 0, got '-1'" in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["chaos", "project", "--poly", "p.json", "--seed", "1"], "--seed"),
+        (["chaos", "project", "--poly", "p.json", "--samples", "2000"], "--samples"),
+        (["chaos", "norm-equiv", "--poly", "p.json", "--seed", "1"], "--poly"),
+        (["chaos", "proxy", "--poly", "p.json", "--shift-vector", "1", "--seed", "1", "--trials", "5"], "--trials"),
+    ],
+)
+def test_option_the_action_does_not_read_is_an_argument_error(tmp_path, capsys, args, option):
+    out = tmp_path / "c.json"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {option}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("source", [[], ["--in", "p.csv", "--seed", "1"]])
+def test_lift_takes_exactly_one_of_in_and_seed(tmp_path, capsys, source):
+    out = tmp_path / "l.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", *source, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--in" in err and "--seed" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_out_in_a_missing_directory_is_an_argument_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["sample", "--steps", "4", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {str(out)!r}: directory {str(tmp_path / 'missing')!r} does not exist" in err
+    assert "Traceback" not in err and not (tmp_path / "missing").exists()
+
+
+def test_failed_summary_write_leaves_no_older_summary(tmp_path, monkeypatch, capsys):
+    from wienerlift import cli
+
+    out = tmp_path / "rate.csv"
+    summary = tmp_path / "rate.csv.summary.json"
+    argv = ["ldp", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "1000", "--steps", "8",
+            "--out", str(out), "--force"]
+    assert main(argv + ["--seed", "1"]) == 0
+    first = out.read_bytes()
+    assert json.loads(summary.read_text())["config"]["seed"] == 1
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_summary", fail)
+    assert main(argv + ["--seed", "2"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_bytes() != first
+    assert not summary.exists()
 
 
 def test_brownian_motion_accepts_a_hurst_value(tmp_path):

@@ -337,6 +337,10 @@ def test_ambient_validation():
         ambient_for_levels(2, 2, p=math.nan)
     with pytest.raises(ValueError):
         SymbolNorm("holder", 3.0)
+    # a degree-1 holder norm has exponent at most 1; degree 2 allows up to 2
+    holder = SymbolSpec("h", (1,), 1, SymbolNorm("holder", 1.5), 1)
+    with pytest.raises(ValueError, match=r"symbol 'h': a degree-1 holder exponent must lie in \(0, 1\], got 1.5"):
+        AmbientSpec(symbols=(holder,), distinguished=("h",))
     with pytest.raises(ValueError):
         SymbolNorm("l2")
     # a symbol is a word of `degree` indices into components 1, 2, ...
