@@ -73,11 +73,13 @@ def _summary_path(out: str) -> str:
 
 
 def _check_out(path: str, force: bool, summary: bool = False) -> str:
-    """`path` unless its directory is missing, or a file the command writes exists and --force is not given.
+    """`path` unless it is a directory, its directory is missing, or a file the command writes exists and --force is not given.
 
     With `summary` the command also writes `_summary_path(path)`.
     """
     directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise CliError(f"--out {path!r} is a directory")
     if not os.path.isdir(directory):
         raise CliError(f"--out {path!r}: directory {directory!r} does not exist")
     for target in (path, _summary_path(path)) if summary else (path,):
@@ -244,11 +246,17 @@ def _cmd_sample(args) -> int:
 def _cmd_lift(args) -> int:
     out = _check_out(args.out, args.force, summary=True)
     if args.infile:
+        given = [k for k in _PROCESS_DEFAULTS if getattr(args, k) is not None]
+        if given:
+            raise CliError(f"--{given[0]} describes a sampled path; --in reads its path from the file")
         x = _read_input(read_path_csv, args.infile)
         source = {"in": args.infile}
     else:
+        for k, default in _PROCESS_DEFAULTS.items():
+            if getattr(args, k) is None:
+                setattr(args, k, default)
         x = sample(_gaussian_spec(args), _grid(args), args.seed)
-        source = {k: getattr(args, k) for k in ("process", "dim", "steps", "horizon", "hurst", "seed")}
+        source = {k: getattr(args, k) for k in (*_PROCESS_DEFAULTS, "seed")}
     if args.scheme == "ito":
         e = ito_lift(x, level=args.level)
     elif args.scheme == "stratonovich":
@@ -542,12 +550,26 @@ def _positive_list(text: str) -> list[float]:
     return values
 
 
+# the process options' defaults; lift applies them on its --seed route only
+_PROCESS_DEFAULTS = {"process": "bm", "dim": 1, "steps": 256, "horizon": 1.0, "hurst": None}
+
+
 def _add_process_args(p: argparse.ArgumentParser, dim_default: int = 1, processes=("bm", "fbm")):
-    p.add_argument("--process", choices=processes, default="bm")
-    p.add_argument("--dim", type=_count(), default=dim_default)
-    p.add_argument("--steps", type=_count(), default=256)
-    p.add_argument("--horizon", type=_positive, default=1.0)
-    p.add_argument("--hurst", type=_open_unit, default=None)
+    p.add_argument("--process", choices=processes)
+    p.add_argument("--dim", type=_count())
+    p.add_argument("--steps", type=_count())
+    p.add_argument("--horizon", type=_positive)
+    p.add_argument("--hurst", type=_open_unit)
+    p.set_defaults(**_PROCESS_DEFAULTS | {"dim": dim_default})
+
+
+def _add_threads_arg(p: argparse.ArgumentParser):
+    """--threads, by default the CPUs this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has sched_getaffinity
+        cpus = os.cpu_count() or 1
+    p.add_argument("--threads", type=_count(), default=cpus)
 
 
 def _add_output_args(p: argparse.ArgumentParser, required: bool = True):
@@ -571,6 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="enhance a path (ito, stratonovich, or young)")
     _add_process_args(p)
+    p.set_defaults(**dict.fromkeys(_PROCESS_DEFAULTS))  # --in takes none of them
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="infile", help="path CSV to lift")
     source.add_argument("--seed", type=_count(0), help="seed of a path sampled from the process options")
@@ -596,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=tuple(ORACLES), default=None)
     p.add_argument("--ambient", default=None)
     p.add_argument("--seed", type=_count(0), required=True)
-    p.add_argument("--threads", type=_count(), default=1)
+    _add_threads_arg(p)
     _add_output_args(p)
     p.set_defaults(fn=_cmd_ldp)
 
@@ -616,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", required=True)
     p.add_argument("--samples", type=_count(FERNIQUE_MIN_SAMPLES), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
-    p.add_argument("--threads", type=_count(), default=1)
+    _add_threads_arg(p)
     _add_output_args(p)
     p.set_defaults(fn=_cmd_fernique)
 
@@ -626,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", choices=("all", *STATISTICS), default="all")
     p.add_argument("--samples", type=_count(2), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
-    p.add_argument("--threads", type=_count(), default=1)
+    _add_threads_arg(p)
     _add_output_args(p)
     p.set_defaults(fn=_cmd_cm_check)
 

@@ -4,6 +4,12 @@ Paths live on uniform grids t_k = k*T/n.  Cameron-Martin elements are stored
 through their piecewise-constant derivative, one value per grid cell, so the
 induced path is piecewise linear with h(0) = 0 and the Dirichlet energy
 sum(|h'|^2) * dt is exact for this class.
+
+Sample i of a run keyed by `seed` draws from its own PCG64 stream,
+bit-identical to `default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))`.
+`sample_values_batch` derives a chunk's streams in one vectorized pass rather
+than building a SeedSequence and a Generator per path.  Indices stop at
+2**32 - 1: a larger one would take a two-word spawn key.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +29,91 @@ class EmbeddingFailure(RuntimeError):
     """Circulant embedding of the fBm increment covariance is not PSD."""
 
 
+# numpy's SeedSequence hash (pool of four uint32 words) and the 128-bit
+# multiplier PCG64 seeds its state with
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash(value, const: int, mult: int):
+    """One SeedSequence hash of `value`, a Python int or a uint32 array: (hashed, next constant)."""
+    value = value ^ const
+    const = const * mult & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word `x` with hashed word `y` (Python ints or uint32 arrays)."""
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _stream_states(seed: int, start: int, count: int):
+    """PCG64 states of the streams start..start+count-1 keyed by `seed`: an iterator of dicts.
+
+    Stream i is bit-identical to
+    `default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))`: the pool hash
+    and `generate_state(4, uint64)` run once for the whole range as uint32
+    array arithmetic.  The seed words are shared, so they are mixed once in
+    Python ints; only the spawn word differs per stream.  The per-stream
+    128-bit step is PCG64's `pcg64_set_seed`.
+    """
+    seed = operator.index(seed)
+    if seed < 0 or start < 0:
+        raise ValueError(f"seed and stream index must be non-negative, got seed={seed}, index={start}")
+    if start + count > 2**32:
+        raise ValueError(f"stream indices reach {start + count - 1}; derived streams stop at index 2**32 - 1")
+    # the seed's little-endian uint32 words, padded to the pool size as a spawned SeedSequence does
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    const, pool = _INIT_A, []
+    for w in words[:_POOL]:
+        h, const = _hash(w, const, _MULT_A)
+        pool.append(h)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                h, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    spawn = np.arange(start, start + count, dtype=np.uint64).astype(np.uint32)
+    for w in words[_POOL:] + [spawn]:
+        for dst in range(_POOL):
+            h, const = _hash(w, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state(4, uint64) pairs its words little-endian: initstate high, low, then initseq high, low
+    rows = np.empty((count, _POOL), dtype=np.uint64)
+    const = _INIT_B
+    for k in range(2 * _POOL):
+        h, const = _hash(pool[k % _POOL], const, _MULT_B)
+        if k % 2:
+            rows[:, k // 2] |= h.astype(np.uint64) << np.uint64(32)
+        else:
+            rows[:, k // 2] = h
+    return map(_pcg64_state, rows)
+
+
+def _pcg64_state(row: np.ndarray) -> dict:
+    """PCG64's state dict after `pcg64_set_seed` from generate_state's four uint64 words."""
+    s_hi, s_lo, q_hi, q_lo = row.tolist()
+    inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+    state = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
 def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-style per-sample stream: sample `index` of a run keyed by `seed`.
 
     Serial and parallel runs agree because the stream depends only on
-    (seed, index), never on scheduling.
+    (seed, index), never on scheduling.  Its bits are those of
+    `default_rng(SeedSequence(entropy=seed, spawn_key=(index,)))`.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = next(_stream_states(seed, index, 1))
+    return rng
 
 
 @dataclass(frozen=True)
@@ -238,10 +323,13 @@ def sample_values_batch(
     """Values of samples start..start+count-1 stacked as (count, n+1, d)."""
     n, d = grid.n_steps, spec.dim
     out = np.zeros((count, n + 1, d))
+    # one Generator per call, so threads never share one; each path sets its stream's state
+    rng = np.random.Generator(np.random.PCG64(0))
+    states = _stream_states(seed, start, count)
     if spec.kind == "bm":
         sqdt = math.sqrt(grid.dt)
-        for i in range(count):
-            rng = derived_rng(seed, start + i)
+        for i, state in enumerate(states):
+            rng.bit_generator.state = state
             np.cumsum(rng.standard_normal((n, d)) * sqdt, axis=0, out=out[i, 1:])
     else:
         # m real normals per path and component: the real parts of the
@@ -249,8 +337,9 @@ def sample_values_batch(
         # entries 1..n-1 (entries 0 and n are real)
         scale = _fbm_cholesky(spec.hurst, n) * grid.dt**spec.hurst
         normals = np.empty((count, 2 * n, d))
-        for i in range(count):
-            derived_rng(seed, start + i).standard_normal(out=normals[i])
+        for i, state in enumerate(states):
+            rng.bit_generator.state = state
+            rng.standard_normal(out=normals[i])
         spectrum = normals[:, : n + 1].astype(complex)
         spectrum.imag[:, 1:n] = normals[:, n + 1 :]
         spectrum *= scale[:, None]

@@ -290,8 +290,8 @@ def dyadic_triples(n: int) -> list[tuple[int, int, int]]:
 
 
 def max_chen_residual(e: EnhancedPath) -> float:
-    """Largest Chen defect over all dyadic (s, u, t) triples."""
-    return max(chen_residual(e, s, u, t) for s, u, t in dyadic_triples(e.grid.n_steps))
+    """Largest Chen defect over all dyadic (s, u, t) triples; 0.0 on a one-step grid, which has none."""
+    return max((chen_residual(e, s, u, t) for s, u, t in dyadic_triples(e.grid.n_steps)), default=0.0)
 
 
 def lifted_shift(e: EnhancedPath, h: CameronMartinPath) -> EnhancedPath:

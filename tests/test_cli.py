@@ -787,6 +787,65 @@ def test_out_in_a_missing_directory_is_an_argument_error(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "missing").exists()
 
 
+def test_out_naming_a_directory_is_an_argument_error(tmp_path, capsys):
+    target = tmp_path / "d"
+    target.mkdir()
+    assert main(["sample", "--steps", "4", "--seed", "1", "--out", str(target), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {str(target)!r} is a directory" in err
+    assert "Traceback" not in err
+    assert list(target.iterdir()) == [] and not (tmp_path / "d.summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "option", [["--process", "fbm"], ["--dim", "3"], ["--steps", "8"], ["--horizon", "2"], ["--hurst", "0.3"]]
+)
+def test_lift_in_refuses_the_process_options(tmp_path, capsys, option):
+    path = tmp_path / "p.csv"
+    path.write_text("t,x1\n0,0\n0.5,0.25\n1,-0.5\n")
+    out = tmp_path / "l.json"
+    assert main(["lift", "--in", str(path), *option, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{option[0]} describes a sampled path; --in reads its path from the file" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_lift_seed_summary_records_the_process_defaults(tmp_path):
+    out = tmp_path / "l.json"
+    assert main(["lift", "--seed", "2", "--steps", "8", "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "l.json.summary.json").read_text())["config"]
+    assert config == {"process": "bm", "dim": 1, "steps": 8, "horizon": 1.0, "hurst": None, "seed": 2,
+                      "scheme": "ito", "level": 2, "out": str(out)}
+
+
+@pytest.mark.parametrize("source", ["seed", "in"])
+def test_lift_of_a_one_step_path_has_no_chen_defect(tmp_path, capsys, source):
+    # a one-step grid has no dyadic triple, so the Chen check holds vacuously
+    path = tmp_path / "p.csv"
+    path.write_text("t,x1\n0,0\n1,0.5\n")
+    argv = ["--seed", "1", "--steps", "1"] if source == "seed" else ["--in", str(path)]
+    out = tmp_path / "l.json"
+    assert main(["lift", *argv, "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "l.json.summary.json").read_text())
+    assert summary["results"]["max_dyadic_chen_residual"] == 0.0
+    assert "chen=0.00e+00" in capsys.readouterr().out
+
+
+def test_default_threads_are_the_usable_cpus_and_change_no_byte(tmp_path):
+    from wienerlift.cli import build_parser
+
+    argv = ["ldp", "--event", "sup-ge:0.7", "--oracle", "reflection", "--epsilons", "0.8,0.6",
+            "--samples", "2000", "--steps", "32", "--seed", "3"]
+    assert build_parser().parse_args(argv + ["--out", "x"]).threads == len(os.sched_getaffinity(0))
+
+    def run(*threads):
+        out = tmp_path / "rate.csv"
+        assert main(argv + [*threads, "--out", str(out), "--force"]) == 0
+        return out.read_bytes(), (tmp_path / "rate.csv.summary.json").read_bytes()
+
+    assert run() == run("--threads", "1")
+
+
 def test_failed_summary_write_leaves_no_older_summary(tmp_path, monkeypatch, capsys):
     from wienerlift import cli
 

@@ -276,3 +276,61 @@ def test_fbm_embedding_failure_message(monkeypatch):
     grids_mod._fbm_cholesky.cache_clear()
     with pytest.raises(grids_mod.EmbeddingFailure, match="circulant embedding"):
         sample(spec, TimeGrid(1.0, 8), seed=0)
+
+
+def _oracle_rng(seed, index):
+    """numpy's own route to stream `index` of a run keyed by `seed`."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 2, 2**32 + 5, 2**130 + 1])
+@pytest.mark.parametrize("index", [0, 9999, 2**32 - 1])
+def test_stream_states_equal_seed_sequence_streams(seed, index):
+    # 2**32 + 5 has two seed words, 2**130 + 1 more words than the four-word pool
+    (state,) = grids_mod._stream_states(seed, index, 1)
+    assert state == _oracle_rng(seed, index).bit_generator.state
+    rng = grids_mod.derived_rng(seed, index)
+    assert np.array_equal(rng.standard_normal(8), _oracle_rng(seed, index).standard_normal(8))
+
+
+def test_stream_states_of_a_range_are_its_single_streams():
+    states = list(grids_mod._stream_states(2**32 + 5, 9990, 20))
+    assert states == [_oracle_rng(2**32 + 5, i).bit_generator.state for i in range(9990, 10010)]
+
+
+def _reference_values(spec, grid, seed, count, start):
+    """Per-path reference for sample_values_batch, each path drawn from its oracle stream."""
+    n, d = grid.n_steps, spec.dim
+    out = np.zeros((count, n + 1, d))
+    for k in range(count):
+        rng = _oracle_rng(seed, start + k)
+        if spec.kind == "bm":
+            increments = rng.standard_normal((n, d)) * math.sqrt(grid.dt)
+        else:
+            z = rng.standard_normal((2 * n, d))
+            spectrum = z[: n + 1].astype(complex)
+            spectrum.imag[1:n] = z[n + 1 :]
+            spectrum *= (grids_mod._fbm_cholesky(spec.hurst, n) * grid.dt**spec.hurst)[:, None]
+            increments = np.fft.irfft(spectrum, 2 * n, axis=0)[:n]
+        np.cumsum(increments, axis=0, out=out[k, 1:])
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GaussianSpec("bm", 1), GaussianSpec("bm", 3), GaussianSpec("fbm", 2, hurst=0.3)],
+    ids=["bm-d1", "bm-d3", "fbm-h0.3-d2"],
+)
+def test_sample_values_batch_matches_per_path_oracle_bytes(spec):
+    grid = TimeGrid(1.5, 24)
+    batch = sample_values_batch(spec, grid, seed=2**32 + 5, count=12, start=9995)
+    assert batch.tobytes() == _reference_values(spec, grid, 2**32 + 5, 12, 9995).tobytes()
+
+
+def test_stream_index_limit_is_refused():
+    grid = TimeGrid(1.0, 4)
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        sample_values_batch(GaussianSpec("bm", 1), grid, seed=1, count=2, start=2**32 - 1)
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        grids_mod.derived_rng(1, 2**32)
+    assert sample_values_batch(GaussianSpec("bm", 1), grid, seed=1, count=1, start=2**32 - 1).shape == (1, 5, 1)
