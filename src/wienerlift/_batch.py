@@ -1,8 +1,10 @@
 """Batch entry points over stacked paths (internal).
 
 The kernels live once, in `lifts` and `seminorms`, and take any number of
-leading axes: values (..., n+1, d), basepoint tensors (..., n+1, d, ...),
-entry column blocks.  A single path is the batch with no leading axis: the
+batch axes: values (..., n+1, d) and basepoint tensors (..., n+1, d, ...)
+lead with them, while entry column blocks put them last, [t - t0, s, ...],
+so that elementwise steps run along the batch and a block stays
+O(chunk * n).  A single path is the batch with no batch axis: the
 Monte Carlo route and the eta0 search pass values of shape (C, n+1, d), and
 the selftest passes one lift's own arrays.  `homogeneous_norm_batch` is
 `seminorms.homogeneous_norm` over `lifts.symbol_norms`, which reads level-2/3

@@ -38,17 +38,24 @@ _M32, _M128 = 2**32 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hash(value, const: int, mult: int):
-    """One SeedSequence hash of `value`, a Python int or a uint32 array: (hashed, next constant)."""
-    value = value ^ const
-    const = const * mult & _M32
-    value = value * const & _M32
-    return value ^ value >> 16, const
+def _hash(value: np.ndarray, const: int, mult: int, rows: int):
+    """SeedSequence's hash of `rows` consecutive words in one uint32 step: (hashed rows, next constant).
+
+    Row k of `value` is hashed against the k-th constant from `const`.  The
+    constants depend only on how many hashes came before, never on the data,
+    so they are known up front; uint32 arithmetic wraps mod 2**32.
+    """
+    consts = [const]
+    for _ in range(rows):
+        consts.append(consts[-1] * mult & _M32)
+    c = np.array(consts, dtype=np.uint32)[:, None]
+    value = (value ^ c[:-1]) * c[1:]
+    return value ^ value >> 16, consts[-1]
 
 
-def _mix(x, y):
-    """SeedSequence's mix of pool word `x` with hashed word `y` (Python ints or uint32 arrays)."""
-    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words `x` with hashed words `y` (uint32 arrays)."""
+    r = x * _MIX_L - y * _MIX_R
     return r ^ r >> 16
 
 
@@ -56,44 +63,30 @@ def _stream_states(seed: int, start: int, count: int):
     """PCG64 states of the streams start..start+count-1 keyed by `seed`: an iterator of dicts.
 
     Stream i is bit-identical to
-    `default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))`: the pool hash
-    and `generate_state(4, uint64)` run once for the whole range as uint32
-    array arithmetic.  The seed words are shared, so they are mixed once in
-    Python ints; only the spawn word differs per stream.  The per-stream
-    128-bit step is PCG64's `pcg64_set_seed`.
+    `default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))`.  The seed
+    words are shared, and `SeedSequence(seed).pool` is that sequence's pool
+    before its spawn word: padding the seed to four words with zeros, as a
+    spawned sequence does, hashes the same words.  Only the spawn word
+    differs per stream.  It is hashed against all four pool words in one
+    (4, count) uint32 step, and `generate_state(4, uint64)` makes its eight
+    output words in one (8, count) step.  The per-stream 128-bit step is
+    PCG64's `pcg64_set_seed`.
     """
     seed = operator.index(seed)
     if seed < 0 or start < 0:
         raise ValueError(f"seed and stream index must be non-negative, got seed={seed}, index={start}")
     if start + count > 2**32:
         raise ValueError(f"stream indices reach {start + count - 1}; derived streams stop at index 2**32 - 1")
-    # the seed's little-endian uint32 words, padded to the pool size as a spawned SeedSequence does
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    const, pool = _INIT_A, []
-    for w in words[:_POOL]:
-        h, const = _hash(w, const, _MULT_A)
-        pool.append(h)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                h, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
+    # one hash per pool word for each of the seed's uint32 words, at least four of them
+    hashes = _POOL * max(-(-seed.bit_length() // 32), _POOL)
+    const = _INIT_A * pow(_MULT_A, hashes, 2**32) & _M32
     spawn = np.arange(start, start + count, dtype=np.uint64).astype(np.uint32)
-    for w in words[_POOL:] + [spawn]:
-        for dst in range(_POOL):
-            h, const = _hash(w, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], h)
-    # generate_state(4, uint64) pairs its words little-endian: initstate high, low, then initseq high, low
-    rows = np.empty((count, _POOL), dtype=np.uint64)
-    const = _INIT_B
-    for k in range(2 * _POOL):
-        h, const = _hash(pool[k % _POOL], const, _MULT_B)
-        if k % 2:
-            rows[:, k // 2] |= h.astype(np.uint64) << np.uint64(32)
-        else:
-            rows[:, k // 2] = h
-    return map(_pcg64_state, rows)
+    hashed, _ = _hash(spawn, const, _MULT_A, _POOL)
+    pool = _mix(np.random.SeedSequence(seed).pool[:, None], hashed)
+    # generate_state(4, uint64) cycles the pool twice and pairs its words
+    # little-endian: initstate high, low, then initseq high, low
+    out, _ = _hash(np.concatenate((pool, pool)), _INIT_B, _MULT_B, 2 * _POOL)
+    return map(_pcg64_state, out.T.astype("<u4", order="C").view("<u8"))
 
 
 def _pcg64_state(row: np.ndarray) -> dict:

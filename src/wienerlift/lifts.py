@@ -20,7 +20,10 @@ the batch with no leading axis.  `chen_increment` rebuilds whole tensors
 X_{s,t} for the Chen check.  The graded norms read entries X^w_{s,t} column
 by column (`entry_columns`), so no (n+1, n+1) surface is ever stored:
 `symbol_norms` yields each ambient symbol's norm over the leading axes, and
-`to_graded` is its list for one lift.
+`to_graded` is its list for one lift.  A block of columns is indexed
+[t - t0, s, ...batch], time first and the batch axes last, so the Chen
+arithmetic runs along the contiguous batch axis, and a block holds O(C n)
+entries.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import _files
 from .grids import CameronMartinPath, SamplePath, TimeGrid
-from .seminorms import AmbientSpec, SymbolSpec, ambient_for_levels, column_norm, symbol_norm
+from .seminorms import AmbientSpec, SymbolSpec, _time_first, ambient_for_levels, column_norm, symbol_norm
 
 FORMAT_VERSION = "enhanced-path/v1"
 
@@ -133,27 +136,28 @@ def _entry_pairs(values, base2, base3, indices):
 
     With x0 = x - x_0: X^{ij}_{s,t} = (b_t - c_s) - x0^i_s x^j_t, b = X^{ij}_{0,.},
     c = b - x0^i x^j; X^{ijk}_{s,t} = ((B_t - D_s) - x0^i_s X^{jk}_{s,t}) - b_s x^k_t,
-    B = X^{ijk}_{0,.}, D = B - b x^k.  s and t are index tuples into the time
-    axis that broadcast together, so every caller does the same arithmetic.
+    B = X^{ijk}_{0,.}, D = B - b x^k.  Every operand is stored time first,
+    (n+1, ...batch), so s and t are index tuples into the leading time axis
+    that broadcast together, and every caller does the same arithmetic.
     """
     level = len(indices)
     if (base2 if level == 2 else base3) is None:
         raise ValueError(f"entry {tuple(indices)} needs level {level}, but the path has no level {level}")
     i, j = indices[0] - 1, indices[1] - 1
-    x0i = values[..., i] - values[..., :1, i]
-    last = values[..., indices[-1] - 1]
+    x0i = np.subtract(np.moveaxis(values[..., i], -1, 0), values[..., 0, i], order="C")
+    last = _time_first(values[..., indices[-1] - 1])
     if level == 2:
-        top, lead, inner = base2[..., i, j], x0i, None
+        top, lead, inner = _time_first(base2[..., i, j]), x0i, None
     else:
-        top, lead = base3[..., i, j, indices[2] - 1], base2[..., i, j]
+        top, lead = _time_first(base3[..., i, j, indices[2] - 1]), _time_first(base2[..., i, j])
         inner = _entry_pairs(values, base2, None, indices[1:])
     low = top - lead * last
 
     def pairs(s, t):
-        out = top[(..., *t)] - low[(..., *s)]
+        out = top[t] - low[s]
         if inner is not None:
-            out = out - x0i[(..., *s)] * inner(s, t)
-        return out - lead[(..., *s)] * last[(..., *t)]
+            out = out - x0i[s] * inner(s, t)
+        return out - lead[s] * last[t]
 
     return pairs
 
@@ -174,7 +178,7 @@ def chen_increment(values, base2, base3, s: int, t: int):
 
 
 def entry_columns(values: np.ndarray, base2: np.ndarray, base3, indices):
-    """(t0, t1) -> X^w_{s,t} for s < t1 and t0 <= t < t1, indexed [..., t - t0, s]; 1-based word w."""
+    """(t0, t1) -> X^w_{s,t} for s < t1 and t0 <= t < t1, indexed [t - t0, s, ...batch]; 1-based word w."""
     pairs = _entry_pairs(values, base2, base3, indices)
     return lambda t0, t1: pairs((None, slice(0, t1)), (slice(t0, t1), None))
 

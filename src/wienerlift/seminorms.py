@@ -9,10 +9,13 @@ degree-weighted dilations of a lift: |||delta_eps X||| = eps * |||X|||.
 Two-parameter payloads X_{s,t} take the homogeneous rough-path norms on the
 grid, which converge under refinement: the exact q-variation over the
 consecutive intervals of grid partitions, and Hoelder and sup over s < t.
-One kernel, `column_norm`, reads them from columns t -> X_{.,t}; the
-one-parameter p-variation and Hoelder norms are X_{s,t} = x_t - x_s.  The
-plain Banach norm sum_tau ||v_tau|| induces the same topology as the
-homogeneous distance, but no quantitative equivalence is asserted here.
+One kernel, `column_norm`, reads them from blocks of columns t -> X_{.,t}
+indexed [t - t0, s, ...batch]: time first and the batch axes last, so every
+elementwise step runs along the contiguous batch, and a block holds O(C n)
+entries.  The one-parameter p-variation and Hoelder norms are
+X_{s,t} = x_t - x_s.  The plain Banach norm sum_tau ||v_tau|| induces the
+same topology as the homogeneous distance, but no quantitative equivalence
+is asserted here.
 
 Every kernel takes any number of leading axes and gives norms of shape
 (...); a single path is the batch with no leading axis and gets a built-in
@@ -232,7 +235,7 @@ def _path_values(values) -> np.ndarray:
     return x
 
 
-# largest (..., width, t1) block of columns that `column_norm` asks for at once
+# largest (width, t1, ...) block of columns that `column_norm` asks for at once
 BLOCK_BYTES = 2**17
 
 
@@ -240,19 +243,20 @@ def column_norm(columns, shape: tuple, n: int, norm: SymbolNorm, dt: float = 1.0
     """One symbol norm of a two-parameter payload X_{s,t}, a block of columns at a time.
 
     `columns(t0, t1)` returns X_{s,t} for t0 <= t < t1 and s < t1, indexed
-    [..., t - t0, s]; entries with s >= t are never read.  A block holds at
-    most `BLOCK_BYTES` or one column, so memory is O(C n).  pvar is the exact
-    q-variation over consecutive intervals of grid partitions, by the
-    recursion best[t] = max_{s<t} best[s] + |X_{s,t}|^q; holder is the largest
-    |X_{s,t}| / ((t-s) dt)^e and sup the largest |X_{s,t}| over s < t;
-    terminal is |X_{0,n}|.
+    [t - t0, s, ...] with the batch axes `shape` last, so each elementwise
+    step runs along the batch; entries with s >= t are never read.  A block
+    holds at most `BLOCK_BYTES` or one column, so memory is O(C n).  pvar is
+    the exact q-variation over consecutive intervals of grid partitions, by
+    the recursion best[t] = max_{s<t} best[s] + |X_{s,t}|^q; holder is the
+    largest |X_{s,t}| / ((t-s) dt)^e and sup the largest |X_{s,t}| over
+    s < t; terminal is |X_{0,n}|.
     """
     kind, e = norm.kind, norm.exponent
     if kind == "terminal":
-        return _unbox(np.abs(columns(n, n + 1)[..., 0, 0]))
+        return _unbox(np.abs(columns(n, n + 1)[0, 0]))
     width = max(1, BLOCK_BYTES // (8 * (n + 1) * math.prod(shape)))
     if kind == "pvar":
-        best = np.zeros(shape + (n + 1,))
+        best = np.zeros((n + 1,) + shape)
     else:
         best = np.zeros(shape)
         # divisor per lag t - s, by scalar pow; inf masks the pairs s >= t
@@ -263,18 +267,25 @@ def column_norm(columns, shape: tuple, n: int, norm: SymbolNorm, dt: float = 1.0
         if kind == "pvar":
             gain = size**e
             for t in range(t0, t1):
-                best[..., t] = np.maximum.reduce(best[..., :t] + gain[..., t - t0, :t], axis=-1)
+                best[t] = np.maximum.reduce(best[:t] + gain[t - t0, :t], axis=0)
         else:
-            size /= scale[np.maximum(np.arange(t0, t1)[:, None] - np.arange(t1), 0)]
-            np.maximum(best, np.maximum.reduce(size, axis=(-2, -1)), out=best)
+            lag = np.maximum(np.arange(t0, t1)[:, None] - np.arange(t1), 0)
+            size /= scale[lag].reshape(lag.shape + (1,) * len(shape))
+            np.maximum(best, np.maximum.reduce(size, axis=(0, 1)), out=best)
     if kind == "pvar":
-        return _unbox(best[..., n]) ** (1.0 / e)
+        return _unbox(best[n]) ** (1.0 / e)
     return _unbox(best)
+
+
+def _time_first(a: np.ndarray) -> np.ndarray:
+    """a (..., n+1) as a contiguous (n+1, ...) array, the layout of a column block."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
 def _increments(x: np.ndarray):
     """Column blocks of a one-parameter path: x_t - x_s."""
-    return lambda t0, t1: x[..., t0:t1, None] - x[..., None, :t1]
+    xt = _time_first(x)
+    return lambda t0, t1: xt[t0:t1, None] - xt[None, :t1]
 
 
 def p_variation_1d(values: np.ndarray, p: float) -> float | np.ndarray:

@@ -41,5 +41,5 @@ def lift_surface(e, *word):
 
 
 def surface_columns(surface):
-    """A stored surface X[..., s, t] as the column blocks `seminorms.column_norm` reads."""
-    return lambda t0, t1: surface[..., :t1, t0:t1].swapaxes(-2, -1)
+    """A stored surface X[..., s, t] as the column blocks [t - t0, s, ...] `seminorms.column_norm` reads."""
+    return lambda t0, t1: np.moveaxis(surface[..., :t1, t0:t1], (-1, -2), (0, 1))

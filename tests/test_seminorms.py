@@ -390,15 +390,39 @@ def test_batch_of_paths_matches_each_path_alone(kind, arity):
             assert row == alone
 
 
-def test_column_blocks_do_not_change_bits(monkeypatch):
-    # one column per block and one block for all columns give the same floats
-    import wienerlift.seminorms as sm
-    from wienerlift._batch import homogeneous_norm_batch
+def _mixed_ambient():
+    """d=2 symbols of degree 1-3 whose level-2/3 norms cycle through all four kinds."""
+    cycle = [SymbolNorm("pvar", 1.25), SymbolNorm("sup"), SymbolNorm("holder", 0.8), SymbolNorm("terminal")]
+    symbols = [SymbolSpec(str(i), (i,), 1, SymbolNorm("sup"), 1) for i in (1, 2)]
+    words = [(1, 2), (2, 1), (2, 2), (1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2), (2, 2, 1)]
+    for k, word in enumerate(words):
+        symbols.append(SymbolSpec("".join(map(str, word)), word, len(word), cycle[k % 4], 2))
+    return AmbientSpec(symbols=tuple(symbols), distinguished=("1", "2"))
 
-    grid, values, base2, base3 = _two_param_paths(24, count=5, seed=12)
+
+def test_column_blocks_do_not_change_bits(monkeypatch):
+    # one column per block and one block for all columns give the same floats,
+    # for every norm kind, a batch with two leading axes and a single path
+    import wienerlift.seminorms as sm
+    from wienerlift.lifts import symbol_norms
+
+    grid, values, base2, base3 = _two_param_paths(24, count=6, seed=12)
     ambients = [ambient_for_levels(2, 3, norm_kind="pvar", p=2.5),
-                ambient_for_levels(2, 2, norm_kind="holder", alpha=0.4)]
-    whole = [homogeneous_norm_batch(a, grid, values, base2, base3) for a in ambients]
-    monkeypatch.setattr(sm, "BLOCK_BYTES", 1)
-    for ambient, ref in zip(ambients, whole):
-        assert np.array_equal(homogeneous_norm_batch(ambient, grid, values, base2, base3), ref)
+                ambient_for_levels(2, 2, norm_kind="holder", alpha=0.4),
+                _mixed_ambient()]
+
+    def norms(ambient, shape=(6,), row=slice(None)):
+        arrays = (a[row].reshape(shape + a.shape[1:]) for a in (values, base2, base3))
+        return [norm for _, norm in symbol_norms(ambient, grid, *arrays)]
+
+    whole = [norms(a) for a in ambients]
+    for block_bytes in (sm.BLOCK_BYTES, 1):
+        monkeypatch.setattr(sm, "BLOCK_BYTES", block_bytes)
+        for ambient, ref in zip(ambients, whole):
+            rows = zip(ambient.symbols, ref, norms(ambient), norms(ambient, (2, 3)), norms(ambient, (), 4))
+            for sym, flat, blocked, two_axes, alone in rows:
+                assert np.array_equal(blocked, flat), sym.name
+                assert two_axes.shape == (2, 3) and np.array_equal(two_axes.ravel(), flat), sym.name
+                assert type(alone) is float
+                # the root of a float and of an array may differ in the last bit
+                assert alone == pytest.approx(flat[4], rel=1e-15), sym.name
