@@ -9,13 +9,18 @@ Sample i of a run keyed by `seed` draws from its own PCG64 stream,
 bit-identical to `default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))`.
 `sample_values_batch` derives a chunk's streams in one vectorized pass rather
 than building a SeedSequence and a Generator per path.  Indices stop at
-2**32 - 1: a larger one would take a two-word spawn key.
+2**32 - 1: a larger one would take a two-word spawn key.  Brownian paths are
+drawn, scaled and summed a block of paths at a time, as many as fit in
+`BLOCK_BYTES` and at least one: each path's normals are drawn straight into
+the output, and one call scales and one sums the whole block, so a block
+stays in cache and the NumPy call overhead is paid per block, not per path.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -23,6 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _files
+
+
+# byte budget of one block of work: the Brownian paths `sample_values_batch`
+# scales and sums at once, and the columns `seminorms.column_norm` asks for
+BLOCK_BYTES = 2**17
 
 
 class EmbeddingFailure(RuntimeError):
@@ -313,7 +323,14 @@ def sample(spec: GaussianSpec, grid: TimeGrid, seed: int, index: int = 0) -> Sam
 def sample_values_batch(
     spec: GaussianSpec, grid: TimeGrid, seed: int, count: int, start: int = 0
 ) -> np.ndarray:
-    """Values of samples start..start+count-1 stacked as (count, n+1, d)."""
+    """Values of samples start..start+count-1 stacked as (count, n+1, d).
+
+    Brownian paths take blocks of at most `BLOCK_BYTES` of steps, and at
+    least one path: each path's normals are drawn into its rows of the
+    output, then the block is scaled by sqrt(dt) and summed along time in
+    place.  fBm paths draw all their normals first and take one FFT.  The
+    bits are those of drawing, scaling and summing every path on its own.
+    """
     n, d = grid.n_steps, spec.dim
     out = np.zeros((count, n + 1, d))
     # one Generator per call, so threads never share one; each path sets its stream's state
@@ -321,9 +338,14 @@ def sample_values_batch(
     states = _stream_states(seed, start, count)
     if spec.kind == "bm":
         sqdt = math.sqrt(grid.dt)
-        for i, state in enumerate(states):
-            rng.bit_generator.state = state
-            np.cumsum(rng.standard_normal((n, d)) * sqdt, axis=0, out=out[i, 1:])
+        rows = max(1, BLOCK_BYTES // (8 * n * d))
+        for b0 in range(0, count, rows):
+            steps = out[b0 : b0 + rows, 1:]
+            for row, state in zip(steps, itertools.islice(states, rows)):
+                rng.bit_generator.state = state
+                rng.standard_normal(out=row)
+            np.multiply(steps, sqdt, out=steps)
+            np.cumsum(steps, axis=1, out=steps)
     else:
         # m real normals per path and component: the real parts of the
         # Hermitian spectrum's n+1 entries, then the imaginary parts of

@@ -156,8 +156,9 @@ def _entry_pairs(values, base2, base3, indices):
     def pairs(s, t):
         out = top[t] - low[s]
         if inner is not None:
-            out = out - x0i[s] * inner(s, t)
-        return out - lead[s] * last[t]
+            out -= x0i[s] * inner(s, t)
+        out -= lead[s] * last[t]
+        return out
 
     return pairs
 

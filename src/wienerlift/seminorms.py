@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from . import _files
-from .grids import TimeGrid
+from .grids import BLOCK_BYTES, TimeGrid
 
 NORM_KINDS = ("pvar", "holder", "sup", "terminal")
 
@@ -235,16 +235,14 @@ def _path_values(values) -> np.ndarray:
     return x
 
 
-# largest (width, t1, ...) block of columns that `column_norm` asks for at once
-BLOCK_BYTES = 2**17
-
-
 def column_norm(columns, shape: tuple, n: int, norm: SymbolNorm, dt: float = 1.0) -> float | np.ndarray:
     """One symbol norm of a two-parameter payload X_{s,t}, a block of columns at a time.
 
     `columns(t0, t1)` returns X_{s,t} for t0 <= t < t1 and s < t1, indexed
     [t - t0, s, ...] with the batch axes `shape` last, so each elementwise
-    step runs along the batch; entries with s >= t are never read.  A block
+    step runs along the batch; entries with s >= t are never read.  Each
+    block must be a fresh array: the kernel overwrites it with its absolute
+    value, power or Hoelder quotient rather than allocating another.  A block
     holds at most `BLOCK_BYTES` or one column, so memory is O(C n).  pvar is
     the exact q-variation over consecutive intervals of grid partitions, by
     the recursion best[t] = max_{s<t} best[s] + |X_{s,t}|^q; holder is the
@@ -254,7 +252,8 @@ def column_norm(columns, shape: tuple, n: int, norm: SymbolNorm, dt: float = 1.0
     kind, e = norm.kind, norm.exponent
     if kind == "terminal":
         return _unbox(np.abs(columns(n, n + 1)[0, 0]))
-    width = max(1, BLOCK_BYTES // (8 * (n + 1) * math.prod(shape)))
+    # an empty batch takes one column a block; its blocks hold no entries
+    width = max(1, BLOCK_BYTES // (8 * (n + 1) * max(1, math.prod(shape))))
     if kind == "pvar":
         best = np.zeros((n + 1,) + shape)
     else:
@@ -263,11 +262,13 @@ def column_norm(columns, shape: tuple, n: int, norm: SymbolNorm, dt: float = 1.0
         scale = np.array([np.inf] + [(k * dt) ** e if kind == "holder" else 1.0 for k in range(1, n + 1)])
     for t0 in range(1, n + 1, width):
         t1 = min(n + 1, t0 + width)
-        size = np.abs(columns(t0, t1))
+        size = columns(t0, t1)
+        np.abs(size, out=size)
         if kind == "pvar":
-            gain = size**e
+            # `**=` keeps NumPy's scalar fast paths (square at e=2), as `**` does
+            size **= e
             for t in range(t0, t1):
-                best[t] = np.maximum.reduce(best[:t] + gain[t - t0, :t], axis=0)
+                best[t] = np.maximum.reduce(best[:t] + size[t - t0, :t], axis=0)
         else:
             lag = np.maximum(np.arange(t0, t1)[:, None] - np.arange(t1), 0)
             size /= scale[lag].reshape(lag.shape + (1,) * len(shape))

@@ -41,5 +41,8 @@ def lift_surface(e, *word):
 
 
 def surface_columns(surface):
-    """A stored surface X[..., s, t] as the column blocks [t - t0, s, ...] `seminorms.column_norm` reads."""
-    return lambda t0, t1: np.moveaxis(surface[..., :t1, t0:t1], (-1, -2), (0, 1))
+    """A stored surface X[..., s, t] as the column blocks [t - t0, s, ...] `seminorms.column_norm` reads.
+
+    Each block is a fresh copy, as the kernel overwrites the blocks it is given.
+    """
+    return lambda t0, t1: np.moveaxis(surface[..., :t1, t0:t1], (-1, -2), (0, 1)).copy()

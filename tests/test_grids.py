@@ -321,10 +321,24 @@ def _reference_values(spec, grid, seed, count, start):
     [GaussianSpec("bm", 1), GaussianSpec("bm", 3), GaussianSpec("fbm", 2, hurst=0.3)],
     ids=["bm-d1", "bm-d3", "fbm-h0.3-d2"],
 )
-def test_sample_values_batch_matches_per_path_oracle_bytes(spec):
+def test_sample_values_batch_matches_per_path_oracle_bytes(spec, monkeypatch):
     grid = TimeGrid(1.5, 24)
-    batch = sample_values_batch(spec, grid, seed=2**32 + 5, count=12, start=9995)
-    assert batch.tobytes() == _reference_values(spec, grid, 2**32 + 5, 12, 9995).tobytes()
+    # the default budget, one byte (each path a block of its own) and five
+    # paths a block, which leaves a last block of two of the twelve
+    for block_bytes in (grids_mod.BLOCK_BYTES, 1, 5 * 8 * grid.n_steps * spec.dim):
+        monkeypatch.setattr(grids_mod, "BLOCK_BYTES", block_bytes)
+        batch = sample_values_batch(spec, grid, seed=2**32 + 5, count=12, start=9995)
+        assert batch.tobytes() == _reference_values(spec, grid, 2**32 + 5, 12, 9995).tobytes()
+        empty = sample_values_batch(spec, grid, seed=2**32 + 5, count=0, start=9995)
+        assert empty.shape == (0, grid.n_steps + 1, spec.dim)
+
+
+def test_brownian_path_larger_than_the_block_budget_matches_per_path_oracle_bytes():
+    # one d=1 path of 2**15 steps holds 256 KiB of normals, twice the budget
+    spec, grid = GaussianSpec("bm", 1), TimeGrid(1.0, 2**15)
+    assert 8 * grid.n_steps > grids_mod.BLOCK_BYTES
+    batch = sample_values_batch(spec, grid, seed=11, count=3, start=40)
+    assert batch.tobytes() == _reference_values(spec, grid, 11, 3, 40).tobytes()
 
 
 def test_stream_index_limit_is_refused():

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from wienerlift.grids import CameronMartinPath, GaussianSpec, SamplePath, TimeGrid, sample
-from wienerlift.lifts import dilate_enhanced, stratonovich_lift, to_graded
+from wienerlift._batch import homogeneous_norm_batch, pair_base_batch
+from wienerlift.grids import CameronMartinPath, GaussianSpec, SamplePath, TimeGrid, sample, sample_values_batch
+from wienerlift.lifts import _triple_base, dilate_enhanced, stratonovich_lift, to_graded
 from wienerlift.seminorms import (
+    NORM_KINDS,
     AmbientSpec,
     SymbolNorm,
     SymbolSpec,
@@ -112,14 +114,11 @@ def test_holder_exponent_comparison():
         assert lhs <= rhs + 1e-12
 
 
-def _two_param_paths(n, count=2, seed=4):
-    """Stratonovich level-2/3 basepoint tensors of `count` BM paths, d=2."""
-    from wienerlift.grids import sample_values_batch
-    from wienerlift.lifts import _pair_base, _triple_base
-
+def _two_param_paths(n, count=2, seed=4, dim=2):
+    """Stratonovich level-2/3 basepoint tensors of `count` BM paths."""
     grid = TimeGrid(1.0, n)
-    values = sample_values_batch(GaussianSpec("bm", 2), grid, seed, count)
-    base2 = _pair_base(values, values, "stratonovich")
+    values = sample_values_batch(GaussianSpec("bm", dim), grid, seed, count)
+    base2 = pair_base_batch(values, "stratonovich")
     return grid, values, base2, _triple_base(values, values, values, "stratonovich", pair_ab=base2)
 
 
@@ -219,17 +218,23 @@ def _reference_paths(grid):
     }
 
 
-@pytest.mark.parametrize("level", [2, 3])
-@pytest.mark.parametrize("kind", ["pvar", "holder", "sup", "terminal"])
-def test_to_graded_norms_match_explicit_loops(kind, level):
-    # streamed from the basepoint tensors vs loops over the oracle's stored surfaces
-    grid = TimeGrid(1.0, 10)
-    ambient = ambient_for_levels(2, level, norm_kind="holder" if kind == "holder" else "pvar", p=2.5)
+def _ambient(kind, level, dim=2):
+    """The standard symbols of a d=`dim` lift up to `level`, each under a `kind` norm."""
+    ambient = ambient_for_levels(dim, level, norm_kind="holder" if kind == "holder" else "pvar", p=2.5)
     if kind in ("sup", "terminal"):
         ambient = AmbientSpec(
             tuple(dataclasses.replace(s, norm=SymbolNorm(kind)) for s in ambient.symbols),
             ambient.distinguished,
         )
+    return ambient
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_to_graded_norms_match_explicit_loops(kind, level):
+    # streamed from the basepoint tensors vs loops over the oracle's stored surfaces
+    grid = TimeGrid(1.0, 10)
+    ambient = _ambient(kind, level)
     for name, x in _reference_paths(grid).items():
         e = stratonovich_lift(x, level=level)
         norms = to_graded(e, ambient)
@@ -244,6 +249,33 @@ def test_to_graded_norms_match_explicit_loops(kind, level):
         hom = sum(loop ** (1.0 / sym.degree) for sym, loop in zip(ambient.symbols, loops))
         assert homogeneous_norm(norms) == pytest.approx(hom, rel=1e-12, abs=0), name
         assert banach_norm(norms) == pytest.approx(sum(loops), rel=1e-12, abs=0), name
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_empty_batch_gives_empty_norms(kind, level):
+    grid, values, base2, base3 = _two_param_paths(8, count=0)
+    norms = homogeneous_norm_batch(_ambient(kind, level), grid, values, base2, base3)
+    assert norms.shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_norms_never_write_to_their_inputs(kind, level, dim):
+    # the kernel overwrites its column blocks in place, so a block that
+    # aliased a caller's array would change it; d=1 arrays are contiguous
+    # along time, where a time-first view needs no copy
+    grid, values, base2, base3 = _two_param_paths(12, count=5, seed=9, dim=dim)
+    ambient = _ambient(kind, level, dim)
+    e = stratonovich_lift(SamplePath(grid, values[0]), level=3)
+    for norms, arrays in (
+        (lambda: homogeneous_norm_batch(ambient, grid, values, base2, base3), (values, base2, base3)),
+        (lambda: to_graded(e, ambient), (e.level1.values, e.base2, e.base3)),
+    ):
+        before = [a.tobytes() for a in arrays]
+        norms()
+        assert [a.tobytes() for a in arrays] == before
 
 
 def test_homogeneous_norm_degree_weighting():
