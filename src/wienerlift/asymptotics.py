@@ -178,31 +178,10 @@ class RateEstimate:
         return asdict(self)
 
     def csv_rows(self) -> list[list]:
-        header = [
-            "epsilon",
-            "hits",
-            "log_prob",
-            "log_prob_se",
-            "scaled",
-            "scaled_se",
-            "oracle_scaled",
-            "censored",
-        ]
-        rows = [header]
-        for i, eps in enumerate(self.epsilons):
-            rows.append(
-                [
-                    eps,
-                    self.hits[i],
-                    self.log_probs[i],
-                    self.log_prob_ses[i],
-                    self.scaled[i],
-                    self.scaled_ses[i],
-                    self.oracle_values[i] if self.oracle_values else "",
-                    int(eps in self.censored),
-                ]
-            )
-        return rows
+        header = ["epsilon", "hits", "log_prob", "log_prob_se", "scaled", "scaled_se", "oracle_scaled", "censored"]
+        oracle = self.oracle_values or [""] * len(self.epsilons)
+        columns = zip(self.epsilons, self.hits, self.log_probs, self.log_prob_ses, self.scaled, self.scaled_ses, oracle)
+        return [header] + [[*row, int(row[0] in self.censored)] for row in columns]
 
 
 def empirical_rate(
@@ -228,7 +207,9 @@ def empirical_rate(
     epsilon that still records zero hits in the main run is likewise
     censored rather than reported as -inf.  pilot_samples=0 means no pilot
     censoring: the expected-hits test is skipped, and only zero-hit epsilons
-    are censored.
+    are censored.  The pilot and the main run each count the samples at or
+    above every epsilon's threshold c / eps^degree from one sorted copy,
+    as `fernique_tail_fit` counts its norms.
     """
     epsilons = sorted(float(e) for e in epsilons)[::-1]
     if not epsilons:
@@ -238,7 +219,6 @@ def empirical_rate(
     # one pass splits at n_samples, so a negative count would move the split
     if n_samples < 0 or pilot_samples < 0:
         raise ValueError(f"sample counts must be >= 0, got n_samples={n_samples}, pilot_samples={pilot_samples}")
-    deg = event.degree
     oracle_values = None
     if oracle is not None:
         _check_oracle(oracle, event, spec, scheme)
@@ -251,45 +231,40 @@ def empirical_rate(
         names=(event.kind,), entry=event.entry, ambient=event.ambient,
     )
     stats_main, pilot_stats = np.split(plain[event.kind], [n_samples])
+    thresholds = [event.threshold / eps**event.degree for eps in epsilons]
     censored: list[float] = []
-    for eps in epsilons if pilot_samples else ():
-        expected = float(np.mean(pilot_stats >= event.threshold / eps**deg)) * n_samples
-        if expected < MIN_EXPECTED_HITS:
-            censored.append(eps)
-            warnings.warn(
-                f"epsilon={eps} excluded: expected hits {expected:.1f} < "
-                f"{MIN_EXPECTED_HITS} at n_samples={n_samples}",
-                stacklevel=2,
-            )
-
-    hits, log_probs, log_ses, scaled, scaled_ses = [], [], [], [], []
-    for eps in epsilons:
-        k = 0 if eps in censored else int(np.sum(stats_main >= event.threshold / eps**deg))
-        if k == 0:
-            if eps not in censored:
+    if pilot_samples:
+        expected = _exceedances(pilot_stats, thresholds) / pilot_samples * n_samples
+        for eps, e in zip(epsilons, expected):
+            if e < MIN_EXPECTED_HITS:
                 censored.append(eps)
-            hits.append(0)
-            for acc in (log_probs, log_ses, scaled, scaled_ses):
-                acc.append(float("nan"))
-            continue
-        p_hat = k / n_samples
-        se_p = math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
-        se_log = se_p / p_hat
-        hits.append(k)
-        log_probs.append(math.log(p_hat))
-        log_ses.append(se_log)
-        scaled.append(eps**2 * math.log(p_hat))
-        scaled_ses.append(eps**2 * se_log)
+                warnings.warn(
+                    f"epsilon={eps} excluded: expected hits {e:.1f} < "
+                    f"{MIN_EXPECTED_HITS} at n_samples={n_samples}",
+                    stacklevel=2,
+                )
+    hits = [0 if eps in censored else int(k) for eps, k in zip(epsilons, _exceedances(stats_main, thresholds))]
+    for eps, k in zip(epsilons, hits):
+        if k == 0 and eps not in censored:
+            censored.append(eps)
 
-    fit_eps = [e for e in epsilons if e not in censored]
-    fit_scaled = [s for s in scaled if not math.isnan(s)]
+    def log_prob(k: int) -> tuple[float, float]:
+        """log p_hat and its delta-method se; NaN for no hits, so n_samples=0 divides nothing."""
+        if not k:
+            return math.nan, math.nan
+        p_hat = k / n_samples
+        return math.log(p_hat), math.sqrt(p_hat * (1.0 - p_hat) / n_samples) / p_hat
+
+    log_probs, log_ses = map(list, zip(*map(log_prob, hits)))
+    scaled = [eps**2 * v for eps, v in zip(epsilons, log_probs)]
+    scaled_ses = [eps**2 * v for eps, v in zip(epsilons, log_ses)]
+
+    fit_eps = [e for e, k in zip(epsilons, hits) if k]
+    fit_scaled = [s for s, k in zip(scaled, hits) if k]
     if len(fit_eps) >= 2:
-        coeffs = np.polyfit(np.asarray(fit_eps) ** 2, np.asarray(fit_scaled), 1)
-        extrapolated = float(coeffs[1])
-    elif len(fit_eps) == 1:
-        extrapolated = fit_scaled[0]
+        extrapolated = float(np.polyfit(np.asarray(fit_eps) ** 2, np.asarray(fit_scaled), 1)[1])
     else:
-        extrapolated = float("nan")
+        extrapolated = fit_scaled[0] if fit_eps else math.nan
 
     return RateEstimate(
         epsilons=epsilons,
@@ -303,6 +278,11 @@ def empirical_rate(
         extrapolated_rate=extrapolated,
         censored=censored,
     )
+
+
+def _exceedances(sample: np.ndarray, thresholds) -> np.ndarray:
+    """How many entries of `sample` lie at or above each threshold: all but those sorted below it."""
+    return len(sample) - np.searchsorted(np.sort(sample), thresholds)
 
 
 def _collect_statistics(
@@ -598,10 +578,8 @@ class TailFit:
         return asdict(self)
 
     def csv_rows(self) -> list[list]:
-        rows = [["threshold", "log_survival", "exceedances"]]
-        for t, ls, k in zip(self.thresholds, self.log_survival, self.exceedances):
-            rows.append([t, ls, k])
-        return rows
+        columns = zip(self.thresholds, self.log_survival, self.exceedances)
+        return [["threshold", "log_survival", "exceedances"]] + [list(row) for row in columns]
 
 
 def lift_norm_samples(
@@ -636,25 +614,24 @@ def fernique_tail_fit(
 
     `FERNIQUE_THRESHOLDS` thresholds are spaced evenly in t^2 from the 90th
     percentile up to the largest threshold that keeps at least
-    `FERNIQUE_MIN_EXCEEDANCES` samples above it;
-    the slope of log-survival against t^2 over those points gives eta_hat.
+    `FERNIQUE_MIN_EXCEEDANCES` samples at or above it, counted from one
+    sorted sample as `empirical_rate` counts its hits; the slope of
+    log-survival against t^2 over those points gives eta_hat.
     """
     if n_samples < FERNIQUE_MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
-    norms = lift_norm_samples(spec, scheme, ambient, grid, n_samples, seed, chunk, threads)
-    if np.max(norms) - np.min(norms) <= 1e-15 * max(1.0, abs(float(np.max(norms)))):
+    norms = np.sort(lift_norm_samples(spec, scheme, ambient, grid, n_samples, seed, chunk, threads))
+    if norms[-1] - norms[0] <= 1e-15 * max(1.0, abs(float(norms[-1]))):
         raise ValueError("degenerate norm sample: all values equal")
-    sorted_norms = np.sort(norms)
-    t_lo = float(np.quantile(sorted_norms, 0.9))
-    t_hi = float(sorted_norms[-FERNIQUE_MIN_EXCEEDANCES])
+    t_lo = float(np.quantile(norms, 0.9))
+    t_hi = float(norms[-FERNIQUE_MIN_EXCEEDANCES])
     if not t_hi > t_lo:
         raise ValueError(
             "tail too short to fit: the 90th percentile already has fewer "
             f"than {FERNIQUE_MIN_EXCEEDANCES} exceedances"
         )
     ts = np.sqrt(np.linspace(t_lo**2, t_hi**2, FERNIQUE_THRESHOLDS))
-    # searchsorted counts the samples below each threshold
-    exceed = n_samples - np.searchsorted(sorted_norms, ts)
+    exceed = _exceedances(norms, ts)
     keep = exceed >= FERNIQUE_MIN_EXCEEDANCES
     ts, exceed = ts[keep], exceed[keep]
     log_surv = np.log(exceed / n_samples)

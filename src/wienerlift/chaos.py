@@ -27,32 +27,34 @@ PROXY_MIN_SAMPLES = 1000
 MultiIndex = tuple[int, ...]
 
 
-def hermite(k: int, x) -> np.ndarray | float:
-    """Monic probabilists' Hermite polynomial h_k(x).
+def _check_hermite_degree(k: int) -> None:
+    """Refuse a degree outside 0..MAX_HERMITE_DEGREE: above it h_k overflows at moderate x."""
+    if not 0 <= k <= MAX_HERMITE_DEGREE:
+        raise ValueError(f"Hermite degree {k} is outside the overflow guard 0..{MAX_HERMITE_DEGREE}")
 
-    Three-term recurrence h_{k+1} = x h_k - k h_{k-1}; h_k' = k h_{k-1}.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > MAX_HERMITE_DEGREE:
-        raise ValueError(f"k = {k} exceeds the overflow guard {MAX_HERMITE_DEGREE}")
+
+def _hermite_table(k: int, x) -> np.ndarray:
+    """table[j] = h_j(x) for j = 0..k, by h_{j+1} = x h_j - j h_{j-1}."""
+    _check_hermite_degree(k)
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for degree in range(1, k):
-        prev, cur = cur, x * cur - degree * prev
-    return cur if cur.ndim else float(cur)
+    table = np.ones((k + 1,) + x.shape)
+    if k >= 1:
+        table[1] = x
+    for j in range(1, k):
+        table[j + 1] = x * table[j] - j * table[j - 1]
+    return table
+
+
+def hermite(k: int, x) -> np.ndarray | float:
+    """Monic probabilists' Hermite polynomial h_k(x); h_k' = k h_{k-1}."""
+    h = _hermite_table(k, x)[k]
+    return h if h.ndim else float(h)
 
 
 def hermite_binomial_expand(k: int, x: float, y: float) -> float:
     """sum_l binom(k,l) h_l(x) y^(k-l); equals h_k(x+y)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > MAX_HERMITE_DEGREE:
-        raise ValueError(f"k = {k} exceeds the overflow guard {MAX_HERMITE_DEGREE}")
-    return float(sum(math.comb(k, l) * hermite(l, x) * y ** (k - l) for l in range(k + 1)))
+    h = _hermite_table(k, x).tolist()
+    return float(sum(math.comb(k, l) * h[l] * y ** (k - l) for l in range(k + 1)))
 
 
 def multi_index_degree(alpha: MultiIndex) -> int:
@@ -95,13 +97,8 @@ class ChaosPolynomial:
         z = np.asarray(z, dtype=float)
         if z.shape[-1] != self.dimension:
             raise ValueError(f"points have dimension {z.shape[-1]}, expected {self.dimension}")
-        max_deg = self.degree()
         # table[k, ..., i] = h_k(z_i)
-        table = np.ones((max_deg + 1,) + z.shape)
-        if max_deg >= 1:
-            table[1] = z
-        for k in range(1, max_deg):
-            table[k + 1] = z * table[k] - k * table[k - 1]
+        table = _hermite_table(self.degree(), z)
         out = np.zeros(z.shape[:-1])
         for alpha, c in self.coeffs.items():
             term = np.full(z.shape[:-1], c)
@@ -190,11 +187,14 @@ def proxy_restriction_mc(
     h = np.asarray(h, dtype=float)
     if h.shape != (graded.dimension,):
         raise ValueError(f"h has shape {h.shape}, expected ({graded.dimension},)")
+    tops = {name: chaos_project(psi, graded.degrees[name]) for name, psi in graded.components.items()}
+    # refuse a degree the Hermite table cannot reach before drawing a sample
+    for top in tops.values():
+        _check_hermite_degree(top.degree())
     rng = derived_rng(seed)
     z = rng.standard_normal((n_samples, graded.dimension)) + h
     out = {}
-    for name, psi in graded.components.items():
-        top = chaos_project(psi, graded.degrees[name])
+    for name, top in tops.items():
         vals = top.evaluate(z)
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))

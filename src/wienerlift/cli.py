@@ -400,7 +400,11 @@ def _cmd_chaos_proxy(args) -> int:
     if h.shape != (obj.dimension,):
         raise CliError(f"--shift-vector has {h.size} entries, the family lives on R^{obj.dimension}")
     exact = chaos_mod.proxy_restriction_exact(obj, h)
-    mc = chaos_mod.proxy_restriction_mc(obj, h, args.samples, args.seed)
+    try:
+        mc = chaos_mod.proxy_restriction_mc(obj, h, args.samples, args.seed)
+    except ValueError as exc:
+        # the parser and the checks above settle every other argument, so this is the family's degree
+        raise CliError(f"--poly {args.poly!r}: {exc}") from None
     results = {"exact": exact, "mc": {k: {"estimate": v[0], "se": v[1]} for k, v in mc.items()}}
     _write_summary(out, "chaos proxy", _config(args), results)
     worst = max((abs(exact[k] - mc[k][0]) / (mc[k][1] or 1.0) for k in exact), default=0.0)

@@ -119,6 +119,64 @@ def test_empirical_rate_without_pilot_censors_only_zero_hits():
         assert [getattr(bare, field)[i] for i in kept] == [getattr(piloted, field)[i] for i in kept]
 
 
+def _reference_rate_counts(stats, pilot, epsilons, c, degree):
+    """hits, censored list and warnings of empirical_rate, counted one epsilon at a time."""
+    n, censored, warned = len(stats), [], []
+    for eps in epsilons if len(pilot) else ():
+        expected = float(np.mean(pilot >= c / eps**degree)) * n
+        if expected < 20:
+            censored.append(eps)
+            warned.append(f"epsilon={eps} excluded: expected hits {expected:.1f} < 20 at n_samples={n}")
+    hits = []
+    for eps in epsilons:
+        k = 0 if eps in censored else int(np.sum(stats >= c / eps**degree))
+        if k == 0 and eps not in censored:
+            censored.append(eps)
+        hits.append(k)
+    return hits, censored, warned
+
+
+@pytest.mark.parametrize("n_samples, pilot_samples", [(400, 200), (400, 0), (0, 200), (0, 0)])
+@pytest.mark.parametrize("kind, c", [("sup-level1", 1.0), ("level2-entry", 0.5)])
+def test_empirical_rate_counts_ties_as_hits(monkeypatch, n_samples, pilot_samples, kind, c):
+    from wienerlift import asymptotics
+
+    event = EventSpec(kind, c)
+    epsilons = [1.0, 0.8, 0.5, 0.4, 0.25, 0.1]
+    thresholds = [c / eps**event.degree for eps in epsilons]
+    rng = np.random.default_rng(5)
+    # rounded statistics with ties, each of the first four thresholds among them; the main
+    # run stays below the fifth threshold, and the pilot holds exactly ten values at or above
+    # it, half of them on it, so that epsilon's expected hits are exactly the floor of 20
+    stats = np.round(rng.uniform(0.0, thresholds[3], n_samples), 2)
+    stats[: min(4, n_samples)] = thresholds[: min(4, n_samples)]
+    pilot = np.round(rng.uniform(0.0, 0.99 * thresholds[4], pilot_samples), 2)
+    pilot[: min(10, pilot_samples)] = np.repeat([thresholds[4], 2 * thresholds[4]], 5)[:pilot_samples]
+    sample = np.concatenate([stats, pilot])
+
+    def collected(spec, scheme, grid, seed, count, *args, names, **kwargs):
+        assert count == len(sample)
+        return {names[0]: sample}, {}, None
+
+    monkeypatch.setattr(asymptotics, "_collect_statistics", collected)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = empirical_rate(
+            GaussianSpec("bm", 1), "stratonovich", event, epsilons, n_samples, 1,
+            grid=TimeGrid(1.0, 8), pilot_samples=pilot_samples,
+        )
+    hits, censored, warned = _reference_rate_counts(stats, pilot, epsilons, c, event.degree)
+    assert est.hits == hits and est.censored == censored
+    assert [str(w.message) for w in caught] == warned
+    assert [math.isnan(v) for v in est.scaled] == [k == 0 for k in hits]
+    if n_samples:
+        assert hits[:4] == [int(np.sum(stats >= t)) for t in thresholds[:4]] and hits[4] == 0
+    if n_samples and pilot_samples:
+        # the tie at the floor keeps epsilon=0.25 in the pilot; its zero main hits censor it after
+        # the pilot-censored 0.1
+        assert censored == [0.1, 0.25]
+
+
 def test_empirical_rate_draws_each_path_once_from_its_seed(monkeypatch):
     from wienerlift import asymptotics
 

@@ -29,8 +29,15 @@ def test_hermite_low_degrees():
 
 
 def test_hermite_degree_guard():
-    with pytest.raises(ValueError):
+    assert np.isfinite(hermite(60, np.linspace(-3, 3, 7))).all()
+    # one guard serves the single polynomial, the binomial expansion and a polynomial's evaluation
+    with pytest.raises(ValueError, match="Hermite degree 61") as single:
         hermite(61, 0.0)
+    with pytest.raises(ValueError) as expanded:
+        hermite_binomial_expand(61, 0.3, 0.7)
+    with pytest.raises(ValueError) as evaluated:
+        ChaosPolynomial(1, {(61,): 1.0}).evaluate(np.zeros((3, 1)))
+    assert str(single.value) == str(expanded.value) == str(evaluated.value)
     with pytest.raises(ValueError):
         hermite(-1, 0.0)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -93,6 +94,28 @@ def test_ldp_oracle_digest(tmp_path, capsys):
     assert summary["results"]["censored"] == [0.01]
     rows = out.read_text().splitlines()
     assert rows[0].startswith("epsilon,hits,log_prob")
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=")
+@pytest.mark.parametrize("oracle", [None, "reflection"])
+def test_ldp_csv_rows_match_the_summary_columns(tmp_path, oracle):
+    out = tmp_path / "ldp.csv"
+    argv = ["ldp", "--steps", "64", "--event", "sup-ge:1", "--epsilons", "0.6,0.5,0.01",
+            "--samples", "2000", "--seed", "3", "--out", str(out)]
+    assert main(argv + (["--oracle", oracle] if oracle else [])) == 0
+    results = json.loads((tmp_path / "ldp.csv.summary.json").read_text())["results"]
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["epsilon", "hits", "log_prob", "log_prob_se", "scaled", "scaled_se", "oracle_scaled", "censored"]
+    assert results["censored"] == [0.01] and len(rows) == 3
+    names = ["epsilons", "hits", "log_probs", "log_prob_ses", "scaled", "scaled_ses"]
+    oracle_values = results["oracle_values"] or [None] * 3
+    for i, row in enumerate(rows):
+        # the writer prints floats by their repr, and JSON reads a NaN back as nan
+        assert row[:6] == [repr(results[name][i]) for name in names]
+        assert row[6] == ("" if oracle is None else repr(oracle_values[i]))
+        assert row[7] == str(int(results["epsilons"][i] in results["censored"]))
+    assert rows[2][2:6] == ["nan"] * 4 and rows[2][1] == "0" and rows[2][7] == "1"
 
 
 def test_lift_and_norm_flow(tmp_path):
@@ -353,6 +376,22 @@ def test_malformed_chaos_document_is_an_argument_error(tmp_path, capsys, action,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(poly) in err and message in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_chaos_proxy_refuses_a_degree_above_the_hermite_guard(tmp_path, capsys, monkeypatch):
+    import wienerlift.chaos as chaos_mod
+
+    graded = GradedChaos(1, components={"a": ChaosPolynomial(1, {(61,): 1.0})}, degrees={"a": 61})
+    poly = tmp_path / "f.json"
+    poly.write_text(json.dumps(chaos_to_document(graded)))
+    # the refusal comes before any sample is drawn
+    monkeypatch.setattr(chaos_mod, "derived_rng", lambda *args: pytest.fail("proxy sampled"))
+    out = tmp_path / "c.json"
+    argv = ["chaos", "proxy", "--poly", str(poly), "--shift-vector", "0.4", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--poly {str(poly)!r}: Hermite degree 61" in err
     assert "Traceback" not in err and not out.exists()
 
 
