@@ -209,22 +209,18 @@ def empirical_rate(
     censoring: the expected-hits test is skipped, and only zero-hit epsilons
     are censored.  The pilot and the main run each count the samples at or
     above every epsilon's threshold c / eps^degree from one sorted copy,
-    as `fernique_tail_fit` counts its norms.
+    as `fernique_tail_fit` counts its norms.  The epsilons must be distinct
+    and positive, with eps^2 neither 0 nor inf (`_check_epsilons`).
     """
     epsilons = sorted(float(e) for e in epsilons)[::-1]
-    if not epsilons:
-        raise ValueError("epsilons must be non-empty")
-    if not all(math.isfinite(e) and e > 0 for e in epsilons):
-        raise ValueError(f"epsilons must be positive and finite, got {epsilons}")
+    _check_epsilons(epsilons)
     # one pass splits at n_samples, so a negative count would move the split
     if n_samples < 0 or pilot_samples < 0:
         raise ValueError(f"sample counts must be >= 0, got n_samples={n_samples}, pilot_samples={pilot_samples}")
     oracle_values = None
     if oracle is not None:
         _check_oracle(oracle, event, spec, scheme)
-        oracle_values = [
-            eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps) for eps in epsilons
-        ]
+        oracle_values = [eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps) for eps in epsilons]
 
     plain, _, _ = _collect_statistics(
         spec, scheme, grid, seed, n_samples + pilot_samples, chunk, threads,
@@ -280,6 +276,14 @@ def empirical_rate(
     )
 
 
+def _check_epsilons(epsilons) -> None:
+    """Refuse an empty list, a repeat, or an epsilon whose eps^degree is 0 or inf at degree 1 or 2."""
+    if not epsilons or not all(e > 0 and 0.0 < e * e < math.inf for e in epsilons):
+        raise ValueError(f"epsilons must be positive and finite, at least one, with eps^2 not 0 or inf, got {epsilons}")
+    if len(set(epsilons)) < len(epsilons):
+        raise ValueError(f"epsilons must be distinct, got {epsilons}")
+
+
 def _exceedances(sample: np.ndarray, thresholds) -> np.ndarray:
     """How many entries of `sample` lie at or above each threshold: all but those sorted below it."""
     return len(sample) - np.searchsorted(np.sort(sample), thresholds)
@@ -308,6 +312,8 @@ def _collect_statistics(
     if ambient is not None:
         ambient.check_fits(spec.dim, ambient.max_degree)
     _check_entry(entry, spec.dim)
+    if shift is not None:
+        shift.check_fits(grid, spec.dim)
     plain = {name: np.empty(count) for name in names}
     shifted = {} if shift is None else {name: np.empty(count) for name in names}
     pw = None if shift is None else np.empty(count)

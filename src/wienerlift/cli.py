@@ -31,6 +31,7 @@ from .asymptotics import (
     STATISTICS,
     EventSpec,
     _check_entry,
+    _check_epsilons,
     _check_oracle,
     empirical_rate,
     eta0_estimate,
@@ -144,13 +145,6 @@ def _parse_ambient(preset_or_path: str, dim: int, level: int = 3, *, fit: bool =
     ambient must fit a path of dimension `dim` lifted to `level`.
     """
     head, _, arg = preset_or_path.partition(":")
-
-    def number(default: float) -> float:
-        value = _number(arg) if arg else default
-        if not (math.isfinite(value) and value > 0):
-            raise CliError(f"--ambient {preset_or_path!r}: expected a positive finite number, got {arg!r}")
-        return value
-
     try:
         if os.path.exists(preset_or_path):
             ambient = AmbientSpec.load(preset_or_path)
@@ -159,14 +153,14 @@ def _parse_ambient(preset_or_path: str, dim: int, level: int = 3, *, fit: bool =
         elif head == "terminal":
             ambient = classical_ambient(dim, kind="terminal")
         elif head in ("level1", "level2", "level3"):
-            ambient = ambient_for_levels(dim, int(head[-1]), norm_kind="pvar", p=number(2.5))
+            ambient = ambient_for_levels(dim, int(head[-1]), norm_kind="pvar", p=_positive(arg or "2.5"))
         elif head == "holder2":
-            ambient = ambient_for_levels(dim, 2, norm_kind="holder", alpha=number(0.4))
+            ambient = ambient_for_levels(dim, 2, norm_kind="holder", alpha=_positive(arg or "0.4"))
         else:
             raise CliError(f"--ambient {preset_or_path!r} is neither a file nor a known preset")
         if fit:
             ambient.check_fits(dim, level)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         # AmbientSpec.load chains the cause to an error that repeats the file name
         raise CliError(f"--ambient {preset_or_path!r}: {exc.__cause__ or exc}") from None
     return ambient
@@ -547,10 +541,14 @@ def _open_unit(text: str) -> float:
 
 
 def _positive_list(text: str) -> list[float]:
-    """argparse type for comma-separated positive finite numbers, at least one."""
+    """argparse type for --epsilons: comma-separated positive numbers that `_check_epsilons` accepts."""
     values = [_positive(tok) for tok in text.split(",") if tok]
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated positive numbers, got {text!r}")
+    try:
+        _check_epsilons(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return values
 
 

@@ -35,10 +35,7 @@ class CmDensityEval:
 
 def shift_path(x: SamplePath, h: CameronMartinPath) -> SamplePath:
     """Pointwise sum x + h on the shared grid."""
-    if h.grid != x.grid:
-        raise ValueError("grid mismatch between path and shift direction")
-    if h.dim != x.dim:
-        raise ValueError(f"dimension mismatch: path d={x.dim}, shift d={h.dim}")
+    h.check_fits(x.grid, x.dim)
     return SamplePath(x.grid, x.values + h.values)
 
 
@@ -48,15 +45,10 @@ def cm_log_density(x: SamplePath, h: CameronMartinPath) -> CmDensityEval:
     Valid as a density evaluation when x is Brownian-distributed; the grid
     Paley-Wiener sum is `paley_wiener` on the batch of one.
     """
-    if h.grid != x.grid:
-        raise ValueError("grid mismatch between path and shift direction")
-    if h.dim != x.dim:
-        raise ValueError(f"dimension mismatch: path d={x.dim}, shift d={h.dim}")
+    h.check_fits(x.grid, x.dim)
     pw = float(paley_wiener(h, x.values))
     half_sq = 0.5 * cm_inner(h, h)
-    return CmDensityEval(
-        log_density=pw - half_sq, paley_wiener_term=pw, half_norm_sq=half_sq
-    )
+    return CmDensityEval(log_density=pw - half_sq, paley_wiener_term=pw, half_norm_sq=half_sq)
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,8 @@ def reweight_check(
     One report per named statistic g, all from one pass over the paths.  Both
     estimators use common random numbers (the same driving paths), which is
     unbiased for each side and shrinks the variance of their difference; the
-    z-score is computed from the paired differences.  `spec` must be Brownian.
+    z-score is computed from the paired differences.  `spec` must be Brownian,
+    and an h off `grid` or `spec.dim` is refused before any path is drawn.
     """
     for name in functionals:
         _check_statistic(name, "functional")
@@ -116,8 +109,6 @@ def reweight_check(
         raise ValueError(f"the Cameron-Martin density is Brownian-only, got process {spec.kind!r}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 for a standard error, got {n_samples}")
-    if h.grid != grid:
-        raise ValueError("grid mismatch between shift direction and run grid")
     if ambient is None:
         ambient = ambient_for_levels(spec.dim, 2, norm_kind="holder", alpha=0.4)
     plain, shifted, pw = _collect_statistics(

@@ -205,9 +205,15 @@ class CameronMartinPath:
     def as_sample_path(self) -> SamplePath:
         return SamplePath(self.grid, self.values)
 
+    def check_fits(self, grid: TimeGrid, dim: int) -> None:
+        """Refuse to pair with a path or shift on another grid or of another dimension."""
+        if grid != self.grid:
+            raise ValueError(f"grid mismatch: the shift lives on {self.grid}, its partner on {grid}")
+        if dim != self.dim:
+            raise ValueError(f"dimension mismatch: the shift has d={self.dim}, its partner d={dim}")
+
     def __add__(self, other: "CameronMartinPath") -> "CameronMartinPath":
-        if other.grid != self.grid:
-            raise ValueError("grid mismatch between Cameron-Martin paths")
+        self.check_fits(other.grid, other.dim)
         return CameronMartinPath(self.grid, self.derivative_values + other.derivative_values)
 
     def scaled(self, c: float) -> "CameronMartinPath":
@@ -216,13 +222,14 @@ class CameronMartinPath:
 
 def cm_inner(h: CameronMartinPath, k: CameronMartinPath) -> float:
     """Inner product int h'.k' dt, exact for the piecewise-constant class."""
-    if h.grid != k.grid:
-        raise ValueError("grid mismatch between Cameron-Martin paths")
+    h.check_fits(k.grid, k.dim)
     return float(np.sum(h.derivative_values * k.derivative_values) * h.grid.dt)
 
 
 def paley_wiener(h: CameronMartinPath, values: np.ndarray) -> np.ndarray:
-    """Grid Paley-Wiener sums of h' against the increments of paths `values` (..., n+1, d): shape (...)."""
+    """Grid Paley-Wiener sums of h' on the increments of paths `values` (..., n+1, d) with h's n and d: shape (...)."""
+    if np.shape(values)[-2:] != (h.grid.n_steps + 1, h.dim):
+        raise ValueError(f"paths of shape {np.shape(values)} do not fit the shift's grid and dimension, d={h.dim}")
     return np.einsum("ki,...ki->...", h.derivative_values, np.diff(values, axis=-2))
 
 

@@ -310,10 +310,7 @@ def lifted_shift(e: EnhancedPath, h: CameronMartinPath) -> EnhancedPath:
     """
     if e.scheme not in ("ito", "stratonovich"):
         raise ValueError(f"lifted shift needs an ito or stratonovich lift, got {e.scheme!r}")
-    if h.grid != e.grid:
-        raise ValueError("grid mismatch between enhanced path and shift direction")
-    if h.dim != e.dim:
-        raise ValueError(f"dimension mismatch: path has d={e.dim}, shift has d={h.dim}")
+    h.check_fits(e.grid, e.dim)
     scheme = e.scheme
     xv = e.level1.values
     hv = h.values

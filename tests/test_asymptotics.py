@@ -563,6 +563,26 @@ def test_empirical_rate_refuses_nonpositive_epsilons():
             empirical_rate(GaussianSpec("bm", 1), "ito", event, [0.5], n, 1, grid=TimeGrid(1.0, 8), pilot_samples=pilot)
 
 
+@pytest.mark.parametrize("kind, epsilons, message", [
+    ("sup-level1", [0.5, 0.5], "distinct"),
+    ("sup-level1", [0.5, 0.35, 0.5], "distinct"),
+    ("level2-entry", [1e-200], r"eps\^2 not 0 or inf"),  # eps^2 underflows to 0
+    ("level2-entry", [1e200], r"eps\^2 not 0 or inf"),  # eps^2 overflows
+    ("sup-level1", [1e200], r"eps\^2 not 0 or inf"),
+    ("sup-level1", [1e300, 0.5], r"eps\^2 not 0 or inf"),
+    ("sup-level1", [], "at least one"),
+])
+def test_epsilon_rule_refuses_before_sampling(monkeypatch, kind, epsilons, message):
+    import wienerlift.asymptotics as asy
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the epsilons were checked")
+
+    monkeypatch.setattr(asy, "sample_values_batch", no_sampling)
+    with pytest.raises(ValueError, match=message):
+        empirical_rate(GaussianSpec("bm", 1), "ito", EventSpec(kind, 0.5), epsilons, 100, 1, grid=TimeGrid(1.0, 8))
+
+
 def _shifted_quadratic(x):
     return np.sum((x - np.array([0.3, -1.2, 2.0, 0.7])) ** 2, axis=-1)
 

@@ -651,6 +651,16 @@ BAD_VALUES = {
                          "argument --epsilons: expected a positive finite number, got 'abc'"),
     "ldp-epsilons-empty": (["ldp", "--event", "sup-ge:1", "--epsilons", ",", "--samples", "10"],
                            "argument --epsilons: expected comma-separated positive numbers"),
+    # one epsilon rule: distinct values, each eps^2 neither 0 nor inf
+    "ldp-epsilons-repeated": (["ldp", "--event", "sup-ge:1", "--epsilons", "0.5,0.5", "--samples", "10"],
+                              "argument --epsilons: epsilons must be distinct, got [0.5, 0.5]"),
+    "ldp-epsilon-underflow": (["ldp", "--event", "level2-ge:1,1,0.5", "--epsilons", "1e-200", "--samples", "10"],
+                              "argument --epsilons: epsilons must be positive and finite, at least one, "
+                              "with eps^2 not 0 or inf, got [1e-200]"),
+    "ldp-epsilon-overflow": (["ldp", "--event", "level2-ge:1,1,0.5", "--epsilons", "1e200", "--samples", "10"],
+                             "with eps^2 not 0 or inf, got [1e+200]"),
+    "ldp-epsilon-overflow-sup": (["ldp", "--event", "sup-ge:1", "--epsilons", "1e300,0.5", "--samples", "10"],
+                                 "with eps^2 not 0 or inf, got [1e+300, 0.5]"),
     "ldp-threshold-word": (["ldp", "--event", "sup-ge:abc", "--epsilons", "1", "--samples", "10"],
                            "--event 'sup-ge:abc': malformed threshold 'abc'"),
     "ldp-threshold-nan": (["ldp", "--event", "sup-ge:nan", "--epsilons", "1", "--samples", "10"],

@@ -16,9 +16,11 @@ from wienerlift.grids import (
     TimeGrid,
     cm_inner,
     cm_norm,
+    paley_wiener,
     sample,
     sample_values_batch,
 )
+from wienerlift.lifts import ito_lift, lifted_shift
 
 
 def _ramp(grid, d, slope=1.0):
@@ -223,6 +225,45 @@ def test_reweight_validation():
             reweight_check(("level2-entry",), h, n_samples=10, entry=entry, **kwargs)
     with pytest.raises(ValueError, match=r"entry \(1, 2\) reads component 2, but the path has d=1"):
         reweight_check(("level2-entry",), h, n_samples=10, entry=(1, 2), **kwargs)
+
+
+# each pairing of a shift h with a path x or a shift k, as f(h, k, x)
+PAIRINGS = {
+    "h + k": lambda h, k, x: h + k,
+    "cm_inner": lambda h, k, x: cm_inner(h, k),
+    "paley_wiener": lambda h, k, x: paley_wiener(h, x.values),
+    "shift_path": lambda h, k, x: shift_path(x, h),
+    "cm_log_density": lambda h, k, x: cm_log_density(x, h),
+    "lifted_shift": lambda h, k, x: lifted_shift(ito_lift(x, level=3), h),
+    "reweight_check": lambda h, k, x: reweight_check(
+        ("terminal-level1",), h, spec=GaussianSpec("bm", x.dim), grid=x.grid, n_samples=10, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+@pytest.mark.parametrize("mismatch", ["grid", "dimension"])
+def test_every_pairing_refuses_a_shift_that_does_not_fit(monkeypatch, pairing, mismatch):
+    import wienerlift.asymptotics as asy
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the shift was checked")
+
+    monkeypatch.setattr(asy, "sample_values_batch", no_sampling)
+    grid = TimeGrid(1.0, 16)
+    # the partner: a d=2 path and shift on 32 cells, or on h's own 16
+    other = TimeGrid(1.0, 32) if mismatch == "grid" else grid
+    h = _ramp(grid, 2 if mismatch == "grid" else 1, 0.5)
+    with pytest.raises(ValueError, match=mismatch):
+        PAIRINGS[pairing](h, _ramp(other, 2), sample(GaussianSpec("bm", 2), other, seed=1))
+
+
+def test_reweight_refuses_a_one_component_shift_on_two_component_paths():
+    # broadcast over both components, this shift read E[f_h] = 1.12 against |h|^2/2 of one
+    grid = TimeGrid(1.0, 16)
+    with pytest.raises(ValueError, match="the shift has d=1, its partner d=2"):
+        reweight_check(REWEIGHT_FUNCTIONALS, _ramp(grid, 1, 0.5), spec=GaussianSpec("bm", 2), grid=grid,
+                       n_samples=40_000, seed=3)
 
 
 def test_reweight_hom_norm_level3_ambient():
