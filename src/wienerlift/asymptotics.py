@@ -20,7 +20,7 @@ import numpy as np
 
 from ._batch import homogeneous_norm_batch, pair_base_batch, parallel_chunks
 from .grids import (
-    CameronMartinPath, GaussianSpec, TimeGrid, derived_rng, paley_wiener, sample_values_batch,
+    CameronMartinPath, GaussianSpec, TimeGrid, _check_streams, derived_rng, paley_wiener, sample_values_batch,
 )
 from .lifts import EnhancedPath, _triple_base
 from .seminorms import AmbientSpec
@@ -129,26 +129,47 @@ def _check_oracle(oracle: str, event: EventSpec, spec: GaussianSpec, scheme: str
         raise ValueError(f"oracle {oracle!r} holds for Brownian motion only, got {spec.kind!r}")
 
 
-def _oracle_log_prob(
-    oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float
-) -> float:
-    """log P(dilate(eps, lift(X)) in event) for an oracle `_check_oracle` accepts.
+def _oracle_z(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float) -> float:
+    """z with P(dilate(eps, lift(X)) in event) = P(|N(0, 1)| >= z), for an oracle `_check_oracle` accepts.
 
     All three are one-dimensional: x_T ~ N(0, R(T, T)) for the terminal and
     level-2 diagonal tails, and the reflection principle, which holds for
     Brownian motion only, for the running maximum.
     """
-    # scipy.special is imported here, not at module level, so that runs which
-    # ask for no oracle never load scipy
-    from scipy.special import log_ndtr
-
     c = event.threshold
     var = float(spec.covariance(grid.horizon, grid.horizon))
     if oracle == "level2-diag-gauss":
         # trapezoid diagonal is x_T^2/2 exactly, so the event is an x_T tail
-        return math.log(2.0) + float(log_ndtr(-math.sqrt(2.0 * c / var) / eps))
+        return math.sqrt(2.0 * c / var) / eps
     # reflection: P(max_{t<=T} B_t >= a) = 2 P(B_T >= a) = P(|B_T| >= a)
-    return math.log(2.0) + float(log_ndtr(-c / (eps * math.sqrt(var))))
+    return c / (eps * math.sqrt(var))
+
+
+def _oracle_log_prob(
+    oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float
+) -> float:
+    """log P(dilate(eps, lift(X)) in event) = log 2 + log_ndtr(-z) for an oracle `_check_oracle` accepts."""
+    # scipy.special is imported here, not at module level, so that runs which
+    # ask for no oracle never load scipy
+    from scipy.special import log_ndtr
+
+    return math.log(2.0) + float(log_ndtr(-_oracle_z(oracle, event, spec, grid, eps)))
+
+
+def _oracle_scaled(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float) -> float:
+    """eps^2 log P(dilate(eps, lift(X)) in event), finite however small eps is.
+
+    It is eps^2 times `_oracle_log_prob` wherever that product is finite.
+    Once z^2 overflows (eps below about 1e-154) log_ndtr(-z) is -inf, and the
+    value is taken in scaled form: the limit -(eps z)^2 / 2 plus eps^2 times
+    the remainder log 2 + log_ndtr(-z) + z^2/2, which is log 2 - log z
+    - log(2 pi)/2 up to O(1/z^2).
+    """
+    scaled = eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps)
+    if math.isfinite(scaled):
+        return scaled
+    z = _oracle_z(oracle, event, spec, grid, eps)
+    return -0.5 * (eps * z) ** 2 + eps**2 * (math.log(2.0) - math.log(z) - 0.5 * math.log(2.0 * math.pi))
 
 
 @dataclass
@@ -220,7 +241,7 @@ def empirical_rate(
     oracle_values = None
     if oracle is not None:
         _check_oracle(oracle, event, spec, scheme)
-        oracle_values = [eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps) for eps in epsilons]
+        oracle_values = [_oracle_scaled(oracle, event, spec, grid, eps) for eps in epsilons]
 
     plain, _, _ = _collect_statistics(
         spec, scheme, grid, seed, n_samples + pilot_samples, chunk, threads,
@@ -305,6 +326,8 @@ def _collect_statistics(
     """
     if scheme not in MC_SCHEMES:
         raise ValueError(f"scheme must be one of {MC_SCHEMES}, got {scheme!r}")
+    # refused before the result arrays are allocated, which a count past the streams may not fit
+    _check_streams(0, count)
     level = max(
         (ambient.max_degree if STATISTICS[n].level is None else STATISTICS[n].level for n in names),
         default=1,

@@ -39,6 +39,7 @@ from .asymptotics import (
 )
 from .girsanov import REWEIGHT_FUNCTIONALS, cm_log_density, reweight_check, shift_path
 from .grids import (
+    _STREAMS,
     CameronMartinPath,
     GaussianSpec,
     TimeGrid,
@@ -130,6 +131,8 @@ def _config(args, **override) -> dict:
 def _gaussian_spec(args) -> GaussianSpec:
     if args.process == "fbm" and args.hurst is None:
         raise CliError("--process fbm needs --hurst")
+    if args.process != "fbm" and args.hurst is not None:
+        raise CliError("--hurst needs --process fbm")
     return GaussianSpec(kind=args.process, dim=args.dim, hurst=args.hurst)
 
 
@@ -505,12 +508,14 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _count(minimum: int = 1):
-    """argparse type for a count: an integer >= minimum, else exit 2 naming the option."""
+def _count(minimum: int = 1, maximum: float = math.inf):
+    """argparse type for a count: an integer from minimum to maximum, else exit 2 naming the option."""
 
     def parse(text: str) -> int:
         if not text.removeprefix("-").isdecimal() or int(text) < minimum:
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        if int(text) > maximum:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {maximum}, got {text!r}")
         return int(text)
 
     return parse
@@ -617,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=MC_SCHEMES, default="stratonovich")
     p.add_argument("--event", required=True, help="sup-ge:c | terminal-ge:c | hom-ge:c | level2-ge:i,j,c")
     p.add_argument("--epsilons", type=_positive_list, required=True, help="comma-separated, e.g. 0.5,0.4,0.01")
-    p.add_argument("--samples", type=_count(), required=True)
+    p.add_argument("--samples", type=_count(1, _STREAMS), required=True)
     p.add_argument("--oracle", choices=tuple(ORACLES), default=None)
     p.add_argument("--ambient", default=None)
     p.add_argument("--seed", type=_count(0), required=True)
@@ -639,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_process_args(p, dim_default=2)
     p.add_argument("--scheme", choices=MC_SCHEMES, default="stratonovich")
     p.add_argument("--ambient", required=True)
-    p.add_argument("--samples", type=_count(FERNIQUE_MIN_SAMPLES), required=True)
+    p.add_argument("--samples", type=_count(FERNIQUE_MIN_SAMPLES, _STREAMS), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
     _add_threads_arg(p)
     _add_output_args(p)
@@ -649,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_process_args(p, processes=("bm",))  # the shift density is Brownian-only
     p.add_argument("--shift", default="ramp:1.0", help="ramp:c | onb:k")
     p.add_argument("--functional", choices=("all", *STATISTICS), default="all")
-    p.add_argument("--samples", type=_count(2), required=True)
+    p.add_argument("--samples", type=_count(2, _STREAMS), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
     _add_threads_arg(p)
     _add_output_args(p)
@@ -697,6 +702,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -45,6 +45,8 @@ _POOL = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32, _M128 = 2**32 - 1, 2**128 - 1
+# derived streams are indexed 0.._STREAMS - 1: a larger index takes a two-word spawn key
+_STREAMS = 2**32
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -69,6 +71,12 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ r >> 16
 
 
+def _check_streams(start: int, count: int) -> None:
+    """Refuse streams start..start+count-1 that run past the last derived stream, 2**32 - 1."""
+    if start + count > _STREAMS:
+        raise ValueError(f"stream indices reach {start + count - 1}; derived streams stop at index 2**32 - 1")
+
+
 def _stream_states(seed: int, start: int, count: int):
     """PCG64 states of the streams start..start+count-1 keyed by `seed`: an iterator of dicts.
 
@@ -85,8 +93,7 @@ def _stream_states(seed: int, start: int, count: int):
     seed = operator.index(seed)
     if seed < 0 or start < 0:
         raise ValueError(f"seed and stream index must be non-negative, got seed={seed}, index={start}")
-    if start + count > 2**32:
-        raise ValueError(f"stream indices reach {start + count - 1}; derived streams stop at index 2**32 - 1")
+    _check_streams(start, count)
     # one hash per pool word for each of the seed's uint32 words, at least four of them
     hashes = _POOL * max(-(-seed.bit_length() // 32), _POOL)
     const = _INIT_A * pow(_MULT_A, hashes, 2**32) & _M32
@@ -242,8 +249,8 @@ def cm_norm(h: CameronMartinPath) -> float:
 class GaussianSpec:
     """Centered Gaussian process with independent components.
 
-    kind "bm" has R(s,t) = min(s,t); kind "fbm" needs hurst in (0,1) and has
-    R(s,t) = (s^2H + t^2H - |t-s|^2H)/2.
+    kind "bm" has R(s,t) = min(s,t) and no hurst; kind "fbm" needs hurst in
+    (0,1) and has R(s,t) = (s^2H + t^2H - |t-s|^2H)/2.
     """
 
     kind: str
@@ -258,6 +265,8 @@ class GaussianSpec:
         if self.kind == "fbm":
             if self.hurst is None or not 0.0 < self.hurst < 1.0:
                 raise ValueError(f"hurst must lie in (0,1) for fbm, got {self.hurst}")
+        elif self.hurst is not None:
+            raise ValueError(f"a Hurst index describes fbm, not {self.kind!r}, got hurst={self.hurst}")
 
     def covariance(self, s, t) -> np.ndarray:
         """Component covariance R(s,t); broadcasts over array arguments."""

@@ -49,7 +49,6 @@ class EnhancedPath:
     base2: np.ndarray
     base3: np.ndarray | None = None
     scheme: str = "ito"
-    ambient: AmbientSpec | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -62,8 +61,6 @@ class EnhancedPath:
             if base.shape != expected:
                 raise ValueError(f"level-{level} base has shape {base.shape}, expected {expected}")
             object.__setattr__(self, name, base)
-        if self.ambient is not None:
-            self.ambient.check_fits(d, self.max_level)
 
     @property
     def grid(self) -> TimeGrid:
@@ -327,7 +324,7 @@ def lifted_shift(e: EnhancedPath, h: CameronMartinPath) -> EnhancedPath:
         for word in range(1, 8):  # every {x,h}^3 word with at least one h
             slots = [hv if (word >> b) & 1 else xv for b in (2, 1, 0)]
             base3 += _triple_base(slots[0], slots[1], slots[2], scheme)
-    return EnhancedPath(new1, base2, base3, scheme=scheme, ambient=e.ambient)
+    return EnhancedPath(new1, base2, base3, scheme=scheme)
 
 
 def dilate_enhanced(e: EnhancedPath, eps: float) -> EnhancedPath:
@@ -336,17 +333,17 @@ def dilate_enhanced(e: EnhancedPath, eps: float) -> EnhancedPath:
         raise ValueError(f"eps must be >= 0, got {eps}")
     new1 = SamplePath(e.grid, eps * e.level1.values)
     base3 = None if e.base3 is None else eps**3 * e.base3
-    return EnhancedPath(new1, eps**2 * e.base2, base3, scheme=e.scheme, ambient=e.ambient)
+    return EnhancedPath(new1, eps**2 * e.base2, base3, scheme=e.scheme)
 
 
 def to_graded(e: EnhancedPath, ambient: AmbientSpec | None = None) -> list[tuple[SymbolSpec, float]]:
-    """(symbol, norm) pairs of lift e under `ambient`, else `e.ambient`, else the standard levels of e.
+    """(symbol, norm) pairs of lift e under `ambient`, else the standard levels of e.
 
     An `ambient` that does not fit e raises ValueError naming the symbol.
     """
     if ambient is not None:
         ambient.check_fits(e.dim, e.max_level)
-    spec = ambient or e.ambient or ambient_for_levels(e.dim, e.max_level)
+    spec = ambient or ambient_for_levels(e.dim, e.max_level)
     return list(symbol_norms(spec, e.grid, e.level1.values, e.base2, e.base3))
 
 
@@ -375,13 +372,13 @@ def enhanced_to_document(e: EnhancedPath) -> dict:
             "shape": list(e.base3.shape),
             "data": e.base3.ravel().tolist(),
         }
-    if e.ambient is not None:
-        doc["ambient"] = e.ambient.to_config()
     return doc
 
 
 def enhanced_from_document(doc: dict) -> EnhancedPath:
     _files.check_format(doc, FORMAT_VERSION)
+    if "ambient" in doc:
+        raise ValueError("enhanced-path document has an 'ambient' field; embedded ambients are not read, pass --ambient")
     try:
         grid = TimeGrid(horizon=doc["grid"]["horizon"], n_steps=doc["grid"]["n_steps"])
         lvl1 = np.asarray(doc["level1"]["data"]).reshape(doc["level1"]["shape"])
@@ -390,8 +387,7 @@ def enhanced_from_document(doc: dict) -> EnhancedPath:
         base3 = None
         if "level3" in doc:
             base3 = np.asarray(doc["level3"]["data"]).reshape(doc["level3"]["shape"])
-        ambient = AmbientSpec.from_config(doc["ambient"]) if "ambient" in doc else None
-        return EnhancedPath(path, base2, base3, scheme=doc["scheme"], ambient=ambient)
+        return EnhancedPath(path, base2, base3, scheme=doc["scheme"])
     except KeyError as exc:
         raise ValueError(f"enhanced-path document lacks field {exc.args[0]!r}") from None
     except (TypeError, AttributeError) as exc:

@@ -26,7 +26,7 @@ tensors; `homogeneous_norm` and `banach_norm` sum the (symbol, norm) pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -55,24 +55,21 @@ class SymbolNorm:
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """One graded symbol: component indices, degree, norm, payload arity."""
+    """One graded symbol: a word of component indices and its norm; its degree and arity follow from the word."""
 
     name: str
     indices: tuple[int, ...]
-    degree: int
     norm: SymbolNorm
-    arity: int
+    degree: int = field(init=False)
+    arity: int = field(init=False)
 
     def __post_init__(self):
-        if self.degree not in (1, 2, 3):
-            raise ValueError(f"degree must be 1, 2 or 3, got {self.degree}")
         if not all(isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in self.indices):
             raise ValueError(f"indices must be integers >= 1, got {self.indices!r}")
-        if len(self.indices) != self.degree:
-            raise ValueError(f"a degree-{self.degree} symbol needs a word of length {self.degree}, got {self.indices!r}")
-        arity = 1 if self.degree == 1 else 2
-        if self.arity != arity:
-            raise ValueError(f"a degree-{self.degree} symbol has arity {arity}, got {self.arity}")
+        if len(self.indices) not in (1, 2, 3):
+            raise ValueError(f"degree must be 1, 2 or 3, got {len(self.indices)}")
+        object.__setattr__(self, "degree", len(self.indices))
+        object.__setattr__(self, "arity", 1 if self.degree == 1 else 2)
 
 
 @dataclass(frozen=True)
@@ -133,16 +130,7 @@ class AmbientSpec:
     def from_config(cls, cfg: dict) -> "AmbientSpec":
         """Inverse of `to_config`; a missing or mistyped field raises ValueError."""
         try:
-            symbols = tuple(
-                SymbolSpec(
-                    name=entry["symbol"],
-                    indices=tuple(entry["indices"]),
-                    degree=int(entry["degree"]),
-                    norm=SymbolNorm(entry["norm"]["kind"], entry["norm"].get("exponent")),
-                    arity=int(entry["arity"]),
-                )
-                for entry in cfg["symbols"]
-            )
+            symbols = tuple(map(_symbol_from_config, cfg["symbols"]))
             return cls(symbols=symbols, distinguished=tuple(cfg["distinguished"]))
         except KeyError as exc:
             raise ValueError(f"ambient config lacks field {exc.args[0]!r}") from None
@@ -156,6 +144,18 @@ class AmbientSpec:
     def load(cls, filename) -> "AmbientSpec":
         """Read an ambient JSON file; malformed content raises ValueError naming it."""
         return _files.read_json(filename, cls.from_config)
+
+
+def _symbol_from_config(entry: dict) -> SymbolSpec:
+    """One `to_config` symbol entry; its stated degree and arity must be the word's."""
+    name, indices, degree = entry["symbol"], tuple(entry["indices"]), int(entry["degree"])
+    norm, arity = SymbolNorm(entry["norm"]["kind"], entry["norm"].get("exponent")), int(entry["arity"])
+    sym = SymbolSpec(name, indices, norm)
+    if sym.degree != degree:
+        raise ValueError(f"a degree-{degree} symbol needs a word of length {degree}, got {indices!r}")
+    if sym.arity != arity:
+        raise ValueError(f"a degree-{degree} symbol has arity {sym.arity}, got {arity}")
+    return sym
 
 
 def _symbol_name(indices: tuple[int, ...]) -> str:
@@ -191,15 +191,7 @@ def ambient_for_levels(
                 norm = SymbolNorm("pvar", max(p / k, 1.0))
             else:
                 norm = SymbolNorm("holder", k * alpha)
-            symbols.append(
-                SymbolSpec(
-                    name=_symbol_name(word),
-                    indices=word,
-                    degree=k,
-                    norm=norm,
-                    arity=1 if k == 1 else 2,
-                )
-            )
+            symbols.append(SymbolSpec(_symbol_name(word), word, norm))
     distinguished = tuple(s.name for s in symbols if s.degree == 1)
     return AmbientSpec(symbols=tuple(symbols), distinguished=distinguished)
 
@@ -208,7 +200,7 @@ def classical_ambient(dim: int, kind: str = "sup") -> AmbientSpec:
     """Level-1-only spec, one symbol per component; default sup norm."""
     norm = SymbolNorm(kind, None if kind in ("sup", "terminal") else 1.0)
     symbols = tuple(
-        SymbolSpec(name=str(i), indices=(i,), degree=1, norm=norm, arity=1)
+        SymbolSpec(str(i), (i,), norm)
         for i in range(1, dim + 1)
     )
     return AmbientSpec(symbols=symbols, distinguished=tuple(s.name for s in symbols))

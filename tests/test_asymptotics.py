@@ -12,6 +12,7 @@ from wienerlift.asymptotics import (
     _collect_statistics,
     _eta0_quotients,
     _oracle_log_prob,
+    _oracle_scaled,
     empirical_rate,
     eta0_estimate,
     eta0_quotient,
@@ -78,6 +79,37 @@ def test_oracle_scaled_sequence_monotone_to_half():
     ]
     assert all(a < b for a, b in zip(scaled, scaled[1:]))
     assert abs(scaled[-1] + 0.5) <= 0.01
+
+
+@pytest.mark.parametrize(
+    "oracle, event, limit",
+    [
+        ("reflection", EventSpec("sup-level1", 1.2), -1.2**2 / (2 * 2.0)),
+        ("terminal-gauss", EventSpec("terminal-abs", 1.2), -1.2**2 / (2 * 2.0)),
+        ("level2-diag-gauss", EventSpec("level2-entry", 0.5), -0.5 / 2.0),
+    ],
+)
+def test_oracle_stays_finite_where_z_squared_overflows(oracle, event, limit):
+    # at eps = 1e-160, eps^2 is subnormal and z^2 overflows, so log_ndtr(-z) is -inf; the
+    # scaled form gives the limit -c^2/(2T) (reflection, terminal) or -c/T (level-2 diagonal)
+    spec, grid = GaussianSpec("bm", 1), TimeGrid(2.0, 8)
+    assert _oracle_log_prob(oracle, event, spec, grid, 1e-160) == -math.inf
+    assert _oracle_scaled(oracle, event, spec, grid, 1e-160) == pytest.approx(limit, rel=1e-14)
+    # a finite value keeps the bits of eps^2 times the log-probability
+    for eps in (0.5, 1e-150):
+        assert _oracle_scaled(oracle, event, spec, grid, eps) == eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps)
+    est = empirical_rate(spec, "stratonovich", event, [1e-160], 10, 1, grid=grid, oracle=oracle, pilot_samples=0)
+    assert est.oracle_values == [_oracle_scaled(oracle, event, spec, grid, 1e-160)]
+
+
+def test_stream_limit_is_refused_before_allocating(monkeypatch):
+    # a count past the derived streams is refused before the driver allocates its result arrays
+    monkeypatch.setattr(np, "empty", lambda *args, **kwargs: pytest.fail("allocated"))
+    grid, spec, event = TimeGrid(1.0, 4), GaussianSpec("bm", 1), EventSpec("sup-level1", 1.0)
+    with pytest.raises(ValueError, match=r"stream indices reach 4294967296; derived streams stop at index 2\*\*32 - 1"):
+        _collect_statistics(spec, "ito", grid, 1, 2**32 + 1, 512, names=("sup-level1",))
+    with pytest.raises(ValueError, match="stream indices reach 4294969295"):
+        empirical_rate(spec, "ito", event, [0.5], 2**32, 1, grid=grid)
 
 
 def test_empirical_rate_matches_reflection_oracle():

@@ -11,7 +11,8 @@ import pytest
 
 import wienerlift
 from wienerlift.chaos import ChaosPolynomial, GradedChaos, chaos_to_document
-from wienerlift.cli import main
+from wienerlift.cli import _parse_ambient, main
+from wienerlift.seminorms import AmbientSpec, ambient_for_levels
 
 
 def test_sample_csv_contract(tmp_path):
@@ -499,27 +500,34 @@ def test_norm_refuses_an_ambient_above_the_lift_level(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# an ambient embedded in a d=2, level-2 lift document that does not fit the lift
-EMBEDDED_AMBIENT = {
-    "index-3": ({"symbol": "w", "indices": [3]}, "symbol 'w' reads component 3, but the path has d=2"),
-    "degree-3": ({"symbol": "121", "indices": [1, 2, 1], "degree": 3, "arity": 2},
-                 "symbol '121' has degree 3, but the lift stops at level 2"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(EMBEDDED_AMBIENT))
-def test_norm_refuses_an_embedded_ambient_that_does_not_fit(tmp_path, capsys, case):
-    fields, message = EMBEDDED_AMBIENT[case]
+@pytest.mark.parametrize("ambient", [[], ["--ambient", "level2:2.5"]], ids=["alone", "with-ambient"])
+def test_norm_refuses_a_lift_document_that_embeds_an_ambient(tmp_path, capsys, ambient):
+    # an ambient is given with --ambient; one embedded in the document is refused, not read or ignored
     lift_json = tmp_path / "lift.json"
     assert main(["lift", "--dim", "2", "--steps", "8", "--seed", "1", "--out", str(lift_json)]) == 0
     doc = json.loads(lift_json.read_text())
-    doc["ambient"] = {"symbols": [SYMBOL_1, {**SYMBOL_1, **fields}], "distinguished": ["1"]}
+    doc["ambient"] = ambient_for_levels(2, 2).to_config()
     lift_json.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["norm", "--in", str(lift_json)]) == 2
+    out = tmp_path / "n.json"
+    assert main(["norm", "--in", str(lift_json), *ambient, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"{lift_json}: {message}" in err
-    assert "Traceback" not in err
+    assert f"{lift_json}: enhanced-path document has an 'ambient' field" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_every_preset_config_reads_back_and_writes_degree_and_arity(dim):
+    # a config still states each symbol's degree and arity, and they agree with its word
+    for preset in ("classical", "classical:pvar", "classical:holder", "terminal",
+                   "level1:2.5", "level2:2.5", "level3:2.5", "holder2:0.4"):
+        ambient = _parse_ambient(preset, dim)
+        cfg = ambient.to_config()
+        assert AmbientSpec.from_config(cfg) == ambient
+        for entry in cfg["symbols"]:
+            assert set(entry) == {"symbol", "indices", "degree", "norm", "arity"}
+            assert entry["degree"] == len(entry["indices"])
+            assert entry["arity"] == (1 if entry["degree"] == 1 else 2)
 
 
 def test_argument_error_exit_code(tmp_path):
@@ -688,9 +696,19 @@ BAD_VALUES = {
     "cm-process-fbm": (["cm-check", "--process", "fbm", "--hurst", "0.3", "--samples", "2000", "--steps", "16"],
                        "argument --process: invalid choice: 'fbm'"),
     "sample-fbm-without-hurst": (["sample", "--process", "fbm", "--steps", "4"], "--process fbm needs --hurst"),
+    "sample-bm-with-hurst": (["sample", "--process", "bm", "--hurst", "0.3", "--steps", "4"],
+                             "--hurst needs --process fbm"),
+    "cm-hurst": (["cm-check", "--hurst", "0.3", "--samples", "10", "--steps", "4"], "--hurst needs --process fbm"),
     "ldp-fbm-without-hurst": (["ldp", "--process", "fbm", "--event", "sup-ge:1", "--epsilons", "1",
                                "--samples", "10"], "--process fbm needs --hurst"),
 }
+# the derived streams stop at index 2**32 - 1
+BAD_VALUES.update(
+    (f"{args[0]}-samples-past-the-streams", (args + ["--samples", "4294967297"],
+                                             "argument --samples: expected an integer <= 4294967296, got '4294967297'"))
+    for args in (["ldp", "--event", "sup-ge:1", "--epsilons", "0.5"], ["fernique", "--ambient", "level2:2.5"],
+                 ["cm-check"])
+)
 BAD_VALUES.update(
     (f"eta0-horizon-{text}", (["eta0", "--ambient", "classical", "--horizon", text],
                               f"argument --horizon: expected a positive finite number, got '{text}'"))
@@ -895,6 +913,21 @@ def test_default_threads_are_the_usable_cpus_and_change_no_byte(tmp_path):
     assert run() == run("--threads", "1")
 
 
+def test_out_of_memory_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    from wienerlift import cli
+
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 32.0 GiB")
+
+    monkeypatch.setattr(cli, "empirical_rate", fail)
+    out = tmp_path / "rate.csv"
+    argv = ["ldp", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "1000", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: out of memory: Unable to allocate 32.0 GiB" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_failed_summary_write_leaves_no_older_summary(tmp_path, monkeypatch, capsys):
     from wienerlift import cli
 
@@ -914,14 +947,6 @@ def test_failed_summary_write_leaves_no_older_summary(tmp_path, monkeypatch, cap
     assert "disk full" in capsys.readouterr().err
     assert out.read_bytes() != first
     assert not summary.exists()
-
-
-def test_brownian_motion_accepts_a_hurst_value(tmp_path):
-    out = tmp_path / "bm.csv"
-    argv = ["sample", "--process", "bm", "--hurst", "0.3", "--steps", "8", "--seed", "1",
-            "--out", str(out)]
-    assert main(argv) == 0
-    assert json.loads((tmp_path / "bm.csv.summary.json").read_text())["config"]["hurst"] == 0.3
 
 
 SRC = str(Path(wienerlift.__file__).resolve().parents[1])

@@ -165,6 +165,9 @@ def test_gaussian_spec_validation():
         GaussianSpec("fbm", 1, hurst=1.5)
     with pytest.raises(ValueError):
         GaussianSpec("bm", 0)
+    # a Hurst index describes fBm; Brownian motion refuses one rather than record it
+    with pytest.raises(ValueError, match="a Hurst index describes fbm, not 'bm', got hurst=0.3"):
+        GaussianSpec("bm", 1, hurst=0.3)
 
 
 def test_cm_norm_values():

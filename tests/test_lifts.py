@@ -1,5 +1,6 @@
-import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wienerlift.lifts import (
     enhanced_to_document,
     ito_lift,
     lifted_shift,
+    load_enhanced,
     max_chen_residual,
     stratonovich_lift,
     to_graded,
@@ -324,17 +326,25 @@ def test_dyadic_triples_cover_all_levels():
 def test_serialization_round_trip(tmp_path):
     grid = TimeGrid(1.0, 32)
     x = sample(GaussianSpec("bm", 2), grid, seed=45)
-    ambient = ambient_for_levels(2, 3, p=2.5)
-    e = dataclasses.replace(ito_lift(x, level=3), ambient=ambient)
+    e = ito_lift(x, level=3)
     doc = enhanced_to_document(e)
     back = enhanced_from_document(doc)
     assert back.scheme == "ito"
     assert np.array_equal(back.level1.values, e.level1.values)
     assert np.array_equal(back.base2, e.base2)
     assert np.array_equal(back.base3, e.base3)
-    assert back.ambient == ambient
+    assert "ambient" not in doc
     with pytest.raises(ValueError, match="format_version"):
         enhanced_from_document({"format_version": "bogus"})
+
+
+def test_load_refuses_a_document_that_embeds_an_ambient(tmp_path):
+    # the ambient is given on its own; a document that embeds one is refused, naming the file
+    e = ito_lift(sample(GaussianSpec("bm", 2), TimeGrid(1.0, 8), seed=45))
+    target = tmp_path / "lift.json"
+    target.write_text(json.dumps(enhanced_to_document(e) | {"ambient": ambient_for_levels(2, 2).to_config()}))
+    with pytest.raises(ValueError, match=re.escape(f"{target}: enhanced-path document has an 'ambient' field")):
+        load_enhanced(target)
 
 
 def test_to_graded_payload_shapes():
@@ -347,6 +357,5 @@ def test_to_graded_payload_shapes():
     assert [sym for sym, _ in norms] == list(ambient.symbols)
     assert all(type(norm) is float and norm > 0 for _, norm in norms)
     assert to_graded(e) == norms
-    assert to_graded(dataclasses.replace(e, ambient=ambient_for_levels(2, 1))) == to_graded(e, ambient_for_levels(2, 1))
     with pytest.raises(ValueError, match="symbol '111' has degree 3, but the lift stops at level 2"):
         to_graded(stratonovich_lift(x, level=2), ambient_for_levels(2, 3))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def test_pvar_rejects_small_p():
     with pytest.raises(ValueError):
         p_variation_1d(np.zeros(4), 0.5)
     with pytest.raises(ValueError):
-        SymbolSpec("s", (1, 2), 2, SymbolNorm("pvar", 0.9), 2)
+        SymbolSpec("s", (1, 2), SymbolNorm("pvar", 0.9))
 
 
 def test_holder_closed_forms():
@@ -280,14 +281,14 @@ def test_norms_never_write_to_their_inputs(kind, level, dim):
 
 def test_homogeneous_norm_degree_weighting():
     grid = TimeGrid(1.0, 4)
-    sym = SymbolSpec("s", (1, 1), 2, SymbolNorm("sup"), 2)
+    sym = SymbolSpec("s", (1, 1), SymbolNorm("sup"))
     assert homogeneous_norm([(sym, _surface_norm(np.zeros((5, 5)), grid, sym.norm))]) == 0.0
     payload = np.zeros((5, 5))
     payload[0, -1] = 4.0
     norms = [(sym, _surface_norm(payload, grid, sym.norm))]
     assert homogeneous_norm(norms) == pytest.approx(2.0, rel=1e-14)
     assert banach_norm(norms) == pytest.approx(4.0, rel=1e-14)
-    cube = SymbolSpec("c", (1, 1, 1), 3, SymbolNorm("sup"), 2)
+    cube = SymbolSpec("c", (1, 1, 1), SymbolNorm("sup"))
     assert homogeneous_norm(norms + [(cube, 27.0)]) == pytest.approx(5.0, rel=1e-14)
 
 
@@ -355,11 +356,11 @@ def test_ambient_config_round_trip(tmp_path):
 
 
 def test_ambient_validation():
-    bad = SymbolSpec("a", (1, 1), 2, SymbolNorm("sup"), 2)
+    bad = SymbolSpec("a", (1, 1), SymbolNorm("sup"))
     with pytest.raises(ValueError, match="degree 1"):
         AmbientSpec(symbols=(bad,), distinguished=("a",))
     with pytest.raises(ValueError, match="unique"):
-        dup = SymbolSpec("a", (1,), 1, SymbolNorm("sup"), 1)
+        dup = SymbolSpec("a", (1,), SymbolNorm("sup"))
         AmbientSpec(symbols=(dup, dup), distinguished=("a",))
     for exponent in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="pvar exponent"):
@@ -370,27 +371,53 @@ def test_ambient_validation():
     with pytest.raises(ValueError):
         SymbolNorm("holder", 3.0)
     # a degree-1 holder norm has exponent at most 1; degree 2 allows up to 2
-    holder = SymbolSpec("h", (1,), 1, SymbolNorm("holder", 1.5), 1)
+    holder = SymbolSpec("h", (1,), SymbolNorm("holder", 1.5))
     with pytest.raises(ValueError, match=r"symbol 'h': a degree-1 holder exponent must lie in \(0, 1\], got 1.5"):
         AmbientSpec(symbols=(holder,), distinguished=("h",))
     with pytest.raises(ValueError):
         SymbolNorm("l2")
-    # a symbol is a word of `degree` indices into components 1, 2, ...
-    for indices, degree, arity, message in (
-        ((0,), 1, 1, "integers >= 1"),
-        ((-1,), 1, 1, "integers >= 1"),
-        (("1", "2"), 2, 2, "integers >= 1"),
-        ((True,), 1, 1, "integers >= 1"),
-        ((1, 2, 1), 2, 2, "word of length 2"),
-        ((1, 2), 1, 1, "word of length 1"),
-        ((1, 2), 2, 1, "arity 2"),
-        ((1,), 1, 2, "arity 1"),
-        ((1, 1, 1, 1), 4, 2, "degree must be 1, 2 or 3"),
+    # a symbol is a word of one to three indices into components 1, 2, ...
+    for indices, message in (
+        ((0,), "integers >= 1"),
+        ((-1,), "integers >= 1"),
+        (("1", "2"), "integers >= 1"),
+        ((True,), "integers >= 1"),
+        ((), "degree must be 1, 2 or 3, got 0"),
+        ((1, 1, 1, 1), "degree must be 1, 2 or 3, got 4"),
     ):
         with pytest.raises(ValueError, match=message):
-            SymbolSpec("s", indices, degree, SymbolNorm("sup"), arity)
+            SymbolSpec("s", indices, SymbolNorm("sup"))
     with pytest.raises(ValueError, match="at least one symbol"):
         AmbientSpec(symbols=(), distinguished=())
+
+
+def test_degree_and_arity_follow_from_the_word():
+    # degree is the word's length, arity 1 for a path and 2 for an entry; neither can be set
+    for indices, degree, arity in (((2,), 1, 1), ((1, 2), 2, 2), ((2, 1, 2), 3, 2)):
+        sym = SymbolSpec("s", indices, SymbolNorm("sup"))
+        assert (sym.degree, sym.arity) == (degree, arity)
+    with pytest.raises(TypeError):
+        SymbolSpec("s", (1,), SymbolNorm("sup"), degree=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sym.degree = 2
+
+
+# a stated degree or arity that disagrees with the word, in an ambient config
+STATED = {
+    "degree-2-word-121": ([1, 2, 1], 2, 2, "a degree-2 symbol needs a word of length 2, got (1, 2, 1)"),
+    "degree-1-word-12": ([1, 2], 1, 1, "a degree-1 symbol needs a word of length 1, got (1, 2)"),
+    "degree-3-word-1": ([1], 3, 2, "a degree-3 symbol needs a word of length 3, got (1,)"),
+    "arity-1-word-12": ([1, 2], 2, 1, "a degree-2 symbol has arity 2, got 1"),
+    "arity-2-word-1": ([1], 1, 2, "a degree-1 symbol has arity 1, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATED))
+def test_from_config_refuses_a_stated_degree_or_arity_off_the_word(case):
+    indices, degree, arity, message = STATED[case]
+    entry = {"symbol": "s", "indices": indices, "degree": degree, "norm": {"kind": "sup"}, "arity": arity}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AmbientSpec.from_config({"symbols": [entry], "distinguished": []})
 
 
 @pytest.mark.parametrize("arity", [1, 2])
@@ -403,7 +430,7 @@ def test_batch_of_paths_matches_each_path_alone(kind, arity):
     grid = TimeGrid(1.0, 64)
     values = sample_values_batch(GaussianSpec("bm", 2), grid, seed=8, count=8)
     exponent = {"pvar": 2.5 / arity, "holder": 0.4 * arity}.get(kind)
-    sym = SymbolSpec("s", (1, 2)[:arity], arity, SymbolNorm(kind, exponent), arity)
+    sym = SymbolSpec("s", (1, 2)[:arity], SymbolNorm(kind, exponent))
     if arity == 1:
         payloads = values[:, :, 0]
         norm_of = lambda payload: symbol_norm(payload, grid, sym)  # noqa: E731
@@ -425,10 +452,10 @@ def test_batch_of_paths_matches_each_path_alone(kind, arity):
 def _mixed_ambient():
     """d=2 symbols of degree 1-3 whose level-2/3 norms cycle through all four kinds."""
     cycle = [SymbolNorm("pvar", 1.25), SymbolNorm("sup"), SymbolNorm("holder", 0.8), SymbolNorm("terminal")]
-    symbols = [SymbolSpec(str(i), (i,), 1, SymbolNorm("sup"), 1) for i in (1, 2)]
+    symbols = [SymbolSpec(str(i), (i,), SymbolNorm("sup")) for i in (1, 2)]
     words = [(1, 2), (2, 1), (2, 2), (1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2), (2, 2, 1)]
     for k, word in enumerate(words):
-        symbols.append(SymbolSpec("".join(map(str, word)), word, len(word), cycle[k % 4], 2))
+        symbols.append(SymbolSpec("".join(map(str, word)), word, cycle[k % 4]))
     return AmbientSpec(symbols=tuple(symbols), distinguished=("1", "2"))
 
 
