@@ -6,10 +6,12 @@ lead with them, while entry column blocks put them last, [t - t0, s, ...],
 so that elementwise steps run along the batch and a block stays
 O(chunk * n).  A single path is the batch with no batch axis: the
 Monte Carlo route and the eta0 search pass values of shape (C, n+1, d), and
-the selftest passes one lift's own arrays.  `homogeneous_norm_batch` is
-`seminorms.homogeneous_norm` over `lifts.symbol_norms`, which reads level-2/3
-entries from the basepoint tensors column by column and never builds a
-surface.
+the selftest passes one lift's own arrays.  `pair_base_batch` is
+`lifts._pair_base`, the level-2 accumulator of one path per batch row, under
+the name the driver builds its base tensors with.  `homogeneous_norm_batch`
+is `seminorms.homogeneous_norm` over `lifts.symbol_norms`, which reads
+level-2/3 entries from the basepoint tensors column by column and never
+builds a surface.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .seminorms import AmbientSpec, homogeneous_norm
 
 def pair_base_batch(values: np.ndarray, scheme: str) -> np.ndarray:
     """Level-2 basepoint tensors for a batch: (C, n+1, d, d)."""
-    return _pair_base(values, values, scheme)
+    return _pair_base(values, scheme)
 
 
 def homogeneous_norm_batch(

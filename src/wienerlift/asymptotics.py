@@ -205,6 +205,10 @@ class RateEstimate:
         return [header] + [[*row, int(row[0] in self.censored)] for row in columns]
 
 
+MIN_EXPECTED_HITS = 20  # empirical_rate censors an epsilon expected to hit fewer times
+PILOT_SAMPLES = 2000  # empirical_rate's default pilot, drawn from the streams after its main run
+
+
 def empirical_rate(
     spec: GaussianSpec,
     scheme: str,
@@ -215,7 +219,7 @@ def empirical_rate(
     *,
     grid: TimeGrid,
     oracle: str | None = None,
-    pilot_samples: int = 2000,
+    pilot_samples: int = PILOT_SAMPLES,
     chunk: int = 512,
     threads: int = 1,
 ) -> RateEstimate:
@@ -364,7 +368,7 @@ def _collect_statistics(
 def _base_tensors(values, scheme, level):
     """Level-2 and level-3 basepoint tensors of `values` up to `level`; None above it."""
     base2 = pair_base_batch(values, scheme) if level >= 2 else None
-    base3 = _triple_base(values, values, values, scheme, pair_ab=base2) if level >= 3 else None
+    base3 = _triple_base(values, scheme, base2) if level >= 3 else None
     return base2, base3
 
 
@@ -589,7 +593,6 @@ def eta0_estimate(
 FERNIQUE_MIN_SAMPLES = 10**4
 FERNIQUE_THRESHOLDS = 12
 FERNIQUE_MIN_EXCEEDANCES = 30
-MIN_EXPECTED_HITS = 20  # empirical_rate censors an epsilon expected to hit fewer times
 
 
 @dataclass

@@ -28,6 +28,7 @@ from .asymptotics import (
     FERNIQUE_MIN_SAMPLES,
     MC_SCHEMES,
     ORACLES,
+    PILOT_SAMPLES,
     STATISTICS,
     EventSpec,
     _check_entry,
@@ -622,7 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=MC_SCHEMES, default="stratonovich")
     p.add_argument("--event", required=True, help="sup-ge:c | terminal-ge:c | hom-ge:c | level2-ge:i,j,c")
     p.add_argument("--epsilons", type=_positive_list, required=True, help="comma-separated, e.g. 0.5,0.4,0.01")
-    p.add_argument("--samples", type=_count(1, _STREAMS), required=True)
+    # the pilot draws its samples from the streams after the main run
+    p.add_argument("--samples", type=_count(1, _STREAMS - PILOT_SAMPLES), required=True)
     p.add_argument("--oracle", choices=tuple(ORACLES), default=None)
     p.add_argument("--ambient", default=None)
     p.add_argument("--seed", type=_count(0), required=True)

@@ -77,6 +77,15 @@ def _check_streams(start: int, count: int) -> None:
         raise ValueError(f"stream indices reach {start + count - 1}; derived streams stop at index 2**32 - 1")
 
 
+def _check_seed(seed: int, start: int, count: int) -> int:
+    """`seed` as an int, after refusing a negative seed or start and streams past the last one."""
+    seed = operator.index(seed)
+    if seed < 0 or start < 0:
+        raise ValueError(f"seed and stream index must be non-negative, got seed={seed}, index={start}")
+    _check_streams(start, count)
+    return seed
+
+
 def _stream_states(seed: int, start: int, count: int):
     """PCG64 states of the streams start..start+count-1 keyed by `seed`: an iterator of dicts.
 
@@ -90,10 +99,7 @@ def _stream_states(seed: int, start: int, count: int):
     output words in one (8, count) step.  The per-stream 128-bit step is
     PCG64's `pcg64_set_seed`.
     """
-    seed = operator.index(seed)
-    if seed < 0 or start < 0:
-        raise ValueError(f"seed and stream index must be non-negative, got seed={seed}, index={start}")
-    _check_streams(start, count)
+    seed = _check_seed(seed, start, count)
     # one hash per pool word for each of the seed's uint32 words, at least four of them
     hashes = _POOL * max(-(-seed.bit_length() // 32), _POOL)
     const = _INIT_A * pow(_MULT_A, hashes, 2**32) & _M32
@@ -118,12 +124,11 @@ def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-style per-sample stream: sample `index` of a run keyed by `seed`.
 
     Serial and parallel runs agree because the stream depends only on
-    (seed, index), never on scheduling.  Its bits are those of
-    `default_rng(SeedSequence(entropy=seed, spawn_key=(index,)))`.
+    (seed, index), never on scheduling.  It is numpy's
+    `default_rng(SeedSequence(entropy=seed, spawn_key=(index,)))`, whose
+    states `_stream_states` derives for a whole batch at once.
     """
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = next(_stream_states(seed, index, 1))
-    return rng
+    return np.random.default_rng(np.random.SeedSequence(_check_seed(seed, index, 1), spawn_key=(index,)))
 
 
 @dataclass(frozen=True)
@@ -394,11 +399,12 @@ def brownian_onb(k: int, grid: TimeGrid) -> CameronMartinPath:
 
 
 def piecewise_linear(x: SamplePath, m: int) -> CameronMartinPath:
-    """Piecewise-linear interpolation of x on the dyadic dissection D_m.
+    """Piecewise-linear interpolation of x - x(0) on the dyadic dissection D_m.
 
     The derivative on each dyadic cell is the slope of x between consecutive
-    dyadic points; the result interpolates x exactly on D_m.  Requires 2^m to
-    divide n_steps.
+    dyadic points.  Like every Cameron-Martin element the result starts at
+    the origin, so it equals x - x(0), not x, on D_m.  Requires 2^m to divide
+    n_steps.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -411,8 +417,6 @@ def piecewise_linear(x: SamplePath, m: int) -> CameronMartinPath:
     cell_width = x.grid.horizon / pieces
     slopes = np.diff(nodes, axis=0) / cell_width  # (2^m, d)
     deriv = np.repeat(slopes, stride, axis=0)
-    # subtract x(0) so the induced path starts at the origin like every
-    # Cameron-Martin element; interpolation of x - x(0) is exact on D_m
     return CameronMartinPath(x.grid, deriv)
 
 

@@ -13,6 +13,10 @@ of a Cameron-Martin skeleton is the same accumulator and exact on that class.
 Memory is O(n d^level) instead of O(n^2 d^level), and the Chen relation
 becomes a verifiable identity rather than an assumption.
 
+Each accumulator runs over one path.  They are multilinear, so the lifted
+shift needs no mixed integrals of its own: `lifted_shift` adds to e the lift
+of x + h minus the lift of x, both built with e's scheme.
+
 An `EnhancedPath` is these arrays: level-1 values (n+1, d) and basepoint
 tensors `base2` (n+1, d, d) and `base3` (n+1, d, d, d).  The accumulators
 and the Chen reconstructions take any number of leading axes; one path is
@@ -80,52 +84,46 @@ class EnhancedPath:
 # ---------------------------------------------------------------------------
 
 
-def _pair_base(a_values: np.ndarray, b_values: np.ndarray, scheme: str) -> np.ndarray:
-    """Basepoint tensors of the discrete integral int a (x) db: (..., n+1, d, d).
+def _pair_base(values: np.ndarray, scheme: str) -> np.ndarray:
+    """Basepoint tensors of the discrete integral int x (x) dx: (..., n+1, d, d).
 
-    Ito: left-point sums  sum_m a_{0,m} (x) db_m.
-    Any other scheme: trapezoid sums sum_m (a_{0,m} + da_m/2) (x) db_m.
-    Both are bilinear in (a, b), which is what makes the lifted shift exact.
+    Ito: left-point sums  sum_m x_{0,m} (x) dx_m.
+    Any other scheme: trapezoid sums sum_m (x_{0,m} + dx_m/2) (x) dx_m.
     """
-    a0 = a_values - a_values[..., :1, :]
-    da = np.diff(a_values, axis=-2)
-    db = np.diff(b_values, axis=-2)
-    contrib = np.einsum("...mi,...mj->...mij", a0[..., :-1, :], db)
+    x0 = values - values[..., :1, :]
+    dx = np.diff(values, axis=-2)
+    contrib = np.einsum("...mi,...mj->...mij", x0[..., :-1, :], dx)
     if scheme != "ito":
         # bracket kept as a separate exactly-symmetric term so the
         # antisymmetric parts of the two schemes agree to the last bit
-        contrib = contrib + 0.5 * np.einsum("...mi,...mj->...mij", da, db)
-    base = np.zeros(a_values.shape[:-1] + contrib.shape[-2:])
+        contrib = contrib + 0.5 * np.einsum("...mi,...mj->...mij", dx, dx)
+    base = np.zeros(values.shape[:-1] + contrib.shape[-2:])
     np.cumsum(contrib, axis=-3, out=base[..., 1:, :, :])
     return base
 
 
-def _triple_base(
-    a_values: np.ndarray,
-    b_values: np.ndarray,
-    c_values: np.ndarray,
-    scheme: str,
-    pair_ab: np.ndarray | None = None,
-) -> np.ndarray:
-    """Basepoint tensors of the discrete double integral int (int a db) (x) dc.
+def _triple_base(values: np.ndarray, scheme: str, base2: np.ndarray) -> np.ndarray:
+    """Basepoint tensors of the discrete double integral int (int x (x) dx) (x) dx, given base2.
 
-    Ito: left-point sums over the level-2 accumulator.  Any other scheme: the
-    level-3 part of the per-step tensor-exponential product, whose level-2
-    part is exactly the trapezoid rule.  Shape (..., n+1, d, d, d).
+    Ito: left-point sums over the level-2 accumulator `base2`.  Any other
+    scheme: the level-3 part of the per-step tensor-exponential product, whose
+    level-2 part is exactly the trapezoid rule.  Shape (..., n+1, d, d, d).
     """
-    if pair_ab is None:
-        pair_ab = _pair_base(a_values, b_values, scheme)
-    a0 = a_values - a_values[..., :1, :]
-    da = np.diff(a_values, axis=-2)
-    db = np.diff(b_values, axis=-2)
-    dc = np.diff(c_values, axis=-2)
-    contrib = np.einsum("...mij,...mk->...mijk", pair_ab[..., :-1, :, :], dc)
+    dx = np.diff(values, axis=-2)
+    contrib = np.einsum("...mij,...mk->...mijk", base2[..., :-1, :, :], dx)
     if scheme != "ito":
-        contrib = contrib + 0.5 * np.einsum("...mi,...mj,...mk->...mijk", a0[..., :-1, :], db, dc)
-        contrib = contrib + (1.0 / 6.0) * np.einsum("...mi,...mj,...mk->...mijk", da, db, dc)
-    base = np.zeros(a_values.shape[:-1] + contrib.shape[-3:])
+        x0 = (values - values[..., :1, :])[..., :-1, :]
+        contrib = contrib + 0.5 * np.einsum("...mi,...mj,...mk->...mijk", x0, dx, dx)
+        contrib = contrib + (1.0 / 6.0) * np.einsum("...mi,...mj,...mk->...mijk", dx, dx, dx)
+    base = np.zeros(values.shape[:-1] + contrib.shape[-3:])
     np.cumsum(contrib, axis=-4, out=base[..., 1:, :, :, :])
     return base
+
+
+def _lift_tensors(values: np.ndarray, scheme: str, level: int):
+    """(base2, base3) of `values` under `scheme`; base3 is None below level 3."""
+    base2 = _pair_base(values, scheme)
+    return base2, _triple_base(values, scheme, base2) if level == 3 else None
 
 
 def _entry_pairs(values, base2, base3, indices):
@@ -205,10 +203,7 @@ def symbol_norms(
 def _scheme_lift(x: SamplePath, level: int, scheme: str) -> EnhancedPath:
     if level not in (2, 3):
         raise ValueError(f"level must be 2 or 3, got {level}")
-    v = x.values
-    base2 = _pair_base(v, v, scheme)
-    base3 = _triple_base(v, v, v, scheme, pair_ab=base2) if level == 3 else None
-    return EnhancedPath(x, base2, base3, scheme=scheme)
+    return EnhancedPath(x, *_lift_tensors(x.values, scheme, level), scheme=scheme)
 
 
 def ito_lift(x: SamplePath, level: int = 2) -> EnhancedPath:
@@ -256,16 +251,14 @@ def chen_residual(e: EnhancedPath, s: int, u: int, t: int) -> float:
     if not 0 <= s <= u <= t <= e.grid.n_steps:
         raise ValueError(f"need 0 <= s <= u <= t <= n, got ({s}, {u}, {t})")
     v = e.level1.values
-    vsub = v[s : u + 1]
     xsu = v[u] - v[s]
     xut = v[t] - v[u]
     st2, st3 = chen_increment(v, e.base2, e.base3, s, t)
     ut2, ut3 = chen_increment(v, e.base2, e.base3, u, t)
-    direct2 = _pair_base(vsub, vsub, e.scheme)
+    direct2, direct3 = _lift_tensors(v[s : u + 1], e.scheme, e.max_level)
     defect2 = st2 - direct2[-1] - ut2 - np.outer(xsu, xut)
     out = float(np.max(np.abs(defect2)))
     if e.base3 is not None:
-        direct3 = _triple_base(vsub, vsub, vsub, e.scheme, pair_ab=direct2)
         defect3 = (
             st3
             - direct3[-1]
@@ -297,34 +290,25 @@ def max_chen_residual(e: EnhancedPath) -> float:
 
 
 def lifted_shift(e: EnhancedPath, h: CameronMartinPath) -> EnhancedPath:
-    """Shift an enhanced path by a Cameron-Martin direction.
+    """Shift an enhanced path by a Cameron-Martin direction: T_h e = e + (lift(x + h) - lift(x)).
 
-    Level 1 becomes x + h; higher levels gain every mixed discrete integral
-    with at least one h-slot, computed with the same scheme that built `e`
-    (left-point for Ito, trapezoid for Stratonovich).  Since those sums are
-    multilinear in their slots, shifting a lift of x reproduces the lift of
-    x + h exactly, and the group law T_h T_k = T_{h+k} holds to rounding.
+    Level 1 becomes x + h; each higher level gains the difference of the
+    lifts of x + h and of x, both built with the scheme that built `e`
+    (left-point for Ito, trapezoid for Stratonovich).  Those accumulators
+    are multilinear, so the difference is every mixed discrete integral with
+    at least one h-slot: shifting a lift of x gives the lift of x + h, any
+    other enhancement of x keeps its offset from that lift, and the group law
+    T_h T_k = T_{h+k} holds to rounding.
     """
     if e.scheme not in ("ito", "stratonovich"):
         raise ValueError(f"lifted shift needs an ito or stratonovich lift, got {e.scheme!r}")
     h.check_fits(e.grid, e.dim)
-    scheme = e.scheme
     xv = e.level1.values
-    hv = h.values
-    new1 = SamplePath(e.grid, xv + hv)
-    base2 = (
-        e.base2
-        + _pair_base(hv, xv, scheme)
-        + _pair_base(xv, hv, scheme)
-        + _pair_base(hv, hv, scheme)
-    )
-    base3 = None
-    if e.base3 is not None:
-        base3 = e.base3.copy()
-        for word in range(1, 8):  # every {x,h}^3 word with at least one h
-            slots = [hv if (word >> b) & 1 else xv for b in (2, 1, 0)]
-            base3 += _triple_base(slots[0], slots[1], slots[2], scheme)
-    return EnhancedPath(new1, base2, base3, scheme=scheme)
+    moved = xv + h.values
+    old2, old3 = _lift_tensors(xv, e.scheme, e.max_level)
+    new2, new3 = _lift_tensors(moved, e.scheme, e.max_level)
+    base3 = None if e.base3 is None else e.base3 + (new3 - old3)
+    return EnhancedPath(SamplePath(e.grid, moved), e.base2 + (new2 - old2), base3, scheme=e.scheme)
 
 
 def dilate_enhanced(e: EnhancedPath, eps: float) -> EnhancedPath:

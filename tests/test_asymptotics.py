@@ -458,8 +458,8 @@ def test_level3_batch_norms_match_single_path():
     for row, v in zip(norms, values):
         e = stratonovich_lift(SamplePath(grid, v), 3)
         assert row == pytest.approx(homogeneous_norm(to_graded(e, ambient)), rel=1e-14)
-    base2 = _pair_base(values, values, "stratonovich")
-    base3 = _triple_base(values, values, values, "stratonovich", pair_ab=base2)
+    base2 = _pair_base(values, "stratonovich")
+    base3 = _triple_base(values, "stratonovich", base2)
     whole = STATISTICS["hom-norm"].fn(
         values=values, base2=base2, base3=base3, entry=(1, 1), ambient=ambient, grid=grid
     )

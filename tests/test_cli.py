@@ -702,12 +702,16 @@ BAD_VALUES = {
     "ldp-fbm-without-hurst": (["ldp", "--process", "fbm", "--event", "sup-ge:1", "--epsilons", "1",
                                "--samples", "10"], "--process fbm needs --hurst"),
 }
-# the derived streams stop at index 2**32 - 1
+# the derived streams stop at index 2**32 - 1, and the ldp pilot takes the 2000 streams after the main run
 BAD_VALUES.update(
     (f"{args[0]}-samples-past-the-streams", (args + ["--samples", "4294967297"],
-                                             "argument --samples: expected an integer <= 4294967296, got '4294967297'"))
-    for args in (["ldp", "--event", "sup-ge:1", "--epsilons", "0.5"], ["fernique", "--ambient", "level2:2.5"],
-                 ["cm-check"])
+                                             f"argument --samples: expected an integer <= {cap}, got '4294967297'"))
+    for args, cap in ((["ldp", "--event", "sup-ge:1", "--epsilons", "0.5"], 4294965296),
+                      (["fernique", "--ambient", "level2:2.5"], 4294967296), (["cm-check"], 4294967296))
+)
+BAD_VALUES["ldp-samples-past-the-pilot"] = (
+    ["ldp", "--event", "sup-ge:1", "--epsilons", "0.5", "--samples", "4294967296", "--steps", "4"],
+    "argument --samples: expected an integer <= 4294965296, got '4294967296'",
 )
 BAD_VALUES.update(
     (f"eta0-horizon-{text}", (["eta0", "--ambient", "classical", "--horizon", text],

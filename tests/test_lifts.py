@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -14,6 +15,7 @@ from wienerlift.grids import (
     sample_values_batch,
 )
 from wienerlift.lifts import (
+    EnhancedPath,
     chen_residual,
     dilate_enhanced,
     dyadic_triples,
@@ -277,6 +279,78 @@ def test_lifted_shift_identity_and_zero():
         direct = lift(SamplePath(grid, x.values + h.values), level=3)
         assert np.max(np.abs(shifted.base2 - direct.base2)) <= 1e-10
         assert np.max(np.abs(shifted.base3 - direct.base3)) <= 1e-10
+
+
+def _mixed_shift_reference(x, h, scheme):
+    """Every {x,h} word with an h-letter, summed step by step in explicit loops (oracle).
+
+    Level 2: the h (x) dx, x (x) dh and h (x) dh sums; level 3: the seven words
+    of {x,h}^3 other than xxx.  The trapezoid schemes add the half bracket at
+    level 2 and the tensor-exponential terms at level 3.
+    """
+    n, d = x.shape[0] - 1, x.shape[1]
+    half = 0.0 if scheme == "ito" else 0.5
+    sixth = 0.0 if scheme == "ito" else 1.0 / 6.0
+    slots = {"x": x, "h": h}
+
+    def pair(a, b):
+        out = np.zeros((n + 1, d, d))
+        for m in range(n):
+            for i in range(d):
+                for j in range(d):
+                    left = a[m, i] - a[0, i] + half * (a[m + 1, i] - a[m, i])
+                    out[m + 1, i, j] = out[m, i, j] + left * (b[m + 1, j] - b[m, j])
+        return out
+
+    def triple(a, b, c):
+        ab = pair(a, b)
+        out = np.zeros((n + 1, d, d, d))
+        for m in range(n):
+            for i, j, k in itertools.product(range(d), repeat=3):
+                da, db, dc = a[m + 1, i] - a[m, i], b[m + 1, j] - b[m, j], c[m + 1, k] - c[m, k]
+                step = ab[m, i, j] * dc + half * (a[m, i] - a[0, i]) * db * dc + sixth * da * db * dc
+                out[m + 1, i, j, k] = out[m, i, j, k] + step
+        return out
+
+    base2 = sum(pair(slots[w[0]], slots[w[1]]) for w in ("hx", "xh", "hh"))
+    words = [w for w in itertools.product("xh", repeat=3) if "h" in w]
+    base3 = sum(triple(*(slots[letter] for letter in w)) for w in words)
+    return base2, base3
+
+
+@pytest.mark.parametrize("lift", [ito_lift, stratonovich_lift])
+@pytest.mark.parametrize("n", [5, 8])
+def test_lifted_shift_adds_the_mixed_sums_to_the_given_levels(lift, n):
+    grid = TimeGrid(1.0, n)
+    x = sample(GaussianSpec("bm", 2), grid, seed=45)
+    h = _random_cm(19, grid, 2)
+    e = lift(x, level=3)
+    rng = np.random.default_rng(20)
+    # an enhancement of x that is not its lift: both levels moved off it, row 0 kept zero
+    offset2, offset3 = rng.standard_normal(e.base2.shape), rng.standard_normal(e.base3.shape)
+    offset2[0], offset3[0] = 0.0, 0.0
+    other = EnhancedPath(e.level1, e.base2 + offset2, e.base3 + offset3, scheme=e.scheme)
+    shifted = lifted_shift(other, h)
+    ref2, ref3 = _mixed_shift_reference(x.values, h.values, e.scheme)
+    assert np.max(np.abs(shifted.base2 - other.base2 - ref2)) <= 1e-12
+    assert np.max(np.abs(shifted.base3 - other.base3 - ref3)) <= 1e-12
+    # the shift keeps the offset from the lift of x + h
+    direct = lift(SamplePath(grid, x.values + h.values), level=3)
+    assert np.max(np.abs(shifted.base2 - direct.base2 - offset2)) <= 1e-12
+    assert np.max(np.abs(shifted.base3 - direct.base3 - offset3)) <= 1e-12
+
+
+@pytest.mark.parametrize("lift", [ito_lift, stratonovich_lift])
+def test_lifted_shift_of_a_large_path_matches_the_direct_lift(lift):
+    # the lifts of x + h and of x are about 1e12 at level 3; their difference
+    # still matches the direct lift to rounding relative to that size
+    grid = TimeGrid(1.0, 64)
+    x = SamplePath(grid, 1e4 * sample(GaussianSpec("bm", 2), grid, seed=46).values)
+    h = _random_cm(21, grid, 2)
+    shifted = lifted_shift(lift(x, level=3), h)
+    direct = lift(SamplePath(grid, x.values + h.values), level=3)
+    for got, want in ((shifted.base2, direct.base2), (shifted.base3, direct.base3)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_lifted_shift_of_zero_path_approximates_young():

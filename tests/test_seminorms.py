@@ -120,7 +120,7 @@ def _two_param_paths(n, count=2, seed=4, dim=2):
     grid = TimeGrid(1.0, n)
     values = sample_values_batch(GaussianSpec("bm", dim), grid, seed, count)
     base2 = pair_base_batch(values, "stratonovich")
-    return grid, values, base2, _triple_base(values, values, values, "stratonovich", pair_ab=base2)
+    return grid, values, base2, _triple_base(values, "stratonovich", base2)
 
 
 @pytest.mark.parametrize("word", [(1, 2), (2, 2), (1, 2, 1), (2, 1, 1)])
@@ -185,7 +185,7 @@ def test_brownian_level2_qvariation_bounded_under_refinement():
     medians = []
     for n in (64, 128, 256, 512, 1024):
         values = fine[:, :: 1024 // n]
-        base2 = _pair_base(values, values, "stratonovich")
+        base2 = _pair_base(values, "stratonovich")
         qvar = column_norm(entry_columns(values, base2, None, (1, 2)), (16,), n, SymbolNorm("pvar", 1.25))
         medians.append(float(np.median(qvar)))
     assert max(medians) <= 1.5 * min(medians)
@@ -435,7 +435,7 @@ def test_batch_of_paths_matches_each_path_alone(kind, arity):
         payloads = values[:, :, 0]
         norm_of = lambda payload: symbol_norm(payload, grid, sym)  # noqa: E731
     else:
-        payloads = entry_surface(values, _pair_base(values, values, "ito"), None, (1, 2))
+        payloads = entry_surface(values, _pair_base(values, "ito"), None, (1, 2))
         norm_of = lambda payload: _surface_norm(payload, grid, sym.norm)  # noqa: E731
     batch = norm_of(payloads)
     assert batch.shape == (8,)
