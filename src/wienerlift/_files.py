@@ -3,7 +3,8 @@
 Writes are atomic.  The content goes to a temporary file beside the target,
 which is moved onto it only once complete, so a failed write leaves any
 previous file as it was and no temporary file behind.  Readers name the file
-in every ValueError they raise.  Standard library only.
+in every ValueError they raise, and word a missing or mistyped field one way
+(`document_fields`).  Standard library only.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ def read_json(path, from_document):
             return from_document(json.load(fh))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def document_fields(kind: str):
+    """Report a missing field read inside as "{kind} lacks field 'x'" and a mistyped one as "{kind} is malformed"."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{kind} lacks field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{kind} is malformed: {exc}") from None
 
 
 def check_format(doc, expected: str) -> None:

@@ -134,9 +134,11 @@ def _oracle_z(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid,
 
     All three are one-dimensional: x_T ~ N(0, R(T, T)) for the terminal and
     level-2 diagonal tails, and the reflection principle, which holds for
-    Brownian motion only, for the running maximum.
+    Brownian motion only, for the running maximum.  Each statistic is >= 0
+    (the running max starts at 0), so every event holds surely at c <= 0,
+    where z = 0 gives P = 1.
     """
-    c = event.threshold
+    c = max(event.threshold, 0.0)
     var = float(spec.covariance(grid.horizon, grid.horizon))
     if oracle == "level2-diag-gauss":
         # trapezoid diagonal is x_T^2/2 exactly, so the event is an x_T tail
@@ -639,7 +641,6 @@ def fernique_tail_fit(
     seed: int,
     *,
     grid: TimeGrid,
-    chunk: int = 512,
     threads: int = 1,
 ) -> TailFit:
     """Fit exp(-eta t^2) decay to the upper tail of the lifted norm.
@@ -652,7 +653,7 @@ def fernique_tail_fit(
     """
     if n_samples < FERNIQUE_MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
-    norms = np.sort(lift_norm_samples(spec, scheme, ambient, grid, n_samples, seed, chunk, threads))
+    norms = np.sort(lift_norm_samples(spec, scheme, ambient, grid, n_samples, seed, threads=threads))
     if norms[-1] - norms[0] <= 1e-15 * max(1.0, abs(float(norms[-1]))):
         raise ValueError("degenerate norm sample: all values equal")
     t_lo = float(np.quantile(norms, 0.9))

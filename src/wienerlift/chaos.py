@@ -19,9 +19,11 @@ from . import _files
 from .grids import derived_rng
 
 MAX_HERMITE_DEGREE = 60
-# the norm-equivalence probe's tensor quadrature has about (k q)^dimension nodes
+# the norm-equivalence probe's tensor quadrature has about (k q)^dimension nodes, at most
+# _PROBE_MAX_NODES: at k = 4 and dimension 3 that keeps q = 20 (551k) and refuses q = 30 (1.8M)
 PROBE_MAX_DEGREE = 4
 PROBE_MAX_DIMENSION = 3
+_PROBE_MAX_NODES = 10**6
 PROXY_MIN_SAMPLES = 1000
 
 MultiIndex = tuple[int, ...]
@@ -85,8 +87,11 @@ class ChaosPolynomial:
                 )
             if any(a < 0 for a in alpha):
                 raise ValueError(f"multi-index {alpha} has negative entries")
+            c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"multi-index {alpha} has non-finite coefficient {c}")
             if c != 0.0:
-                cleaned[alpha] = float(c)
+                cleaned[alpha] = c
         self.coeffs = cleaned
 
     def degree(self) -> int:
@@ -207,14 +212,18 @@ def proxy_restriction_mc(
 # ---------------------------------------------------------------------------
 
 
+def _quadrature_order(max_degree: int) -> int:
+    """Points per dimension of `gauss_hermite_nodes`'s quadrature."""
+    return (2 * max_degree + 4 + 1) // 2
+
+
 def gauss_hermite_nodes(max_degree: int, dimension: int):
     """Tensorized nodes/weights exact for polynomials up to max_degree.
 
     Per-dimension order follows ceil((2*max_degree + 4)/2) so products of two
     basis polynomials at the working degree stay inside the exactness range.
     """
-    order = (2 * max_degree + 4 + 1) // 2
-    x, w = np.polynomial.hermite_e.hermegauss(order)
+    x, w = np.polynomial.hermite_e.hermegauss(_quadrature_order(max_degree))
     w = w / math.sqrt(2.0 * math.pi)
     nodes = np.array(list(product(x, repeat=dimension)))
     weights = np.prod(np.array(list(product(w, repeat=dimension))), axis=1)
@@ -242,15 +251,21 @@ def chaos_norm_equivalence_probe(
     integer p, q; quadrature-accurate otherwise).  Returns a report with the
     worst ratios and any violations.
     """
-    if not 1 < p <= q:
-        raise ValueError(f"need 1 < p <= q, got p={p}, q={q}")
+    if not 1 < p <= q < math.inf:
+        raise ValueError(f"need 1 < p <= q < inf, got p={p}, q={q}")
     if k > PROBE_MAX_DEGREE:
         raise ValueError(f"k must be <= {PROBE_MAX_DEGREE} for quadrature feasibility, got {k}")
     if dimension > PROBE_MAX_DIMENSION:
         raise ValueError(f"dimension must be <= {PROBE_MAX_DIMENSION}, got {dimension}")
+    max_deg = int(math.ceil(k * q / 2.0) * 2)
+    count = _quadrature_order(max_deg) ** dimension
+    if count > _PROBE_MAX_NODES:
+        raise ValueError(
+            f"q={q} at degree {k} and dimension {dimension} needs {count} quadrature nodes, "
+            f"above the bound of {_PROBE_MAX_NODES}"
+        )
     rng = derived_rng(seed)
     bound = ((q - 1.0) / (p - 1.0)) ** (k / 2.0)
-    max_deg = int(math.ceil(k * q / 2.0) * 2)
     nodes, weights = gauss_hermite_nodes(max_deg, dimension)
     indices = [
         alpha
@@ -331,7 +346,7 @@ def chaos_to_document(obj: "ChaosPolynomial | GradedChaos") -> dict:
 def chaos_from_document(doc: dict) -> "ChaosPolynomial | GradedChaos":
     """Rebuild a chaos object; a missing or mistyped field raises ValueError."""
     _files.check_format(doc, CHAOS_FORMAT_VERSION)
-    try:
+    with _files.document_fields("chaos document"):
         dim = int(doc["dimension"])
         if "degrees" not in doc:
             return ChaosPolynomial(dim, _terms_from_list(doc["terms"], dim))
@@ -343,10 +358,6 @@ def chaos_from_document(doc: dict) -> "ChaosPolynomial | GradedChaos":
             for name, terms in by_symbol.items()
         }
         degrees = {k: int(v) for k, v in doc["degrees"].items()}
-    except KeyError as exc:
-        raise ValueError(f"chaos document lacks field {exc.args[0]!r}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"chaos document is malformed: {exc}") from None
     for name in degrees:
         components.setdefault(name, ChaosPolynomial(dim, {}))
     return GradedChaos(dim, components, degrees)

@@ -418,9 +418,13 @@ def _cmd_chaos_norm_equiv(args) -> int:
         raise CliError(f"--degree {args.degree}: norm-equiv takes degrees up to {chaos_mod.PROBE_MAX_DEGREE}")
     if args.dim > chaos_mod.PROBE_MAX_DIMENSION:
         raise CliError(f"--dim {args.dim}: norm-equiv takes dimensions up to {chaos_mod.PROBE_MAX_DIMENSION}")
-    report = chaos_mod.chaos_norm_equivalence_probe(
-        args.degree, args.p, args.q, args.trials, dimension=args.dim, seed=args.seed
-    )
+    try:
+        report = chaos_mod.chaos_norm_equivalence_probe(
+            args.degree, args.p, args.q, args.trials, dimension=args.dim, seed=args.seed
+        )
+    except ValueError as exc:
+        # the checks above settle every other argument, so this is the quadrature --q asks for
+        raise CliError(f"--q {args.q}: {exc}") from None
     _write_summary(out, "chaos norm-equiv", _config(args), report)
     print(
         f"chaos norm-equiv: wrote {out}; worst ratio {report['worst_ratio']:.4f} "

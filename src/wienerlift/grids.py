@@ -153,6 +153,22 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
 
+def _grid_array(name: str, values, shape: tuple) -> np.ndarray:
+    """`values` as a float array, after refusing a non-finite entry or a shape other than `shape`.
+
+    Every array a path object holds passes here; None in `shape` is a component count >= 1.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != len(shape) or any(
+        size < 1 if want is None else size != want for size, want in zip(values.shape, shape)
+    ):
+        expected = ", ".join("dim >= 1" if want is None else str(want) for want in shape)
+        raise ValueError(f"{name} has shape {values.shape}, expected ({expected})")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class SamplePath:
     """A d-dimensional path on a grid: values[k] = x(t_k), shape (n+1, d)."""
@@ -161,16 +177,7 @@ class SamplePath:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[1] == 0:
-            raise ValueError(f"values must be 2-d (n_steps+1, dim) with dim >= 1, got shape {values.shape}")
-        if values.shape[0] != self.grid.n_steps + 1:
-            raise ValueError(
-                f"values has {values.shape[0]} rows, grid needs {self.grid.n_steps + 1}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values contains non-finite entries")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _grid_array("values", self.values, (self.grid.n_steps + 1, None)))
 
     @property
     def dim(self) -> int:
@@ -190,17 +197,7 @@ class CameronMartinPath:
     derivative_values: np.ndarray
 
     def __post_init__(self):
-        deriv = np.asarray(self.derivative_values, dtype=float)
-        if deriv.ndim != 2:
-            raise ValueError(
-                f"derivative_values must be 2-d (n_steps, dim), got shape {deriv.shape}"
-            )
-        if deriv.shape[0] != self.grid.n_steps:
-            raise ValueError(
-                f"derivative_values has {deriv.shape[0]} rows, grid needs {self.grid.n_steps}"
-            )
-        if not np.all(np.isfinite(deriv)):
-            raise ValueError("derivative_values contains non-finite entries")
+        deriv = _grid_array("derivative_values", self.derivative_values, (self.grid.n_steps, None))
         object.__setattr__(self, "derivative_values", deriv)
 
     @property

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _files
-from .grids import CameronMartinPath, SamplePath, TimeGrid
+from .grids import CameronMartinPath, SamplePath, TimeGrid, _grid_array
 from .seminorms import AmbientSpec, SymbolSpec, _time_first, ambient_for_levels, column_norm, symbol_norm
 
 FORMAT_VERSION = "enhanced-path/v1"
@@ -47,7 +47,7 @@ SCHEMES = ("ito", "stratonovich", "young")
 
 @dataclass(frozen=True, eq=False)
 class EnhancedPath:
-    """A lifted path: level-1 values, level-2 and optional level-3 basepoint tensors."""
+    """A lifted path: level-1 values, level-2 and optional level-3 basepoint tensors, every entry finite."""
 
     level1: SamplePath
     base2: np.ndarray
@@ -58,13 +58,9 @@ class EnhancedPath:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         n, d = self.grid.n_steps, self.dim
-        for level in (2, 3) if self.base3 is not None else (2,):
-            name = f"base{level}"
-            base = np.asarray(getattr(self, name), dtype=float)
-            expected = (n + 1,) + (d,) * level
-            if base.shape != expected:
-                raise ValueError(f"level-{level} base has shape {base.shape}, expected {expected}")
-            object.__setattr__(self, name, base)
+        object.__setattr__(self, "base2", _grid_array("base2", self.base2, (n + 1, d, d)))
+        if self.base3 is not None:
+            object.__setattr__(self, "base3", _grid_array("base3", self.base3, (n + 1, d, d, d)))
 
     @property
     def grid(self) -> TimeGrid:
@@ -363,7 +359,7 @@ def enhanced_from_document(doc: dict) -> EnhancedPath:
     _files.check_format(doc, FORMAT_VERSION)
     if "ambient" in doc:
         raise ValueError("enhanced-path document has an 'ambient' field; embedded ambients are not read, pass --ambient")
-    try:
+    with _files.document_fields("enhanced-path document"):
         grid = TimeGrid(horizon=doc["grid"]["horizon"], n_steps=doc["grid"]["n_steps"])
         lvl1 = np.asarray(doc["level1"]["data"]).reshape(doc["level1"]["shape"])
         path = SamplePath(grid, lvl1)
@@ -372,10 +368,6 @@ def enhanced_from_document(doc: dict) -> EnhancedPath:
         if "level3" in doc:
             base3 = np.asarray(doc["level3"]["data"]).reshape(doc["level3"]["shape"])
         return EnhancedPath(path, base2, base3, scheme=doc["scheme"])
-    except KeyError as exc:
-        raise ValueError(f"enhanced-path document lacks field {exc.args[0]!r}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"enhanced-path document is malformed: {exc}") from None
 
 
 def save_enhanced(e: EnhancedPath, filename) -> None:

@@ -129,13 +129,9 @@ class AmbientSpec:
     @classmethod
     def from_config(cls, cfg: dict) -> "AmbientSpec":
         """Inverse of `to_config`; a missing or mistyped field raises ValueError."""
-        try:
+        with _files.document_fields("ambient config"):
             symbols = tuple(map(_symbol_from_config, cfg["symbols"]))
             return cls(symbols=symbols, distinguished=tuple(cfg["distinguished"]))
-        except KeyError as exc:
-            raise ValueError(f"ambient config lacks field {exc.args[0]!r}") from None
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"ambient config is malformed: {exc}") from None
 
     def save(self, filename) -> None:
         _files.write_json(filename, self.to_config(), indent=2)

@@ -217,13 +217,28 @@ def test_norm_equivalence_probe():
     assert same["worst_ratio"] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_norm_equivalence_probe_validation():
+def test_norm_equivalence_probe_validation(monkeypatch):
+    import wienerlift.chaos as chaos_mod
+
     with pytest.raises(ValueError):
         chaos_norm_equivalence_probe(5, 2.0, 4.0, trials=1)
     with pytest.raises(ValueError):
         chaos_norm_equivalence_probe(2, 1.0, 4.0, trials=1)
     with pytest.raises(ValueError):
         chaos_norm_equivalence_probe(2, 2.0, 4.0, trials=1, dimension=4)
+    for q in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="1 < p <= q < inf"):
+            chaos_norm_equivalence_probe(2, 2.0, q, trials=1)
+    # about (k q)^dimension nodes: q = 30 needs 122^3 at k = 4, dimension 3, refused before any is built
+    monkeypatch.setattr(chaos_mod, "gauss_hermite_nodes", lambda *args: pytest.fail("built the nodes"))
+    with pytest.raises(ValueError, match="needs 1815848 quadrature nodes, above the bound of 1000000"):
+        chaos_norm_equivalence_probe(4, 2.0, 30.0, trials=1, dimension=3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polynomial_refuses_a_non_finite_coefficient(bad):
+    with pytest.raises(ValueError, match=r"multi-index \(1, 0\) has non-finite coefficient"):
+        ChaosPolynomial(2, {(0, 0): 1.0, (1, 0): bad})
 
 
 def test_chaos_serialization_round_trip():

@@ -364,6 +364,10 @@ def test_chaos_missing_option_is_an_argument_error(tmp_path, capsys, args, optio
         (json.dumps({"format_version": "chaos/v1", "dimension": 2,
                      "terms": [{"symbol": None, "multi_index": [[1, 1]], "coefficient": None}]}), "malformed"),
         (json.dumps({"format_version": "chaos/v1", "dimension": 2, "degrees": [1], "terms": []}), "malformed"),
+        (json.dumps({"format_version": "chaos/v1", "dimension": 2, "terms": 5}), "chaos document is malformed"),
+        (json.dumps({"format_version": "chaos/v1", "dimension": 2,
+                     "terms": [{"symbol": None, "multi_index": [[1, 1]], "coefficient": math.nan}]}),
+         "multi-index (1, 0) has non-finite coefficient nan"),
         ("not json", "Expecting value"),
     ],
 )
@@ -406,6 +410,7 @@ BAD_AMBIENT = {
         "lacks field 'indices'",
     ),
     "mistyped": ({"symbols": 5, "distinguished": []}, "malformed"),
+    "mistyped-norm": ({"symbols": [{**SYMBOL_1, "norm": 5}], "distinguished": ["1"]}, "ambient config is malformed"),
 }
 
 
@@ -546,34 +551,73 @@ BAD_CSV = {
     "ragged-csv": "t,x1\n0.0,0.0\n0.5\n1.0,0.3\n",
     "no-value-column-csv": "t\n0.0\n0.5\n1.0\n",
 }
-# faults put into an n=8, d=1 enhanced-path document
+# faults put into an n=8, d=1 enhanced-path document, and the message each one gets
 BAD_LIFT = {
-    "json-without-grid": lambda doc: doc.pop("grid"),
-    "json-short-level2": lambda doc: doc.update(level2={"shape": [8, 1, 1], "data": [0.0] * 8}),
-    "json-flat-level3": lambda doc: doc.update(level3={"shape": [9, 1, 1], "data": [0.0] * 9}),
-    "json-list-grid": lambda doc: doc.update(grid=[1, 2]),
+    "json-without-grid": (lambda doc: doc.pop("grid"), "enhanced-path document lacks field 'grid'"),
+    "json-short-level2": (lambda doc: doc.update(level2={"shape": [8, 1, 1], "data": [0.0] * 8}),
+                          "base2 has shape (8, 1, 1), expected (9, 1, 1)"),
+    "json-flat-level3": (lambda doc: doc.update(level3={"shape": [9, 1, 1], "data": [0.0] * 9}),
+                         "base3 has shape (9, 1, 1), expected (9, 1, 1, 1)"),
+    "json-list-grid": (lambda doc: doc.update(grid=[1, 2]), "enhanced-path document is malformed"),
+    "json-nan-level2": (lambda doc: doc["level2"]["data"].__setitem__(5, math.nan),
+                        "base2 contains non-finite entries"),
+    "json-inf-level2": (lambda doc: doc["level2"]["data"].__setitem__(5, -math.inf),
+                        "base2 contains non-finite entries"),
+    "json-inf-level3": (lambda doc: doc.update(level3={"shape": [9, 1, 1, 1], "data": [0.0] * 8 + [math.inf]}),
+                        "base3 contains non-finite entries"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CSV) + sorted(BAD_LIFT))
 def test_malformed_input_is_an_argument_error(tmp_path, capsys, case):
+    out = tmp_path / "o.json"
+    message = ""
     if case in BAD_CSV:
         infile = tmp_path / f"{case}.csv"
         infile.write_text(BAD_CSV[case])
-        argv = ["lift", "--in", str(infile), "--out", str(tmp_path / "o.json")]
+        argv = ["lift", "--in", str(infile), "--out", str(out)]
     else:
         lift_json = tmp_path / "lift.json"
         assert main(["lift", "--steps", "8", "--seed", "1", "--out", str(lift_json)]) == 0
         doc = json.loads(lift_json.read_text())
-        BAD_LIFT[case](doc)
+        fault, message = BAD_LIFT[case]
+        fault(doc)
         infile = tmp_path / "bad.json"
         infile.write_text(json.dumps(doc))
-        argv = ["norm", "--in", str(infile)]
+        argv = ["norm", "--in", str(infile), "--out", str(out)]
     capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert str(infile) in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert str(infile) in captured.err and message in captured.err
+    assert "Traceback" not in captured.err and not captured.out and not out.exists()
+
+
+def test_lift_that_overflows_is_a_numerical_failure(tmp_path, capsys):
+    # every entry of the path is finite, but its level-2 tensor is not: the lift writes nothing
+    infile, out = tmp_path / "big.csv", tmp_path / "l.json"
+    infile.write_text("t,x1\n0,0\n0.5,1e200\n1,-1e200\n")
+    assert main(["lift", "--in", str(infile), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "base2 contains non-finite entries" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
+@pytest.mark.parametrize(
+    "event, oracle, scheme",
+    [("sup-ge:{}", "reflection", "ito"), ("terminal-ge:{}", "terminal-gauss", "stratonovich"),
+     ("level2-ge:1,1,{}", "level2-diag-gauss", "stratonovich")],
+)
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_oracle_at_a_threshold_that_holds_surely(tmp_path, event, oracle, scheme, c):
+    # each oracle statistic is >= 0, so at c <= 0 both the oracle and the estimate are log 1 = 0
+    out = tmp_path / "o.csv"
+    argv = ["ldp", "--event", event.format(c), "--scheme", scheme, "--oracle", oracle,
+            "--epsilons", "0.5,0.4,0.1,1e-160", "--samples", "200", "--steps", "8", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["scaled"], r["oracle_scaled"], r["censored"]) for r in rows] == [("0.0", "0.0", "0")] * 4
 
 
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
@@ -743,6 +787,10 @@ BAD_VALUES.update({
     "chaos-degree-5": (["chaos", "norm-equiv", "--degree", "5"],
                        "--degree 5: norm-equiv takes degrees up to 4"),
     "chaos-dim-4": (["chaos", "norm-equiv", "--dim", "4"], "--dim 4: norm-equiv takes dimensions up to 3"),
+    # about (k q)^dimension quadrature nodes: 242^3 at q = 60, degree 4 and dimension 3
+    "chaos-q-60": (["chaos", "norm-equiv", "--degree", "4", "--dim", "3", "--q", "60"],
+                   "--q 60.0: q=60.0 at degree 4 and dimension 3 needs 14172488 quadrature nodes, "
+                   "above the bound of 1000000"),
     "chaos-shift-vector-word": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "1,abc"],
                                 "--shift-vector '1,abc': expected comma-separated finite numbers"),
     "chaos-shift-vector-nan": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "nan,1"],

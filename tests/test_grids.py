@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,23 @@ def test_sample_path_validation():
         SamplePath(grid, np.full((5, 1), np.nan))
     with pytest.raises(ValueError, match="dim >= 1"):
         SamplePath(grid, np.zeros((5, 0)))
+
+
+@pytest.mark.parametrize(
+    "make, array, message",
+    [
+        (SamplePath, np.zeros((3, 1)), r"values has shape (3, 1), expected (5, dim >= 1)"),
+        (SamplePath, np.zeros(5), r"values has shape (5,), expected (5, dim >= 1)"),
+        (SamplePath, np.full((5, 2), np.inf), "values contains non-finite entries"),
+        (CameronMartinPath, np.zeros((4, 0)), "derivative_values has shape (4, 0), expected (4, dim >= 1)"),
+        (CameronMartinPath, np.zeros((5, 1)), "derivative_values has shape (5, 1), expected (4, dim >= 1)"),
+        (CameronMartinPath, np.full((4, 1), -np.inf), "derivative_values contains non-finite entries"),
+    ],
+)
+def test_grid_arrays_take_one_shape_and_finiteness_check(make, array, message):
+    # a path has grid-many rows and at least one component, and every entry finite
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(TimeGrid(1.0, 4), array)
 
 
 def test_seeded_determinism():

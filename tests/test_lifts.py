@@ -412,6 +412,23 @@ def test_serialization_round_trip(tmp_path):
         enhanced_from_document({"format_version": "bogus"})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("level", [2, 3])
+def test_lift_with_a_non_finite_tensor_is_refused(tmp_path, level, bad):
+    # every array of a lift is finite; a document with a NaN or inf tensor entry is refused, naming the file
+    e = ito_lift(sample(GaussianSpec("bm", 2), TimeGrid(1.0, 8), seed=45), level=3)
+    base2, base3 = e.base2.copy(), e.base3.copy()
+    (base2 if level == 2 else base3)[3].flat[1] = bad
+    with pytest.raises(ValueError, match=f"base{level} contains non-finite entries"):
+        EnhancedPath(e.level1, base2, base3, scheme="ito")
+    doc = enhanced_to_document(e)
+    doc[f"level{level}"]["data"][20] = bad
+    target = tmp_path / "lift.json"
+    target.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{target}: base{level} contains non-finite entries")):
+        load_enhanced(target)
+
+
 def test_load_refuses_a_document_that_embeds_an_ambient(tmp_path):
     # the ambient is given on its own; a document that embeds one is refused, naming the file
     e = ito_lift(sample(GaussianSpec("bm", 2), TimeGrid(1.0, 8), seed=45))
