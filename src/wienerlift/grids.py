@@ -9,11 +9,15 @@ Sample i of a run keyed by `seed` draws from its own PCG64 stream,
 bit-identical to `default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))`.
 `sample_values_batch` derives a chunk's streams in one vectorized pass rather
 than building a SeedSequence and a Generator per path.  Indices stop at
-2**32 - 1: a larger one would take a two-word spawn key.  Brownian paths are
-drawn, scaled and summed a block of paths at a time, as many as fit in
-`BLOCK_BYTES` and at least one: each path's normals are drawn straight into
-the output, and one call scales and one sums the whole block, so a block
-stays in cache and the NumPy call overhead is paid per block, not per path.
+2**32 - 1: a larger one would take a two-word spawn key.
+
+The grid law of a process, the covariance Sigma = toeplitz(row) of one
+component's increments and a square root R with R R^T = Sigma, is one
+`_GridLaw` per (spec, grid).  Paths are drawn a block at a time, as many as
+fit their normals in `BLOCK_BYTES` and at least one: each path's normals are
+drawn into the block, one product by R maps the block to increments and one
+call sums them, so a block stays in cache and the NumPy call overhead is paid
+per block, not per path.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +35,8 @@ import numpy as np
 from . import _files
 
 
-# byte budget of one block of work: the Brownian paths `sample_values_batch`
-# scales and sums at once, and the columns `seminorms.column_norm` asks for
+# byte budget of one block of work: the normals of the paths
+# `sample_values_batch` draws at once, and the columns `seminorms.column_norm` asks for
 BLOCK_BYTES = 2**17
 
 
@@ -131,6 +136,19 @@ def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(_check_seed(seed, index, 1), spawn_key=(index,)))
 
 
+def _count(name: str, value) -> int:
+    """`value` as an int, after refusing a bool, a non-integer or a value below 1."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [0, T] with points t_k = k*T/n_steps."""
@@ -139,10 +157,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        object.__setattr__(self, "n_steps", _count("n_steps", self.n_steps))
 
     @property
     def dt(self) -> float:
@@ -262,8 +279,7 @@ class GaussianSpec:
     def __post_init__(self):
         if self.kind not in ("bm", "fbm"):
             raise ValueError(f"kind must be 'bm' or 'fbm', got {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _count("dim", self.dim))
         if self.kind == "fbm":
             if self.hurst is None or not 0.0 < self.hurst < 1.0:
                 raise ValueError(f"hurst must lie in (0,1) for fbm, got {self.hurst}")
@@ -285,18 +301,34 @@ class GaussianSpec:
         return self.covariance(t[:, None], t[None, :])
 
 
+def _fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
+    """Autocovariance g(0..n) of unit-step fractional Gaussian noise, shape (n+1,).
+
+    g(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2, taken as
+    k^2H ((1+1/k)^2H - 1 + (1-1/k)^2H - 1) / 2 through expm1/log1p: the
+    plain second difference cancels about k^2 of its digits, enough to turn
+    the embedding's eigenvalues negative at H=0.99, n=2^20.
+    """
+    two_h = 2.0 * hurst
+    k = np.arange(1, n + 1, dtype=float)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1 is exact
+        gamma = 0.5 * k**two_h * (
+            np.expm1(two_h * np.log1p(1.0 / k)) + np.expm1(two_h * np.log1p(-1.0 / k))
+        )
+    return np.concatenate([[1.0], gamma])
+
+
 @functools.lru_cache(maxsize=16)
 def _fbm_cholesky(hurst: float, n_steps: int) -> np.ndarray:
     """Scaled square roots of the circulant embedding's eigenvalues, (n+1,).
 
-    Unit-step fractional Gaussian noise has autocovariance
-    g(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2.  Its first n lags are embedded
-    in a symmetric circulant of size m = 2n whose eigenvalues l_0..l_{m-1}
-    are one FFT of the first row (Davies & Harte 1987; Dietrich & Newsam
-    1997).  Entry k is sqrt(m l_k) at k = 0 and k = n and sqrt(m l_k / 2)
-    in between: a Hermitian spectrum with standard normal real and imaginary
-    parts scaled by these values has, under `numpy.fft.irfft`, exactly the
-    circulant covariance, whose leading n x n block is the fGn covariance.
+    The first n lags of `_fgn_autocovariance` are embedded in a symmetric
+    circulant of size m = 2n whose eigenvalues l_0..l_{m-1} are one FFT of
+    the first row (Davies & Harte 1987; Dietrich & Newsam 1997).  Entry k is
+    sqrt(m l_k) at k = 0 and k = n and sqrt(m l_k / 2) in between: a
+    Hermitian spectrum with standard normal real and imaginary parts scaled
+    by these values has, under `numpy.fft.irfft`, exactly the circulant
+    covariance, whose leading n x n block is the fGn covariance.
 
     It keeps the name of the dense Cholesky factor it replaced because
     `perfbench/spans.py` wraps it under that name to time and count the
@@ -304,17 +336,8 @@ def _fbm_cholesky(hurst: float, n_steps: int) -> np.ndarray:
     read-only.
     """
     n, m = n_steps, 2 * n_steps
-    two_h = 2.0 * hurst
-    # g(k) = k^2H ((1+1/k)^2H - 1 + (1-1/k)^2H - 1) / 2 through expm1/log1p:
-    # the plain second difference cancels about k^2 of its digits, enough to
-    # turn eigenvalues negative at H=0.99, n=2^20
-    k = np.arange(1, n + 1, dtype=float)
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1 is exact
-        gamma = 0.5 * k**two_h * (
-            np.expm1(two_h * np.log1p(1.0 / k)) + np.expm1(two_h * np.log1p(-1.0 / k))
-        )
-    row = np.concatenate([[1.0], gamma, gamma[-2::-1]])
-    eig = np.fft.rfft(row).real
+    lags = _fgn_autocovariance(hurst, n)
+    eig = np.fft.rfft(np.concatenate([lags, lags[-2:0:-1]])).real
     tol = m * np.finfo(float).eps * float(np.max(np.abs(eig)))
     if eig.min() < -tol:
         raise EmbeddingFailure(
@@ -326,6 +349,57 @@ def _fbm_cholesky(hurst: float, n_steps: int) -> np.ndarray:
     scale = np.sqrt(weight * np.maximum(eig, 0.0))
     scale.flags.writeable = False
     return scale
+
+
+@dataclass(frozen=True, eq=False)
+class _GridLaw:
+    """The Gaussian law of one component's n grid increments under a (spec, grid).
+
+    The increments have covariance Sigma = toeplitz(row), and
+    Sigma = R R^T for the n x `normals` matrix R that `times_r` applies:
+    `times_r(z, out)` maps a block of standard normals z, shape
+    (b, normals, d), to increments `out`, shape (b, n, d), one column of z
+    per component.  When R is square, z may be `out` itself.
+    """
+
+    row: np.ndarray
+    normals: int
+    times_r: Callable[[np.ndarray, np.ndarray], None]
+
+
+def _grid_law(spec: GaussianSpec, grid: TimeGrid) -> _GridLaw:
+    """The law of `spec`'s increments on `grid`.
+
+    Brownian motion is the scalar case R = sqrt(dt) I.  For fBm, R is the
+    first n rows of the circulant embedding's square root, applied through
+    one Hermitian spectrum and one irfft: a path's 2n normals per component
+    are the real parts of the spectrum's n+1 entries, then the imaginary
+    parts of entries 1..n-1 (entries 0 and n are real).
+    """
+    n = grid.n_steps
+    if spec.kind == "bm":
+        row = np.zeros(n)
+        row[0] = grid.dt
+        sqdt = math.sqrt(grid.dt)
+
+        def times_r(z, out):
+            np.multiply(z, sqdt, out=out)
+
+        return _GridLaw(row, n, times_r)
+    step = grid.dt**spec.hurst
+    scale = _fbm_cholesky(spec.hurst, n) * step
+    # a variance past the float range (dt^2H at a horizon near 1e308) reads
+    # inf; the product by R needs only dt^H, so sampling still works there
+    with np.errstate(over="ignore"):
+        row = _fgn_autocovariance(spec.hurst, n)[:n] * step * step
+
+    def times_r(z, out):
+        spectrum = z[:, : n + 1].astype(complex)
+        spectrum.imag[:, 1:n] = z[:, n + 1 :]
+        spectrum *= scale[:, None]
+        out[...] = np.fft.irfft(spectrum, 2 * n, axis=1)[:, :n]
+
+    return _GridLaw(row, 2 * n, times_r)
 
 
 def sample(spec: GaussianSpec, grid: TimeGrid, seed: int, index: int = 0) -> SamplePath:
@@ -343,40 +417,30 @@ def sample_values_batch(
 ) -> np.ndarray:
     """Values of samples start..start+count-1 stacked as (count, n+1, d).
 
-    Brownian paths take blocks of at most `BLOCK_BYTES` of steps, and at
-    least one path: each path's normals are drawn into its rows of the
-    output, then the block is scaled by sqrt(dt) and summed along time in
-    place.  fBm paths draw all their normals first and take one FFT.  The
-    bits are those of drawing, scaling and summing every path on its own.
+    Paths take blocks of at most `BLOCK_BYTES` of normals, and at least one
+    path: each path's normals are drawn into the block, the law's product by
+    R maps the block to increments in the block's rows of the output, and
+    they are summed along time in place.  When R is square the normals are
+    drawn straight into the output rows, otherwise into one block buffer per
+    call.  The bits are those of drawing, mapping and summing every path on
+    its own.
     """
+    law = _grid_law(spec, grid)
     n, d = grid.n_steps, spec.dim
     out = np.zeros((count, n + 1, d))
+    rows = max(1, BLOCK_BYTES // (8 * law.normals * d))
+    buffer = None if law.normals == n else np.empty((min(rows, count), law.normals, d))
     # one Generator per call, so threads never share one; each path sets its stream's state
     rng = np.random.Generator(np.random.PCG64(0))
     states = _stream_states(seed, start, count)
-    if spec.kind == "bm":
-        sqdt = math.sqrt(grid.dt)
-        rows = max(1, BLOCK_BYTES // (8 * n * d))
-        for b0 in range(0, count, rows):
-            steps = out[b0 : b0 + rows, 1:]
-            for row, state in zip(steps, itertools.islice(states, rows)):
-                rng.bit_generator.state = state
-                rng.standard_normal(out=row)
-            np.multiply(steps, sqdt, out=steps)
-            np.cumsum(steps, axis=1, out=steps)
-    else:
-        # m real normals per path and component: the real parts of the
-        # Hermitian spectrum's n+1 entries, then the imaginary parts of
-        # entries 1..n-1 (entries 0 and n are real)
-        scale = _fbm_cholesky(spec.hurst, n) * grid.dt**spec.hurst
-        normals = np.empty((count, 2 * n, d))
-        for i, state in enumerate(states):
+    for b0 in range(0, count, rows):
+        steps = out[b0 : b0 + rows, 1:]
+        normals = steps if buffer is None else buffer[: len(steps)]
+        for row, state in zip(normals, itertools.islice(states, rows)):
             rng.bit_generator.state = state
-            rng.standard_normal(out=normals[i])
-        spectrum = normals[:, : n + 1].astype(complex)
-        spectrum.imag[:, 1:n] = normals[:, n + 1 :]
-        spectrum *= scale[:, None]
-        np.cumsum(np.fft.irfft(spectrum, 2 * n, axis=1)[:, :n], axis=1, out=out[:, 1:])
+            rng.standard_normal(out=row)
+        law.times_r(normals, steps)
+        np.cumsum(steps, axis=1, out=steps)
     return out
 
 

@@ -559,6 +559,8 @@ BAD_LIFT = {
     "json-flat-level3": (lambda doc: doc.update(level3={"shape": [9, 1, 1], "data": [0.0] * 9}),
                          "base3 has shape (9, 1, 1), expected (9, 1, 1, 1)"),
     "json-list-grid": (lambda doc: doc.update(grid=[1, 2]), "enhanced-path document is malformed"),
+    "json-inf-horizon": (lambda doc: doc["grid"].update(horizon=math.inf), "horizon must be positive and finite"),
+    "json-float-steps": (lambda doc: doc["grid"].update(n_steps=8.0), "n_steps must be an integer, got 8.0"),
     "json-nan-level2": (lambda doc: doc["level2"]["data"].__setitem__(5, math.nan),
                         "base2 contains non-finite entries"),
     "json-inf-level2": (lambda doc: doc["level2"]["data"].__setitem__(5, -math.inf),

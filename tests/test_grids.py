@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def test_grid_validation():
         TimeGrid(-1.0, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+    # a grid is finite and has a whole number of steps, stored as an int
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            TimeGrid(horizon, 4)
+    for steps in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            TimeGrid(1.0, steps)
+    steps = TimeGrid(1.0, np.int64(4)).n_steps
+    assert steps == 4 and type(steps) is int
 
 
 def test_sample_path_validation():
@@ -120,20 +130,34 @@ def test_fbm_no_grid_cap():
 
 
 def test_fbm_embedding_reproduces_grid_covariance():
-    # the covariance the spectrum induces, summed into path values, is the
-    # dense grid covariance to rounding (deterministic, no sampling)
-    for hurst in (0.1, 0.3, 0.5, 0.8, 0.95):
-        for n in (1, 2, 7, 16, 33):
-            scale = grids_mod._fbm_cholesky(hurst, n)
-            weight = np.full(n + 1, float(n))
-            weight[[0, n]] = 2.0 * n
-            lag_cov = np.fft.irfft(scale**2 / weight, 2 * n)
+    # the law's own product by R, applied to unit normals, gives R with
+    # R R^T = toeplitz(row) = the second difference of the dense grid
+    # covariance, to rounding (deterministic, no sampling)
+    specs = [GaussianSpec("bm", 1)] + [GaussianSpec("fbm", 1, hurst=h) for h in (0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95)]
+    for spec in specs:
+        for n in (1, 2, 7, 16, 33, 64):
+            grid = TimeGrid(2.0, n)
+            law = grids_mod._grid_law(spec, grid)
+            columns = np.empty((law.normals, n, 1))
+            law.times_r(np.eye(law.normals)[:, :, None], columns)
+            r = columns[:, :, 0].T  # (n, normals)
             lags = np.arange(n)
-            incr_cov = lag_cov[np.abs(lags[:, None] - lags[None, :])]
-            grid = TimeGrid(float(n), n)  # unit steps
-            dense = GaussianSpec("fbm", 1, hurst=hurst).grid_covariance(grid)
-            induced = np.cumsum(np.cumsum(incr_cov, axis=0), axis=1)
-            assert np.max(np.abs(induced - dense)) <= 1e-12 * np.max(dense)
+            toeplitz = law.row[np.abs(lags[:, None] - lags[None, :])]
+            values_cov = np.zeros((n + 1, n + 1))
+            values_cov[1:, 1:] = spec.grid_covariance(grid)
+            second_difference = np.diff(np.diff(values_cov, axis=0), axis=1)
+            tol = 1e-12 * np.max(second_difference)
+            assert np.max(np.abs(r @ r.T - toeplitz)) <= tol, (spec, n)
+            assert np.max(np.abs(toeplitz - second_difference)) <= tol, (spec, n)
+
+
+def test_fbm_samples_where_the_increment_variance_overflows():
+    # dt^2H is past the float range at this horizon, dt^H is not: the law's
+    # row reads inf, and sampling, which needs only dt^H, still works
+    spec, grid = GaussianSpec("fbm", 1, hurst=0.9), TimeGrid(1e308, 4)
+    with np.errstate(all="raise"):
+        assert grids_mod._grid_law(spec, grid).row[0] == math.inf
+        assert np.isfinite(sample(spec, grid, seed=1).values).all()
 
 
 def test_fbm_embedding_psd_near_hurst_one():
@@ -183,6 +207,10 @@ def test_gaussian_spec_validation():
         GaussianSpec("fbm", 1, hurst=1.5)
     with pytest.raises(ValueError):
         GaussianSpec("bm", 0)
+    for dim in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            GaussianSpec("bm", dim)
+    assert type(GaussianSpec("bm", np.int64(2)).dim) is int
     # a Hurst index describes fBm; Brownian motion refuses one rather than record it
     with pytest.raises(ValueError, match="a Hurst index describes fbm, not 'bm', got hurst=0.3"):
         GaussianSpec("bm", 1, hurst=0.3)
@@ -354,12 +382,30 @@ def test_sample_values_batch_matches_per_path_oracle_bytes(spec, monkeypatch):
         assert empty.shape == (0, grid.n_steps + 1, spec.dim)
 
 
-def test_brownian_path_larger_than_the_block_budget_matches_per_path_oracle_bytes():
-    # one d=1 path of 2**15 steps holds 256 KiB of normals, twice the budget
-    spec, grid = GaussianSpec("bm", 1), TimeGrid(1.0, 2**15)
-    assert 8 * grid.n_steps > grids_mod.BLOCK_BYTES
+@pytest.mark.parametrize(
+    "spec, n",
+    [(GaussianSpec("bm", 1), 2**15), (GaussianSpec("fbm", 1, hurst=0.3), 2**14)],
+    ids=["bm", "fbm-h0.3"],
+)
+def test_path_larger_than_the_block_budget_matches_per_path_oracle_bytes(spec, n):
+    # one d=1 path of 2**15 Brownian steps, or of 2**14 fBm steps at two
+    # normals a step, holds 256 KiB of normals, twice the budget
+    grid = TimeGrid(1.0, n)
+    assert 8 * grids_mod._grid_law(spec, grid).normals > grids_mod.BLOCK_BYTES
     batch = sample_values_batch(spec, grid, seed=11, count=3, start=40)
     assert batch.tobytes() == _reference_values(spec, grid, 11, 3, 40).tobytes()
+
+
+def test_fbm_sampling_peak_memory_stays_within_a_block_of_its_output():
+    # normals, spectrum and irfft output live one block at a time, not one chunk at a time
+    spec, grid = GaussianSpec("fbm", 1, hurst=0.3), TimeGrid(2.0, 1024)
+    tracemalloc.start()
+    try:
+        out = sample_values_batch(spec, grid, seed=1, count=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 1e6
 
 
 def test_stream_index_limit_is_refused():

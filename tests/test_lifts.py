@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from wienerlift import grids
 from wienerlift.grids import (
     CameronMartinPath,
     GaussianSpec,
@@ -16,6 +17,7 @@ from wienerlift.grids import (
 )
 from wienerlift.lifts import (
     EnhancedPath,
+    _pair_base,
     chen_residual,
     dilate_enhanced,
     dyadic_triples,
@@ -86,6 +88,39 @@ def test_ito_offdiagonal_is_centered():
     est = float(np.mean(terminal[:, 0, 1]))
     se = float(np.std(terminal[:, 0, 1], ddof=1) / math.sqrt(values.shape[0]))
     assert abs(est) <= 3 * se
+
+
+def _level2_second_moment(spec, grid, scheme, i, j):
+    """Exact E[(X^{ij}_{0,T})^2] of the grid lift, from the law's increment covariance Sigma.
+
+    X^{ij} = dx^i . L dx^j with L the strictly upper-triangular ones, plus I/2
+    under the trapezoid scheme; components are independent, each with Sigma.
+    """
+    n = grid.n_steps
+    row = grids._grid_law(spec, grid).row
+    lags = np.arange(n)
+    sigma = row[np.abs(lags[:, None] - lags[None, :])]
+    upper = np.triu(np.ones((n, n)), 1) + (0.0 if scheme == "ito" else 0.5) * np.eye(n)
+    ls, lts = upper @ sigma, upper.T @ sigma
+    if i != j:
+        return float(np.trace(lts @ ls))
+    return float(np.trace(ls) ** 2 + np.trace(ls @ ls) + np.trace(ls @ lts))
+
+
+@pytest.mark.parametrize("hurst", [None, 0.3, 0.7])
+def test_level2_second_moments_match_the_grid_law(hurst):
+    # 18 cases (3 processes, 2 schemes, 3 entries) at 4.5 SE on a fixed seed
+    spec = GaussianSpec("bm", 2) if hurst is None else GaussianSpec("fbm", 2, hurst=hurst)
+    grid = TimeGrid(1.0, 16)
+    count = 40_000
+    values = sample_values_batch(spec, grid, seed=3, count=count)
+    for scheme in ("ito", "stratonovich"):
+        squares = _pair_base(values, scheme)[:, -1] ** 2
+        for i, j in ((0, 0), (0, 1), (1, 0)):
+            exact = _level2_second_moment(spec, grid, scheme, i, j)
+            est = float(np.mean(squares[:, i, j]))
+            se = float(np.std(squares[:, i, j], ddof=1)) / math.sqrt(count)
+            assert abs(est - exact) <= 4.5 * se, (hurst, scheme, i, j, (est - exact) / se)
 
 
 def test_bracket_diagonal_and_antisymmetry():
