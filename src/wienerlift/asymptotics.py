@@ -20,7 +20,8 @@ import numpy as np
 
 from ._batch import homogeneous_norm_batch, pair_base_batch, parallel_chunks
 from .grids import (
-    CameronMartinPath, GaussianSpec, TimeGrid, _check_streams, derived_rng, paley_wiener, sample_values_batch,
+    CameronMartinPath, GaussianSpec, TimeGrid, _check_streams, _count, derived_rng, paley_wiener,
+    sample_values_batch,
 )
 from .lifts import EnhancedPath, _triple_base
 from .seminorms import AmbientSpec
@@ -381,7 +382,13 @@ def _base_tensors(values, scheme, level):
 
 @dataclass
 class Eta0Result:
-    """The search outcome; `evaluations` and `converged` are per restart."""
+    """The search outcome, one entry per random start in each list.
+
+    `quotient_history` holds each start's best value after its restart leg,
+    and `eta0_hat` is the least of them.  `evaluations` counts both legs.
+    `converged` is true for a start whose restart leg converged to within
+    1e-12 of the value its first leg ended at.
+    """
 
     eta0_hat: float
     argmin_h: CameronMartinPath
@@ -541,39 +548,42 @@ def eta0_estimate(
     By homogeneity of the skeleton lift, minimizing R(h) over nonzero
     piecewise-linear h equals the constrained infimum of |h|_H^2/2 over the
     unit sphere of the lifted homogeneous norm, so no constraint handling is
-    needed.  Sup-type norms make R nonsmooth; a derivative-free simplex
-    search runs from `restarts` random starts in lock step, one batched
-    objective call for all of them at a time, and the best quotient is
-    polished and returned.
+    needed.  `restarts` counts the random starts of a derivative-free simplex
+    search, all run in lock step, one batched objective call for all of them
+    at a time.  Sup-type norms make R nonsmooth and the simplex stalls on it
+    (McKinnon 1998), so each start restarts once from its own best vertex
+    (Kelley 1999): `maxiter - maxiter // 2` iterations, then `maxiter // 2`
+    more from that vertex rescaled to unit RMS, with no second leg when
+    `maxiter` is 1.  `maxiter` is thus each start's whole budget.
     """
-    if segments < 2:
-        raise ValueError(f"segments must be >= 2, got {segments}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if maxiter is not None and maxiter < 1:
-        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
+    segments = _count("segments", segments, 2)
+    restarts = _count("restarts", restarts)
     d = ambient.noise_dim
     # the skeleton h has one component per distinguished symbol
     ambient.check_fits(d, ambient.max_degree)
     grid = TimeGrid(horizon, segments)
     n_var = segments * d
-    if maxiter is None:
-        maxiter = 400 * n_var
+    maxiter = 400 * n_var if maxiter is None else _count("maxiter", maxiter)
 
-    def objective(vecs: np.ndarray) -> np.ndarray:
-        return _eta0_quotients(ambient, grid, vecs)
+    fatol = 1e-12
+
+    def leg(x: np.ndarray, budget: int) -> _SimplexResult:
+        """`budget` lock-step iterations from every row of `x` rescaled to unit RMS."""
+        x = x / np.sqrt(np.mean(x**2, axis=1, keepdims=True))
+        return _nelder_mead(lambda vecs: _eta0_quotients(ambient, grid, vecs), x, budget, xatol=1e-8, fatol=fatol)
 
     x0 = np.stack([derived_rng(seed, r).standard_normal(n_var) for r in range(restarts)])
-    x0 /= np.sqrt(np.mean(x0**2, axis=1, keepdims=True))
-    search = _nelder_mead(objective, x0, maxiter, xatol=1e-8, fatol=1e-12)
-    winner = int(np.argmin(search.fun))
-    best_val, best_vec = float(search.fun[winner]), search.x[winner]
+    legs = [leg(x0, maxiter - maxiter // 2)]
+    if maxiter // 2:
+        legs.append(leg(legs[0].x, maxiter // 2))
+    first, last = legs[0], legs[-1]
+    # a start has converged when its last leg did and agrees with the leg before it;
+    # a one-iteration leg never converges, so maxiter=1 reports no start converged
+    converged = last.converged & (np.abs(last.fun - first.fun) <= fatol)
+    winner = int(np.argmin(last.fun))
+    best_val, best_vec = float(last.fun[winner]), last.x[winner]
     if not math.isfinite(best_val):
         raise RuntimeError("all restarts collapsed to the zero path")
-    # polish the winning restart; the simplex often stalls on sup-type norms
-    polish = _nelder_mead(objective, best_vec[None], maxiter, xatol=1e-10, fatol=1e-14)
-    if polish.fun[0] < best_val:
-        best_val, best_vec = float(polish.fun[0]), polish.x[0]
     argmin = CameronMartinPath(grid, best_vec.reshape(segments, d))
     # report the argmin on the unit sphere of the lifted norm
     argmin = argmin.scaled(1.0 / skeleton_norm(argmin, ambient))
@@ -581,10 +591,10 @@ def eta0_estimate(
         eta0_hat=best_val,
         argmin_h=argmin,
         restarts_used=restarts,
-        quotient_history=search.fun.tolist(),
-        all_converged=bool(search.converged.all()),
-        evaluations=search.evaluations.tolist(),
-        converged=search.converged.tolist(),
+        quotient_history=last.fun.tolist(),
+        all_converged=bool(converged.all()),
+        evaluations=sum(leg.evaluations for leg in legs).tolist(),
+        converged=converged.tolist(),
     )
 
 

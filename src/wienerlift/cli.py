@@ -640,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", required=True, help="ambient JSON file or preset")
     p.add_argument("--dim", type=_count(), default=1, help="path dimension of a preset ambient")
     p.add_argument("--segments", type=_count(2), default=16)
-    p.add_argument("--restarts", type=_count(), default=8)
+    p.add_argument("--restarts", type=_count(), default=8,
+                   help="random starts of the simplex search; each restarts once from its best vertex")
     p.add_argument("--horizon", type=_positive, default=1.0)
     p.add_argument("--seed", type=_count(0), required=True)
     _add_output_args(p)

@@ -136,16 +136,16 @@ def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(_check_seed(seed, index, 1), spawn_key=(index,)))
 
 
-def _count(name: str, value) -> int:
-    """`value` as an int, after refusing a bool, a non-integer or a value below 1."""
+def _count(name: str, value, minimum: int = 1) -> int:
+    """`value` as an int, after refusing a bool, a non-integer or a value below `minimum`."""
     try:
         if isinstance(value, bool):
             raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
