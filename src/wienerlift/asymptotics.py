@@ -130,8 +130,8 @@ def _check_oracle(oracle: str, event: EventSpec, spec: GaussianSpec, scheme: str
         raise ValueError(f"oracle {oracle!r} holds for Brownian motion only, got {spec.kind!r}")
 
 
-def _oracle_z(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float) -> float:
-    """z with P(dilate(eps, lift(X)) in event) = P(|N(0, 1)| >= z), for an oracle `_check_oracle` accepts.
+def _oracle_terms(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid) -> tuple[float, float]:
+    """(u, s) with z = u / (eps s), for an oracle `_check_oracle` accepts.
 
     All three are one-dimensional: x_T ~ N(0, R(T, T)) for the terminal and
     level-2 diagonal tails, and the reflection principle, which holds for
@@ -143,9 +143,31 @@ def _oracle_z(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid,
     var = float(spec.covariance(grid.horizon, grid.horizon))
     if oracle == "level2-diag-gauss":
         # trapezoid diagonal is x_T^2/2 exactly, so the event is an x_T tail
-        return math.sqrt(2.0 * c / var) / eps
+        return math.sqrt(2.0 * c / var), 1.0
     # reflection: P(max_{t<=T} B_t >= a) = 2 P(B_T >= a) = P(|B_T| >= a)
-    return c / (eps * math.sqrt(var))
+    return c, math.sqrt(var)
+
+
+def _oracle_z(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float) -> float:
+    """z with P(dilate(eps, lift(X)) in event) = P(|N(0, 1)| >= z), for an oracle `_check_oracle` accepts."""
+    u, s = _oracle_terms(oracle, event, spec, grid)
+    return u / (eps * s)
+
+
+def _oracle_eps_z(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid) -> float:
+    """a = eps z, which does not depend on eps, refused unless the oracle's limit -a^2/2 is finite.
+
+    a is c / sqrt(R(T, T)) for `reflection` and `terminal-gauss` and
+    sqrt(2 c / R(T, T)) for `level2-diag-gauss`: at T = 1 a sup or terminal
+    threshold above about 1.34e154 is refused.
+    """
+    u, s = _oracle_terms(oracle, event, spec, grid)
+    a = u / s
+    if not math.isfinite(a * a):
+        raise ValueError(
+            f"threshold {event.threshold!r} puts the {oracle!r} oracle's limit -a^2/2 out of range (a = {a!r})"
+        )
+    return a
 
 
 def _oracle_log_prob(
@@ -166,13 +188,20 @@ def _oracle_scaled(oracle: str, event: EventSpec, spec: GaussianSpec, grid: Time
     Once z^2 overflows (eps below about 1e-154) log_ndtr(-z) is -inf, and the
     value is taken in scaled form: the limit -(eps z)^2 / 2 plus eps^2 times
     the remainder log 2 + log_ndtr(-z) + z^2/2, which is log 2 - log z
-    - log(2 pi)/2 up to O(1/z^2).
+    - log(2 pi)/2 up to O(1/z^2).  Where z = a / eps overflows itself, eps z
+    is a and log z is log a - log eps.  A threshold whose limit is not
+    finite is refused (`_oracle_eps_z`).
     """
     scaled = eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps)
     if math.isfinite(scaled):
         return scaled
     z = _oracle_z(oracle, event, spec, grid, eps)
-    return -0.5 * (eps * z) ** 2 + eps**2 * (math.log(2.0) - math.log(z) - 0.5 * math.log(2.0 * math.pi))
+    if math.isfinite(z):
+        eps_z, log_z = eps * z, math.log(z)
+    else:
+        a = _oracle_eps_z(oracle, event, spec, grid)
+        eps_z, log_z = a, math.log(a) - math.log(eps)
+    return -0.5 * eps_z**2 + eps**2 * (math.log(2.0) - log_z - 0.5 * math.log(2.0 * math.pi))
 
 
 @dataclass
@@ -238,7 +267,8 @@ def empirical_rate(
     are censored.  The pilot and the main run each count the samples at or
     above every epsilon's threshold c / eps^degree from one sorted copy,
     as `fernique_tail_fit` counts its norms.  The epsilons must be distinct
-    and positive, with eps^2 neither 0 nor inf (`_check_epsilons`).
+    and positive, with eps^2 neither 0 nor inf (`_check_epsilons`), and an
+    oracle's threshold must give it a finite limit (`_oracle_eps_z`).
     """
     epsilons = sorted(float(e) for e in epsilons)[::-1]
     _check_epsilons(epsilons)
@@ -248,6 +278,7 @@ def empirical_rate(
     oracle_values = None
     if oracle is not None:
         _check_oracle(oracle, event, spec, scheme)
+        _oracle_eps_z(oracle, event, spec, grid)
         oracle_values = [_oracle_scaled(oracle, event, spec, grid, eps) for eps in epsilons]
 
     plain, _, _ = _collect_statistics(

@@ -1,10 +1,14 @@
 """Command-line entry point for reproducible runs with file outputs.
 
-Each subcommand declares exactly the options it reads.  Every stochastic
-subcommand takes an explicit --seed; outputs are refused if the target exists
-unless --force is given; each run writes a JSON summary next to its data and
-prints a one-line digest.  Exit codes: 0 success, 1 numerical failure, 2
-argument errors.
+Each subcommand declares exactly the options it reads, and its parser
+declares what it writes at --out: data with a JSON summary beside it, the
+summary alone, or the data alone.  Every stochastic subcommand takes an
+explicit --seed.  A subcommand returns its run as a `_Run` record and
+touches no file, stdout or exit code.  `main` alone refuses an existing
+--out target without --force before any work, writes the run's files in
+its command's layout, prints the one-line digest and maps every failure
+to an exit code: 0 success, 1 numerical failure (arithmetic overflow
+included), 2 argument errors.
 
 A summary's config is every option the command declares (`_config`) but
 --force and --threads: per-sample derived seeding makes outputs byte-identical
@@ -19,6 +23,7 @@ import contextlib
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,11 +39,12 @@ from .asymptotics import (
     _check_entry,
     _check_epsilons,
     _check_oracle,
+    _oracle_eps_z,
     empirical_rate,
     eta0_estimate,
     fernique_tail_fit,
 )
-from .girsanov import REWEIGHT_FUNCTIONALS, cm_log_density, reweight_check, shift_path
+from .girsanov import REWEIGHT_FUNCTIONALS, _half_energy, cm_log_density, reweight_check, shift_path
 from .grids import (
     _STREAMS,
     CameronMartinPath,
@@ -66,17 +72,31 @@ from .seminorms import AmbientSpec, ambient_for_levels, banach_norm, classical_a
 
 SUMMARY_FORMAT_VERSION = "run-summary/v1"
 
+# what a command writes at --out, as its parser declares: its data and the
+# summary beside it, the summary alone, or the data alone
+_BESIDE, _SUMMARY, _DATA = "data+summary", "summary", "data"
+
 
 class CliError(Exception):
     """Argument-level failure: message should name the offending parameter."""
+
+
+class _Run(NamedTuple):
+    """A subcommand's run; `main` writes it in the command's layout, prints `digest` and exits with `code`."""
+
+    digest: str
+    results: dict | None = None
+    data: Callable[[str], None] | None = None  # writes the data file at the path it is given
+    config: dict | None = None  # the summary's config, when it is not `_config(args)`
+    code: int = 0
 
 
 def _summary_path(out: str) -> str:
     return out + ".summary.json"
 
 
-def _check_out(path: str, force: bool, summary: bool = False) -> str:
-    """`path` unless it is a directory, its directory is missing, or a file the command writes exists and --force is not given.
+def _check_out(path: str, force: bool, summary: bool = False) -> None:
+    """Refuse --out `path` if it is a directory, lies in a missing one, or names an existing file without `force`.
 
     With `summary` the command also writes `_summary_path(path)`.
     """
@@ -88,22 +108,15 @@ def _check_out(path: str, force: bool, summary: bool = False) -> str:
     for target in (path, _summary_path(path)) if summary else (path,):
         if os.path.exists(target) and not force:
             raise CliError(f"--out target {target!r} exists; pass --force to overwrite")
-    return path
 
 
 @contextlib.contextmanager
-def _argument_errors():
-    """Report a ValueError or OSError raised inside as an argument error."""
+def _argument_errors(option: str = ""):
+    """Report a ValueError or OSError raised inside as an argument error, its message prefixed with `option`."""
     try:
         yield
     except (ValueError, OSError) as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _read_input(load, filename: str, *rest):
-    """load(filename, *rest), reporting an unreadable file or malformed content as an argument error."""
-    with _argument_errors():
-        return load(filename, *rest)
+        raise CliError(f"{option}: {exc}" if option else str(exc)) from exc
 
 
 def _write_summary(path: str, command: str, config: dict, results: dict) -> None:
@@ -112,16 +125,25 @@ def _write_summary(path: str, command: str, config: dict, results: dict) -> None
     _files.write_json(path, doc, indent=2)
 
 
-def _write_run(out: str, write_data, command: str, config: dict, results: dict) -> None:
-    """Remove `out`'s old summary, write_data(), then the summary: no data sits beside an older summary."""
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(_summary_path(out))
-    write_data()
-    _write_summary(_summary_path(out), command, config, results)
+def _write(args, run: _Run) -> None:
+    """Write `run` at --out in the layout the parser declares for its command."""
+    out = args.out
+    command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+    config = _config(args) if run.config is None else run.config
+    if args.layout == _SUMMARY:
+        _write_summary(out, command, config, run.results)
+    elif args.layout == _DATA:
+        run.data(out)
+    else:
+        # the old summary goes first, so no data ever sits beside an older run's summary
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(_summary_path(out))
+        run.data(out)
+        _write_summary(_summary_path(out), command, config, run.results)
 
 
 # the parser's own keys and the options that cannot change an output
-_UNRECORDED = ("command", "action", "fn", "force", "threads")
+_UNRECORDED = ("command", "action", "fn", "layout", "force", "threads")
 
 
 def _config(args, **override) -> dict:
@@ -198,10 +220,8 @@ def _parse_event(text: str, ambient: AmbientSpec | None, dim: int) -> EventSpec:
         if len(parts) != 3:
             raise CliError(f"--event level2-ge wants i,j,c, got {arg!r}")
         entry = (number(int, parts[0], "entry index"), number(int, parts[1], "entry index"))
-        try:
+        with _argument_errors(f"--event {text!r}"):
             _check_entry(entry, dim)
-        except ValueError as exc:
-            raise CliError(f"--event {text!r}: {exc}") from None
         return EventSpec("level2-entry", number(float, parts[2], "threshold"), entry=entry)
     raise CliError(f"--event kind {head!r} unknown")
 
@@ -213,8 +233,10 @@ def _parse_shift(text: str, grid: TimeGrid, dim: int) -> CameronMartinPath:
         c = _number(arg or "1.0")
         if not math.isfinite(c):
             raise CliError(f"--shift {text!r}: expected a finite slope, got {arg!r}")
-        deriv = np.full((grid.n_steps, dim), c)
-        return CameronMartinPath(grid, deriv)
+        h = CameronMartinPath(grid, np.full((grid.n_steps, dim), c))
+        with _argument_errors(f"--shift {text!r}"):
+            _half_energy(h)
+        return h
     if head == "onb":
         if dim != 1:
             raise CliError("--shift onb:k is defined for --dim 1")
@@ -231,23 +253,23 @@ def _parse_shift(text: str, grid: TimeGrid, dim: int) -> CameronMartinPath:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> _Run:
     spec = _gaussian_spec(args)
     grid = _grid(args)
-    out = _check_out(args.out, args.force, summary=True)
     path = sample(spec, grid, args.seed)
-    _write_run(out, lambda: write_path_csv(path, out), "sample", _config(args), {"rows": grid.n_steps + 1})
-    print(f"sample: wrote {out} (n={grid.n_steps}, d={spec.dim}, seed={args.seed})")
-    return 0
+    return _Run(
+        f"sample: wrote {args.out} (n={grid.n_steps}, d={spec.dim}, seed={args.seed})",
+        {"rows": grid.n_steps + 1}, lambda out: write_path_csv(path, out),
+    )
 
 
-def _cmd_lift(args) -> int:
-    out = _check_out(args.out, args.force, summary=True)
+def _cmd_lift(args) -> _Run:
     if args.infile:
         given = [k for k in _PROCESS_DEFAULTS if getattr(args, k) is not None]
         if given:
             raise CliError(f"--{given[0]} describes a sampled path; --in reads its path from the file")
-        x = _read_input(read_path_csv, args.infile)
+        with _argument_errors():
+            x = read_path_csv(args.infile)
         source = {"in": args.infile}
     else:
         for k, default in _PROCESS_DEFAULTS.items():
@@ -265,131 +287,103 @@ def _cmd_lift(args) -> int:
             raise CliError(f"--dyadic-level {m}: 2^{m} must divide the path's {n} steps")
         e = young_skeleton_lift(piecewise_linear(x, m), level=args.level)
     residual = max_chen_residual(e)
-    config = dict(source, scheme=args.scheme, level=args.level, out=out)
+    config = dict(source, scheme=args.scheme, level=args.level, out=args.out)
     if args.scheme == "young":
         config["dyadic_level"] = args.dyadic_level
-    _write_run(out, lambda: save_enhanced(e, out), "lift", config, {"max_dyadic_chen_residual": residual})
-    print(f"lift: wrote {out} (scheme={args.scheme}, level={args.level}, chen={residual:.2e})")
-    return 0
+    return _Run(
+        f"lift: wrote {args.out} (scheme={args.scheme}, level={args.level}, chen={residual:.2e})",
+        {"max_dyadic_chen_residual": residual}, lambda out: save_enhanced(e, out), config,
+    )
 
 
-def _cmd_norm(args) -> int:
-    e = _read_input(load_enhanced, args.infile)
+def _cmd_norm(args) -> _Run:
+    with _argument_errors():
+        e = load_enhanced(args.infile)
     ambient = _parse_ambient(args.ambient, e.dim, e.max_level) if args.ambient else None
     # each symbol's norm once, streamed from the basepoint tensors
     norms = to_graded(e, ambient)
     hom, ban = homogeneous_norm(norms), banach_norm(norms)
-    results = {"homogeneous_norm": hom, "banach_norm": ban}
-    config = {"in": args.infile, "ambient": args.ambient}
-    if args.out:
-        out = _check_out(args.out, args.force)
-        _write_summary(out, "norm", config, results)
-        print(f"norm: |||x||| = {hom!r}, ||x|| = {ban!r} -> {out}")
-    else:
-        print(f"norm: |||x||| = {hom!r}, ||x|| = {ban!r}")
-    return 0
+    digest = f"norm: |||x||| = {hom!r}, ||x|| = {ban!r}" + (f" -> {args.out}" if args.out else "")
+    return _Run(digest, {"homogeneous_norm": hom, "banach_norm": ban},
+                config={"in": args.infile, "ambient": args.ambient})
 
 
-def _cmd_ldp(args) -> int:
-    out = _check_out(args.out, args.force, summary=True)
+def _cmd_ldp(args) -> _Run:
     ambient = _parse_ambient(args.ambient, args.dim) if args.ambient else None
     spec = _gaussian_spec(args)
-    with _argument_errors():
-        event = _parse_event(args.event, ambient, args.dim)
-        if args.oracle is not None:
+    event = _parse_event(args.event, ambient, args.dim)
+    grid = _grid(args)
+    if args.oracle is not None:
+        with _argument_errors():
             _check_oracle(args.oracle, event, spec, args.scheme)
+        with _argument_errors(f"--event {args.event!r}"):
+            _oracle_eps_z(args.oracle, event, spec, grid)
     estimate = empirical_rate(
-        spec,
-        args.scheme,
-        event,
-        args.epsilons,
-        args.samples,
-        args.seed,
-        grid=_grid(args),
-        oracle=args.oracle,
-        threads=args.threads,
+        spec, args.scheme, event, args.epsilons, args.samples, args.seed,
+        grid=grid, oracle=args.oracle, threads=args.threads,
     )
-    _write_run(out, lambda: _files.write_csv_rows(out, estimate.csv_rows()), "ldp", _config(args),
-               estimate.to_document())
     live = [s for s in estimate.scaled if not np.isnan(s)]
-    digest = f"ldp: wrote {out}; extrapolated_rate={estimate.extrapolated_rate!r}"
+    digest = f"ldp: wrote {args.out}; extrapolated_rate={estimate.extrapolated_rate!r}"
     if estimate.oracle_values:
         digest += f"; oracle_scaled[min eps]={estimate.oracle_values[-1]!r}"
     if estimate.censored:
         digest += f"; censored={estimate.censored}"
     if live:
         digest += f"; scaled[{estimate.epsilons[0]}]={live[0]!r}"
-    print(digest)
-    return 0
+    return _Run(digest, estimate.to_document(), lambda out: _files.write_csv_rows(out, estimate.csv_rows()))
 
 
-def _cmd_eta0(args) -> int:
-    out = _check_out(args.out, args.force)
+def _cmd_eta0(args) -> _Run:
     # --dim builds presets only: the skeleton has one component per distinguished symbol,
     # and eta0_estimate checks the ambient against that noise dimension
     ambient = _parse_ambient(args.ambient, args.dim, fit=False)
-    try:
+    # the parser checked every other argument, so a refusal is the ambient not fitting its noise symbols
+    with _argument_errors(f"--ambient {args.ambient!r}"):
         result = eta0_estimate(ambient, args.segments, args.restarts, args.seed, horizon=args.horizon)
-    except ValueError as exc:
-        # the parser checked every other argument, so this is the ambient not fitting its noise symbols
-        raise CliError(f"--ambient {args.ambient!r}: {exc}") from None
-    _write_summary(out, "eta0", _config(args, dim=ambient.noise_dim), result.to_document())
-    print(
-        f"eta0: wrote {out}; eta0_hat={result.eta0_hat!r} "
+    digest = (
+        f"eta0: wrote {args.out}; eta0_hat={result.eta0_hat!r} "
         f"({sum(result.converged)} of {result.restarts_used} restarts converged)"
     )
-    return 0
+    return _Run(digest, result.to_document(), config=_config(args, dim=ambient.noise_dim))
 
 
-def _cmd_fernique(args) -> int:
-    out = _check_out(args.out, args.force, summary=True)
+def _cmd_fernique(args) -> _Run:
     ambient = _parse_ambient(args.ambient, args.dim)
     fit = fernique_tail_fit(
-        _gaussian_spec(args),
-        args.scheme,
-        ambient,
-        args.samples,
-        args.seed,
-        grid=_grid(args),
-        threads=args.threads,
+        _gaussian_spec(args), args.scheme, ambient, args.samples, args.seed, grid=_grid(args), threads=args.threads
     )
-    _write_run(out, lambda: _files.write_csv_rows(out, fit.csv_rows()), "fernique", _config(args),
-               fit.to_document())
-    print(f"fernique: wrote {out}; eta_hat={fit.eta_hat!r} over t in {fit.fit_range}")
-    return 0
+    return _Run(f"fernique: wrote {args.out}; eta_hat={fit.eta_hat!r} over t in {fit.fit_range}",
+                fit.to_document(), lambda out: _files.write_csv_rows(out, fit.csv_rows()))
 
 
-def _cmd_cm_check(args) -> int:
-    out = _check_out(args.out, args.force)
+def _cmd_cm_check(args) -> _Run:
     grid = _grid(args)
     functionals = REWEIGHT_FUNCTIONALS if args.functional == "all" else (args.functional,)
     check = reweight_check(
         functionals, _parse_shift(args.shift, grid, args.dim), spec=_gaussian_spec(args), grid=grid,
         n_samples=args.samples, seed=args.seed, threads=args.threads,
     )
-    _write_summary(out, "cm-check", _config(args), check.to_document())
     max_z = max(abs(rep.z_score) for rep in check.reweight.values())
-    print(
-        f"cm-check: wrote {out}; E[f_h]={check.mean_density:.4f}+-{check.mean_density_se:.4f}, "
+    digest = (
+        f"cm-check: wrote {args.out}; E[f_h]={check.mean_density:.4f}+-{check.mean_density_se:.4f}, "
         f"max |z|={max_z:.2f}"
     )
-    return 0
+    return _Run(digest, check.to_document())
 
 
-def _cmd_chaos_project(args) -> int:
-    out = _check_out(args.out, args.force)
-    obj = _read_input(_files.read_json, args.poly, chaos_mod.chaos_from_document)
+def _cmd_chaos_project(args) -> _Run:
+    with _argument_errors():
+        obj = _files.read_json(args.poly, chaos_mod.chaos_from_document)
     if not isinstance(obj, chaos_mod.ChaosPolynomial):
         raise CliError(f"--poly {args.poly!r} holds a graded family; project wants a scalar polynomial")
     projected = chaos_mod.chaos_project(obj, args.degree)
-    _files.write_json(out, chaos_mod.chaos_to_document(projected), indent=2)
-    print(f"chaos project: wrote {out} ({len(projected.coeffs)} terms at degree {args.degree})")
-    return 0
+    return _Run(f"chaos project: wrote {args.out} ({len(projected.coeffs)} terms at degree {args.degree})",
+                data=lambda out: _files.write_json(out, chaos_mod.chaos_to_document(projected), indent=2))
 
 
-def _cmd_chaos_proxy(args) -> int:
-    out = _check_out(args.out, args.force)
-    obj = _read_input(_files.read_json, args.poly, chaos_mod.chaos_from_document)
+def _cmd_chaos_proxy(args) -> _Run:
+    with _argument_errors():
+        obj = _files.read_json(args.poly, chaos_mod.chaos_from_document)
     if isinstance(obj, chaos_mod.ChaosPolynomial):
         raise CliError(f"--poly {args.poly!r} holds a scalar polynomial; proxy wants a graded family")
     h = np.array([_number(tok) for tok in args.shift_vector.split(",")])
@@ -398,51 +392,44 @@ def _cmd_chaos_proxy(args) -> int:
     if h.shape != (obj.dimension,):
         raise CliError(f"--shift-vector has {h.size} entries, the family lives on R^{obj.dimension}")
     exact = chaos_mod.proxy_restriction_exact(obj, h)
-    try:
+    # the parser and the checks above settle every other argument, so a refusal is the family's degree
+    with _argument_errors(f"--poly {args.poly!r}"):
         mc = chaos_mod.proxy_restriction_mc(obj, h, args.samples, args.seed)
-    except ValueError as exc:
-        # the parser and the checks above settle every other argument, so this is the family's degree
-        raise CliError(f"--poly {args.poly!r}: {exc}") from None
-    results = {"exact": exact, "mc": {k: {"estimate": v[0], "se": v[1]} for k, v in mc.items()}}
-    _write_summary(out, "chaos proxy", _config(args), results)
     worst = max((abs(exact[k] - mc[k][0]) / (mc[k][1] or 1.0) for k in exact), default=0.0)
-    print(f"chaos proxy: wrote {out}; worst |exact-mc|/se = {worst:.2f}")
-    return 0
+    results = {"exact": exact, "mc": {k: {"estimate": v[0], "se": v[1]} for k, v in mc.items()}}
+    return _Run(f"chaos proxy: wrote {args.out}; worst |exact-mc|/se = {worst:.2f}", results)
 
 
-def _cmd_chaos_norm_equiv(args) -> int:
-    out = _check_out(args.out, args.force)
+def _cmd_chaos_norm_equiv(args) -> _Run:
     if not 1 < args.p <= args.q < math.inf:
         raise CliError(f"--p and --q need 1 < p <= q < inf, got --p {args.p} --q {args.q}")
     if args.degree > chaos_mod.PROBE_MAX_DEGREE:
         raise CliError(f"--degree {args.degree}: norm-equiv takes degrees up to {chaos_mod.PROBE_MAX_DEGREE}")
     if args.dim > chaos_mod.PROBE_MAX_DIMENSION:
         raise CliError(f"--dim {args.dim}: norm-equiv takes dimensions up to {chaos_mod.PROBE_MAX_DIMENSION}")
-    try:
+    # the checks above settle every other argument, so a refusal is the quadrature --q asks for
+    with _argument_errors(f"--q {args.q}"):
         report = chaos_mod.chaos_norm_equivalence_probe(
             args.degree, args.p, args.q, args.trials, dimension=args.dim, seed=args.seed
         )
-    except ValueError as exc:
-        # the checks above settle every other argument, so this is the quadrature --q asks for
-        raise CliError(f"--q {args.q}: {exc}") from None
-    _write_summary(out, "chaos norm-equiv", _config(args), report)
-    print(
-        f"chaos norm-equiv: wrote {out}; worst ratio {report['worst_ratio']:.4f} "
+    digest = (
+        f"chaos norm-equiv: wrote {args.out}; worst ratio {report['worst_ratio']:.4f} "
         f"vs bound {report['bound']:.4f}, violations={report['violations']}"
     )
-    return 0 if report["violations"] == 0 else 1
+    return _Run(digest, report, code=0 if report["violations"] == 0 else 1)
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> _Run:
     from .grids import sample as sample_path
     from .chaos import expectation_quadrature, hermite, multi_index_factorial
 
+    lines = []
     failures = 0
 
     def check(name: str, ok: bool, detail: str = ""):
         nonlocal failures
         tag = "PASS" if ok else "FAIL"
-        print(f"selftest {tag} {name}{(' ' + detail) if detail else ''}")
+        lines.append(f"selftest {tag} {name}{(' ' + detail) if detail else ''}")
         failures += 0 if ok else 1
 
     grid = TimeGrid(1.0, 256)
@@ -501,11 +488,8 @@ def _cmd_selftest(args) -> int:
     rhs = -cm_log_density(x, h.scaled(-1.0)).log_density
     check("cm-density-inversion", abs(lhs - rhs) <= 1e-10, f"defect {abs(lhs - rhs):.2e}")
 
-    if failures:
-        print(f"selftest: {failures} suite(s) failed")
-        return 1
-    print("selftest: all suites passed")
-    return 0
+    lines.append(f"selftest: {failures} suite(s) failed" if failures else "selftest: all suites passed")
+    return _Run("\n".join(lines), code=1 if failures else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +568,11 @@ def _add_threads_arg(p: argparse.ArgumentParser):
     p.add_argument("--threads", type=_count(), default=cpus)
 
 
-def _add_output_args(p: argparse.ArgumentParser, required: bool = True):
+def _add_output_args(p: argparse.ArgumentParser, layout: str, required: bool = True):
+    """--out and --force, and what the command writes at --out (`_BESIDE`, `_SUMMARY` or `_DATA`)."""
     p.add_argument("--out", required=required)
     p.add_argument("--force", action="store_true")
+    p.set_defaults(layout=layout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a Gaussian path and write it as CSV")
     _add_process_args(p)
     p.add_argument("--seed", type=_count(0), required=True)
-    _add_output_args(p)
+    _add_output_args(p, _BESIDE)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("lift", help="enhance a path (ito, stratonovich, or young)")
@@ -613,13 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, choices=(2, 3), default=2)
     p.add_argument("--dyadic-level", type=_count(0), default=4,
                    help="piecewise-linear level for the young scheme")
-    _add_output_args(p)
+    _add_output_args(p, _BESIDE)
     p.set_defaults(fn=_cmd_lift)
 
     p = sub.add_parser("norm", help="graded norms of a stored enhanced path")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--ambient", default=None, help="ambient JSON file or preset")
-    _add_output_args(p, required=False)
+    _add_output_args(p, _SUMMARY, required=False)
     p.set_defaults(fn=_cmd_norm)
 
     p = sub.add_parser("ldp", help="scaled log-probabilities of dilated lifts")
@@ -633,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", default=None)
     p.add_argument("--seed", type=_count(0), required=True)
     _add_threads_arg(p)
-    _add_output_args(p)
+    _add_output_args(p, _BESIDE)
     p.set_defaults(fn=_cmd_ldp)
 
     p = sub.add_parser("eta0", help="minimize the scale-invariant tail quotient")
@@ -644,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random starts of the simplex search; each restarts once from its best vertex")
     p.add_argument("--horizon", type=_positive, default=1.0)
     p.add_argument("--seed", type=_count(0), required=True)
-    _add_output_args(p)
+    _add_output_args(p, _SUMMARY)
     p.set_defaults(fn=_cmd_eta0)
 
     p = sub.add_parser("fernique", help="fit the Gaussian tail slope of lifted norms")
@@ -654,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count(FERNIQUE_MIN_SAMPLES, _STREAMS), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
     _add_threads_arg(p)
-    _add_output_args(p)
+    _add_output_args(p, _BESIDE)
     p.set_defaults(fn=_cmd_fernique)
 
     p = sub.add_parser("cm-check", help="density, mgf, and reweighting checks")
@@ -664,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count(2, _STREAMS), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
     _add_threads_arg(p)
-    _add_output_args(p)
+    _add_output_args(p, _SUMMARY)
     p.set_defaults(fn=_cmd_cm_check)
 
     actions = sub.add_parser("chaos", help="chaos-polynomial actions").add_subparsers(dest="action", required=True)
@@ -672,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = actions.add_parser("project", help="project a polynomial onto one chaos degree")
     p.add_argument("--poly", required=True, help="chaos JSON document")
     p.add_argument("--degree", type=_count(0), default=2)
-    _add_output_args(p)
+    _add_output_args(p, _DATA)
     p.set_defaults(fn=_cmd_chaos_project)
 
     p = actions.add_parser("proxy", help="exact and Monte Carlo proxy restrictions of a graded family")
@@ -680,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-vector", required=True, help="comma-separated h")
     p.add_argument("--samples", type=_count(chaos_mod.PROXY_MIN_SAMPLES), default=10_000)
     p.add_argument("--seed", type=_count(0), required=True)
-    _add_output_args(p)
+    _add_output_args(p, _SUMMARY)
     p.set_defaults(fn=_cmd_chaos_proxy)
 
     p = actions.add_parser("norm-equiv", help="probe the L^p-L^q norm equivalence on one chaos")
@@ -690,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=4.0)
     p.add_argument("--dim", type=_count(), default=2)
     p.add_argument("--seed", type=_count(0), required=True)
-    _add_output_args(p)
+    _add_output_args(p, _SUMMARY)
     p.set_defaults(fn=_cmd_chaos_norm_equiv)
 
     p = sub.add_parser("selftest", help="run the invariant suites")
@@ -700,19 +686,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: check --out, run, write its files, print its digest; return the exit code."""
+    args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        return args.fn(args)
+        if out is not None:
+            _check_out(out, args.force, summary=args.layout == _BESIDE)
+        run = args.fn(args)
+        if out is not None:
+            _write(args, run)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ArithmeticError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    print(run.digest)
+    return run.code
 
 
 if __name__ == "__main__":

@@ -51,6 +51,15 @@ def cm_log_density(x: SamplePath, h: CameronMartinPath) -> CmDensityEval:
     return CmDensityEval(log_density=pw - half_sq, paley_wiener_term=pw, half_norm_sq=half_sq)
 
 
+def _half_energy(h: CameronMartinPath) -> float:
+    """|h|^2_H / 2, refused unless finite: a shift of infinite energy has no density."""
+    with np.errstate(over="ignore"):  # an energy past the float range is refused below
+        energy = cm_inner(h, h)
+    if not math.isfinite(energy):
+        raise ValueError(f"the shift's energy |h|^2_H is {energy!r}; a Cameron-Martin shift has finite energy")
+    return 0.5 * energy
+
+
 @dataclass(frozen=True)
 class ReweightReport:
     functional: str
@@ -100,8 +109,10 @@ def reweight_check(
     One report per named statistic g, all from one pass over the paths.  Both
     estimators use common random numbers (the same driving paths), which is
     unbiased for each side and shrinks the variance of their difference; the
-    z-score is computed from the paired differences.  `spec` must be Brownian,
-    and an h off `grid` or `spec.dim` is refused before any path is drawn.
+    z-score is computed from the paired differences; a nonzero mean
+    difference with no spread reads +-inf, never 0.  `spec` must be Brownian,
+    and an h off `grid` or `spec.dim`, or of infinite energy, is refused
+    before any path is drawn.
     """
     for name in functionals:
         _check_statistic(name, "functional")
@@ -109,13 +120,13 @@ def reweight_check(
         raise ValueError(f"the Cameron-Martin density is Brownian-only, got process {spec.kind!r}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 for a standard error, got {n_samples}")
+    half_sq = _half_energy(h)
     if ambient is None:
         ambient = ambient_for_levels(spec.dim, 2, norm_kind="holder", alpha=0.4)
     plain, shifted, pw = _collect_statistics(
         spec, scheme, grid, seed, n_samples, chunk, threads,
         names=tuple(functionals), entry=entry, ambient=ambient, shift=h,
     )
-    half_sq = 0.5 * cm_inner(h, h)
     density = np.exp(pw - half_sq)
     root_n = math.sqrt(n_samples)
 
@@ -127,7 +138,10 @@ def reweight_check(
         lhs, rhs = shifted[name], plain[name] * density
         (est_lhs, se_lhs), (est_rhs, se_rhs) = mean_se(lhs), mean_se(rhs)
         mean_diff, se_diff = mean_se(lhs - rhs)
-        z_score = mean_diff / se_diff if se_diff > 0 else 0.0
+        if se_diff > 0:
+            z_score = mean_diff / se_diff
+        else:  # no spread: a zero difference reads 0, any other +-inf
+            z_score = math.copysign(math.inf, mean_diff) if mean_diff else 0.0
         reports[name] = ReweightReport(name, n_samples, est_lhs, est_rhs, se_lhs, se_rhs, z_score)
     return CameronMartinCheck(
         reports, half_sq, float(np.exp(half_sq)), *mean_se(density), *mean_se(np.exp(pw))

@@ -11,8 +11,10 @@ from wienerlift.asymptotics import (
     _check_oracle,
     _collect_statistics,
     _eta0_quotients,
+    _oracle_eps_z,
     _oracle_log_prob,
     _oracle_scaled,
+    _oracle_z,
     empirical_rate,
     eta0_estimate,
     eta0_quotient,
@@ -100,6 +102,49 @@ def test_oracle_stays_finite_where_z_squared_overflows(oracle, event, limit):
         assert _oracle_scaled(oracle, event, spec, grid, eps) == eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps)
     est = empirical_rate(spec, "stratonovich", event, [1e-160], 10, 1, grid=grid, oracle=oracle, pilot_samples=0)
     assert est.oracle_values == [_oracle_scaled(oracle, event, spec, grid, 1e-160)]
+
+
+@pytest.mark.parametrize(
+    "oracle, event, limit",
+    [
+        ("reflection", EventSpec("sup-level1", 1e150), -1e150**2 / (2 * 2.0)),
+        ("terminal-gauss", EventSpec("terminal-abs", 1e150), -1e150**2 / (2 * 2.0)),
+        ("level2-diag-gauss", EventSpec("level2-entry", 1e300), -1e300 / 2.0),
+    ],
+)
+def test_oracle_stays_finite_where_z_itself_overflows(oracle, event, limit):
+    # at eps = 1e-160, z = a / eps overflows although a = eps z does not: the scaled form
+    # takes eps z = a and log z = log a - log eps, and its value is the limit -a^2/2
+    spec, grid = GaussianSpec("bm", 1), TimeGrid(2.0, 8)
+    assert _oracle_z(oracle, event, spec, grid, 1e-160) == math.inf
+    assert _oracle_scaled(oracle, event, spec, grid, 1e-160) == pytest.approx(limit, rel=1e-14)
+    est = empirical_rate(spec, "stratonovich", event, [1e-160, 0.5], 10, 1, grid=grid, oracle=oracle, pilot_samples=0)
+    assert all(math.isfinite(v) for v in est.oracle_values)
+
+
+@pytest.mark.parametrize(
+    "oracle, event",
+    [
+        # a = c / sqrt(R(T, T)) at T = 1: a^2 overflows above about 1.34e154
+        ("reflection", EventSpec("sup-level1", 1e200)),
+        ("terminal-gauss", EventSpec("terminal-abs", 1.4e154)),
+        # a = sqrt(2 c / R(T, T)): 2 c overflows
+        ("level2-diag-gauss", EventSpec("level2-entry", 1e308)),
+    ],
+)
+def test_oracle_threshold_whose_limit_overflows_is_refused_before_sampling(monkeypatch, oracle, event):
+    import wienerlift.asymptotics as asy
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the threshold was refused")
+
+    monkeypatch.setattr(asy, "sample_values_batch", no_sampling)
+    spec, grid = GaussianSpec("bm", 1), TimeGrid(1.0, 4)
+    with pytest.raises(ValueError, match=f"puts the '{oracle}' oracle's limit -a\\^2/2 out of range"):
+        empirical_rate(spec, "stratonovich", event, [0.5], 10, 1, grid=grid, oracle=oracle)
+    # just below the bound the limit is finite, and so is every oracle value
+    below = EventSpec(event.kind, 1.3e154 if oracle != "level2-diag-gauss" else 8e307)
+    assert math.isfinite(_oracle_eps_z(oracle, below, spec, grid) ** 2)
 
 
 def test_stream_limit_is_refused_before_allocating(monkeypatch):

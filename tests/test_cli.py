@@ -1003,6 +1003,107 @@ def test_failed_summary_write_leaves_no_older_summary(tmp_path, monkeypatch, cap
     assert not summary.exists()
 
 
+def test_arithmetic_overflow_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    from wienerlift import cli
+
+    def fail(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cli, "empirical_rate", fail)
+    out = tmp_path / "rate.csv"
+    argv = ["ldp", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "1000", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: (34, 'Numerical result out of range')" in err
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("oracle", ["reflection", "terminal-gauss"])
+def test_oracle_threshold_whose_limit_overflows_is_an_argument_error(tmp_path, capsys, oracle):
+    # the limit -a^2/2 with a = c / sqrt(T) overflows: once an OverflowError traceback
+    event = "sup-ge:1e200" if oracle == "reflection" else "terminal-ge:1e200"
+    argv = ["ldp", "--event", event, "--oracle", oracle, "--scheme", "ito", "--epsilons", "0.5",
+            "--samples", "100", "--steps", "4", "--seed", "1", "--out", str(tmp_path / "big.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: --event '{event}': threshold 1e+200 puts the '{oracle}' oracle's limit" in err
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=")
+def test_oracle_where_z_overflows_reports_its_finite_limit(tmp_path):
+    # z = 1e150 / 1e-160 overflows; the value at eps = 1e-160 was -inf, its limit is -c^2/2 = -5e299
+    out = tmp_path / "inf.csv"
+    argv = ["ldp", "--event", "sup-ge:1e150", "--oracle", "reflection", "--scheme", "ito",
+            "--epsilons", "1e-160,0.5", "--samples", "100", "--steps", "4", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    oracle = {row["epsilon"]: float(row["oracle_scaled"]) for row in csv.DictReader(out.open())}
+    assert oracle["1e-160"] == pytest.approx(-5e299, rel=1e-14)
+    assert math.isfinite(oracle["0.5"])
+
+
+def test_shift_of_infinite_energy_is_an_argument_error(tmp_path, capsys):
+    # the slope is finite but |h|^2_H = 1e400 is not: this run once exited 0 with every z at 0.0
+    argv = ["cm-check", "--shift", "ramp:1e200", "--samples", "1000", "--steps", "8", "--seed", "1",
+            "--out", str(tmp_path / "cm.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: --shift 'ramp:1e200': the shift's energy |h|^2_H is inf" in err
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cm_check_difference_without_spread_reads_inf(tmp_path, capsys):
+    out = tmp_path / "cm.json"
+    argv = ["cm-check", "--shift", "ramp:1e20", "--samples", "1000", "--steps", "8", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.rstrip().endswith("max |z|=inf")
+    rep = json.loads(out.read_text())["results"]["reweight"]["level2-entry"]
+    assert (rep["estimate_lhs"], rep["se_lhs"], rep["estimate_rhs"], rep["z_score"]) == (4.375e39, 0.0, 0.0, math.inf)
+
+
+WRITES = {
+    "sample": (["sample", "--steps", "4", "--seed", "1"], ["x", "x.summary.json"]),
+    "lift": (["lift", "--seed", "1", "--steps", "4"], ["x", "x.summary.json"]),
+    "ldp": (["ldp", "--steps", "4", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "100", "--seed", "1"],
+            ["x", "x.summary.json"]),
+    "fernique": (["fernique", "--dim", "1", "--steps", "4", "--ambient", "classical", "--samples", "10000",
+                  "--seed", "1"], ["x", "x.summary.json"]),
+    "eta0": (["eta0", "--ambient", "classical", "--segments", "2", "--restarts", "1", "--seed", "1"], ["x"]),
+    "cm-check": (["cm-check", "--samples", "100", "--steps", "4", "--seed", "1"], ["x"]),
+    "norm-equiv": (["chaos", "norm-equiv", "--trials", "2", "--dim", "1", "--seed", "1"], ["x"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=")
+@pytest.mark.parametrize("command", sorted(WRITES))
+def test_each_command_writes_the_files_its_parser_declares(tmp_path, capsys, command):
+    argv, files = WRITES[command]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    assert capsys.readouterr().out.count("\n") == 1
+
+
+def test_chaos_project_leaves_a_summary_beside_its_out_alone(tmp_path):
+    # project writes its data alone, so a file beside it is not its summary to remove
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(chaos_to_document(ChaosPolynomial(1, {(2,): 1.0}))))
+    out, beside = tmp_path / "proj.json", tmp_path / "proj.json.summary.json"
+    beside.write_text("unrelated")
+    assert main(["chaos", "project", "--poly", str(poly), "--out", str(out), "--force"]) == 0
+    assert out.exists() and beside.read_text() == "unrelated"
+
+
+def test_norm_checks_out_before_it_reads_its_input(tmp_path, capsys):
+    # every command refuses its --out before any work, so norm no longer reads --in first
+    out = tmp_path / "norm.json"
+    out.write_text("{}")
+    assert main(["norm", "--in", str(tmp_path / "missing.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--out target" in err and "missing.json" not in err
+    assert out.read_text() == "{}"
+
+
 SRC = str(Path(wienerlift.__file__).resolve().parents[1])
 SCIPY_MODULES = 'sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))'
 

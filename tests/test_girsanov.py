@@ -266,6 +266,44 @@ def test_reweight_refuses_a_one_component_shift_on_two_component_paths():
                        n_samples=40_000, seed=3)
 
 
+# exp(|h|^2/2) overflows at these slopes, so the mgf target is inf
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_reweight_z_reads_inf_where_a_nonzero_difference_has_no_spread():
+    # at slopes of 1e20 the path is lost to rounding in x + h, so the shifted level-2 entry is one
+    # number on every path, while f_h underflows to 0: the difference has no spread but is not 0
+    grid = TimeGrid(1.0, 8)
+    h = CameronMartinPath(grid, np.tile([1e20, -1e20], (grid.n_steps, 1)))
+    check = reweight_check(("level2-entry", "terminal-level1"), h, spec=GaussianSpec("bm", 2), grid=grid,
+                           n_samples=1_000, seed=1, entry=(1, 2))
+    rep = check.reweight["level2-entry"]
+    assert (rep.estimate_lhs, rep.se_lhs, rep.estimate_rhs) == (-4.375e39, 0.0, 0.0)
+    assert rep.z_score == -math.inf
+    assert math.isfinite(check.reweight["terminal-level1"].z_score)
+    h = _ramp(grid, 1, 1e20)
+    rep = reweight_check(("level2-entry",), h, spec=GaussianSpec("bm", 1), grid=grid, n_samples=1_000,
+                         seed=1).reweight["level2-entry"]
+    assert rep.z_score == math.inf
+    # a zero difference is the only one that reads 0: at h = 0 both sides are the same numbers
+    zero = reweight_check(REWEIGHT_FUNCTIONALS, _ramp(grid, 2, 0.0), spec=GaussianSpec("bm", 2), grid=grid,
+                          n_samples=1_000, seed=1)
+    assert all(rep.z_score == 0.0 and rep.se_lhs > 0 for rep in zero.reweight.values())
+
+
+def test_reweight_refuses_a_shift_of_infinite_energy(monkeypatch):
+    import wienerlift.asymptotics as asy
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the shift's energy was checked")
+
+    monkeypatch.setattr(asy, "sample_values_batch", no_sampling)
+    grid = TimeGrid(1.0, 8)
+    # slope 1e200 is finite, but |h|^2_H = 1e400 overflows, and with it |h|^2/2 and f_h
+    with pytest.raises(ValueError, match=r"the shift's energy \|h\|\^2_H is inf"):
+        reweight_check(REWEIGHT_FUNCTIONALS, _ramp(grid, 1, 1e200), spec=GaussianSpec("bm", 1), grid=grid,
+                       n_samples=10, seed=1)
+
+
 def test_reweight_hom_norm_level3_ambient():
     from wienerlift.seminorms import ambient_for_levels
 

@@ -17,6 +17,7 @@ from wienerlift.grids import (
 )
 from wienerlift.lifts import (
     EnhancedPath,
+    _lift_tensors,
     _pair_base,
     chen_residual,
     dilate_enhanced,
@@ -121,6 +122,55 @@ def test_level2_second_moments_match_the_grid_law(hurst):
             est = float(np.mean(squares[:, i, j]))
             se = float(np.std(squares[:, i, j], ddof=1)) / math.sqrt(count)
             assert abs(est - exact) <= 4.5 * se, (hurst, scheme, i, j, (est - exact) / se)
+
+
+def _level3_distinct_second_moment(spec, grid, scheme):
+    """Exact E[(X^{123}_{0,T})^2] of the grid lift, from the law's increment covariance Sigma.
+
+    X^{123} = sum_abc W_abc dx^1_a dx^2_b dx^3_c, with W = 1{a < b < c} under
+    Ito; the trapezoid scheme adds 1/2 on a = b < c and on a < b = c, and
+    1/6 on a = b = c.  The three letters are independent components, each
+    with Sigma, so the second moment is one contraction per component.
+    Words with repeated letters need the 4- and 6-point Isserlis sums.
+    """
+    n = grid.n_steps
+    row = grids._grid_law(spec, grid).row
+    lags = np.arange(n)
+    sigma = row[np.abs(lags[:, None] - lags[None, :])]
+    a, b, c = np.meshgrid(lags, lags, lags, indexing="ij")
+    w = ((a < b) & (b < c)).astype(float)
+    if scheme != "ito":
+        w += 0.5 * ((a == b) & (b < c)) + 0.5 * ((a < b) & (b == c)) + ((a == b) & (b == c)) / 6.0
+    return float(np.einsum("abc,def,ad,be,cf->", w, w, sigma, sigma, sigma, optimize=True))
+
+
+@pytest.mark.parametrize("hurst", [None, 0.3, 0.7])
+def test_level3_second_moment_of_distinct_letters_matches_the_grid_law(hurst):
+    # 6 cases (3 processes, 2 schemes) of the word 123 at 4.5 SE, on the level-2 test's seed
+    spec = GaussianSpec("bm", 3) if hurst is None else GaussianSpec("fbm", 3, hurst=hurst)
+    grid = TimeGrid(1.0, 16)
+    count, chunk = 40_000, 5_000
+    for scheme in ("ito", "stratonovich"):
+        exact = _level3_distinct_second_moment(spec, grid, scheme)
+        # lifted a chunk at a time: the whole batch's level-3 tensors alone would take 147 MB
+        squares = []
+        for start in range(0, count, chunk):
+            values = sample_values_batch(spec, grid, seed=3, count=chunk, start=start)
+            squares.append(_lift_tensors(values, scheme, 3)[1][:, -1, 0, 1, 2] ** 2)
+        squares = np.concatenate(squares)
+        est = float(np.mean(squares))
+        se = float(np.std(squares, ddof=1)) / math.sqrt(count)
+        assert abs(est - exact) <= 4.5 * se, (hurst, scheme, (est - exact) / se)
+
+
+def test_level3_distinct_second_moment_closed_forms():
+    # Brownian Ito: Sigma = dt I, so the moment counts the C(16, 3) = 560 increasing triples, dt^3 each
+    grid = TimeGrid(1.0, 16)
+    assert _level3_distinct_second_moment(GaussianSpec("bm", 3), grid, "ito") == pytest.approx(560 / 4096, rel=1e-14)
+    targets = {(None, "stratonovich"): 0.151476, (0.3, "ito"): 0.503551, (0.3, "stratonovich"): 0.380182}
+    for (hurst, scheme), target in targets.items():
+        spec = GaussianSpec("bm", 3) if hurst is None else GaussianSpec("fbm", 3, hurst=hurst)
+        assert _level3_distinct_second_moment(spec, grid, scheme) == pytest.approx(target, abs=5e-7)
 
 
 def test_bracket_diagonal_and_antisymmetry():
