@@ -4,6 +4,8 @@ Raw Monte Carlo can only see events with probability down to ~2e-3, so the
 epsilon -> 0 limits are carried by closed-form Gaussian oracles (reflection
 principle, Gaussian tails, the B_T^2/2 identity of the trapezoid diagonal);
 Monte Carlo verifies the moderate-epsilon regime against the same oracles.
+Each oracle is one standard-normal tail: `_oracle_terms` gives its (u, s)
+once per run, and `_oracle_scaled` alone turns them into eps^2 log p.
 Every event statistic used here is homogeneous under dilations, so one batch
 of statistics serves every epsilon by rescaling the threshold; the identity
 P(dilate(eps, lift) in A_c) = P(stat >= c / eps^degree) is exact and tested.
@@ -131,75 +133,57 @@ def _check_oracle(oracle: str, event: EventSpec, spec: GaussianSpec, scheme: str
 
 
 def _oracle_terms(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid) -> tuple[float, float]:
-    """(u, s) with z = u / (eps s), for an oracle `_check_oracle` accepts.
+    """(u, s) with P(dilate(eps, lift(X)) in event) = P(|N(0, 1)| >= z), z = u / (eps s).
 
-    All three are one-dimensional: x_T ~ N(0, R(T, T)) for the terminal and
-    level-2 diagonal tails, and the reflection principle, which holds for
-    Brownian motion only, for the running maximum.  Each statistic is >= 0
-    (the running max starts at 0), so every event holds surely at c <= 0,
-    where z = 0 gives P = 1.
+    For an oracle `_check_oracle` accepts; computed once per run.  All three
+    are one-dimensional: x_T ~ N(0, R(T, T)) for the terminal and level-2
+    diagonal tails, and the reflection principle, which holds for Brownian
+    motion only, for the running maximum.  Each statistic is >= 0 (the
+    running max starts at 0), so every event holds surely at c <= 0, where
+    z = 0 gives P = 1.  A threshold is refused unless the limit -a^2/2,
+    a = u / s = eps z, is finite: a is c / sqrt(R(T, T)) for `reflection`
+    and `terminal-gauss` and sqrt(2 c / R(T, T)) for `level2-diag-gauss`, so
+    at T = 1 a sup or terminal threshold above about 1.34e154 is refused.
     """
     c = max(event.threshold, 0.0)
     var = float(spec.covariance(grid.horizon, grid.horizon))
     if oracle == "level2-diag-gauss":
         # trapezoid diagonal is x_T^2/2 exactly, so the event is an x_T tail
-        return math.sqrt(2.0 * c / var), 1.0
-    # reflection: P(max_{t<=T} B_t >= a) = 2 P(B_T >= a) = P(|B_T| >= a)
-    return c, math.sqrt(var)
-
-
-def _oracle_z(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float) -> float:
-    """z with P(dilate(eps, lift(X)) in event) = P(|N(0, 1)| >= z), for an oracle `_check_oracle` accepts."""
-    u, s = _oracle_terms(oracle, event, spec, grid)
-    return u / (eps * s)
-
-
-def _oracle_eps_z(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid) -> float:
-    """a = eps z, which does not depend on eps, refused unless the oracle's limit -a^2/2 is finite.
-
-    a is c / sqrt(R(T, T)) for `reflection` and `terminal-gauss` and
-    sqrt(2 c / R(T, T)) for `level2-diag-gauss`: at T = 1 a sup or terminal
-    threshold above about 1.34e154 is refused.
-    """
-    u, s = _oracle_terms(oracle, event, spec, grid)
+        u, s = math.sqrt(2.0 * c / var), 1.0
+    else:
+        # reflection: P(max_{t<=T} B_t >= a) = 2 P(B_T >= a) = P(|B_T| >= a)
+        u, s = c, math.sqrt(var)
     a = u / s
     if not math.isfinite(a * a):
         raise ValueError(
             f"threshold {event.threshold!r} puts the {oracle!r} oracle's limit -a^2/2 out of range (a = {a!r})"
         )
-    return a
+    return u, s
 
 
-def _oracle_log_prob(
-    oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float
-) -> float:
-    """log P(dilate(eps, lift(X)) in event) = log 2 + log_ndtr(-z) for an oracle `_check_oracle` accepts."""
+def _oracle_scaled(u: float, s: float, eps: float) -> float:
+    """eps^2 log P(|N(0, 1)| >= z), z = u / (eps s), finite however small eps is.
+
+    It is eps^2 (log 2 + log_ndtr(-z)) wherever that product is finite.  Once
+    z^2 overflows (eps below about 1e-154) log_ndtr(-z) is -inf, and the
+    value is taken in scaled form: the limit -(eps z)^2 / 2 plus eps^2 times
+    the remainder log 2 + log_ndtr(-z) + z^2/2, which is log 2 - log z
+    - log(2 pi)/2 up to O(1/z^2).  Where z overflows itself, eps z is
+    a = u / s and log z is log a - log eps.  (u, s) come from
+    `_oracle_terms`, which refuses an a whose limit is not finite.
+    """
     # scipy.special is imported here, not at module level, so that runs which
     # ask for no oracle never load scipy
     from scipy.special import log_ndtr
 
-    return math.log(2.0) + float(log_ndtr(-_oracle_z(oracle, event, spec, grid, eps)))
-
-
-def _oracle_scaled(oracle: str, event: EventSpec, spec: GaussianSpec, grid: TimeGrid, eps: float) -> float:
-    """eps^2 log P(dilate(eps, lift(X)) in event), finite however small eps is.
-
-    It is eps^2 times `_oracle_log_prob` wherever that product is finite.
-    Once z^2 overflows (eps below about 1e-154) log_ndtr(-z) is -inf, and the
-    value is taken in scaled form: the limit -(eps z)^2 / 2 plus eps^2 times
-    the remainder log 2 + log_ndtr(-z) + z^2/2, which is log 2 - log z
-    - log(2 pi)/2 up to O(1/z^2).  Where z = a / eps overflows itself, eps z
-    is a and log z is log a - log eps.  A threshold whose limit is not
-    finite is refused (`_oracle_eps_z`).
-    """
-    scaled = eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps)
+    z = u / (eps * s)
+    scaled = eps**2 * (math.log(2.0) + float(log_ndtr(-z)))
     if math.isfinite(scaled):
         return scaled
-    z = _oracle_z(oracle, event, spec, grid, eps)
     if math.isfinite(z):
         eps_z, log_z = eps * z, math.log(z)
     else:
-        a = _oracle_eps_z(oracle, event, spec, grid)
+        a = u / s
         eps_z, log_z = a, math.log(a) - math.log(eps)
     return -0.5 * eps_z**2 + eps**2 * (math.log(2.0) - log_z - 0.5 * math.log(2.0 * math.pi))
 
@@ -267,8 +251,10 @@ def empirical_rate(
     are censored.  The pilot and the main run each count the samples at or
     above every epsilon's threshold c / eps^degree from one sorted copy,
     as `fernique_tail_fit` counts its norms.  The epsilons must be distinct
-    and positive, with eps^2 neither 0 nor inf (`_check_epsilons`), and an
-    oracle's threshold must give it a finite limit (`_oracle_eps_z`).
+    and positive, with eps^2 neither 0 nor inf (`_check_epsilons`).  An
+    oracle's (u, s) is computed and range-checked once, before any draw
+    (`_oracle_terms`), and `_oracle_scaled` turns it into each epsilon's
+    eps^2 log p.
     """
     epsilons = sorted(float(e) for e in epsilons)[::-1]
     _check_epsilons(epsilons)
@@ -278,8 +264,8 @@ def empirical_rate(
     oracle_values = None
     if oracle is not None:
         _check_oracle(oracle, event, spec, scheme)
-        _oracle_eps_z(oracle, event, spec, grid)
-        oracle_values = [_oracle_scaled(oracle, event, spec, grid, eps) for eps in epsilons]
+        u, s = _oracle_terms(oracle, event, spec, grid)
+        oracle_values = [_oracle_scaled(u, s, eps) for eps in epsilons]
 
     plain, _, _ = _collect_statistics(
         spec, scheme, grid, seed, n_samples + pilot_samples, chunk, threads,
@@ -364,8 +350,10 @@ def _collect_statistics(
     """
     if scheme not in MC_SCHEMES:
         raise ValueError(f"scheme must be one of {MC_SCHEMES}, got {scheme!r}")
-    # refused before the result arrays are allocated, which a count past the streams may not fit
+    # refused before the result arrays are allocated, which a count past the streams may not fit;
+    # a chunk below 1 would run no chunk and leave those arrays unwritten
     _check_streams(0, count)
+    chunk = _count("chunk", chunk)
     level = max(
         (ambient.max_degree if STATISTICS[n].level is None else STATISTICS[n].level for n in names),
         default=1,

@@ -39,7 +39,7 @@ from .asymptotics import (
     _check_entry,
     _check_epsilons,
     _check_oracle,
-    _oracle_eps_z,
+    _oracle_terms,
     empirical_rate,
     eta0_estimate,
     fernique_tail_fit,
@@ -317,7 +317,7 @@ def _cmd_ldp(args) -> _Run:
         with _argument_errors():
             _check_oracle(args.oracle, event, spec, args.scheme)
         with _argument_errors(f"--event {args.event!r}"):
-            _oracle_eps_z(args.oracle, event, spec, grid)
+            _oracle_terms(args.oracle, event, spec, grid)
     estimate = empirical_rate(
         spec, args.scheme, event, args.epsilons, args.samples, args.seed,
         grid=grid, oracle=args.oracle, threads=args.threads,

@@ -76,15 +76,16 @@ class CameronMartinCheck:
     """E[G(X + h)] = E[G(X) f_h(X)] on one pass over Brownian paths.
 
     `reweight` has a report per functional G; E[f_h] = 1 and E[exp(h_pw)] = exp(|h|^2/2) are G = 1.
+    The mgf fields are None where exp(|h|^2/2) is not a finite float (|h|^2/2 above about 709.78).
     """
 
     reweight: dict[str, ReweightReport]
     half_norm_sq: float
-    mgf_target: float
+    mgf_target: float | None
     mean_density: float
     mean_density_se: float
-    mgf_estimate: float
-    mgf_se: float
+    mgf_estimate: float | None
+    mgf_se: float | None
 
     def to_document(self) -> dict:
         return asdict(self)
@@ -143,6 +144,8 @@ def reweight_check(
         else:  # no spread: a zero difference reads 0, any other +-inf
             z_score = math.copysign(math.inf, mean_diff) if mean_diff else 0.0
         reports[name] = ReweightReport(name, n_samples, est_lhs, est_rhs, se_lhs, se_rhs, z_score)
-    return CameronMartinCheck(
-        reports, half_sq, float(np.exp(half_sq)), *mean_se(density), *mean_se(np.exp(pw))
-    )
+    with np.errstate(over="ignore"):  # past the float range the mgf check is skipped below
+        target = float(np.exp(half_sq))
+    finite = math.isfinite(target)
+    mgf_estimate, mgf_se = mean_se(np.exp(pw)) if finite else (None, None)
+    return CameronMartinCheck(reports, half_sq, target if finite else None, *mean_se(density), mgf_estimate, mgf_se)

@@ -11,10 +11,8 @@ from wienerlift.asymptotics import (
     _check_oracle,
     _collect_statistics,
     _eta0_quotients,
-    _oracle_eps_z,
-    _oracle_log_prob,
     _oracle_scaled,
-    _oracle_z,
+    _oracle_terms,
     empirical_rate,
     eta0_estimate,
     eta0_quotient,
@@ -73,14 +71,16 @@ def test_event_batch_matches_single_path():
 
 def test_oracle_scaled_sequence_monotone_to_half():
     event = EventSpec("sup-level1", 1.0)
-    grid = TimeGrid(1.0, 16)
+    u, s = _oracle_terms("reflection", event, GaussianSpec("bm", 1), TimeGrid(1.0, 16))
     eps_list = [0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01]
-    scaled = [
-        eps**2 * _oracle_log_prob("reflection", event, GaussianSpec("bm", 1), grid, eps)
-        for eps in eps_list
-    ]
+    scaled = [_oracle_scaled(u, s, eps) for eps in eps_list]
     assert all(a < b for a, b in zip(scaled, scaled[1:]))
     assert abs(scaled[-1] + 0.5) <= 0.01
+
+
+def _log_prob(u, s, eps):
+    """log P(|N(0, 1)| >= u / (eps s)) unscaled, through scipy.stats."""
+    return math.log(2.0) + float(stats.norm.logcdf(-u / (eps * s)))
 
 
 @pytest.mark.parametrize(
@@ -95,13 +95,14 @@ def test_oracle_stays_finite_where_z_squared_overflows(oracle, event, limit):
     # at eps = 1e-160, eps^2 is subnormal and z^2 overflows, so log_ndtr(-z) is -inf; the
     # scaled form gives the limit -c^2/(2T) (reflection, terminal) or -c/T (level-2 diagonal)
     spec, grid = GaussianSpec("bm", 1), TimeGrid(2.0, 8)
-    assert _oracle_log_prob(oracle, event, spec, grid, 1e-160) == -math.inf
-    assert _oracle_scaled(oracle, event, spec, grid, 1e-160) == pytest.approx(limit, rel=1e-14)
+    u, s = _oracle_terms(oracle, event, spec, grid)
+    assert _log_prob(u, s, 1e-160) == -math.inf
+    assert _oracle_scaled(u, s, 1e-160) == pytest.approx(limit, rel=1e-14)
     # a finite value keeps the bits of eps^2 times the log-probability
     for eps in (0.5, 1e-150):
-        assert _oracle_scaled(oracle, event, spec, grid, eps) == eps**2 * _oracle_log_prob(oracle, event, spec, grid, eps)
+        assert _oracle_scaled(u, s, eps) == eps**2 * _log_prob(u, s, eps)
     est = empirical_rate(spec, "stratonovich", event, [1e-160], 10, 1, grid=grid, oracle=oracle, pilot_samples=0)
-    assert est.oracle_values == [_oracle_scaled(oracle, event, spec, grid, 1e-160)]
+    assert est.oracle_values == [_oracle_scaled(u, s, 1e-160)]
 
 
 @pytest.mark.parametrize(
@@ -116,8 +117,9 @@ def test_oracle_stays_finite_where_z_itself_overflows(oracle, event, limit):
     # at eps = 1e-160, z = a / eps overflows although a = eps z does not: the scaled form
     # takes eps z = a and log z = log a - log eps, and its value is the limit -a^2/2
     spec, grid = GaussianSpec("bm", 1), TimeGrid(2.0, 8)
-    assert _oracle_z(oracle, event, spec, grid, 1e-160) == math.inf
-    assert _oracle_scaled(oracle, event, spec, grid, 1e-160) == pytest.approx(limit, rel=1e-14)
+    u, s = _oracle_terms(oracle, event, spec, grid)
+    assert u / (1e-160 * s) == math.inf
+    assert _oracle_scaled(u, s, 1e-160) == pytest.approx(limit, rel=1e-14)
     est = empirical_rate(spec, "stratonovich", event, [1e-160, 0.5], 10, 1, grid=grid, oracle=oracle, pilot_samples=0)
     assert all(math.isfinite(v) for v in est.oracle_values)
 
@@ -140,11 +142,15 @@ def test_oracle_threshold_whose_limit_overflows_is_refused_before_sampling(monke
 
     monkeypatch.setattr(asy, "sample_values_batch", no_sampling)
     spec, grid = GaussianSpec("bm", 1), TimeGrid(1.0, 4)
-    with pytest.raises(ValueError, match=f"puts the '{oracle}' oracle's limit -a\\^2/2 out of range"):
+    refusal = f"puts the '{oracle}' oracle's limit -a\\^2/2 out of range"
+    with pytest.raises(ValueError, match=refusal):
         empirical_rate(spec, "stratonovich", event, [0.5], 10, 1, grid=grid, oracle=oracle)
+    with pytest.raises(ValueError, match=refusal):
+        _oracle_terms(oracle, event, spec, grid)
     # just below the bound the limit is finite, and so is every oracle value
     below = EventSpec(event.kind, 1.3e154 if oracle != "level2-diag-gauss" else 8e307)
-    assert math.isfinite(_oracle_eps_z(oracle, below, spec, grid) ** 2)
+    u, s = _oracle_terms(oracle, below, spec, grid)
+    assert math.isfinite((u / s) ** 2)
 
 
 def test_stream_limit_is_refused_before_allocating(monkeypatch):
@@ -155,6 +161,27 @@ def test_stream_limit_is_refused_before_allocating(monkeypatch):
         _collect_statistics(spec, "ito", grid, 1, 2**32 + 1, 512, names=("sup-level1",))
     with pytest.raises(ValueError, match="stream indices reach 4294969295"):
         empirical_rate(spec, "ito", event, [0.5], 2**32, 1, grid=grid)
+
+
+@pytest.mark.parametrize("chunk", [0, -1, 2.5, True])
+@pytest.mark.parametrize("estimator", ["empirical_rate", "lift_norm_samples", "reweight_check"])
+def test_chunk_that_is_not_a_count_is_refused_before_allocating(monkeypatch, estimator, chunk):
+    # a chunk of -1 once ran no chunk and returned the driver's uninitialised arrays
+    from wienerlift.girsanov import reweight_check
+
+    spec, grid = GaussianSpec("bm", 1), TimeGrid(1.0, 8)
+    h = CameronMartinPath(grid, np.full((8, 1), 0.5))
+    run = {
+        "empirical_rate": lambda: empirical_rate(
+            spec, "ito", EventSpec("sup-level1", 1.0), [0.5], 5, 1, grid=grid, pilot_samples=0, chunk=chunk
+        ),
+        "lift_norm_samples": lambda: lift_norm_samples(spec, "ito", classical_ambient(1), grid, 5, 1, chunk=chunk),
+        "reweight_check": lambda: reweight_check(("sup-level1",), h, spec=spec, grid=grid, n_samples=5, seed=1,
+                                                 chunk=chunk),
+    }[estimator]
+    monkeypatch.setattr(np, "empty", lambda *args, **kwargs: pytest.fail("allocated"))
+    with pytest.raises(ValueError, match="chunk must be"):
+        run()
 
 
 def test_empirical_rate_matches_reflection_oracle():
@@ -532,9 +559,10 @@ def test_terminal_gauss_oracle_uses_process_variance():
     grid = TimeGrid(2.0, 8)
     event = EventSpec("terminal-abs", 0.6)
     spec = GaussianSpec("fbm", 1, hurst=0.3)
-    logp = [_oracle_log_prob("terminal-gauss", event, spec, grid, eps) for eps in (0.4, 0.5)]
+    u, s = _oracle_terms("terminal-gauss", event, spec, grid)
+    logp = [_oracle_scaled(u, s, eps) / eps**2 for eps in (0.4, 0.5)]
     assert logp == pytest.approx([-1.500, -1.110], abs=5e-4)
-    bm = _oracle_log_prob("terminal-gauss", event, GaussianSpec("bm", 1), grid, 0.4)
+    bm = _oracle_scaled(*_oracle_terms("terminal-gauss", event, GaussianSpec("bm", 1), grid), 0.4) / 0.4**2
     assert bm == pytest.approx(math.log(2.0 * stats.norm.sf(0.6 / (0.4 * math.sqrt(2.0)))))
 
 
@@ -558,7 +586,7 @@ def test_oracle_keeps_the_bits_of_scipy_stats(oracle, spec, event):
         else:
             x = -c / (eps * math.sqrt(var))
         expected = math.log(2.0) + float(stats.norm.logcdf(x))
-        assert _oracle_log_prob(oracle, event, spec, grid, eps) == expected
+        assert _oracle_scaled(*_oracle_terms(oracle, event, spec, grid), eps) == eps**2 * expected
 
 
 @pytest.mark.parametrize(

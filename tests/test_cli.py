@@ -1052,14 +1052,17 @@ def test_shift_of_infinite_energy_is_an_argument_error(tmp_path, capsys):
     assert "Traceback" not in err and list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cm_check_difference_without_spread_reads_inf(tmp_path, capsys):
     out = tmp_path / "cm.json"
     argv = ["cm-check", "--shift", "ramp:1e20", "--samples", "1000", "--steps", "8", "--seed", "1", "--out", str(out)]
     assert main(argv) == 0
     assert capsys.readouterr().out.rstrip().endswith("max |z|=inf")
-    rep = json.loads(out.read_text())["results"]["reweight"]["level2-entry"]
+    results = json.loads(out.read_text())["results"]
+    rep = results["reweight"]["level2-entry"]
     assert (rep["estimate_lhs"], rep["se_lhs"], rep["estimate_rhs"], rep["z_score"]) == (4.375e39, 0.0, 0.0, math.inf)
+    # exp(|h|^2/2) overflows here, so the mgf check is skipped rather than written as Infinity and NaN
+    assert (results["mgf_target"], results["mgf_estimate"], results["mgf_se"]) == (None, None, None)
 
 
 WRITES = {

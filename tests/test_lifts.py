@@ -124,14 +124,25 @@ def test_level2_second_moments_match_the_grid_law(hurst):
             assert abs(est - exact) <= 4.5 * se, (hurst, scheme, i, j, (est - exact) / se)
 
 
-def _level3_distinct_second_moment(spec, grid, scheme):
-    """Exact E[(X^{123}_{0,T})^2] of the grid lift, from the law's increment covariance Sigma.
+def _pairings(items):
+    """Every perfect matching of `items`, as lists of pairs."""
+    if not items:
+        yield []
+        return
+    for k in range(1, len(items)):
+        for rest in _pairings(items[1:k] + items[k + 1:]):
+            yield [(items[0], items[k])] + rest
 
-    X^{123} = sum_abc W_abc dx^1_a dx^2_b dx^3_c, with W = 1{a < b < c} under
-    Ito; the trapezoid scheme adds 1/2 on a = b < c and on a < b = c, and
-    1/6 on a = b = c.  The three letters are independent components, each
-    with Sigma, so the second moment is one contraction per component.
-    Words with repeated letters need the 4- and 6-point Isserlis sums.
+
+def _level3_second_moment(spec, grid, scheme, word):
+    """Exact E[(X^w_{0,T})^2] of the grid lift for a word w of three letters, from the law's Sigma.
+
+    X^w = sum_abc W_abc dx^{w1}_a dx^{w2}_b dx^{w3}_c, with W = 1{a < b < c}
+    under Ito; the trapezoid scheme adds 1/2 on a = b < c and on a < b = c,
+    and 1/6 on a = b = c.  Components are independent, each with Sigma, so
+    Isserlis' theorem sums one contraction of W, W and three Sigmas over the
+    pairings of the six increments that pair equal letters only: 1 for 123,
+    3 for 112, 15 for 111.
     """
     n = grid.n_steps
     row = grids._grid_law(spec, grid).row
@@ -141,36 +152,52 @@ def _level3_distinct_second_moment(spec, grid, scheme):
     w = ((a < b) & (b < c)).astype(float)
     if scheme != "ito":
         w += 0.5 * ((a == b) & (b < c)) + 0.5 * ((a < b) & (b == c)) + ((a == b) & (b == c)) / 6.0
-    return float(np.einsum("abc,def,ad,be,cf->", w, w, sigma, sigma, sigma, optimize=True))
+    letters, axes = tuple(word) * 2, "abcdef"
+    return sum(
+        float(np.einsum(",".join(["abc", "def"] + [axes[i] + axes[j] for i, j in pairs]) + "->",
+                        w, w, sigma, sigma, sigma, optimize=True))
+        for pairs in _pairings(list(range(6)))
+        if all(letters[i] == letters[j] for i, j in pairs)
+    )
+
+
+LEVEL3_WORDS = ((1, 2, 3), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1))
 
 
 @pytest.mark.parametrize("hurst", [None, 0.3, 0.7])
-def test_level3_second_moment_of_distinct_letters_matches_the_grid_law(hurst):
-    # 6 cases (3 processes, 2 schemes) of the word 123 at 4.5 SE, on the level-2 test's seed
+def test_level3_second_moments_match_the_grid_law(hurst):
+    # 30 cases (3 processes, 2 schemes, 5 words) at 4.5 SE, on the level-2 test's seed
     spec = GaussianSpec("bm", 3) if hurst is None else GaussianSpec("fbm", 3, hurst=hurst)
     grid = TimeGrid(1.0, 16)
     count, chunk = 40_000, 5_000
+    entries = tuple(np.array(LEVEL3_WORDS).T - 1)
     for scheme in ("ito", "stratonovich"):
-        exact = _level3_distinct_second_moment(spec, grid, scheme)
         # lifted a chunk at a time: the whole batch's level-3 tensors alone would take 147 MB
         squares = []
         for start in range(0, count, chunk):
             values = sample_values_batch(spec, grid, seed=3, count=chunk, start=start)
-            squares.append(_lift_tensors(values, scheme, 3)[1][:, -1, 0, 1, 2] ** 2)
+            squares.append(_lift_tensors(values, scheme, 3)[1][(slice(None), -1, *entries)] ** 2)
         squares = np.concatenate(squares)
-        est = float(np.mean(squares))
-        se = float(np.std(squares, ddof=1)) / math.sqrt(count)
-        assert abs(est - exact) <= 4.5 * se, (hurst, scheme, (est - exact) / se)
+        for word, column in zip(LEVEL3_WORDS, squares.T):
+            exact = _level3_second_moment(spec, grid, scheme, word)
+            est = float(np.mean(column))
+            se = float(np.std(column, ddof=1)) / math.sqrt(count)
+            assert abs(est - exact) <= 4.5 * se, (hurst, scheme, word, (est - exact) / se)
 
 
-def test_level3_distinct_second_moment_closed_forms():
-    # Brownian Ito: Sigma = dt I, so the moment counts the C(16, 3) = 560 increasing triples, dt^3 each
+def test_level3_second_moment_closed_forms():
+    # Brownian Ito: Sigma = dt I, so every word's moment counts the C(16, 3) = 560 increasing triples,
+    # dt^3 each; the other pairings of a repeated letter need a < b with b < a, or Sigma off its diagonal
     grid = TimeGrid(1.0, 16)
-    assert _level3_distinct_second_moment(GaussianSpec("bm", 3), grid, "ito") == pytest.approx(560 / 4096, rel=1e-14)
+    for word in LEVEL3_WORDS:
+        assert _level3_second_moment(GaussianSpec("bm", 3), grid, "ito", word) == pytest.approx(560 / 4096, rel=1e-14)
     targets = {(None, "stratonovich"): 0.151476, (0.3, "ito"): 0.503551, (0.3, "stratonovich"): 0.380182}
     for (hurst, scheme), target in targets.items():
         spec = GaussianSpec("bm", 3) if hurst is None else GaussianSpec("fbm", 3, hurst=hurst)
-        assert _level3_distinct_second_moment(spec, grid, scheme) == pytest.approx(target, abs=5e-7)
+        assert _level3_second_moment(spec, grid, scheme, (1, 2, 3)) == pytest.approx(target, abs=5e-7)
+    # the trapezoid 111 entry is x_T^3 / 6, so its second moment is E[x_T^6] / 36 = 15 R(T, T)^3 / 36
+    for spec in (GaussianSpec("bm", 1), GaussianSpec("fbm", 1, hurst=0.3), GaussianSpec("fbm", 1, hurst=0.7)):
+        assert _level3_second_moment(spec, grid, "stratonovich", (1, 1, 1)) == pytest.approx(15 / 36, rel=1e-12)
 
 
 def test_bracket_diagonal_and_antisymmetry():
