@@ -42,13 +42,18 @@ def write_csv_rows(path, rows) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def read_json(path, from_document):
-    """from_document(the JSON content of `path`); a ValueError names the file."""
+def read_file(path, parse):
+    """parse(the open text file at `path`), for every reader: a ValueError names the file."""
     try:
-        with open(path) as fh:
-            return from_document(json.load(fh))
+        with open(path, newline="") as fh:
+            return parse(fh)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_json(path, from_document):
+    """from_document(the JSON content of `path`); a ValueError names the file."""
+    return read_file(path, lambda fh: from_document(json.load(fh)))
 
 
 @contextlib.contextmanager

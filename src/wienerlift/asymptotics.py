@@ -259,8 +259,7 @@ def empirical_rate(
     epsilons = sorted(float(e) for e in epsilons)[::-1]
     _check_epsilons(epsilons)
     # one pass splits at n_samples, so a negative count would move the split
-    if n_samples < 0 or pilot_samples < 0:
-        raise ValueError(f"sample counts must be >= 0, got n_samples={n_samples}, pilot_samples={pilot_samples}")
+    n_samples, pilot_samples = _count("n_samples", n_samples, 0), _count("pilot_samples", pilot_samples, 0)
     oracle_values = None
     if oracle is not None:
         _check_oracle(oracle, event, spec, scheme)
@@ -352,6 +351,7 @@ def _collect_statistics(
         raise ValueError(f"scheme must be one of {MC_SCHEMES}, got {scheme!r}")
     # refused before the result arrays are allocated, which a count past the streams may not fit;
     # a chunk below 1 would run no chunk and leave those arrays unwritten
+    count = _count("count", count, 0)
     _check_streams(0, count)
     chunk = _count("chunk", chunk)
     level = max(
@@ -445,21 +445,14 @@ def _eta0_quotients(ambient: AmbientSpec, grid: TimeGrid, vecs: np.ndarray) -> n
     # NaN propagates through the max and fails both tests; inf fails the second
     size = np.abs(vecs).max(axis=1)
     ok = (size >= 1e-12) & (size < np.inf)
-    every = ok.all()
-    if not every and not ok.any():
-        return np.full(len(vecs), np.inf)
-    deriv = (vecs if every else vecs[ok]).reshape(-1, grid.n_steps, ambient.noise_dim)
+    # a row that fails is evaluated as ones, so every row takes one route, and its value is dropped
+    deriv = np.where(ok[:, None], vecs, 1.0).reshape(-1, grid.n_steps, ambient.noise_dim)
     values = np.zeros((len(deriv), grid.n_steps + 1, ambient.noise_dim))
     np.cumsum(deriv * grid.dt, axis=1, out=values[:, 1:])
     base2, base3 = _base_tensors(values, "young", ambient.max_degree)
     norm = homogeneous_norm_batch(ambient, grid, values, base2, base3)
     energy = 0.5 * (deriv**2).sum(axis=(1, 2)) * grid.dt
-    quotients = np.divide(energy, norm**2, out=np.full(len(deriv), np.inf), where=norm > 0)
-    if every:
-        return quotients
-    out = np.full(len(vecs), np.inf)
-    out[ok] = quotients
-    return out
+    return np.divide(energy, norm**2, out=np.full(len(deriv), np.inf), where=ok & (norm > 0))
 
 
 def eta0_quotient(h: CameronMartinPath, ambient: AmbientSpec) -> float:
@@ -680,8 +673,7 @@ def fernique_tail_fit(
     sorted sample as `empirical_rate` counts its hits; the slope of
     log-survival against t^2 over those points gives eta_hat.
     """
-    if n_samples < FERNIQUE_MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
+    n_samples = _count("n_samples", n_samples, FERNIQUE_MIN_SAMPLES)
     norms = np.sort(lift_norm_samples(spec, scheme, ambient, grid, n_samples, seed, threads=threads))
     if norms[-1] - norms[0] <= 1e-15 * max(1.0, abs(float(norms[-1]))):
         raise ValueError("degenerate norm sample: all values equal")

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import _files
-from .grids import derived_rng
+from .grids import _count, derived_rng
 
 MAX_HERMITE_DEGREE = 60
 # the norm-equivalence probe's tensor quadrature has about (k q)^dimension nodes, at most
@@ -127,6 +127,7 @@ class ChaosPolynomial:
 
 def chaos_project(psi: ChaosPolynomial, k: int) -> ChaosPolynomial:
     """Projection onto the homogeneous chaos of degree k (keep |alpha| = k)."""
+    k = _count("k", k, 0)
     return ChaosPolynomial(
         psi.dimension, {a: c for a, c in psi.coeffs.items() if multi_index_degree(a) == k}
     )
@@ -187,8 +188,7 @@ def proxy_restriction_mc(
 
     Returns {symbol: (estimate, standard_error)}.
     """
-    if n_samples < PROXY_MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= {PROXY_MIN_SAMPLES}, got {n_samples}")
+    n_samples = _count("n_samples", n_samples, PROXY_MIN_SAMPLES)
     h = np.asarray(h, dtype=float)
     if h.shape != (graded.dimension,):
         raise ValueError(f"h has shape {h.shape}, expected ({graded.dimension},)")
@@ -253,10 +253,8 @@ def chaos_norm_equivalence_probe(
     """
     if not 1 < p <= q < math.inf:
         raise ValueError(f"need 1 < p <= q < inf, got p={p}, q={q}")
-    if k > PROBE_MAX_DEGREE:
-        raise ValueError(f"k must be <= {PROBE_MAX_DEGREE} for quadrature feasibility, got {k}")
-    if dimension > PROBE_MAX_DIMENSION:
-        raise ValueError(f"dimension must be <= {PROBE_MAX_DIMENSION}, got {dimension}")
+    k, trials = _count("k", k, 0, PROBE_MAX_DEGREE), _count("trials", trials)
+    dimension = _count("dimension", dimension, 1, PROBE_MAX_DIMENSION)
     max_deg = int(math.ceil(k * q / 2.0) * 2)
     count = _quadrature_order(max_deg) ** dimension
     if count > _PROBE_MAX_NODES:

@@ -18,7 +18,7 @@ import numpy as np
 from .asymptotics import _check_statistic, _collect_statistics
 # perfbench/spans.py patches these names here as well as in asymptotics
 from .asymptotics import homogeneous_norm_batch, pair_base_batch, sample_values_batch  # noqa: F401
-from .grids import CameronMartinPath, GaussianSpec, SamplePath, TimeGrid, cm_inner, paley_wiener
+from .grids import CameronMartinPath, GaussianSpec, SamplePath, TimeGrid, _count, cm_inner, paley_wiener
 from .seminorms import AmbientSpec, ambient_for_levels
 
 REWEIGHT_FUNCTIONALS = ("sup-level1", "terminal-level1", "level2-entry", "hom-norm")
@@ -119,8 +119,7 @@ def reweight_check(
         _check_statistic(name, "functional")
     if spec.kind != "bm":
         raise ValueError(f"the Cameron-Martin density is Brownian-only, got process {spec.kind!r}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2 for a standard error, got {n_samples}")
+    n_samples = _count("n_samples", n_samples, 2)  # two at least, for a standard error
     half_sq = _half_energy(h)
     if ambient is None:
         ambient = ambient_for_levels(spec.dim, 2, norm_kind="holder", alpha=0.4)

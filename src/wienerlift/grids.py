@@ -82,13 +82,11 @@ def _check_streams(start: int, count: int) -> None:
         raise ValueError(f"stream indices reach {start + count - 1}; derived streams stop at index 2**32 - 1")
 
 
-def _check_seed(seed: int, start: int, count: int) -> int:
-    """`seed` as an int, after refusing a negative seed or start and streams past the last one."""
-    seed = operator.index(seed)
-    if seed < 0 or start < 0:
-        raise ValueError(f"seed and stream index must be non-negative, got seed={seed}, index={start}")
+def _check_seed(seed: int, start: int, count: int) -> tuple[int, int, int]:
+    """(seed, start, count) as ints, after refusing a negative or non-integer one and streams past the last."""
+    seed, start, count = _count("seed", seed, 0), _count("index", start, 0), _count("count", count, 0)
     _check_streams(start, count)
-    return seed
+    return seed, start, count
 
 
 def _stream_states(seed: int, start: int, count: int):
@@ -102,9 +100,8 @@ def _stream_states(seed: int, start: int, count: int):
     differs per stream.  It is hashed against all four pool words in one
     (4, count) uint32 step, and `generate_state(4, uint64)` makes its eight
     output words in one (8, count) step.  The per-stream 128-bit step is
-    PCG64's `pcg64_set_seed`.
+    PCG64's `pcg64_set_seed`.  The arguments are those `_check_seed` returns.
     """
-    seed = _check_seed(seed, start, count)
     # one hash per pool word for each of the seed's uint32 words, at least four of them
     hashes = _POOL * max(-(-seed.bit_length() // 32), _POOL)
     const = _INIT_A * pow(_MULT_A, hashes, 2**32) & _M32
@@ -133,11 +130,12 @@ def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
     `default_rng(SeedSequence(entropy=seed, spawn_key=(index,)))`, whose
     states `_stream_states` derives for a whole batch at once.
     """
-    return np.random.default_rng(np.random.SeedSequence(_check_seed(seed, index, 1), spawn_key=(index,)))
+    seed, index, _ = _check_seed(seed, index, 1)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _count(name: str, value, minimum: int = 1) -> int:
-    """`value` as an int, after refusing a bool, a non-integer or a value below `minimum`."""
+def _count(name: str, value, minimum: int = 1, maximum: int | None = None) -> int:
+    """`value` as an int, after refusing a bool, a non-integer or a value outside minimum..maximum."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -146,6 +144,8 @@ def _count(name: str, value, minimum: int = 1) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
@@ -359,7 +359,7 @@ class _GridLaw:
     Sigma = R R^T for the n x `normals` matrix R that `times_r` applies:
     `times_r(z, out)` maps a block of standard normals z, shape
     (b, normals, d), to increments `out`, shape (b, n, d), one column of z
-    per component.  When R is square, z may be `out` itself.
+    per component.
     """
 
     row: np.ndarray
@@ -418,24 +418,23 @@ def sample_values_batch(
     """Values of samples start..start+count-1 stacked as (count, n+1, d).
 
     Paths take blocks of at most `BLOCK_BYTES` of normals, and at least one
-    path: each path's normals are drawn into the block, the law's product by
-    R maps the block to increments in the block's rows of the output, and
-    they are summed along time in place.  When R is square the normals are
-    drawn straight into the output rows, otherwise into one block buffer per
-    call.  The bits are those of drawing, mapping and summing every path on
-    its own.
+    path: each path's normals are drawn into one block buffer per call, the
+    law's product by R maps the block to increments in the block's rows of
+    the output, and they are summed along time in place.  The bits are those
+    of drawing, mapping and summing every path on its own.
     """
+    seed, start, count = _check_seed(seed, start, count)
     law = _grid_law(spec, grid)
     n, d = grid.n_steps, spec.dim
     out = np.zeros((count, n + 1, d))
     rows = max(1, BLOCK_BYTES // (8 * law.normals * d))
-    buffer = None if law.normals == n else np.empty((min(rows, count), law.normals, d))
+    buffer = np.empty((min(rows, count), law.normals, d))
     # one Generator per call, so threads never share one; each path sets its stream's state
     rng = np.random.Generator(np.random.PCG64(0))
     states = _stream_states(seed, start, count)
     for b0 in range(0, count, rows):
         steps = out[b0 : b0 + rows, 1:]
-        normals = steps if buffer is None else buffer[: len(steps)]
+        normals = buffer[: len(steps)]
         for row, state in zip(normals, itertools.islice(states, rows)):
             rng.bit_generator.state = state
             rng.standard_normal(out=row)
@@ -450,8 +449,7 @@ def brownian_onb(k: int, grid: TimeGrid) -> CameronMartinPath:
     e_k(t) = sqrt(2T) sin((k-1/2) pi t / T) / ((k-1/2) pi), unit CM norm.
     The stored derivative samples e_k' at cell midpoints.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _count("k", k)
     T = grid.horizon
     omega = (k - 0.5) * math.pi / T
     mid = (grid.points[:-1] + grid.points[1:]) / 2.0
@@ -467,8 +465,7 @@ def piecewise_linear(x: SamplePath, m: int) -> CameronMartinPath:
     the origin, so it equals x - x(0), not x, on D_m.  Requires 2^m to divide
     n_steps.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _count("m", m, 0)
     n = x.grid.n_steps
     pieces = 2**m
     if n % pieces != 0:
@@ -490,24 +487,28 @@ def write_path_csv(path: SamplePath, filename) -> None:
 
 def read_path_csv(filename) -> SamplePath:
     """Read a path CSV; malformed content raises ValueError naming the file."""
-    with open(filename, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if len(header) < 2 or header[0] != "t":
-            raise ValueError(f"bad CSV header in {filename}: expected a leading 't' column and a value column")
-        rows = []
-        for line, row in enumerate(reader, start=2):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields where the header has {len(header)}")
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{filename} line {line}: {exc}") from None
+    return _files.read_file(filename, _path_from_csv)
+
+
+def _path_from_csv(fh) -> SamplePath:
+    """The path whose grid points and values are the rows of the path CSV open as `fh`."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    if len(header) < 2 or header[0] != "t":
+        raise ValueError("bad CSV header: expected a leading 't' column and a value column")
+    rows = []
+    for line, row in enumerate(reader, start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields where the header has {len(header)}")
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"line {line}: {exc}") from None
     if len(rows) < 2:
-        raise ValueError(f"{filename} holds {len(rows)} data rows; a path needs two grid points")
+        raise ValueError(f"{len(rows)} data rows; a path needs two grid points")
     data = np.asarray(rows)
     t, values = data[:, 0], data[:, 1:]
     grid = TimeGrid(horizon=float(t[-1]), n_steps=len(t) - 1)
     if not np.allclose(t, grid.points, rtol=0, atol=1e-12 * max(1.0, grid.horizon)):
-        raise ValueError(f"{filename} does not carry a uniform grid from 0 to T")
+        raise ValueError("the t column is not a uniform grid from 0 to T")
     return SamplePath(grid, values)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _files
-from .grids import CameronMartinPath, SamplePath, TimeGrid, _grid_array
+from .grids import CameronMartinPath, SamplePath, TimeGrid, _count, _grid_array
 from .seminorms import AmbientSpec, SymbolSpec, _time_first, ambient_for_levels, column_norm, symbol_norm
 
 FORMAT_VERSION = "enhanced-path/v1"
@@ -197,8 +197,7 @@ def symbol_norms(
 
 
 def _scheme_lift(x: SamplePath, level: int, scheme: str) -> EnhancedPath:
-    if level not in (2, 3):
-        raise ValueError(f"level must be 2 or 3, got {level}")
+    level = _count("level", level, 2, 3)
     return EnhancedPath(x, *_lift_tensors(x.values, scheme, level), scheme=scheme)
 
 

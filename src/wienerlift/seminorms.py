@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from . import _files
-from .grids import BLOCK_BYTES, TimeGrid
+from .grids import BLOCK_BYTES, TimeGrid, _count
 
 NORM_KINDS = ("pvar", "holder", "sup", "terminal")
 
@@ -175,8 +175,7 @@ def ambient_for_levels(
     exponent is p/k; with holder norms it is k*alpha (two-parameter payloads
     are measured against |t-s|^(k alpha)).
     """
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
+    dim, level = _count("dim", dim), _count("level", level, 1, 3)
     if norm_kind not in ("pvar", "holder"):
         raise ValueError(f"norm_kind must be 'pvar' or 'holder', got {norm_kind!r}")
     symbols = []
@@ -194,6 +193,7 @@ def ambient_for_levels(
 
 def classical_ambient(dim: int, kind: str = "sup") -> AmbientSpec:
     """Level-1-only spec, one symbol per component; default sup norm."""
+    dim = _count("dim", dim)
     norm = SymbolNorm(kind, None if kind in ("sup", "terminal") else 1.0)
     symbols = tuple(
         SymbolSpec(str(i), (i,), norm)

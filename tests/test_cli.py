@@ -550,6 +550,8 @@ BAD_CSV = {
     "header-only-csv": "t,x1\n",
     "ragged-csv": "t,x1\n0.0,0.0\n0.5\n1.0,0.3\n",
     "no-value-column-csv": "t\n0.0\n0.5\n1.0\n",
+    "nan-value-csv": "t,x1\n0,0\n0.5,nan\n1,1\n",
+    "zero-horizon-csv": "t,x1\n0,0\n0,1\n",
 }
 # faults put into an n=8, d=1 enhanced-path document, and the message each one gets
 BAD_LIFT = {

@@ -415,3 +415,70 @@ def test_stream_index_limit_is_refused():
     with pytest.raises(ValueError, match=r"2\*\*32"):
         grids_mod.derived_rng(1, 2**32)
     assert sample_values_batch(GaussianSpec("bm", 1), grid, seed=1, count=1, start=2**32 - 1).shape == (1, 5, 1)
+
+
+def _integer_entry_points():
+    """(function, parameter, call taking the bad value, bad values) for every integer the library checks."""
+    from wienerlift.asymptotics import EventSpec, empirical_rate, fernique_tail_fit, lift_norm_samples
+    from wienerlift.chaos import (
+        ChaosPolynomial, GradedChaos, chaos_norm_equivalence_probe, chaos_project, proxy_restriction_mc,
+    )
+    from wienerlift.girsanov import reweight_check
+    from wienerlift.lifts import ito_lift
+    from wienerlift.seminorms import ambient_for_levels, classical_ambient
+
+    spec, grid = GaussianSpec("bm", 1), TimeGrid(1.0, 8)
+    path, event = sample(spec, grid, 1), EventSpec("sup-level1", 1.0)
+    shift = CameronMartinPath(grid, np.full((8, 1), 0.5))
+    psi = ChaosPolynomial(1, {(1,): 1.0, (2,): 0.5})
+    graded = GradedChaos(1, {"a": psi}, {"a": 2})
+    return [
+        ("sample", "seed", lambda v: sample(spec, grid, v), (1.5, True, -1)),
+        ("sample", "index", lambda v: sample(spec, grid, 1, index=v), (1.5, True, -1)),
+        # start is the index of the batch's first stream
+        ("sample_values_batch", "index", lambda v: sample_values_batch(spec, grid, 1, 2, start=v), (1.5, True, -1)),
+        ("sample_values_batch", "count", lambda v: sample_values_batch(spec, grid, 1, v), (1.5, True, -1)),
+        ("derived_rng", "seed", lambda v: grids_mod.derived_rng(v), (1.5, True, -1)),
+        ("derived_rng", "index", lambda v: grids_mod.derived_rng(1, v), (1.5, True, -1)),
+        ("brownian_onb", "k", lambda v: brownian_onb(v, grid), (1.5, True, 0)),
+        ("piecewise_linear", "m", lambda v: piecewise_linear(path, v), (1.5, True, -1)),
+        ("empirical_rate", "n_samples",
+         lambda v: empirical_rate(spec, "ito", event, [0.5], v, 1, grid=grid), (1.5, True, -1)),
+        ("empirical_rate", "pilot_samples",
+         lambda v: empirical_rate(spec, "ito", event, [0.5], 5, 1, grid=grid, pilot_samples=v), (1.5, True, -1)),
+        # the Monte Carlo driver checks the count of every estimator; lift_norm_samples has no check of its own
+        ("lift_norm_samples", "count",
+         lambda v: lift_norm_samples(spec, "ito", classical_ambient(1), grid, v, 1), (2.5, True, -1)),
+        ("fernique_tail_fit", "n_samples",
+         lambda v: fernique_tail_fit(spec, "ito", classical_ambient(1), v, 1, grid=grid),
+         (10**4 + 0.5, True, 10**4 - 1)),
+        ("reweight_check", "n_samples",
+         lambda v: reweight_check(("sup-level1",), shift, spec=spec, grid=grid, n_samples=v, seed=1), (2.5, True, 1)),
+        ("proxy_restriction_mc", "n_samples",
+         lambda v: proxy_restriction_mc(graded, np.array([0.4]), v, 1), (1000.5, True, 999)),
+        ("chaos_project", "k", lambda v: chaos_project(psi, v), (1.5, True, -1)),
+        ("probe", "k", lambda v: chaos_norm_equivalence_probe(v, 2.0, 4.0, 5), (1.5, True, -1, 5)),
+        ("probe", "trials", lambda v: chaos_norm_equivalence_probe(2, 2.0, 4.0, v), (1.5, True, 0)),
+        ("probe", "dimension",
+         lambda v: chaos_norm_equivalence_probe(2, 2.0, 4.0, 5, dimension=v), (1.5, True, 0, 4)),
+        ("ambient_for_levels", "level", lambda v: ambient_for_levels(1, v), (1.5, True, 0, 4)),
+        ("ambient_for_levels", "dim", lambda v: ambient_for_levels(v, 2), (1.5, True, 0)),
+        ("classical_ambient", "dim", lambda v: classical_ambient(v), (1.5, True, 0)),
+        ("ito_lift", "level", lambda v: ito_lift(path, v), (2.5, True, 1, 4)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        pytest.param(i, v, id=f"{function}-{name}-{v!r}")
+        for i, (function, name, _, values) in enumerate(_integer_entry_points())
+        for v in values
+    ],
+)
+def test_every_integer_argument_takes_one_check(entry, value):
+    # a float, a bool or a value out of range names its parameter; 1.5, True and
+    # trials=0 once ran on, as stream 1, a non-basis path, an empty projection and a vacuous pass
+    _, name, call, _ = _integer_entry_points()[entry]
+    with pytest.raises(ValueError, match=rf"^{name} must be (an integer|>= |<= )"):
+        call(value)
