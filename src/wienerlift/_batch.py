@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import TimeGrid
+from .grids import TimeGrid, _count
 from .lifts import _pair_base, symbol_norms
 from .seminorms import AmbientSpec, homogeneous_norm
 
@@ -46,9 +46,10 @@ def parallel_chunks(total: int, chunk: int, worker, threads: int = 1) -> None:
     each worker writes a disjoint output slice, so any schedule gives
     identical results; threads > 1 uses a thread pool.
     """
+    threads = _count("threads", threads)
     tasks = [(start, min(chunk, total - start)) for start in range(0, total, chunk)]
     # no pool for one thread: a one-worker pool raised peak RSS by 1.1-2.1 MB on three benchmark workloads
-    if threads <= 1:
+    if threads == 1:
         for start, count in tasks:
             worker(start, count)
         return

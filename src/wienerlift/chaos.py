@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import _files
-from .grids import _count, derived_rng
+from .grids import _count, _grid_array, derived_rng
 
 MAX_HERMITE_DEGREE = 60
 # the norm-equivalence probe's tensor quadrature has about (k q)^dimension nodes, at most
@@ -167,9 +167,7 @@ def proxy_restriction_exact(graded: GradedChaos, h: np.ndarray) -> dict:
     polynomials of positive degree are centered except for their monomial top
     part.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (graded.dimension,):
-        raise ValueError(f"h has shape {h.shape}, expected ({graded.dimension},)")
+    h = _grid_array("h", h, (graded.dimension,))
     out = {}
     for name, psi in graded.components.items():
         k = graded.degrees[name]
@@ -189,9 +187,7 @@ def proxy_restriction_mc(
     Returns {symbol: (estimate, standard_error)}.
     """
     n_samples = _count("n_samples", n_samples, PROXY_MIN_SAMPLES)
-    h = np.asarray(h, dtype=float)
-    if h.shape != (graded.dimension,):
-        raise ValueError(f"h has shape {h.shape}, expected ({graded.dimension},)")
+    h = _grid_array("h", h, (graded.dimension,))
     tops = {name: chaos_project(psi, graded.degrees[name]) for name, psi in graded.components.items()}
     # refuse a degree the Hermite table cannot reach before drawing a sample
     for top in tops.values():

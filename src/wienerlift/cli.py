@@ -152,11 +152,9 @@ def _config(args, **override) -> dict:
 
 
 def _gaussian_spec(args) -> GaussianSpec:
-    if args.process == "fbm" and args.hurst is None:
-        raise CliError("--process fbm needs --hurst")
-    if args.process != "fbm" and args.hurst is not None:
-        raise CliError("--hurst needs --process fbm")
-    return GaussianSpec(kind=args.process, dim=args.dim, hurst=args.hurst)
+    # the parser settles --process and --dim, so a refusal is the Hurst index's pairing with the process
+    with _argument_errors("--hurst"):
+        return GaussianSpec(kind=args.process, dim=args.dim, hurst=args.hurst)
 
 
 def _grid(args) -> TimeGrid:
@@ -282,10 +280,9 @@ def _cmd_lift(args) -> _Run:
     elif args.scheme == "stratonovich":
         e = stratonovich_lift(x, level=args.level)
     else:
-        m, n = args.dyadic_level, x.grid.n_steps
-        if m >= n.bit_length() or n % 2**m:
-            raise CliError(f"--dyadic-level {m}: 2^{m} must divide the path's {n} steps")
-        e = young_skeleton_lift(piecewise_linear(x, m), level=args.level)
+        with _argument_errors(f"--dyadic-level {args.dyadic_level}"):
+            skeleton = piecewise_linear(x, args.dyadic_level)
+        e = young_skeleton_lift(skeleton, level=args.level)
     residual = max_chen_residual(e)
     config = dict(source, scheme=args.scheme, level=args.level, out=args.out)
     if args.scheme == "young":
@@ -389,10 +386,9 @@ def _cmd_chaos_proxy(args) -> _Run:
     h = np.array([_number(tok) for tok in args.shift_vector.split(",")])
     if not np.isfinite(h).all():
         raise CliError(f"--shift-vector {args.shift_vector!r}: expected comma-separated finite numbers")
-    if h.shape != (obj.dimension,):
-        raise CliError(f"--shift-vector has {h.size} entries, the family lives on R^{obj.dimension}")
-    exact = chaos_mod.proxy_restriction_exact(obj, h)
-    # the parser and the checks above settle every other argument, so a refusal is the family's degree
+    with _argument_errors(f"--shift-vector {args.shift_vector!r}"):
+        exact = chaos_mod.proxy_restriction_exact(obj, h)
+    # the parser and the exact restriction settle every other argument, so a refusal is the family's degree
     with _argument_errors(f"--poly {args.poly!r}"):
         mc = chaos_mod.proxy_restriction_mc(obj, h, args.samples, args.seed)
     worst = max((abs(exact[k] - mc[k][0]) / (mc[k][1] or 1.0) for k in exact), default=0.0)
@@ -401,14 +397,8 @@ def _cmd_chaos_proxy(args) -> _Run:
 
 
 def _cmd_chaos_norm_equiv(args) -> _Run:
-    if not 1 < args.p <= args.q < math.inf:
-        raise CliError(f"--p and --q need 1 < p <= q < inf, got --p {args.p} --q {args.q}")
-    if args.degree > chaos_mod.PROBE_MAX_DEGREE:
-        raise CliError(f"--degree {args.degree}: norm-equiv takes degrees up to {chaos_mod.PROBE_MAX_DEGREE}")
-    if args.dim > chaos_mod.PROBE_MAX_DIMENSION:
-        raise CliError(f"--dim {args.dim}: norm-equiv takes dimensions up to {chaos_mod.PROBE_MAX_DIMENSION}")
-    # the checks above settle every other argument, so a refusal is the quadrature --q asks for
-    with _argument_errors(f"--q {args.q}"):
+    # the parser settles every other argument, so a refusal is the p/q pair or the quadrature it asks for
+    with _argument_errors(f"--p {args.p} --q {args.q}"):
         report = chaos_mod.chaos_norm_equivalence_probe(
             args.degree, args.p, args.q, args.trials, dimension=args.dim, seed=args.seed
         )
@@ -670,11 +660,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_chaos_proxy)
 
     p = actions.add_parser("norm-equiv", help="probe the L^p-L^q norm equivalence on one chaos")
-    p.add_argument("--degree", type=_count(0), default=2)
+    p.add_argument("--degree", type=_count(0, chaos_mod.PROBE_MAX_DEGREE), default=2)
     p.add_argument("--trials", type=_count(), default=100)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=4.0)
-    p.add_argument("--dim", type=_count(), default=2)
+    p.add_argument("--dim", type=_count(1, chaos_mod.PROBE_MAX_DIMENSION), default=2)
     p.add_argument("--seed", type=_count(0), required=True)
     _add_output_args(p, _SUMMARY)
     p.set_defaults(fn=_cmd_chaos_norm_equiv)

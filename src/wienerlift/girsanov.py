@@ -47,7 +47,7 @@ def cm_log_density(x: SamplePath, h: CameronMartinPath) -> CmDensityEval:
     """
     h.check_fits(x.grid, x.dim)
     pw = float(paley_wiener(h, x.values))
-    half_sq = 0.5 * cm_inner(h, h)
+    half_sq = _half_energy(h)
     return CmDensityEval(log_density=pw - half_sq, paley_wiener_term=pw, half_norm_sq=half_sq)
 
 

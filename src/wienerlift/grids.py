@@ -467,13 +467,15 @@ def piecewise_linear(x: SamplePath, m: int) -> CameronMartinPath:
     """
     m = _count("m", m, 0)
     n = x.grid.n_steps
+    # the bit length refuses a 2^m above n before building it
+    if m >= n.bit_length() or n % 2**m:
+        raise ValueError(f"2^{m} must divide the path's {n} steps")
     pieces = 2**m
-    if n % pieces != 0:
-        raise ValueError(f"2^m = {pieces} must divide n_steps = {n}")
     stride = n // pieces
     nodes = x.values[::stride]  # (2^m + 1, d)
     cell_width = x.grid.horizon / pieces
-    slopes = np.diff(nodes, axis=0) / cell_width  # (2^m, d)
+    with np.errstate(over="raise"):  # a slope past the float range is a numerical failure, not a bad level
+        slopes = np.diff(nodes, axis=0) / cell_width  # (2^m, d)
     deriv = np.repeat(slopes, stride, axis=0)
     return CameronMartinPath(x.grid, deriv)
 

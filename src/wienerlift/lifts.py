@@ -243,8 +243,10 @@ def chen_residual(e: EnhancedPath, s: int, u: int, t: int) -> float:
     corrupted base tensor shows up while honest lifts stay at rounding level.
     The level-3 analogue is included when the path carries a third level.
     """
-    if not 0 <= s <= u <= t <= e.grid.n_steps:
-        raise ValueError(f"need 0 <= s <= u <= t <= n, got ({s}, {u}, {t})")
+    n = e.grid.n_steps
+    s = _count("s", s, 0, n)
+    u = _count("u", u, s, n)
+    t = _count("t", t, u, n)
     v = e.level1.values
     xsu = v[u] - v[s]
     xut = v[t] - v[u]
@@ -308,8 +310,8 @@ def lifted_shift(e: EnhancedPath, h: CameronMartinPath) -> EnhancedPath:
 
 def dilate_enhanced(e: EnhancedPath, eps: float) -> EnhancedPath:
     """Degree-weighted scaling: level k is multiplied by eps^k."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be >= 0 and finite, got {eps}")
     new1 = SamplePath(e.grid, eps * e.level1.values)
     base3 = None if e.base3 is None else eps**3 * e.base3
     return EnhancedPath(new1, eps**2 * e.base2, base3, scheme=e.scheme)

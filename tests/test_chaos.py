@@ -235,6 +235,15 @@ def test_norm_equivalence_probe_validation(monkeypatch):
         chaos_norm_equivalence_probe(4, 2.0, 30.0, trials=1, dimension=3)
 
 
+@pytest.mark.parametrize("proxy", [proxy_restriction_exact, lambda g, h: proxy_restriction_mc(g, h, 1000, 1)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_proxy_refuses_a_non_finite_shift(proxy, bad):
+    # a NaN h once gave a NaN restriction with no error
+    graded = GradedChaos(1, {"a": ChaosPolynomial(1, {(1,): 1.0})}, {"a": 1})
+    with pytest.raises(ValueError, match="^h contains non-finite entries$"):
+        proxy(graded, [bad])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_polynomial_refuses_a_non_finite_coefficient(bad):
     with pytest.raises(ValueError, match=r"multi-index \(1, 0\) has non-finite coefficient"):

@@ -607,6 +607,17 @@ def test_lift_that_overflows_is_a_numerical_failure(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
 
 
+def test_young_lift_whose_slopes_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # the dyadic level is valid; a slope past the float range is not its fault
+    infile, out = tmp_path / "big.csv", tmp_path / "l.json"
+    infile.write_text("t,x1\n0,0\n0.5,1e308\n1,-1e308\n")
+    assert main(["lift", "--in", str(infile), "--scheme", "young", "--dyadic-level", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: overflow encountered" in captured.err and "--dyadic-level" not in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
 @pytest.mark.parametrize(
     "event, oracle, scheme",
     [("sup-ge:{}", "reflection", "ito"), ("terminal-ge:{}", "terminal-gauss", "stratonovich"),
@@ -743,12 +754,15 @@ BAD_VALUES = {
     # the shift density is Brownian-only
     "cm-process-fbm": (["cm-check", "--process", "fbm", "--hurst", "0.3", "--samples", "2000", "--steps", "16"],
                        "argument --process: invalid choice: 'fbm'"),
-    "sample-fbm-without-hurst": (["sample", "--process", "fbm", "--steps", "4"], "--process fbm needs --hurst"),
+    # GaussianSpec owns the pairing of a Hurst index with the process
+    "sample-fbm-without-hurst": (["sample", "--process", "fbm", "--steps", "4"],
+                                 "--hurst: hurst must lie in (0,1) for fbm, got None"),
     "sample-bm-with-hurst": (["sample", "--process", "bm", "--hurst", "0.3", "--steps", "4"],
-                             "--hurst needs --process fbm"),
-    "cm-hurst": (["cm-check", "--hurst", "0.3", "--samples", "10", "--steps", "4"], "--hurst needs --process fbm"),
+                             "--hurst: a Hurst index describes fbm, not 'bm', got hurst=0.3"),
+    "cm-hurst": (["cm-check", "--hurst", "0.3", "--samples", "10", "--steps", "4"],
+                 "--hurst: a Hurst index describes fbm, not 'bm', got hurst=0.3"),
     "ldp-fbm-without-hurst": (["ldp", "--process", "fbm", "--event", "sup-ge:1", "--epsilons", "1",
-                               "--samples", "10"], "--process fbm needs --hurst"),
+                               "--samples", "10"], "--hurst: hurst must lie in (0,1) for fbm, got None"),
 }
 # the derived streams stop at index 2**32 - 1, and the ldp pilot takes the 2000 streams after the main run
 BAD_VALUES.update(
@@ -782,31 +796,33 @@ BAD_VALUES.update(
         ("onb:x", "an integer >= 1, got 'x'"),
     )
 )
+# the norm-equivalence probe owns its p/q rule
 BAD_VALUES.update(
     (f"chaos-p-q-{'-'.join(pq)}", (["chaos", "norm-equiv", "--p", pq[0], "--q", pq[1]],
-                                   f"--p and --q need 1 < p <= q < inf, got --p {pq[0]} --q {pq[1]}"))
+                                   f"--p {pq[0]} --q {pq[1]}: need 1 < p <= q < inf, got p={pq[0]}, q={pq[1]}"))
     for pq in (("0.5", "4.0"), ("nan", "4.0"), ("1.0", "4.0"), ("3.0", "2.0"), ("2.0", "inf"))
 )
 BAD_VALUES.update({
-    "chaos-degree-5": (["chaos", "norm-equiv", "--degree", "5"],
-                       "--degree 5: norm-equiv takes degrees up to 4"),
-    "chaos-dim-4": (["chaos", "norm-equiv", "--dim", "4"], "--dim 4: norm-equiv takes dimensions up to 3"),
+    "chaos-degree-5": (["chaos", "norm-equiv", "--degree", "5"], "argument --degree: expected an integer <= 4, got '5'"),
+    "chaos-dim-4": (["chaos", "norm-equiv", "--dim", "4"], "argument --dim: expected an integer <= 3, got '4'"),
     # about (k q)^dimension quadrature nodes: 242^3 at q = 60, degree 4 and dimension 3
     "chaos-q-60": (["chaos", "norm-equiv", "--degree", "4", "--dim", "3", "--q", "60"],
-                   "--q 60.0: q=60.0 at degree 4 and dimension 3 needs 14172488 quadrature nodes, "
+                   "--p 2.0 --q 60.0: q=60.0 at degree 4 and dimension 3 needs 14172488 quadrature nodes, "
                    "above the bound of 1000000"),
     "chaos-shift-vector-word": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "1,abc"],
                                 "--shift-vector '1,abc': expected comma-separated finite numbers"),
     "chaos-shift-vector-nan": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "nan,1"],
                                "--shift-vector 'nan,1': expected comma-separated finite numbers"),
     "chaos-shift-vector-length": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "1,2,3"],
-                                  "--shift-vector has 3 entries, the family lives on R^2"),
+                                  "--shift-vector '1,2,3': h has shape (3,), expected (2)"),
     "chaos-samples-10": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "1,2", "--samples", "10"],
                          "argument --samples: expected an integer >= 1000, got '10'"),
     "lift-dyadic-level-9": (["lift", "--scheme", "young", "--dyadic-level", "9", "--steps", "256"],
                             "--dyadic-level 9: 2^9 must divide the path's 256 steps"),
     "lift-dyadic-level-3": (["lift", "--scheme", "young", "--dyadic-level", "3", "--steps", "12"],
                             "--dyadic-level 3: 2^3 must divide the path's 12 steps"),
+    "lift-dyadic-level-1000000": (["lift", "--scheme", "young", "--dyadic-level", "1000000", "--steps", "8"],
+                                  "--dyadic-level 1000000: 2^1000000 must divide the path's 8 steps"),
 })
 BAD_VALUES.update(
     (f"eta0-ambient-{text}", (["eta0", "--ambient", text], f"--ambient {text!r}: {message}"))

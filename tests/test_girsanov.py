@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,16 @@ def test_reweight_refuses_a_shift_of_infinite_energy(monkeypatch):
     with pytest.raises(ValueError, match=r"the shift's energy \|h\|\^2_H is inf"):
         reweight_check(REWEIGHT_FUNCTIONALS, _ramp(grid, 1, 1e200), spec=GaussianSpec("bm", 1), grid=grid,
                        n_samples=10, seed=1)
+
+
+def test_log_density_refuses_a_shift_of_infinite_energy():
+    grid = TimeGrid(1.0, 8)
+    x = sample(GaussianSpec("bm", 1), grid, seed=1)
+    # |h|^2_H = 1e400 once overflowed with a numpy warning into a log density of -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"the shift's energy \|h\|\^2_H is inf"):
+            cm_log_density(x, _ramp(grid, 1, 1e200))
 
 
 def test_reweight_hom_norm_level3_ambient():

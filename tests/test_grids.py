@@ -271,10 +271,11 @@ def test_piecewise_linear_is_projection():
 
 
 def test_piecewise_linear_divisibility_error():
-    grid = TimeGrid(1.0, 12)
-    x = SamplePath(grid, np.zeros((13, 1)))
-    with pytest.raises(ValueError, match="divide"):
-        piecewise_linear(x, 3)
+    # 2^(10^6) has over 300k digits: formatting it once broke Python's integer-to-string limit
+    for n, m in ((12, 3), (8, 10**6)):
+        x = SamplePath(TimeGrid(1.0, n), np.zeros((n + 1, 1)))
+        with pytest.raises(ValueError, match=rf"^2\^{m} must divide the path's {n} steps$"):
+            piecewise_linear(x, m)
 
 
 def test_piecewise_linear_sup_error_decreases():
@@ -424,7 +425,7 @@ def _integer_entry_points():
         ChaosPolynomial, GradedChaos, chaos_norm_equivalence_probe, chaos_project, proxy_restriction_mc,
     )
     from wienerlift.girsanov import reweight_check
-    from wienerlift.lifts import ito_lift
+    from wienerlift.lifts import chen_residual, ito_lift
     from wienerlift.seminorms import ambient_for_levels, classical_ambient
 
     spec, grid = GaussianSpec("bm", 1), TimeGrid(1.0, 8)
@@ -432,6 +433,7 @@ def _integer_entry_points():
     shift = CameronMartinPath(grid, np.full((8, 1), 0.5))
     psi = ChaosPolynomial(1, {(1,): 1.0, (2,): 0.5})
     graded = GradedChaos(1, {"a": psi}, {"a": 2})
+    lift = ito_lift(path)
     return [
         ("sample", "seed", lambda v: sample(spec, grid, v), (1.5, True, -1)),
         ("sample", "index", lambda v: sample(spec, grid, 1, index=v), (1.5, True, -1)),
@@ -446,9 +448,13 @@ def _integer_entry_points():
          lambda v: empirical_rate(spec, "ito", event, [0.5], v, 1, grid=grid), (1.5, True, -1)),
         ("empirical_rate", "pilot_samples",
          lambda v: empirical_rate(spec, "ito", event, [0.5], 5, 1, grid=grid, pilot_samples=v), (1.5, True, -1)),
+        ("empirical_rate", "threads",
+         lambda v: empirical_rate(spec, "ito", event, [0.5], 5, 1, grid=grid, threads=v), (0, -3, True, 2.5)),
         # the Monte Carlo driver checks the count of every estimator; lift_norm_samples has no check of its own
         ("lift_norm_samples", "count",
          lambda v: lift_norm_samples(spec, "ito", classical_ambient(1), grid, v, 1), (2.5, True, -1)),
+        ("lift_norm_samples", "threads",
+         lambda v: lift_norm_samples(spec, "ito", classical_ambient(1), grid, 4, 1, threads=v), (0, -3, True, 2.5)),
         ("fernique_tail_fit", "n_samples",
          lambda v: fernique_tail_fit(spec, "ito", classical_ambient(1), v, 1, grid=grid),
          (10**4 + 0.5, True, 10**4 - 1)),
@@ -465,6 +471,10 @@ def _integer_entry_points():
         ("ambient_for_levels", "dim", lambda v: ambient_for_levels(v, 2), (1.5, True, 0)),
         ("classical_ambient", "dim", lambda v: classical_ambient(v), (1.5, True, 0)),
         ("ito_lift", "level", lambda v: ito_lift(path, v), (2.5, True, 1, 4)),
+        # grid indices 0 <= s <= u <= t <= n; a bool index once read as a numpy mask
+        ("chen_residual", "s", lambda v: chen_residual(lift, v, 4, 8), (1.5, True, -1, 9)),
+        ("chen_residual", "u", lambda v: chen_residual(lift, 2, v, 8), (1.5, True, 1)),
+        ("chen_residual", "t", lambda v: chen_residual(lift, 2, 4, v), (1.5, True, 3)),
     ]
 
 

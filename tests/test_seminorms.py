@@ -318,8 +318,9 @@ def test_dilation_edge_cases():
     for a, b in zip(_lift_arrays(dilate_enhanced(e, 1.0)), _lift_arrays(e)):
         assert np.array_equal(a, b)
     assert all(np.all(a == 0.0) for a in _lift_arrays(dilate_enhanced(e, 0.0)))
-    with pytest.raises(ValueError):
-        dilate_enhanced(e, -0.2)
+    for eps in (-0.2, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^eps must be >= 0 and finite, got {eps}$"):
+            dilate_enhanced(e, eps)
 
 
 def test_homogeneous_distance_triangle_inequality():
