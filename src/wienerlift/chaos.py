@@ -78,15 +78,14 @@ class ChaosPolynomial:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.dimension = _count("dimension", self.dimension)
         cleaned = {}
         for alpha, c in self.coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
+            alpha = tuple(_count("multi-index entry", a, 0) for a in alpha)
             if len(alpha) != self.dimension:
                 raise ValueError(
                     f"multi-index {alpha} has length {len(alpha)}, expected {self.dimension}"
                 )
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"multi-index {alpha} has negative entries")
             c = float(c)
             if not math.isfinite(c):
                 raise ValueError(f"multi-index {alpha} has non-finite coefficient {c}")
@@ -146,6 +145,7 @@ class GradedChaos:
     degrees: dict
 
     def __post_init__(self):
+        self.degrees = {name: _count(f"degree of {name!r}", k, 0) for name, k in self.degrees.items()}
         for name, psi in self.components.items():
             if name not in self.degrees:
                 raise ValueError(f"symbol {name!r} has no degree assigned")
@@ -314,9 +314,7 @@ def _terms_from_list(terms: list, dimension: int) -> dict:
     for term in terms:
         alpha = [0] * dimension
         for coord, power in term["multi_index"]:
-            if not 1 <= coord <= dimension:
-                raise ValueError(f"coordinate {coord} outside 1..{dimension}")
-            alpha[coord - 1] = int(power)
+            alpha[_count("coordinate", coord, 1, dimension) - 1] = _count("power", power, 0)
         key = tuple(alpha)
         coeffs[key] = coeffs.get(key, 0.0) + float(term["coefficient"])
     return coeffs
@@ -341,7 +339,7 @@ def chaos_from_document(doc: dict) -> "ChaosPolynomial | GradedChaos":
     """Rebuild a chaos object; a missing or mistyped field raises ValueError."""
     _files.check_format(doc, CHAOS_FORMAT_VERSION)
     with _files.document_fields("chaos document"):
-        dim = int(doc["dimension"])
+        dim = _count("dimension", doc["dimension"])
         if "degrees" not in doc:
             return ChaosPolynomial(dim, _terms_from_list(doc["terms"], dim))
         by_symbol: dict[str, list] = {}
@@ -351,7 +349,7 @@ def chaos_from_document(doc: dict) -> "ChaosPolynomial | GradedChaos":
             name: ChaosPolynomial(dim, _terms_from_list(terms, dim))
             for name, terms in by_symbol.items()
         }
-        degrees = {k: int(v) for k, v in doc["degrees"].items()}
+        degrees = dict(doc["degrees"])
     for name in degrees:
         components.setdefault(name, ChaosPolynomial(dim, {}))
     return GradedChaos(dim, components, degrees)

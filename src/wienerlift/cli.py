@@ -158,7 +158,9 @@ def _gaussian_spec(args) -> GaussianSpec:
 
 
 def _grid(args) -> TimeGrid:
-    return TimeGrid(horizon=args.horizon, n_steps=args.steps)
+    # the parser settles --steps, so a refusal is the horizon's
+    with _argument_errors("--horizon"):
+        return TimeGrid(horizon=args.horizon, n_steps=args.steps)
 
 
 def _parse_ambient(preset_or_path: str, dim: int, level: int = 3, *, fit: bool = True) -> AmbientSpec:
@@ -177,14 +179,14 @@ def _parse_ambient(preset_or_path: str, dim: int, level: int = 3, *, fit: bool =
         elif head == "terminal":
             ambient = classical_ambient(dim, kind="terminal")
         elif head in ("level1", "level2", "level3"):
-            ambient = ambient_for_levels(dim, int(head[-1]), norm_kind="pvar", p=_positive(arg or "2.5"))
+            ambient = ambient_for_levels(dim, int(head[-1]), norm_kind="pvar", p=_number(arg or "2.5"))
         elif head == "holder2":
-            ambient = ambient_for_levels(dim, 2, norm_kind="holder", alpha=_positive(arg or "0.4"))
+            ambient = ambient_for_levels(dim, 2, norm_kind="holder", alpha=_number(arg or "0.4"))
         else:
             raise CliError(f"--ambient {preset_or_path!r} is neither a file nor a known preset")
         if fit:
             ambient.check_fits(dim, level)
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, OSError) as exc:
         # AmbientSpec.load chains the cause to an error that repeats the file name
         raise CliError(f"--ambient {preset_or_path!r}: {exc.__cause__ or exc}") from None
     return ambient
@@ -228,11 +230,8 @@ def _parse_shift(text: str, grid: TimeGrid, dim: int) -> CameronMartinPath:
     """Shift syntax: ramp:c (h(t) = c t in every component) | onb:k (d=1)."""
     head, _, arg = text.partition(":")
     if head == "ramp":
-        c = _number(arg or "1.0")
-        if not math.isfinite(c):
-            raise CliError(f"--shift {text!r}: expected a finite slope, got {arg!r}")
-        h = CameronMartinPath(grid, np.full((grid.n_steps, dim), c))
         with _argument_errors(f"--shift {text!r}"):
+            h = CameronMartinPath(grid, np.full((grid.n_steps, dim), _number(arg or "1.0")))
             _half_energy(h)
         return h
     if head == "onb":
@@ -333,8 +332,10 @@ def _cmd_ldp(args) -> _Run:
 def _cmd_eta0(args) -> _Run:
     # --dim builds presets only: the skeleton has one component per distinguished symbol,
     # and eta0_estimate checks the ambient against that noise dimension
+    with _argument_errors("--horizon"):
+        TimeGrid(args.horizon, args.segments)
     ambient = _parse_ambient(args.ambient, args.dim, fit=False)
-    # the parser checked every other argument, so a refusal is the ambient not fitting its noise symbols
+    # the parser and the grid checked every other argument, so a refusal is the ambient not fitting its noise symbols
     with _argument_errors(f"--ambient {args.ambient!r}"):
         result = eta0_estimate(ambient, args.segments, args.restarts, args.seed, horizon=args.horizon)
     digest = (
@@ -384,8 +385,6 @@ def _cmd_chaos_proxy(args) -> _Run:
     if isinstance(obj, chaos_mod.ChaosPolynomial):
         raise CliError(f"--poly {args.poly!r} holds a scalar polynomial; proxy wants a graded family")
     h = np.array([_number(tok) for tok in args.shift_vector.split(",")])
-    if not np.isfinite(h).all():
-        raise CliError(f"--shift-vector {args.shift_vector!r}: expected comma-separated finite numbers")
     with _argument_errors(f"--shift-vector {args.shift_vector!r}"):
         exact = chaos_mod.proxy_restriction_exact(obj, h)
     # the parser and the exact restriction settle every other argument, so a refusal is the family's degree
@@ -508,31 +507,13 @@ def _number(text: str) -> float:
         return math.nan
 
 
-def _positive(text: str) -> float:
-    """argparse type for a positive finite number, else exit 2 naming the option."""
-    value = _number(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
-
-
-def _open_unit(text: str) -> float:
-    """argparse type for a number strictly between 0 and 1, else exit 2 naming the option."""
-    value = _number(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
-    return value
-
-
-def _positive_list(text: str) -> list[float]:
-    """argparse type for --epsilons: comma-separated positive numbers that `_check_epsilons` accepts."""
-    values = [_positive(tok) for tok in text.split(",") if tok]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated positive numbers, got {text!r}")
+def _epsilons(text: str) -> list[float]:
+    """argparse type for --epsilons: comma-separated numbers that `_check_epsilons` accepts."""
+    values = [_number(tok) for tok in text.split(",") if tok]
     try:
         _check_epsilons(values)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"{exc} from {text!r}") from None
     return values
 
 
@@ -544,8 +525,8 @@ def _add_process_args(p: argparse.ArgumentParser, dim_default: int = 1, processe
     p.add_argument("--process", choices=processes)
     p.add_argument("--dim", type=_count())
     p.add_argument("--steps", type=_count())
-    p.add_argument("--horizon", type=_positive)
-    p.add_argument("--hurst", type=_open_unit)
+    p.add_argument("--horizon", type=float)
+    p.add_argument("--hurst", type=float)
     p.set_defaults(**_PROCESS_DEFAULTS | {"dim": dim_default})
 
 
@@ -602,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_process_args(p)
     p.add_argument("--scheme", choices=MC_SCHEMES, default="stratonovich")
     p.add_argument("--event", required=True, help="sup-ge:c | terminal-ge:c | hom-ge:c | level2-ge:i,j,c")
-    p.add_argument("--epsilons", type=_positive_list, required=True, help="comma-separated, e.g. 0.5,0.4,0.01")
+    p.add_argument("--epsilons", type=_epsilons, required=True, help="comma-separated, e.g. 0.5,0.4,0.01")
     # the pilot draws its samples from the streams after the main run
     p.add_argument("--samples", type=_count(1, _STREAMS - PILOT_SAMPLES), required=True)
     p.add_argument("--oracle", choices=tuple(ORACLES), default=None)
@@ -618,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=_count(2), default=16)
     p.add_argument("--restarts", type=_count(), default=8,
                    help="random starts of the simplex search; each restarts once from its best vertex")
-    p.add_argument("--horizon", type=_positive, default=1.0)
+    p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--seed", type=_count(0), required=True)
     _add_output_args(p, _SUMMARY)
     p.set_defaults(fn=_cmd_eta0)

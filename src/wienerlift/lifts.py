@@ -198,7 +198,9 @@ def symbol_norms(
 
 def _scheme_lift(x: SamplePath, level: int, scheme: str) -> EnhancedPath:
     level = _count("level", level, 2, 3)
-    return EnhancedPath(x, *_lift_tensors(x.values, scheme, level), scheme=scheme)
+    with np.errstate(over="ignore", invalid="ignore"):  # EnhancedPath refuses a non-finite tensor
+        tensors = _lift_tensors(x.values, scheme, level)
+    return EnhancedPath(x, *tensors, scheme=scheme)
 
 
 def ito_lift(x: SamplePath, level: int = 2) -> EnhancedPath:

@@ -144,8 +144,8 @@ class AmbientSpec:
 
 def _symbol_from_config(entry: dict) -> SymbolSpec:
     """One `to_config` symbol entry; its stated degree and arity must be the word's."""
-    name, indices, degree = entry["symbol"], tuple(entry["indices"]), int(entry["degree"])
-    norm, arity = SymbolNorm(entry["norm"]["kind"], entry["norm"].get("exponent")), int(entry["arity"])
+    name, indices, degree = entry["symbol"], tuple(entry["indices"]), _count("degree", entry["degree"])
+    norm, arity = SymbolNorm(entry["norm"]["kind"], entry["norm"].get("exponent")), _count("arity", entry["arity"])
     sym = SymbolSpec(name, indices, norm)
     if sym.degree != degree:
         raise ValueError(f"a degree-{degree} symbol needs a word of length {degree}, got {indices!r}")
@@ -172,8 +172,8 @@ def ambient_for_levels(
     """Standard graded spec for a dim-dimensional lift up to `level`.
 
     Level-k symbols are index words of length k.  With pvar norms the level-k
-    exponent is p/k; with holder norms it is k*alpha (two-parameter payloads
-    are measured against |t-s|^(k alpha)).
+    exponent is p at k = 1 and max(p/k, 1) above; with holder norms it is k*alpha
+    (two-parameter payloads are measured against |t-s|^(k alpha)).
     """
     dim, level = _count("dim", dim), _count("level", level, 1, 3)
     if norm_kind not in ("pvar", "holder"):
@@ -182,8 +182,8 @@ def ambient_for_levels(
     for k in range(1, level + 1):
         for word in product(range(1, dim + 1), repeat=k):
             if norm_kind == "pvar":
-                # max(p / k, 1.0), not max(1.0, p / k): a NaN p reaches SymbolNorm
-                norm = SymbolNorm("pvar", max(p / k, 1.0))
+                # level 1 takes p itself, so SymbolNorm refuses a p below 1 or a NaN p
+                norm = SymbolNorm("pvar", p if k == 1 else max(p / k, 1.0))
             else:
                 norm = SymbolNorm("holder", k * alpha)
             symbols.append(SymbolSpec(_symbol_name(word), word, norm))

@@ -368,6 +368,15 @@ def test_chaos_missing_option_is_an_argument_error(tmp_path, capsys, args, optio
         (json.dumps({"format_version": "chaos/v1", "dimension": 2,
                      "terms": [{"symbol": None, "multi_index": [[1, 1]], "coefficient": math.nan}]}),
          "multi-index (1, 0) has non-finite coefficient nan"),
+        # every integer the document carries is one, not truncated by int()
+        (json.dumps({"format_version": "chaos/v1", "dimension": 1,
+                     "terms": [{"symbol": None, "multi_index": [[1, 2.5]], "coefficient": 1.0}]}),
+         "power must be an integer, got 2.5"),
+        (json.dumps({"format_version": "chaos/v1", "dimension": 1.7, "terms": []}),
+         "dimension must be an integer, got 1.7"),
+        (json.dumps({"format_version": "chaos/v1", "dimension": 1, "degrees": {"a": 2.9},
+                     "terms": [{"symbol": "a", "multi_index": [[1, 2]], "coefficient": 1.0}]}),
+         "degree of 'a' must be an integer, got 2.9"),
         ("not json", "Expecting value"),
     ],
 )
@@ -438,6 +447,9 @@ BAD_SYMBOL = {
     "degree-1-word-12": ({"indices": [1, 2]}, "a degree-1 symbol needs a word of length 1, got (1, 2)"),
     "holder-1.5": ({"norm": {"kind": "holder", "exponent": 1.5}},
                    "symbol 'w': a degree-1 holder exponent must lie in (0, 1], got 1.5"),
+    # a stated degree or arity is an integer, not a string or a bool that int() reads as 1
+    "degree-string": ({"degree": "1"}, "degree must be an integer, got '1'"),
+    "arity-bool": ({"arity": True}, "arity must be an integer, got True"),
 }
 
 
@@ -453,13 +465,14 @@ def test_ambient_symbol_outside_the_path_is_an_argument_error(tmp_path, capsys, 
                      "--out", str(lift_json)]) == 0
         argv = ["norm", "--in", str(lift_json), "--ambient", str(amb)]
     else:
-        argv = ["eta0", "--ambient", str(amb), "--dim", "2", "--seed", "1", "--out", str(tmp_path / "y.json")]
+        argv = ["eta0", "--ambient", str(amb), "--dim", "2", "--seed", "1"]
         message = message.replace("d=2", "d=1")
+    out = tmp_path / "y.json"
     capsys.readouterr()
-    assert main(argv) == 2
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"--ambient {str(amb)!r}: {message}" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_eta0_file_ambient_brings_its_own_noise_dimension(tmp_path, monkeypatch, capsys):
@@ -710,14 +723,16 @@ def test_oracle_refused_for_its_event_is_an_argument_error(tmp_path, capsys, mon
 
 
 BAD_VALUES = {
+    # each token is read as a number, a word as NaN, and _check_epsilons judges the list
     "ldp-epsilon-0": (["ldp", "--event", "sup-ge:1", "--epsilons", "0", "--samples", "10"],
-                      "argument --epsilons: expected a positive finite number, got '0'"),
+                      "argument --epsilons: epsilons must be positive and finite, at least one, "
+                      "with eps^2 not 0 or inf, got [0.0] from '0'"),
     "ldp-epsilon-negative": (["ldp", "--event", "sup-ge:1", "--epsilons", "-1", "--samples", "10"],
-                             "argument --epsilons: expected a positive finite number, got '-1'"),
+                             "with eps^2 not 0 or inf, got [-1.0] from '-1'"),
     "ldp-epsilon-word": (["ldp", "--event", "sup-ge:1", "--epsilons", "1,abc", "--samples", "10"],
-                         "argument --epsilons: expected a positive finite number, got 'abc'"),
+                         "with eps^2 not 0 or inf, got [1.0, nan] from '1,abc'"),
     "ldp-epsilons-empty": (["ldp", "--event", "sup-ge:1", "--epsilons", ",", "--samples", "10"],
-                           "argument --epsilons: expected comma-separated positive numbers"),
+                           "with eps^2 not 0 or inf, got [] from ','"),
     # one epsilon rule: distinct values, each eps^2 neither 0 nor inf
     "ldp-epsilons-repeated": (["ldp", "--event", "sup-ge:1", "--epsilons", "0.5,0.5", "--samples", "10"],
                               "argument --epsilons: epsilons must be distinct, got [0.5, 0.5]"),
@@ -744,13 +759,14 @@ BAD_VALUES = {
     "ldp-entry-above-dim": (["ldp", "--dim", "2", "--event", "level2-ge:3,1,1", "--epsilons", "1",
                              "--samples", "10"],
                             "--event 'level2-ge:3,1,1': entry (3, 1) reads component 3, but the path has d=2"),
+    # TimeGrid owns the horizon rule
     "ldp-horizon-0": (["ldp", "--event", "sup-ge:1", "--epsilons", "1", "--samples", "10",
                        "--horizon", "0"],
-                      "argument --horizon: expected a positive finite number, got '0'"),
+                      "--horizon: horizon must be positive and finite, got 0.0"),
     "sample-horizon-negative": (["sample", "--horizon", "-1"],
-                                "argument --horizon: expected a positive finite number"),
+                                "--horizon: horizon must be positive and finite, got -1.0"),
     "cm-horizon-nan": (["cm-check", "--samples", "10", "--horizon", "nan"],
-                       "argument --horizon: expected a positive finite number"),
+                       "--horizon: horizon must be positive and finite, got nan"),
     # the shift density is Brownian-only
     "cm-process-fbm": (["cm-check", "--process", "fbm", "--hurst", "0.3", "--samples", "2000", "--steps", "16"],
                        "argument --process: invalid choice: 'fbm'"),
@@ -777,23 +793,24 @@ BAD_VALUES["ldp-samples-past-the-pilot"] = (
 )
 BAD_VALUES.update(
     (f"eta0-horizon-{text}", (["eta0", "--ambient", "classical", "--horizon", text],
-                              f"argument --horizon: expected a positive finite number, got '{text}'"))
+                              f"--horizon: horizon must be positive and finite, got {float(text)}"))
     for text in ("0", "-1", "nan", "inf")
 )
 BAD_VALUES.update(
     (f"sample-hurst-{text}", (["sample", "--process", "fbm", "--hurst", text],
-                              f"argument --hurst: expected a number in (0, 1), got '{text}'"))
-    for text in ("1.5", "nan", "0", "1", "-0.3", "inf", "abc")
+                              f"--hurst: hurst must lie in (0,1) for fbm, got {float(text)}"))
+    for text in ("1.5", "nan", "0", "1", "-0.3", "inf")
 )
+BAD_VALUES["sample-hurst-abc"] = (["sample", "--process", "fbm", "--hurst", "abc"],
+                                  "argument --hurst: invalid float value: 'abc'")
 BAD_VALUES.update(
-    (f"cm-shift-{text}", (["cm-check", "--samples", "10", "--shift", text],
-                          f"--shift {text!r}: expected {message}"))
+    (f"cm-shift-{text}", (["cm-check", "--samples", "10", "--shift", text], f"--shift {text!r}: {message}"))
     for text, message in (
-        ("ramp:abc", "a finite slope, got 'abc'"),
-        ("ramp:nan", "a finite slope, got 'nan'"),
-        ("ramp:-inf", "a finite slope, got '-inf'"),
-        ("onb:0", "an integer >= 1, got '0'"),
-        ("onb:x", "an integer >= 1, got 'x'"),
+        ("ramp:abc", "derivative_values contains non-finite entries"),
+        ("ramp:nan", "derivative_values contains non-finite entries"),
+        ("ramp:-inf", "derivative_values contains non-finite entries"),
+        ("onb:0", "expected an integer >= 1, got '0'"),
+        ("onb:x", "expected an integer >= 1, got 'x'"),
     )
 )
 # the norm-equivalence probe owns its p/q rule
@@ -810,9 +827,9 @@ BAD_VALUES.update({
                    "--p 2.0 --q 60.0: q=60.0 at degree 4 and dimension 3 needs 14172488 quadrature nodes, "
                    "above the bound of 1000000"),
     "chaos-shift-vector-word": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "1,abc"],
-                                "--shift-vector '1,abc': expected comma-separated finite numbers"),
+                                "--shift-vector '1,abc': h contains non-finite entries"),
     "chaos-shift-vector-nan": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "nan,1"],
-                               "--shift-vector 'nan,1': expected comma-separated finite numbers"),
+                               "--shift-vector 'nan,1': h contains non-finite entries"),
     "chaos-shift-vector-length": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "1,2,3"],
                                   "--shift-vector '1,2,3': h has shape (3,), expected (2)"),
     "chaos-samples-10": (["chaos", "proxy", "--poly", "GRADED", "--shift-vector", "1,2", "--samples", "10"],
@@ -827,10 +844,12 @@ BAD_VALUES.update({
 BAD_VALUES.update(
     (f"eta0-ambient-{text}", (["eta0", "--ambient", text], f"--ambient {text!r}: {message}"))
     for text, message in (
-        ("level2:abc", "expected a positive finite number, got 'abc'"),
-        ("level2:nan", "expected a positive finite number, got 'nan'"),
-        ("level3:-1", "expected a positive finite number, got '-1'"),
-        ("holder2:0", "expected a positive finite number, got '0'"),
+        ("level2:abc", "pvar exponent must be finite and >= 1, got nan"),
+        ("level2:nan", "pvar exponent must be finite and >= 1, got nan"),
+        ("level3:-1", "pvar exponent must be finite and >= 1, got -1.0"),
+        # level 1 takes p itself: a p below 1 is refused, not raised to 1
+        ("level2:0.5", "pvar exponent must be finite and >= 1, got 0.5"),
+        ("holder2:0", "holder exponent must lie in (0, 2], got 0.0"),
         ("holder2:1.5", "holder exponent must lie in (0, 2], got 3.0"),
         ("classical:foo", "norm kind must be one of"),
     )

@@ -422,11 +422,12 @@ def _integer_entry_points():
     """(function, parameter, call taking the bad value, bad values) for every integer the library checks."""
     from wienerlift.asymptotics import EventSpec, empirical_rate, fernique_tail_fit, lift_norm_samples
     from wienerlift.chaos import (
-        ChaosPolynomial, GradedChaos, chaos_norm_equivalence_probe, chaos_project, proxy_restriction_mc,
+        ChaosPolynomial, GradedChaos, chaos_from_document, chaos_norm_equivalence_probe, chaos_project,
+        proxy_restriction_mc,
     )
     from wienerlift.girsanov import reweight_check
     from wienerlift.lifts import chen_residual, ito_lift
-    from wienerlift.seminorms import ambient_for_levels, classical_ambient
+    from wienerlift.seminorms import AmbientSpec, ambient_for_levels, classical_ambient
 
     spec, grid = GaussianSpec("bm", 1), TimeGrid(1.0, 8)
     path, event = sample(spec, grid, 1), EventSpec("sup-level1", 1.0)
@@ -434,6 +435,15 @@ def _integer_entry_points():
     psi = ChaosPolynomial(1, {(1,): 1.0, (2,): 0.5})
     graded = GradedChaos(1, {"a": psi}, {"a": 2})
     lift = ito_lift(path)
+
+    def chaos_doc(dimension=2, pair=(1, 1)):
+        term = {"symbol": None, "multi_index": [list(pair)], "coefficient": 1.0}
+        return chaos_from_document({"format_version": "chaos/v1", "dimension": dimension, "terms": [term]})
+
+    def ambient(**fields):
+        entry = {"symbol": "1", "indices": [1], "degree": 1, "norm": {"kind": "sup"}, "arity": 1} | fields
+        return AmbientSpec.from_config({"symbols": [entry], "distinguished": ["1"]})
+
     return [
         ("sample", "seed", lambda v: sample(spec, grid, v), (1.5, True, -1)),
         ("sample", "index", lambda v: sample(spec, grid, 1, index=v), (1.5, True, -1)),
@@ -475,6 +485,15 @@ def _integer_entry_points():
         ("chen_residual", "s", lambda v: chen_residual(lift, v, 4, 8), (1.5, True, -1, 9)),
         ("chen_residual", "u", lambda v: chen_residual(lift, 2, v, 8), (1.5, True, 1)),
         ("chen_residual", "t", lambda v: chen_residual(lift, 2, 4, v), (1.5, True, 3)),
+        # the integers a chaos or ambient document carries: int() once read 1.5 as 1, 2.9 as 2 and "1" as 1
+        ("ChaosPolynomial", "dimension", lambda v: ChaosPolynomial(v, {}), (1.5, True, 0)),
+        ("ChaosPolynomial", "multi-index entry", lambda v: ChaosPolynomial(1, {(v,): 1.0}), (1.5, True, -1)),
+        ("GradedChaos", "degree of 'a'", lambda v: GradedChaos(1, {"a": psi}, {"a": v}), (2.9, True, -1)),
+        ("chaos_from_document", "dimension", lambda v: chaos_doc(dimension=v), (1.7, True, 0)),
+        ("chaos_from_document", "power", lambda v: chaos_doc(pair=(1, v)), (2.5, True, -1)),
+        ("chaos_from_document", "coordinate", lambda v: chaos_doc(pair=(v, 1)), (1.5, True, 0, 3)),
+        ("AmbientSpec.from_config", "degree", lambda v: ambient(degree=v), ("1", True, 2.0)),
+        ("AmbientSpec.from_config", "arity", lambda v: ambient(arity=v), ("1", True, 2.0)),
     ]
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from wienerlift.grids import (
     GaussianSpec,
     SamplePath,
     TimeGrid,
+    piecewise_linear,
     sample,
     sample_values_batch,
 )
@@ -539,6 +541,19 @@ def test_lift_with_a_non_finite_tensor_is_refused(tmp_path, level, bad):
     target.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(f"{target}: base{level} contains non-finite entries")):
         load_enhanced(target)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_lift_whose_tensors_overflow_warns_nothing(level):
+    # inf - inf in the bracket term once printed a numpy RuntimeWarning before the refusal
+    path = SamplePath(TimeGrid(1.0, 2), np.array([[0.0], [1e200], [-1e200]]))
+    skeleton = piecewise_linear(path, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="base2 contains non-finite entries"):
+            stratonovich_lift(path, level)
+        with pytest.raises(ValueError, match="base2 contains non-finite entries"):
+            young_skeleton_lift(skeleton, level)
 
 
 def test_load_refuses_a_document_that_embeds_an_ambient(tmp_path):

@@ -392,6 +392,16 @@ def test_ambient_validation():
         AmbientSpec(symbols=(), distinguished=())
 
 
+def test_level_one_takes_p_itself():
+    # a p below 1 was once raised to 1 at level 1, so level2:0.5 read as level2:1
+    for p in (0.5, 0.0, -3.0, math.nan):
+        with pytest.raises(ValueError, match="pvar exponent must be finite and >= 1"):
+            ambient_for_levels(1, 2, p=p)
+    for p in (1.0, 2.5):
+        level1, level2 = (s.norm.exponent for s in ambient_for_levels(1, 2, p=p).symbols)
+        assert (level1, level2) == (p, max(p / 2, 1.0))
+
+
 def test_degree_and_arity_follow_from_the_word():
     # degree is the word's length, arity 1 for a path and 2 for an entry; neither can be set
     for indices, degree, arity in (((2,), 1, 1), ((1, 2), 2, 2), ((2, 1, 2), 3, 2)):
