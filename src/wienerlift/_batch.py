@@ -11,7 +11,9 @@ the selftest passes one lift's own arrays.  `pair_base_batch` is
 the name the driver builds its base tensors with.  `homogeneous_norm_batch`
 is `seminorms.homogeneous_norm` over `lifts.symbol_norms`, which reads
 level-2/3 entries from the basepoint tensors column by column and never
-builds a surface.
+builds a surface.  `homogeneous_norm_plan` is the same sum for one
+(ambient, grid) with its dispatch worked out once (`lifts.norm_plan`): the
+eta0 search evaluates thousands of small batches on one grid.
 """
 
 from __future__ import annotations
@@ -19,13 +21,19 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import TimeGrid, _count
-from .lifts import _pair_base, symbol_norms
+from .lifts import _pair_base, norm_plan
 from .seminorms import AmbientSpec, homogeneous_norm
 
 
 def pair_base_batch(values: np.ndarray, scheme: str) -> np.ndarray:
     """Level-2 basepoint tensors for a batch: (C, n+1, d, d)."""
     return _pair_base(values, scheme)
+
+
+def homogeneous_norm_plan(ambient: AmbientSpec, grid: TimeGrid):
+    """`homogeneous_norm_batch` for one (ambient, grid), dispatched once: (values, base2, base3) -> norms."""
+    norms = norm_plan(ambient, grid)
+    return lambda values, base2=None, base3=None: homogeneous_norm(norms(values, base2, base3))
 
 
 def homogeneous_norm_batch(
@@ -36,7 +44,7 @@ def homogeneous_norm_batch(
     base3: np.ndarray | None = None,
 ) -> np.ndarray | float:
     """Homogeneous norms sum_tau ||X_tau||^(1/degree) over the leading axes; one path gets a built-in float."""
-    return homogeneous_norm(symbol_norms(ambient, grid, values, base2, base3))
+    return homogeneous_norm_plan(ambient, grid)(values, base2, base3)
 
 
 def parallel_chunks(total: int, chunk: int, worker, threads: int = 1) -> None:

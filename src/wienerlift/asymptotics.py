@@ -20,9 +20,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._batch import homogeneous_norm_batch, pair_base_batch, parallel_chunks
+from ._batch import homogeneous_norm_batch, homogeneous_norm_plan, pair_base_batch, parallel_chunks
 from .grids import (
-    CameronMartinPath, GaussianSpec, TimeGrid, _check_streams, _count, derived_rng, paley_wiener,
+    CameronMartinPath, GaussianSpec, TimeGrid, _check_streams, _count, _real, derived_rng, paley_wiener,
     sample_values_batch,
 )
 from .lifts import EnhancedPath, _triple_base
@@ -93,7 +93,7 @@ class EventSpec:
 
     def __post_init__(self):
         _check_statistic(self.kind, "event kind")
-        if not math.isfinite(self.threshold):
+        if not math.isfinite(_real("threshold", self.threshold)):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
         _check_entry(self.entry)
         if self.kind == "hom-norm" and self.ambient is None:
@@ -256,7 +256,7 @@ def empirical_rate(
     (`_oracle_terms`), and `_oracle_scaled` turns it into each epsilon's
     eps^2 log p.
     """
-    epsilons = sorted(float(e) for e in epsilons)[::-1]
+    epsilons = sorted(float(_real("epsilon", e)) for e in epsilons)[::-1]
     _check_epsilons(epsilons)
     # one pass splits at n_samples, so a negative count would move the split
     n_samples, pilot_samples = _count("n_samples", n_samples, 0), _count("pilot_samples", pilot_samples, 0)
@@ -436,23 +436,41 @@ def skeleton_norm(h: CameronMartinPath, ambient: AmbientSpec) -> float:
     return homogeneous_norm_batch(ambient, h.grid, v, base2, base3)
 
 
+def _eta0_objective(ambient: AmbientSpec, grid: TimeGrid):
+    """`_eta0_quotients` for one (ambient, grid): vecs -> R(h) per row, its norm dispatch worked out once."""
+    n, d, dt, level = grid.n_steps, ambient.noise_dim, grid.dt, ambient.max_degree
+    norm_of = homogeneous_norm_plan(ambient, grid)
+
+    def quotients(vecs: np.ndarray) -> np.ndarray:
+        # NaN propagates through the max and fails both tests; inf fails the second
+        size = np.maximum.reduce(np.abs(vecs), axis=1)
+        ok = (size >= 1e-12) & (size < np.inf)
+        rows = len(vecs)
+        # a row that fails is evaluated as ones, so every row takes one route, and its value is dropped
+        if np.count_nonzero(ok) == rows:
+            deriv = np.ascontiguousarray(vecs, dtype=float)
+        else:
+            deriv = np.where(ok[:, None], vecs, 1.0)
+        values = np.zeros((rows, n + 1, d))
+        np.add.accumulate((deriv * dt).reshape(rows, n, d), axis=1, out=values[:, 1:])
+        norm = norm_of(values, *_base_tensors(values, "young", level))
+        energy = 0.5 * np.add.reduce(np.square(deriv), axis=1) * dt
+        valid = norm > 0
+        valid &= ok
+        if np.count_nonzero(valid) == rows:
+            return energy / np.square(norm)
+        return np.divide(energy, np.square(norm), out=np.full(rows, np.inf), where=valid)
+
+    return quotients
+
+
 def _eta0_quotients(ambient: AmbientSpec, grid: TimeGrid, vecs: np.ndarray) -> np.ndarray:
     """R(h) for each row of `vecs` (k, n d), the cell derivatives of h.
 
     Non-finite rows, rows within 1e-12 of zero and rows whose lift has norm 0
     give inf.  A row's value does not depend, to the last bit, on the other rows.
     """
-    # NaN propagates through the max and fails both tests; inf fails the second
-    size = np.abs(vecs).max(axis=1)
-    ok = (size >= 1e-12) & (size < np.inf)
-    # a row that fails is evaluated as ones, so every row takes one route, and its value is dropped
-    deriv = np.where(ok[:, None], vecs, 1.0).reshape(-1, grid.n_steps, ambient.noise_dim)
-    values = np.zeros((len(deriv), grid.n_steps + 1, ambient.noise_dim))
-    np.cumsum(deriv * grid.dt, axis=1, out=values[:, 1:])
-    base2, base3 = _base_tensors(values, "young", ambient.max_degree)
-    norm = homogeneous_norm_batch(ambient, grid, values, base2, base3)
-    energy = 0.5 * (deriv**2).sum(axis=(1, 2)) * grid.dt
-    return np.divide(energy, norm**2, out=np.full(len(deriv), np.inf), where=ok & (norm > 0))
+    return _eta0_objective(ambient, grid)(vecs)
 
 
 def eta0_quotient(h: CameronMartinPath, ambient: AmbientSpec) -> float:
@@ -493,10 +511,11 @@ def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) 
     candidates a start left unused.
     """
     starts, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    # the vertex axis leads: vertex j of every live start is sim[j], its values fsim[j]
+    sim = np.repeat(x0[None], n + 1, axis=0)
     diag = np.arange(n)
-    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = fun(sim.reshape(-1, n)).reshape(starts, n + 1)
+    sim[diag + 1, :, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025).T
+    fsim = fun(sim.reshape(-1, n)).reshape(n + 1, starts)
     result = _SimplexResult(
         np.empty((starts, n)), np.empty(starts), np.empty(starts, dtype=int), np.zeros(starts, dtype=bool)
     )
@@ -504,45 +523,51 @@ def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) 
     a = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
     b = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]
     live, evaluations = np.arange(starts), np.full(starts, n + 1)
-    rows = live[:, None]
+    cols = live
     for iteration in range(maxiter):
-        order = fsim.argsort(axis=1)
-        sim, fsim = sim[rows, order], fsim[rows, order]
+        # row j * live.size + r of the flattened simplices is vertex j of start r, so one gather sorts them all
+        flat = fsim.argsort(axis=0) * live.size + cols
+        sim, fsim = sim.reshape(-1, n).take(flat, axis=0), fsim.take(flat)
         if iteration == maxiter - 1:
             break
         # sorted values: the largest |f_0 - f_j| is f_N - f_0
-        done = fsim[:, -1] - fsim[:, 0] <= fatol
-        if done.any():
-            done[done] = np.abs(sim[done, 1:] - sim[done, :1]).max(axis=(1, 2)) <= xatol
-            if done.any():
+        done = fsim[-1] - fsim[0] <= fatol
+        if np.count_nonzero(done):
+            done[done] = np.abs(sim[1:, done] - sim[:1, done]).max(axis=(0, 2)) <= xatol
+            if np.count_nonzero(done):
                 frozen = live[done]
-                result.x[frozen], result.fun[frozen] = sim[done, 0], fsim[done, 0]
+                result.x[frozen], result.fun[frozen] = sim[0, done], fsim[0, done]
                 result.evaluations[frozen], result.converged[frozen] = evaluations[done], True
                 keep = ~done
-                live, sim, fsim, evaluations = live[keep], sim[keep], fsim[keep], evaluations[keep]
+                live, sim, fsim, evaluations = live[keep], sim[:, keep], fsim[:, keep], evaluations[keep]
                 if not live.size:
                     break
-                rows = np.arange(live.size)[:, None]
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        points = a * xbar - b * sim[:, -1]
+                cols = np.arange(live.size)
+        # summed over contiguous vertex rows in order, as scipy sums them
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        points = a * xbar - b * sim[-1]
         f = fun(points.reshape(-1, n)).reshape(4, -1)
         fr, fe, fo, fi = f
-        expand = fr < fsim[:, 0]
-        take_r = ~expand & (fr < fsim[:, -2])
-        # each start's move: 0 reflection, 1 expansion, 2 outside, 3 inside contraction, 4 shrink
-        contract = np.where(fr < fsim[:, -1], np.where(fo <= fr, 2, 4), np.where(fi < fsim[:, -1], 3, 4))
-        choice = np.where(expand, fe < fr, np.where(take_r, 0, contract))
-        evaluations += 2 - take_r
-        step = np.flatnonzero(choice < 4)
-        if step.size < live.size:
-            shrink = choice == 4
-            best = sim[shrink, :1]
-            moved = best + 0.5 * (sim[shrink, 1:] - best)
-            sim[shrink, 1:] = moved
-            fsim[shrink, 1:] = fun(moved.reshape(-1, n)).reshape(-1, n)
+        expand = fr < fsim[0]
+        # fr below the second-worst and below the worst value
+        below = fr < fsim[-2:]
+        reflect = expand | below[0]
+        # each start's point: 0 reflection, 1 expansion, 2 outside, 3 inside contraction
+        choice = np.where(reflect, expand & (fe < fr), 3 - below[1])
+        shrink = ~(reflect | np.where(below[1], fo <= fr, fi < fsim[-1]))
+        # a reflection taken without trying the expansion costs one evaluation, every other move two
+        evaluations += 2 - (reflect ^ expand)
+        flat = choice * live.size + cols
+        step = slice(None)
+        if np.count_nonzero(shrink):
+            best = sim[:1, shrink]
+            moved = best + 0.5 * (sim[1:, shrink] - best)
+            sim[1:, shrink] = moved
+            fsim[1:, shrink] = fun(moved.reshape(-1, n)).reshape(n, -1)
             evaluations[shrink] += n
-        sim[step, -1], fsim[step, -1] = points[choice[step], step], f[choice[step], step]
-    result.x[live], result.fun[live], result.evaluations[live] = sim[:, 0], fsim[:, 0], evaluations
+            step = ~shrink
+        sim[-1, step], fsim[-1, step] = points.reshape(-1, n).take(flat[step], axis=0), f.take(flat[step])
+    result.x[live], result.fun[live], result.evaluations[live] = sim[0], fsim[0], evaluations
     return result
 
 
@@ -579,10 +604,12 @@ def eta0_estimate(
 
     fatol = 1e-12
 
+    objective = _eta0_objective(ambient, grid)
+
     def leg(x: np.ndarray, budget: int) -> _SimplexResult:
         """`budget` lock-step iterations from every row of `x` rescaled to unit RMS."""
         x = x / np.sqrt(np.mean(x**2, axis=1, keepdims=True))
-        return _nelder_mead(lambda vecs: _eta0_quotients(ambient, grid, vecs), x, budget, xatol=1e-8, fatol=fatol)
+        return _nelder_mead(objective, x, budget, xatol=1e-8, fatol=fatol)
 
     x0 = np.stack([derived_rng(seed, r).standard_normal(n_var) for r in range(restarts)])
     legs = [leg(x0, maxiter - maxiter // 2)]

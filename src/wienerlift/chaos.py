@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import _files
-from .grids import _count, _grid_array, derived_rng
+from .grids import _count, _grid_array, _real, derived_rng
 
 MAX_HERMITE_DEGREE = 60
 # the norm-equivalence probe's tensor quadrature has about (k q)^dimension nodes, at most
@@ -86,7 +86,7 @@ class ChaosPolynomial:
                 raise ValueError(
                     f"multi-index {alpha} has length {len(alpha)}, expected {self.dimension}"
                 )
-            c = float(c)
+            c = float(_real(f"coefficient of {alpha}", c))
             if not math.isfinite(c):
                 raise ValueError(f"multi-index {alpha} has non-finite coefficient {c}")
             if c != 0.0:
@@ -316,7 +316,7 @@ def _terms_from_list(terms: list, dimension: int) -> dict:
         for coord, power in term["multi_index"]:
             alpha[_count("coordinate", coord, 1, dimension) - 1] = _count("power", power, 0)
         key = tuple(alpha)
-        coeffs[key] = coeffs.get(key, 0.0) + float(term["coefficient"])
+        coeffs[key] = coeffs.get(key, 0.0) + _real("coefficient", term["coefficient"])
     return coeffs
 
 

@@ -26,6 +26,7 @@ import csv
 import functools
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -149,6 +150,16 @@ def _count(name: str, value, minimum: int = 1, maximum: int | None = None) -> in
     return value
 
 
+def _real(name: str, value):
+    """`value` itself, after refusing a bool, a string or anything else that is not a real number.
+
+    The real-number twin of `_count`: each caller still checks its own range.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [0, T] with points t_k = k*T/n_steps."""
@@ -157,7 +168,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
+        if not (math.isfinite(_real("horizon", self.horizon)) and self.horizon > 0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         object.__setattr__(self, "n_steps", _count("n_steps", self.n_steps))
 
@@ -426,7 +437,9 @@ def sample_values_batch(
     seed, start, count = _check_seed(seed, start, count)
     law = _grid_law(spec, grid)
     n, d = grid.n_steps, spec.dim
-    out = np.zeros((count, n + 1, d))
+    # row t=0 is the start; every later entry is written by the law's product and the sum
+    out = np.empty((count, n + 1, d))
+    out[:, 0] = 0.0
     rows = max(1, BLOCK_BYTES // (8 * law.normals * d))
     buffer = np.empty((min(rows, count), law.normals, d))
     # one Generator per call, so threads never share one; each path sets its stream's state

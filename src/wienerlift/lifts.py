@@ -23,8 +23,9 @@ and the Chen reconstructions take any number of leading axes; one path is
 the batch with no leading axis.  `chen_increment` rebuilds whole tensors
 X_{s,t} for the Chen check.  The graded norms read entries X^w_{s,t} column
 by column (`entry_columns`), so no (n+1, n+1) surface is ever stored:
-`symbol_norms` yields each ambient symbol's norm over the leading axes, and
-`to_graded` is its list for one lift.  A block of columns is indexed
+`symbol_norms` lists each ambient symbol's norm over the leading axes
+(`norm_plan` works out its dispatch once per ambient and grid), and
+`to_graded` is that list for one lift.  A block of columns is indexed
 [t - t0, s, ...batch], time first and the batch axes last, so the Chen
 arithmetic runs along the contiguous batch axis, and a block holds O(C n)
 entries.
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import _files
 from .grids import CameronMartinPath, SamplePath, TimeGrid, _count, _grid_array
-from .seminorms import AmbientSpec, SymbolSpec, _time_first, ambient_for_levels, column_norm, symbol_norm
+from .seminorms import AmbientSpec, SymbolSpec, _time_first, _time_view, ambient_for_levels, column_kernel, path_kernel
 
 FORMAT_VERSION = "enhanced-path/v1"
 
@@ -135,7 +136,7 @@ def _entry_pairs(values, base2, base3, indices):
     if (base2 if level == 2 else base3) is None:
         raise ValueError(f"entry {tuple(indices)} needs level {level}, but the path has no level {level}")
     i, j = indices[0] - 1, indices[1] - 1
-    x0i = np.subtract(np.moveaxis(values[..., i], -1, 0), values[..., 0, i], order="C")
+    x0i = np.subtract(_time_view(values[..., i]), values[..., 0, i], order="C")
     last = _time_first(values[..., indices[-1] - 1])
     if level == 2:
         top, lead, inner = _time_first(base2[..., i, j]), x0i, None
@@ -175,6 +176,30 @@ def entry_columns(values: np.ndarray, base2: np.ndarray, base3, indices):
     return lambda t0, t1: pairs((None, slice(0, t1)), (slice(t0, t1), None))
 
 
+def norm_plan(ambient: AmbientSpec, grid: TimeGrid):
+    """`symbol_norms` for one (ambient, grid): a function (values, base2=None, base3=None) -> its pairs.
+
+    Each symbol's dispatch on degree and norm kind, and its norm's tables,
+    are worked out here once, for callers that evaluate many batches on one
+    grid.
+    """
+    n, dt = grid.n_steps, grid.dt
+    kernels = []
+    for sym in ambient.symbols:
+        if sym.degree == 1:
+            path, i = path_kernel(sym.norm, n, dt), sym.indices[0] - 1
+            kernels.append(lambda values, base2, base3, path=path, i=i: path(values[..., i]))
+        else:
+            column, word = column_kernel(sym.norm, n, dt), sym.indices
+            kernels.append(lambda values, base2, base3, column=column, word=word: column(
+                entry_columns(values, base2, base3, word), values.shape[:-2]))
+
+    def norms(values: np.ndarray, base2: np.ndarray | None = None, base3: np.ndarray | None = None):
+        return [(sym, kernel(values, base2, base3)) for sym, kernel in zip(ambient.symbols, kernels)]
+
+    return norms
+
+
 def symbol_norms(
     ambient: AmbientSpec,
     grid: TimeGrid,
@@ -182,18 +207,12 @@ def symbol_norms(
     base2: np.ndarray | None = None,
     base3: np.ndarray | None = None,
 ):
-    """(symbol, its norm over the leading axes) for each symbol of `ambient`, in order.
+    """A list of (symbol, its norm over the leading axes) for each symbol of `ambient`, in order.
 
     Degree-1 symbols read a component of `values`; level-2/3 entries stream
     from the basepoint tensors by `entry_columns`: O(C n) memory, no surface.
     """
-    for sym in ambient.symbols:
-        if sym.degree == 1:
-            norm = symbol_norm(values[..., sym.indices[0] - 1], grid, sym)
-        else:
-            columns = entry_columns(values, base2, base3, sym.indices)
-            norm = column_norm(columns, values.shape[:-2], grid.n_steps, sym.norm, grid.dt)
-        yield sym, norm
+    return norm_plan(ambient, grid)(values, base2, base3)
 
 
 def _scheme_lift(x: SamplePath, level: int, scheme: str) -> EnhancedPath:

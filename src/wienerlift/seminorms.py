@@ -19,8 +19,10 @@ is asserted here.
 
 Every kernel takes any number of leading axes and gives norms of shape
 (...); a single path is the batch with no leading axis and gets a built-in
-float.  `lifts.symbol_norms` streams a lift's columns from its basepoint
-tensors; `homogeneous_norm` and `banach_norm` sum the (symbol, norm) pairs.
+float.  `column_kernel` and `path_kernel` fix a norm and a grid once and
+return the kernel as a function, for callers that evaluate many batches.
+`lifts.symbol_norms` streams a lift's columns from its basepoint tensors;
+`homogeneous_norm` and `banach_norm` sum the (symbol, norm) pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from . import _files
-from .grids import BLOCK_BYTES, TimeGrid, _count
+from .grids import BLOCK_BYTES, TimeGrid, _count, _real
 
 NORM_KINDS = ("pvar", "holder", "sup", "terminal")
 
@@ -47,6 +49,8 @@ class SymbolNorm:
     def __post_init__(self):
         if self.kind not in NORM_KINDS:
             raise ValueError(f"norm kind must be one of {NORM_KINDS}, got {self.kind!r}")
+        if self.exponent is not None:
+            _real(f"{self.kind} exponent", self.exponent)
         if self.kind == "pvar" and (self.exponent is None or not 1 <= self.exponent < math.inf):
             raise ValueError(f"pvar exponent must be finite and >= 1, got {self.exponent}")
         if self.kind == "holder" and (self.exponent is None or not 0 < self.exponent <= 2):
@@ -212,8 +216,9 @@ def _unbox(value):
 
     Roots are taken after unboxing: C pow on a float and NumPy's vectorised
     power can differ in the last bit, and a single path keeps the former.
+    `value` is a NumPy array or scalar.
     """
-    return float(value) if np.ndim(value) == 0 else value
+    return float(value) if value.ndim == 0 else value
 
 
 def _path_values(values) -> np.ndarray:
@@ -221,6 +226,46 @@ def _path_values(values) -> np.ndarray:
     if x.ndim == 0 or x.shape[-1] < 2:
         raise ValueError("path needs at least two points")
     return x
+
+
+def column_kernel(norm: SymbolNorm, n: int, dt: float = 1.0):
+    """`column_norm` of one norm on an n-step grid: a function (columns, shape) -> norms.
+
+    The dispatch on the norm kind and the Hoelder divisor per lag are worked
+    out here once, so that a caller evaluating many batches on one grid pays
+    for them once.
+    """
+    kind, e = norm.kind, norm.exponent
+    if kind == "terminal":
+        return lambda columns, shape: _unbox(np.abs(columns(n, n + 1)[0, 0]))
+    if kind != "pvar":
+        # divisor per lag t - s, by scalar pow; inf masks the pairs s >= t
+        scale = np.array([np.inf] + [(k * dt) ** e if kind == "holder" else 1.0 for k in range(1, n + 1)])
+
+    def kernel(columns, shape):
+        # an empty batch takes one column a block; its blocks hold no entries
+        width = max(1, BLOCK_BYTES // (8 * (n + 1) * max(1, math.prod(shape))))
+        best = np.zeros((n + 1,) + shape if kind == "pvar" else shape)
+        for t0 in range(1, n + 1, width):
+            t1 = min(n + 1, t0 + width)
+            size = columns(t0, t1)
+            np.abs(size, out=size)
+            if kind == "pvar":
+                # `**=` keeps NumPy's scalar fast paths (square at e=2), as `**` does
+                size **= e
+                for t in range(t0, t1):
+                    row = size[t - t0, :t]
+                    row += best[:t]
+                    np.maximum.reduce(row, axis=0, out=best[t, ...])
+            else:
+                lag = np.maximum(np.arange(t0, t1)[:, None] - np.arange(t1), 0)
+                size /= scale[lag].reshape(lag.shape + (1,) * len(shape))
+                np.maximum(best, np.maximum.reduce(size, axis=(0, 1)), out=best)
+        if kind == "pvar":
+            return _unbox(best[n]) ** (1.0 / e)
+        return _unbox(best)
+
+    return kernel
 
 
 def column_norm(columns, shape: tuple, n: int, norm: SymbolNorm, dt: float = 1.0) -> float | np.ndarray:
@@ -233,48 +278,47 @@ def column_norm(columns, shape: tuple, n: int, norm: SymbolNorm, dt: float = 1.0
     value, power or Hoelder quotient rather than allocating another.  A block
     holds at most `BLOCK_BYTES` or one column, so memory is O(C n).  pvar is
     the exact q-variation over consecutive intervals of grid partitions, by
-    the recursion best[t] = max_{s<t} best[s] + |X_{s,t}|^q; holder is the
-    largest |X_{s,t}| / ((t-s) dt)^e and sup the largest |X_{s,t}| over
-    s < t; terminal is |X_{0,n}|.
+    the recursion best[t] = max_{s<t} best[s] + |X_{s,t}|^q, run in place in
+    the block; holder is the largest |X_{s,t}| / ((t-s) dt)^e and sup the
+    largest |X_{s,t}| over s < t; terminal is |X_{0,n}|.
     """
-    kind, e = norm.kind, norm.exponent
-    if kind == "terminal":
-        return _unbox(np.abs(columns(n, n + 1)[0, 0]))
-    # an empty batch takes one column a block; its blocks hold no entries
-    width = max(1, BLOCK_BYTES // (8 * (n + 1) * max(1, math.prod(shape))))
-    if kind == "pvar":
-        best = np.zeros((n + 1,) + shape)
-    else:
-        best = np.zeros(shape)
-        # divisor per lag t - s, by scalar pow; inf masks the pairs s >= t
-        scale = np.array([np.inf] + [(k * dt) ** e if kind == "holder" else 1.0 for k in range(1, n + 1)])
-    for t0 in range(1, n + 1, width):
-        t1 = min(n + 1, t0 + width)
-        size = columns(t0, t1)
-        np.abs(size, out=size)
-        if kind == "pvar":
-            # `**=` keeps NumPy's scalar fast paths (square at e=2), as `**` does
-            size **= e
-            for t in range(t0, t1):
-                best[t] = np.maximum.reduce(best[:t] + size[t - t0, :t], axis=0)
-        else:
-            lag = np.maximum(np.arange(t0, t1)[:, None] - np.arange(t1), 0)
-            size /= scale[lag].reshape(lag.shape + (1,) * len(shape))
-            np.maximum(best, np.maximum.reduce(size, axis=(0, 1)), out=best)
-    if kind == "pvar":
-        return _unbox(best[n]) ** (1.0 / e)
-    return _unbox(best)
+    return column_kernel(norm, n, dt)(columns, shape)
+
+
+def _time_view(a: np.ndarray) -> np.ndarray:
+    """a (..., n+1) viewed as (n+1, ...)."""
+    return a.transpose(a.ndim - 1, *range(a.ndim - 1))
 
 
 def _time_first(a: np.ndarray) -> np.ndarray:
     """a (..., n+1) as a contiguous (n+1, ...) array, the layout of a column block."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    return np.ascontiguousarray(_time_view(a))
 
 
 def _increments(x: np.ndarray):
     """Column blocks of a one-parameter path: x_t - x_s."""
     xt = _time_first(x)
     return lambda t0, t1: xt[t0:t1, None] - xt[None, :t1]
+
+
+def path_kernel(norm: SymbolNorm, n: int, dt: float = 1.0):
+    """A degree-1 norm on path values (..., n+1): a function of the values, dispatched once.
+
+    pvar is |x_0| plus the p-variation of the increments, and holder the
+    largest |x_t - x_s| / ((t-s) dt)^alpha, both by `column_kernel`; sup is
+    the largest |x_t| and terminal |x_n|.
+    """
+    kind = norm.kind
+    if kind == "sup":
+        return lambda x: _unbox(np.maximum.reduce(np.abs(x), axis=-1))
+    if kind == "terminal":
+        return lambda x: _unbox(np.abs(x[..., -1]))
+    if kind == "holder" and not 0 < norm.exponent <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {norm.exponent}")
+    column = column_kernel(norm, n, dt)
+    if kind == "holder":
+        return lambda x: column(_increments(x), x.shape[:-1])
+    return lambda x: _unbox(np.abs(x[..., 0])) + column(_increments(x), x.shape[:-1])
 
 
 def p_variation_1d(values: np.ndarray, p: float) -> float | np.ndarray:
@@ -284,28 +328,19 @@ def p_variation_1d(values: np.ndarray, p: float) -> float | np.ndarray:
     endpoints: `column_norm` on the increments.
     """
     x = _path_values(values)
-    n = x.shape[-1] - 1
-    return _unbox(np.abs(x[..., 0])) + column_norm(_increments(x), x.shape[:-1], n, SymbolNorm("pvar", p))
+    return path_kernel(SymbolNorm("pvar", p), x.shape[-1] - 1)(x)
 
 
 def holder_norm_1d(values: np.ndarray, grid: TimeGrid, alpha: float) -> float | np.ndarray:
     """max over grid pairs s < t of |x_t - x_s| / |t - s|^alpha."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     x = _path_values(values)
-    n = x.shape[-1] - 1
-    return column_norm(_increments(x), x.shape[:-1], n, SymbolNorm("holder", alpha), grid.dt)
+    return path_kernel(SymbolNorm("holder", alpha), x.shape[-1] - 1, grid.dt)(x)
 
 
 def symbol_norm(payload: np.ndarray, grid: TimeGrid, spec: SymbolSpec) -> float | np.ndarray:
     """A degree-1 symbol's configured norm on its path values (..., n+1)."""
-    kind, e = spec.norm.kind, spec.norm.exponent
-    if kind == "pvar":
-        return p_variation_1d(payload, e)
-    if kind == "holder":
-        return holder_norm_1d(payload, grid, e)
-    x = np.abs(np.asarray(payload))
-    return _unbox(x[..., -1] if kind == "terminal" else np.max(x, axis=-1))
+    x = _path_values(payload)
+    return path_kernel(spec.norm, x.shape[-1] - 1, grid.dt)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +349,16 @@ def symbol_norm(payload: np.ndarray, grid: TimeGrid, spec: SymbolSpec) -> float 
 
 
 def homogeneous_norm(norms) -> float | np.ndarray:
-    """sum over (symbol, norm) pairs of norm^(1/degree); homogeneous under `dilate_enhanced`."""
-    total = 0.0
+    """sum over (symbol, norm) pairs of norm^(1/degree); homogeneous under `dilate_enhanced`.
+
+    A degree-1 norm enters as it is and the sum starts from the first term:
+    no norm is -0.0, so x^1 and 0 + x would give x to the last bit.
+    """
+    total = None
     for sym, norm in norms:
-        total += norm ** (1.0 / sym.degree)
-    return total
+        term = norm if sym.degree == 1 else norm ** (1.0 / sym.degree)
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
 
 
 def banach_norm(norms) -> float | np.ndarray:

@@ -20,7 +20,7 @@ from wienerlift.asymptotics import (
     lift_norm_samples,
 )
 from wienerlift.grids import CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, sample
-from wienerlift.lifts import dilate_enhanced, ito_lift, stratonovich_lift, to_graded
+from wienerlift.lifts import _lift_tensors, dilate_enhanced, ito_lift, stratonovich_lift, to_graded
 from wienerlift.seminorms import AmbientSpec, ambient_for_levels, classical_ambient
 
 
@@ -35,6 +35,9 @@ def test_event_validation():
     for entry in ((0, 1), (1, -1), (1,), (1, 1.0)):
         with pytest.raises(ValueError, match="entry must be two integers >= 1"):
             EventSpec("level2-entry", 1.0, entry=entry)
+    for threshold in (True, "0.5"):
+        with pytest.raises(ValueError, match="threshold must be a real number"):
+            EventSpec("sup-level1", threshold)
 
 
 def test_event_dilation_identity():
@@ -692,6 +695,8 @@ def test_empirical_rate_refuses_nonpositive_epsilons():
     ("sup-level1", [1e200], r"eps\^2 not 0 or inf"),
     ("sup-level1", [1e300, 0.5], r"eps\^2 not 0 or inf"),
     ("sup-level1", [], "at least one"),
+    ("sup-level1", ["0.5"], "epsilon must be a real number, got '0.5'"),
+    ("sup-level1", [0.5, True], "epsilon must be a real number, got True"),
 ])
 def test_epsilon_rule_refuses_before_sampling(monkeypatch, kind, epsilons, message):
     import wienerlift.asymptotics as asy
@@ -725,6 +730,9 @@ SCIPY_CASES = {
                            np.random.default_rng(4).standard_normal((4, 6)), 150),
     "eta0-level2": (_eta0_objective(ambient_for_levels(1, 2, norm_kind="pvar", p=2.5), 4),
                     np.random.default_rng(5).standard_normal((4, 4)), 60),
+    # three starts freeze at different iterations, two shrink on until the cap
+    "eta0-classical-terminal": (_eta0_objective(classical_ambient(1, "terminal"), 3),
+                                np.random.default_rng(6).standard_normal((5, 3)), 150),
 }
 
 
@@ -767,18 +775,106 @@ ROW_AMBIENTS = {
 }
 
 
+def _plain_entry(values, base2, base3, word):
+    """X^w_{s,t} over all grid pairs, (k, n+1, n+1) indexed [., s, t], by the Chen arithmetic of `lifts._entry_pairs`."""
+    i, j = word[0] - 1, word[1] - 1
+    x0i = values[..., i] - values[..., :1, i]
+    last = values[..., word[-1] - 1]
+    if len(word) == 2:
+        top, lead, inner = base2[..., i, j], x0i, None
+    else:
+        top, lead = base3[..., i, j, word[2] - 1], base2[..., i, j]
+        inner = _plain_entry(values, base2, None, word[1:])
+    low = top - lead * last
+    out = top[:, None, :] - low[:, :, None]
+    if inner is not None:
+        out -= x0i[:, :, None] * inner
+    out -= lead[:, :, None] * last[:, None, :]
+    return out
+
+
+def _plain_norm(surface, norm, dt):
+    """One norm of surfaces X[., s, t] over the pairs s < t, spelled out; (k,)."""
+    n = surface.shape[-1] - 1
+    if norm.kind == "terminal":
+        return np.abs(surface[:, 0, n])
+    size = np.abs(surface)
+    if norm.kind == "pvar":
+        size **= norm.exponent
+        best = np.zeros((n + 1, len(surface)))
+        for t in range(1, n + 1):
+            best[t] = np.maximum.reduce(best[:t] + size[:, :t, t].T, axis=0)
+        return best[n] ** (1.0 / norm.exponent)
+    best = np.zeros(len(surface))
+    for t in range(1, n + 1):
+        for s in range(t):
+            divisor = ((t - s) * dt) ** norm.exponent if norm.kind == "holder" else 1.0
+            best = np.maximum(best, size[:, s, t] / divisor)
+    return best
+
+
+def _plain_quotients(ambient, grid, vecs):
+    """The eta0 quotient R(h) per row, written out step by step as a reference for `_eta0_quotients`."""
+    n, d, dt = grid.n_steps, ambient.noise_dim, grid.dt
+    size = np.abs(vecs).max(axis=1)
+    ok = (size >= 1e-12) & (size < np.inf)
+    deriv = np.where(ok[:, None], vecs, 1.0).reshape(-1, n, d)
+    values = np.zeros((len(deriv), n + 1, d))
+    np.cumsum(deriv * dt, axis=1, out=values[:, 1:])
+    base2, base3 = _lift_tensors(values, "young", 3)
+    norm = 0.0
+    for sym in ambient.symbols:
+        if sym.degree == 1:
+            x = values[..., sym.indices[0] - 1]
+            if sym.norm.kind == "sup":
+                value = np.abs(x).max(axis=-1)
+            elif sym.norm.kind == "terminal":
+                value = np.abs(x[:, -1])
+            else:
+                value = _plain_norm(x[:, None, :] - x[:, :, None], sym.norm, dt)
+                if sym.norm.kind == "pvar":
+                    value = np.abs(x[:, 0]) + value
+        else:
+            value = _plain_norm(_plain_entry(values, base2, base3, sym.indices), sym.norm, dt)
+        norm += value ** (1.0 / sym.degree)
+    energy = 0.5 * (deriv**2).sum(axis=(1, 2)) * dt
+    return np.divide(energy, norm**2, out=np.full(len(deriv), np.inf), where=ok & (norm > 0))
+
+
+def _awkward_rows(rng, rows, width):
+    """Rows over four decades of scale, with a zero, a NaN, a +inf, a -inf and a near-zero row among them."""
+    vecs = rng.standard_normal((rows, width)) * rng.uniform(0.01, 100.0, (rows, 1))
+    vecs[1] = 0.0
+    vecs[2, 3] = np.nan
+    vecs[3, 0] = np.inf
+    vecs[4, 5] = -np.inf
+    vecs[5] = rng.uniform(-9e-13, 9e-13, width)
+    return vecs
+
+
+@pytest.mark.parametrize("name", list(ROW_AMBIENTS))
+@pytest.mark.parametrize("horizon, segments", [(1.0, 7), (2.5, 4)])
+def test_eta0_quotients_match_the_plain_reference(name, horizon, segments):
+    ambient = ROW_AMBIENTS[name]
+    grid = TimeGrid(horizon, segments)
+    vecs = _awkward_rows(np.random.default_rng(12), 12, 2 * segments)
+    # out along the diagonal for a cell and back the next: its terminal norms are 0, so its quotient is inf
+    vecs[6] = 0.0
+    vecs[6, :2], vecs[6, 2:4] = 1.0, -1.0
+    got = _eta0_quotients(ambient, grid, vecs)
+    assert got.tobytes() == _plain_quotients(ambient, grid, vecs).tobytes()
+    assert np.isinf(got[1:6]).all() and np.isfinite(got[7:]).all()
+    assert np.isinf(got[6]) == (name == "classical-terminal")
+    # a batch of valid rows alone, where no row is masked
+    assert _eta0_quotients(ambient, grid, vecs[7:]).tobytes() == got[7:].tobytes()
+
+
 @pytest.mark.parametrize("name", list(ROW_AMBIENTS))
 def test_eta0_quotient_rows_do_not_depend_on_their_batch(name):
     # the lock-step search evaluates every start's candidates in one call
     ambient = ROW_AMBIENTS[name]
     grid = TimeGrid(1.0, 7)
-    rng = np.random.default_rng(11)
-    vecs = rng.standard_normal((12, 14)) * rng.uniform(0.01, 100.0, (12, 1))
-    vecs[1] = 0.0
-    vecs[2, 3] = np.nan
-    vecs[3, 0] = np.inf
-    vecs[4, 5] = -np.inf
-    vecs[5] = rng.uniform(-9e-13, 9e-13, 14)
+    vecs = _awkward_rows(np.random.default_rng(11), 12, 14)
     batch = _eta0_quotients(ambient, grid, vecs)
     alone = np.concatenate([_eta0_quotients(ambient, grid, row[None]) for row in vecs])
     assert batch.tobytes() == alone.tobytes()

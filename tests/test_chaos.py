@@ -250,6 +250,12 @@ def test_polynomial_refuses_a_non_finite_coefficient(bad):
         ChaosPolynomial(2, {(0, 0): 1.0, (1, 0): bad})
 
 
+@pytest.mark.parametrize("bad", ["1.5", True, None])
+def test_polynomial_refuses_a_coefficient_that_is_not_a_number(bad):
+    with pytest.raises(ValueError, match=r"coefficient of \(1, 0\) must be a real number"):
+        ChaosPolynomial(2, {(0, 0): 1.0, (1, 0): bad})
+
+
 def test_chaos_serialization_round_trip():
     rng = np.random.default_rng(12)
     psi = _random_poly(rng, 3, 3)

@@ -377,6 +377,10 @@ def test_chaos_missing_option_is_an_argument_error(tmp_path, capsys, args, optio
         (json.dumps({"format_version": "chaos/v1", "dimension": 1, "degrees": {"a": 2.9},
                      "terms": [{"symbol": "a", "multi_index": [[1, 2]], "coefficient": 1.0}]}),
          "degree of 'a' must be an integer, got 2.9"),
+        # a coefficient is a number, not the text of one that float() reads
+        (json.dumps({"format_version": "chaos/v1", "dimension": 1,
+                     "terms": [{"symbol": None, "multi_index": [[1, 1]], "coefficient": "1.5"}]}),
+         "coefficient must be a real number, got '1.5'"),
         ("not json", "Expecting value"),
     ],
 )
@@ -576,6 +580,7 @@ BAD_LIFT = {
     "json-list-grid": (lambda doc: doc.update(grid=[1, 2]), "enhanced-path document is malformed"),
     "json-inf-horizon": (lambda doc: doc["grid"].update(horizon=math.inf), "horizon must be positive and finite"),
     "json-float-steps": (lambda doc: doc["grid"].update(n_steps=8.0), "n_steps must be an integer, got 8.0"),
+    "json-true-horizon": (lambda doc: doc["grid"].update(horizon=True), "horizon must be a real number, got True"),
     "json-nan-level2": (lambda doc: doc["level2"]["data"].__setitem__(5, math.nan),
                         "base2 contains non-finite entries"),
     "json-inf-level2": (lambda doc: doc["level2"]["data"].__setitem__(5, -math.inf),

@@ -37,6 +37,9 @@ def test_grid_validation():
     for steps in (2.5, 4.0, True):
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             TimeGrid(1.0, steps)
+    for horizon in (True, "1.0", None):
+        with pytest.raises(ValueError, match="horizon must be a real number"):
+            TimeGrid(horizon, 4)
     steps = TimeGrid(1.0, np.int64(4)).n_steps
     assert steps == 4 and type(steps) is int
 

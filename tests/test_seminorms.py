@@ -392,6 +392,12 @@ def test_ambient_validation():
         AmbientSpec(symbols=(), distinguished=())
 
 
+def test_a_norm_exponent_is_a_real_number():
+    for kind, exponent in (("pvar", True), ("pvar", "2.5"), ("holder", False), ("holder", "0.5")):
+        with pytest.raises(ValueError, match=f"{kind} exponent must be a real number"):
+            SymbolNorm(kind, exponent)
+
+
 def test_level_one_takes_p_itself():
     # a p below 1 was once raised to 1 at level 1, so level2:0.5 read as level2:1
     for p in (0.5, 0.0, -3.0, math.nan):
