@@ -8,12 +8,12 @@ O(chunk * n).  A single path is the batch with no batch axis: the
 Monte Carlo route and the eta0 search pass values of shape (C, n+1, d), and
 the selftest passes one lift's own arrays.  `pair_base_batch` is
 `lifts._pair_base`, the level-2 accumulator of one path per batch row, under
-the name the driver builds its base tensors with.  `homogeneous_norm_batch`
-is `seminorms.homogeneous_norm` over `lifts.symbol_norms`, which reads
-level-2/3 entries from the basepoint tensors column by column and never
-builds a surface.  `homogeneous_norm_plan` is the same sum for one
-(ambient, grid) with its dispatch worked out once (`lifts.norm_plan`): the
-eta0 search evaluates thousands of small batches on one grid.
+the name the driver builds its base tensors with.  `homogeneous_norm_plan`
+is `seminorms.homogeneous_norm` over `lifts.norm_plan`, which works out its
+dispatch once per (ambient, grid), reads level-2/3 entries from the
+basepoint tensors column by column and never builds a surface: the eta0
+search evaluates thousands of small batches on one grid.
+`homogeneous_norm_batch` is that plan called once.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def pair_base_batch(values: np.ndarray, scheme: str) -> np.ndarray:
 
 
 def homogeneous_norm_plan(ambient: AmbientSpec, grid: TimeGrid):
-    """`homogeneous_norm_batch` for one (ambient, grid), dispatched once: (values, base2, base3) -> norms."""
+    """sum_tau ||X_tau||^(1/degree) for one (ambient, grid), dispatched once: (values, base2, base3) -> norms."""
     norms = norm_plan(ambient, grid)
     return lambda values, base2=None, base3=None: homogeneous_norm(norms(values, base2, base3))
 
@@ -43,7 +43,7 @@ def homogeneous_norm_batch(
     base2: np.ndarray | None = None,
     base3: np.ndarray | None = None,
 ) -> np.ndarray | float:
-    """Homogeneous norms sum_tau ||X_tau||^(1/degree) over the leading axes; one path gets a built-in float."""
+    """`homogeneous_norm_plan` called once."""
     return homogeneous_norm_plan(ambient, grid)(values, base2, base3)
 
 

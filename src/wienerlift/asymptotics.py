@@ -104,7 +104,10 @@ class EventSpec:
         return STATISTICS[self.kind].degree
 
     def statistic(self, e: EnhancedPath) -> float:
-        """The registry statistic on `e`'s own arrays, as a batch of one."""
+        """The registry statistic on `e`'s own arrays, as a batch of one, after the driver's checks."""
+        if self.ambient is not None:
+            self.ambient.check_fits(e.dim, e.max_level)
+        _check_entry(self.entry, e.dim)
         base3 = None if e.base3 is None else e.base3[None]
         stat = STATISTICS[self.kind].fn(
             values=e.level1.values[None], base2=e.base2[None], base3=base3,
@@ -437,7 +440,12 @@ def skeleton_norm(h: CameronMartinPath, ambient: AmbientSpec) -> float:
 
 
 def _eta0_objective(ambient: AmbientSpec, grid: TimeGrid):
-    """`_eta0_quotients` for one (ambient, grid): vecs -> R(h) per row, its norm dispatch worked out once."""
+    """R(h) for one (ambient, grid), its norm dispatch worked out once: a function of `vecs` (k, n d).
+
+    Each row of `vecs` holds the cell derivatives of one h.  Non-finite rows,
+    rows within 1e-12 of zero and rows whose lift has norm 0 give inf.  A
+    row's value does not depend, to the last bit, on the other rows.
+    """
     n, d, dt, level = grid.n_steps, ambient.noise_dim, grid.dt, ambient.max_degree
     norm_of = homogeneous_norm_plan(ambient, grid)
 
@@ -464,21 +472,12 @@ def _eta0_objective(ambient: AmbientSpec, grid: TimeGrid):
     return quotients
 
 
-def _eta0_quotients(ambient: AmbientSpec, grid: TimeGrid, vecs: np.ndarray) -> np.ndarray:
-    """R(h) for each row of `vecs` (k, n d), the cell derivatives of h.
-
-    Non-finite rows, rows within 1e-12 of zero and rows whose lift has norm 0
-    give inf.  A row's value does not depend, to the last bit, on the other rows.
-    """
-    return _eta0_objective(ambient, grid)(vecs)
-
-
 def eta0_quotient(h: CameronMartinPath, ambient: AmbientSpec) -> float:
     """R(h) = (|h|_H^2 / 2) / |||lift(h)|||^2; invariant under h -> c h.
 
     The search's objective on a batch of one.
     """
-    return float(_eta0_quotients(ambient, h.grid, h.derivative_values.reshape(1, -1))[0])
+    return float(_eta0_objective(ambient, h.grid)(h.derivative_values.reshape(1, -1))[0])
 
 
 class _SimplexResult(NamedTuple):

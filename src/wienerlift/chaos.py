@@ -247,6 +247,7 @@ def chaos_norm_equivalence_probe(
     integer p, q; quadrature-accurate otherwise).  Returns a report with the
     worst ratios and any violations.
     """
+    p, q = _real("p", p), _real("q", q)
     if not 1 < p <= q < math.inf:
         raise ValueError(f"need 1 < p <= q < inf, got p={p}, q={q}")
     k, trials = _count("k", k, 0, PROBE_MAX_DEGREE), _count("trials", trials)

@@ -37,7 +37,7 @@ from . import _files
 
 
 # byte budget of one block of work: the normals of the paths
-# `sample_values_batch` draws at once, and the columns `seminorms.column_norm` asks for
+# `sample_values_batch` draws at once, and the columns a `seminorms.column_kernel` asks for
 BLOCK_BYTES = 2**17
 
 

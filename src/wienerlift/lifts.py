@@ -23,12 +23,11 @@ and the Chen reconstructions take any number of leading axes; one path is
 the batch with no leading axis.  `chen_increment` rebuilds whole tensors
 X_{s,t} for the Chen check.  The graded norms read entries X^w_{s,t} column
 by column (`entry_columns`), so no (n+1, n+1) surface is ever stored:
-`symbol_norms` lists each ambient symbol's norm over the leading axes
-(`norm_plan` works out its dispatch once per ambient and grid), and
-`to_graded` is that list for one lift.  A block of columns is indexed
-[t - t0, s, ...batch], time first and the batch axes last, so the Chen
-arithmetic runs along the contiguous batch axis, and a block holds O(C n)
-entries.
+`norm_plan` works out each ambient symbol's dispatch once per ambient and
+grid and lists its norm over the leading axes, and `to_graded` is that list
+for one lift.  A block of columns is indexed [t - t0, s, ...batch], time
+first and the batch axes last, so the Chen arithmetic runs along the
+contiguous batch axis, and a block holds O(C n) entries.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _files
-from .grids import CameronMartinPath, SamplePath, TimeGrid, _count, _grid_array
+from .grids import CameronMartinPath, SamplePath, TimeGrid, _count, _grid_array, _real
 from .seminorms import AmbientSpec, SymbolSpec, _time_first, _time_view, ambient_for_levels, column_kernel, path_kernel
 
 FORMAT_VERSION = "enhanced-path/v1"
@@ -177,11 +176,12 @@ def entry_columns(values: np.ndarray, base2: np.ndarray, base3, indices):
 
 
 def norm_plan(ambient: AmbientSpec, grid: TimeGrid):
-    """`symbol_norms` for one (ambient, grid): a function (values, base2=None, base3=None) -> its pairs.
+    """A function (values, base2=None, base3=None) -> [(symbol, its norm over the leading axes)], in order.
 
+    Degree-1 symbols read a component of `values`; level-2/3 entries stream
+    from the basepoint tensors by `entry_columns`: O(C n) memory, no surface.
     Each symbol's dispatch on degree and norm kind, and its norm's tables,
-    are worked out here once, for callers that evaluate many batches on one
-    grid.
+    are worked out here once per (ambient, grid).
     """
     n, dt = grid.n_steps, grid.dt
     kernels = []
@@ -198,21 +198,6 @@ def norm_plan(ambient: AmbientSpec, grid: TimeGrid):
         return [(sym, kernel(values, base2, base3)) for sym, kernel in zip(ambient.symbols, kernels)]
 
     return norms
-
-
-def symbol_norms(
-    ambient: AmbientSpec,
-    grid: TimeGrid,
-    values: np.ndarray,
-    base2: np.ndarray | None = None,
-    base3: np.ndarray | None = None,
-):
-    """A list of (symbol, its norm over the leading axes) for each symbol of `ambient`, in order.
-
-    Degree-1 symbols read a component of `values`; level-2/3 entries stream
-    from the basepoint tensors by `entry_columns`: O(C n) memory, no surface.
-    """
-    return norm_plan(ambient, grid)(values, base2, base3)
 
 
 def _scheme_lift(x: SamplePath, level: int, scheme: str) -> EnhancedPath:
@@ -331,7 +316,7 @@ def lifted_shift(e: EnhancedPath, h: CameronMartinPath) -> EnhancedPath:
 
 def dilate_enhanced(e: EnhancedPath, eps: float) -> EnhancedPath:
     """Degree-weighted scaling: level k is multiplied by eps^k."""
-    if not 0 <= eps < np.inf:
+    if not 0 <= _real("eps", eps) < np.inf:
         raise ValueError(f"eps must be >= 0 and finite, got {eps}")
     new1 = SamplePath(e.grid, eps * e.level1.values)
     base3 = None if e.base3 is None else eps**3 * e.base3
@@ -346,7 +331,7 @@ def to_graded(e: EnhancedPath, ambient: AmbientSpec | None = None) -> list[tuple
     if ambient is not None:
         ambient.check_fits(e.dim, e.max_level)
     spec = ambient or ambient_for_levels(e.dim, e.max_level)
-    return list(symbol_norms(spec, e.grid, e.level1.values, e.base2, e.base3))
+    return norm_plan(spec, e.grid)(e.level1.values, e.base2, e.base3)
 
 
 # ---------------------------------------------------------------------------

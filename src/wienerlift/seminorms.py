@@ -9,7 +9,7 @@ degree-weighted dilations of a lift: |||delta_eps X||| = eps * |||X|||.
 Two-parameter payloads X_{s,t} take the homogeneous rough-path norms on the
 grid, which converge under refinement: the exact q-variation over the
 consecutive intervals of grid partitions, and Hoelder and sup over s < t.
-One kernel, `column_norm`, reads them from blocks of columns t -> X_{.,t}
+One kernel, `column_kernel`, reads them from blocks of columns t -> X_{.,t}
 indexed [t - t0, s, ...batch]: time first and the batch axes last, so every
 elementwise step runs along the contiguous batch, and a block holds O(C n)
 entries.  The one-parameter p-variation and Hoelder norms are
@@ -20,8 +20,8 @@ is asserted here.
 Every kernel takes any number of leading axes and gives norms of shape
 (...); a single path is the batch with no leading axis and gets a built-in
 float.  `column_kernel` and `path_kernel` fix a norm and a grid once and
-return the kernel as a function, for callers that evaluate many batches.
-`lifts.symbol_norms` streams a lift's columns from its basepoint tensors;
+return the kernel as a function, the one entry point for every caller.
+`lifts.norm_plan` streams a lift's columns from its basepoint tensors;
 `homogeneous_norm` and `banach_norm` sum the (symbol, norm) pairs.
 """
 
@@ -229,11 +229,19 @@ def _path_values(values) -> np.ndarray:
 
 
 def column_kernel(norm: SymbolNorm, n: int, dt: float = 1.0):
-    """`column_norm` of one norm on an n-step grid: a function (columns, shape) -> norms.
+    """One symbol norm of a two-parameter payload X_{s,t} on an n-step grid: a function (columns, shape) -> norms.
 
-    The dispatch on the norm kind and the Hoelder divisor per lag are worked
-    out here once, so that a caller evaluating many batches on one grid pays
-    for them once.
+    `columns(t0, t1)` returns X_{s,t} for t0 <= t < t1 and s < t1, indexed
+    [t - t0, s, ...] with the batch axes `shape` last, so each elementwise
+    step runs along the batch; entries with s >= t are never read.  Each
+    block must be a fresh array: the kernel overwrites it with its absolute
+    value, power or Hoelder quotient rather than allocating another.  A block
+    holds at most `BLOCK_BYTES` or one column, so memory is O(C n).  pvar is
+    the exact q-variation over consecutive intervals of grid partitions, by
+    the recursion best[t] = max_{s<t} best[s] + |X_{s,t}|^q, run in place in
+    the block; holder is the largest |X_{s,t}| / ((t-s) dt)^e and sup the
+    largest |X_{s,t}| over s < t; terminal is |X_{0,n}|.  The dispatch on the
+    norm kind and the Hoelder divisor per lag are worked out here, once.
     """
     kind, e = norm.kind, norm.exponent
     if kind == "terminal":
@@ -266,23 +274,6 @@ def column_kernel(norm: SymbolNorm, n: int, dt: float = 1.0):
         return _unbox(best)
 
     return kernel
-
-
-def column_norm(columns, shape: tuple, n: int, norm: SymbolNorm, dt: float = 1.0) -> float | np.ndarray:
-    """One symbol norm of a two-parameter payload X_{s,t}, a block of columns at a time.
-
-    `columns(t0, t1)` returns X_{s,t} for t0 <= t < t1 and s < t1, indexed
-    [t - t0, s, ...] with the batch axes `shape` last, so each elementwise
-    step runs along the batch; entries with s >= t are never read.  Each
-    block must be a fresh array: the kernel overwrites it with its absolute
-    value, power or Hoelder quotient rather than allocating another.  A block
-    holds at most `BLOCK_BYTES` or one column, so memory is O(C n).  pvar is
-    the exact q-variation over consecutive intervals of grid partitions, by
-    the recursion best[t] = max_{s<t} best[s] + |X_{s,t}|^q, run in place in
-    the block; holder is the largest |X_{s,t}| / ((t-s) dt)^e and sup the
-    largest |X_{s,t}| over s < t; terminal is |X_{0,n}|.
-    """
-    return column_kernel(norm, n, dt)(columns, shape)
 
 
 def _time_view(a: np.ndarray) -> np.ndarray:
@@ -325,22 +316,18 @@ def p_variation_1d(values: np.ndarray, p: float) -> float | np.ndarray:
     """|x_0| + (max over grid partitions of sum |increments|^p)^(1/p).
 
     The inner maximum is exact over all subsets of grid points containing the
-    endpoints: `column_norm` on the increments.
+    endpoints: `column_kernel` on the increments.
     """
     x = _path_values(values)
     return path_kernel(SymbolNorm("pvar", p), x.shape[-1] - 1)(x)
 
 
 def holder_norm_1d(values: np.ndarray, grid: TimeGrid, alpha: float) -> float | np.ndarray:
-    """max over grid pairs s < t of |x_t - x_s| / |t - s|^alpha."""
+    """max over grid pairs s < t of |x_t - x_s| / |t - s|^alpha; the path's last axis must hold the grid's points."""
     x = _path_values(values)
-    return path_kernel(SymbolNorm("holder", alpha), x.shape[-1] - 1, grid.dt)(x)
-
-
-def symbol_norm(payload: np.ndarray, grid: TimeGrid, spec: SymbolSpec) -> float | np.ndarray:
-    """A degree-1 symbol's configured norm on its path values (..., n+1)."""
-    x = _path_values(payload)
-    return path_kernel(spec.norm, x.shape[-1] - 1, grid.dt)(x)
+    if x.shape[-1] != grid.n_steps + 1:
+        raise ValueError(f"path has {x.shape[-1]} points, but the grid has {grid.n_steps + 1}")
+    return path_kernel(SymbolNorm("holder", alpha), grid.n_steps, grid.dt)(x)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def lift_surface(e, *word):
 
 
 def surface_columns(surface):
-    """A stored surface X[..., s, t] as the column blocks [t - t0, s, ...] `seminorms.column_norm` reads.
+    """A stored surface X[..., s, t] as the column blocks [t - t0, s, ...] a `seminorms.column_kernel` reads.
 
     Each block is a fresh copy, as the kernel overwrites the blocks it is given.
     """

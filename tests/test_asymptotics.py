@@ -10,7 +10,7 @@ from wienerlift.asymptotics import (
     EventSpec,
     _check_oracle,
     _collect_statistics,
-    _eta0_quotients,
+    _eta0_objective,
     _oracle_scaled,
     _oracle_terms,
     empirical_rate,
@@ -452,6 +452,21 @@ UNFITTED_AMBIENT["empirical_rate-entry"] = (
     ),
     r"entry \(3, 1\) reads component 3, but the path has d=2",
 )
+UNFITTED_AMBIENT["EventSpec.statistic"] = (  # once numpy's IndexError
+    lambda: EventSpec("hom-norm", 1.0, ambient=ambient_for_levels(3, 2)).statistic(
+        ito_lift(sample(GaussianSpec("bm", 2), TimeGrid(1.0, 8), 1))),
+    "symbol '3' reads component 3, but the path has d=2",
+)
+UNFITTED_AMBIENT["EventSpec.statistic-level"] = (
+    lambda: EventSpec("hom-norm", 1.0, ambient=ambient_for_levels(1, 3)).statistic(
+        ito_lift(sample(GaussianSpec("bm", 1), TimeGrid(1.0, 8), 1))),
+    "symbol '111' has degree 3, but the lift stops at level 2",
+)
+UNFITTED_AMBIENT["EventSpec.statistic-entry"] = (
+    lambda: EventSpec("level2-entry", 1.0, entry=(3, 1)).statistic(
+        ito_lift(sample(GaussianSpec("bm", 2), TimeGrid(1.0, 8), 1))),
+    r"entry \(3, 1\) reads component 3, but the path has d=2",
+)
 
 
 @pytest.mark.parametrize("route", sorted(UNFITTED_AMBIENT))
@@ -717,21 +732,16 @@ def _rosenbrock(x):
     return np.sum(100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (1.0 - x[..., :-1]) ** 2, axis=-1)
 
 
-def _eta0_objective(ambient, segments):
-    grid = TimeGrid(1.0, segments)
-    return lambda x: _eta0_quotients(ambient, grid, x)
-
-
 # objective, starts (R, N), maxiter; the eta0 caps stop some starts unconverged
 SCIPY_CASES = {
     "_shifted_quadratic": (_shifted_quadratic, np.random.default_rng(3).standard_normal((5, 4)), 2000),
     "_rosenbrock": (_rosenbrock, np.random.default_rng(3).standard_normal((5, 4)), 2000),
-    "eta0-classical-sup": (_eta0_objective(classical_ambient(1, "sup"), 6),
+    "eta0-classical-sup": (_eta0_objective(classical_ambient(1, "sup"), TimeGrid(1.0, 6)),
                            np.random.default_rng(4).standard_normal((4, 6)), 150),
-    "eta0-level2": (_eta0_objective(ambient_for_levels(1, 2, norm_kind="pvar", p=2.5), 4),
+    "eta0-level2": (_eta0_objective(ambient_for_levels(1, 2, norm_kind="pvar", p=2.5), TimeGrid(1.0, 4)),
                     np.random.default_rng(5).standard_normal((4, 4)), 60),
     # three starts freeze at different iterations, two shrink on until the cap
-    "eta0-classical-terminal": (_eta0_objective(classical_ambient(1, "terminal"), 3),
+    "eta0-classical-terminal": (_eta0_objective(classical_ambient(1, "terminal"), TimeGrid(1.0, 3)),
                                 np.random.default_rng(6).standard_normal((5, 3)), 150),
 }
 
@@ -814,7 +824,7 @@ def _plain_norm(surface, norm, dt):
 
 
 def _plain_quotients(ambient, grid, vecs):
-    """The eta0 quotient R(h) per row, written out step by step as a reference for `_eta0_quotients`."""
+    """The eta0 quotient R(h) per row, written out step by step as a reference for `_eta0_objective`."""
     n, d, dt = grid.n_steps, ambient.noise_dim, grid.dt
     size = np.abs(vecs).max(axis=1)
     ok = (size >= 1e-12) & (size < np.inf)
@@ -854,33 +864,34 @@ def _awkward_rows(rng, rows, width):
 
 @pytest.mark.parametrize("name", list(ROW_AMBIENTS))
 @pytest.mark.parametrize("horizon, segments", [(1.0, 7), (2.5, 4)])
-def test_eta0_quotients_match_the_plain_reference(name, horizon, segments):
+def test_eta0_objective_matches_the_plain_reference(name, horizon, segments):
     ambient = ROW_AMBIENTS[name]
     grid = TimeGrid(horizon, segments)
     vecs = _awkward_rows(np.random.default_rng(12), 12, 2 * segments)
     # out along the diagonal for a cell and back the next: its terminal norms are 0, so its quotient is inf
     vecs[6] = 0.0
     vecs[6, :2], vecs[6, 2:4] = 1.0, -1.0
-    got = _eta0_quotients(ambient, grid, vecs)
+    objective = _eta0_objective(ambient, grid)
+    got = objective(vecs)
     assert got.tobytes() == _plain_quotients(ambient, grid, vecs).tobytes()
     assert np.isinf(got[1:6]).all() and np.isfinite(got[7:]).all()
     assert np.isinf(got[6]) == (name == "classical-terminal")
     # a batch of valid rows alone, where no row is masked
-    assert _eta0_quotients(ambient, grid, vecs[7:]).tobytes() == got[7:].tobytes()
+    assert objective(vecs[7:]).tobytes() == got[7:].tobytes()
 
 
 @pytest.mark.parametrize("name", list(ROW_AMBIENTS))
 def test_eta0_quotient_rows_do_not_depend_on_their_batch(name):
     # the lock-step search evaluates every start's candidates in one call
     ambient = ROW_AMBIENTS[name]
-    grid = TimeGrid(1.0, 7)
     vecs = _awkward_rows(np.random.default_rng(11), 12, 14)
-    batch = _eta0_quotients(ambient, grid, vecs)
-    alone = np.concatenate([_eta0_quotients(ambient, grid, row[None]) for row in vecs])
+    objective = _eta0_objective(ambient, TimeGrid(1.0, 7))
+    batch = objective(vecs)
+    alone = np.concatenate([objective(row[None]) for row in vecs])
     assert batch.tobytes() == alone.tobytes()
     assert np.isinf(batch[1:6]).all() and np.isfinite(batch[6:]).all()
     # a batch of valid rows alone gives the same bits as the rows among failing ones
-    assert _eta0_quotients(ambient, grid, vecs[6:]).tobytes() == alone[6:].tobytes()
+    assert objective(vecs[6:]).tobytes() == alone[6:].tobytes()
 
 
 def test_eta0_restarts_do_not_depend_on_their_neighbours():

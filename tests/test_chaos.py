@@ -229,6 +229,9 @@ def test_norm_equivalence_probe_validation(monkeypatch):
     for q in (math.inf, math.nan):
         with pytest.raises(ValueError, match="1 < p <= q < inf"):
             chaos_norm_equivalence_probe(2, 2.0, q, trials=1)
+    for p, q, name in (("2", 4.0, "p"), (2.0, True, "q"), (0.5, "4", "q")):  # a string once raised TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            chaos_norm_equivalence_probe(2, p, q, trials=3)
     # about (k q)^dimension nodes: q = 30 needs 122^3 at k = 4, dimension 3, refused before any is built
     monkeypatch.setattr(chaos_mod, "gauss_hermite_nodes", lambda *args: pytest.fail("built the nodes"))
     with pytest.raises(ValueError, match="needs 1815848 quadrature nodes, above the bound of 1000000"):

@@ -15,19 +15,19 @@ from wienerlift.seminorms import (
     SymbolSpec,
     ambient_for_levels,
     banach_norm,
-    column_norm,
+    column_kernel,
     holder_norm_1d,
     homogeneous_norm,
     p_variation_1d,
-    symbol_norm,
+    path_kernel,
 )
 
 from surface_oracle import entry_surface, lift_surface, surface_columns
 
 
 def _surface_norm(surface, grid, norm):
-    """One symbol norm of stored surfaces X[..., s, t] through `column_norm`."""
-    return column_norm(surface_columns(surface), surface.shape[:-2], grid.n_steps, norm, grid.dt)
+    """One symbol norm of stored surfaces X[..., s, t] through `column_kernel`."""
+    return column_kernel(norm, grid.n_steps, grid.dt)(surface_columns(surface), surface.shape[:-2])
 
 
 def _pvar_over_all_partitions(surface, q):
@@ -105,6 +105,14 @@ def test_holder_closed_forms():
     assert _surface_norm(np.zeros((101, 101)), grid, SymbolNorm("holder", 0.8)) == 0.0
 
 
+def test_holder_norm_refuses_a_path_off_its_grid():
+    # five points read on an eight-step grid once gave 2.0, the unit slope on the wrong time scale
+    assert holder_norm_1d(np.linspace(0, 1, 5), TimeGrid(1.0, 4), 1.0) == pytest.approx(1.0, rel=1e-15)
+    for steps in (8, 3):
+        with pytest.raises(ValueError, match=rf"^path has 5 points, but the grid has {steps + 1}$"):
+            holder_norm_1d(np.linspace(0, 1, 5), TimeGrid(1.0, steps), 1.0)
+
+
 def test_holder_exponent_comparison():
     rng = np.random.default_rng(3)
     grid = TimeGrid(1.0, 64)
@@ -131,9 +139,7 @@ def test_two_param_pvar_matches_bruteforce_over_partitions(word):
         grid, values, base2, base3 = _two_param_paths(n)
         surfaces = entry_surface(values, base2, base3, word)
         for q in (1.0, 1.25, 2.0):
-            streamed = column_norm(
-                entry_columns(values, base2, base3, word), (2,), n, SymbolNorm("pvar", q)
-            )
+            streamed = column_kernel(SymbolNorm("pvar", q), n)(entry_columns(values, base2, base3, word), (2,))
             for k, surface in enumerate(surfaces):
                 oracle = _pvar_over_all_partitions(surface, q)
                 assert streamed[k] == pytest.approx(oracle, rel=1e-12)
@@ -186,7 +192,7 @@ def test_brownian_level2_qvariation_bounded_under_refinement():
     for n in (64, 128, 256, 512, 1024):
         values = fine[:, :: 1024 // n]
         base2 = _pair_base(values, "stratonovich")
-        qvar = column_norm(entry_columns(values, base2, None, (1, 2)), (16,), n, SymbolNorm("pvar", 1.25))
+        qvar = column_kernel(SymbolNorm("pvar", 1.25), n)(entry_columns(values, base2, None, (1, 2)), (16,))
         medians.append(float(np.median(qvar)))
     assert max(medians) <= 1.5 * min(medians)
 
@@ -321,6 +327,9 @@ def test_dilation_edge_cases():
     for eps in (-0.2, math.nan, math.inf):
         with pytest.raises(ValueError, match=rf"^eps must be >= 0 and finite, got {eps}$"):
             dilate_enhanced(e, eps)
+    for eps in (True, "0.5"):  # True once dilated by 1, "0.5" once raised TypeError
+        with pytest.raises(ValueError, match=f"^eps must be a real number, got {eps!r}$"):
+            dilate_enhanced(e, eps)
 
 
 def test_homogeneous_distance_triangle_inequality():
@@ -339,7 +348,7 @@ def test_homogeneous_distance_triangle_inequality():
 
     def distance(a, b):
         return homogeneous_norm(
-            (sym, symbol_norm(a[sym.name] - b[sym.name], grid, sym) if sym.degree == 1
+            (sym, path_kernel(sym.norm, n, grid.dt)(a[sym.name] - b[sym.name]) if sym.degree == 1
              else _surface_norm(a[sym.name] - b[sym.name], grid, sym.norm))
             for sym in ambient.symbols
         )
@@ -450,7 +459,7 @@ def test_batch_of_paths_matches_each_path_alone(kind, arity):
     sym = SymbolSpec("s", (1, 2)[:arity], SymbolNorm(kind, exponent))
     if arity == 1:
         payloads = values[:, :, 0]
-        norm_of = lambda payload: symbol_norm(payload, grid, sym)  # noqa: E731
+        norm_of = path_kernel(sym.norm, grid.n_steps, grid.dt)
     else:
         payloads = entry_surface(values, _pair_base(values, "ito"), None, (1, 2))
         norm_of = lambda payload: _surface_norm(payload, grid, sym.norm)  # noqa: E731
@@ -480,7 +489,7 @@ def test_column_blocks_do_not_change_bits(monkeypatch):
     # one column per block and one block for all columns give the same floats,
     # for every norm kind, a batch with two leading axes and a single path
     import wienerlift.seminorms as sm
-    from wienerlift.lifts import symbol_norms
+    from wienerlift.lifts import norm_plan
 
     grid, values, base2, base3 = _two_param_paths(24, count=6, seed=12)
     ambients = [ambient_for_levels(2, 3, norm_kind="pvar", p=2.5),
@@ -489,7 +498,7 @@ def test_column_blocks_do_not_change_bits(monkeypatch):
 
     def norms(ambient, shape=(6,), row=slice(None)):
         arrays = (a[row].reshape(shape + a.shape[1:]) for a in (values, base2, base3))
-        return [norm for _, norm in symbol_norms(ambient, grid, *arrays)]
+        return [norm for _, norm in norm_plan(ambient, grid)(*arrays)]
 
     whole = [norms(a) for a in ambients]
     for block_bytes in (sm.BLOCK_BYTES, 1):
