@@ -104,7 +104,7 @@ class EventSpec:
         return STATISTICS[self.kind].degree
 
     def statistic(self, e: EnhancedPath) -> float:
-        """The registry statistic on `e`'s own arrays, as a batch of one, after the driver's checks."""
+        """The registry statistic on `e`'s own arrays, as a batch of one, after `_collect_statistics`'s checks."""
         if self.ambient is not None:
             self.ambient.check_fits(e.dim, e.max_level)
         _check_entry(self.entry, e.dim)
