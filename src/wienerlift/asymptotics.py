@@ -70,12 +70,16 @@ def _check_statistic(name: str, what: str) -> None:
         raise ValueError(f"{what} must be one of {tuple(STATISTICS)}, got {name!r}")
 
 
-def _check_entry(entry, dim: int | None = None) -> None:
-    """Refuse a level-2 entry that is not two integers >= 1, or that reads a component above `dim`."""
-    if len(entry) != 2 or not all(isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in entry):
-        raise ValueError(f"entry must be two integers >= 1, got {entry!r}")
+def _check_entry(entry, dim: int | None = None) -> tuple[int, int]:
+    """A level-2 entry as two ints >= 1, after refusing one that reads a component above `dim`."""
+    try:
+        i, j = entry
+    except (TypeError, ValueError):
+        raise ValueError(f"entry must be two integers, got {entry!r}") from None
+    entry = (_count("entry index", i), _count("entry index", j))
     if dim is not None and max(entry) > dim:
-        raise ValueError(f"entry {tuple(entry)} reads component {max(entry)}, but the path has d={dim}")
+        raise ValueError(f"entry {entry} reads component {max(entry)}, but the path has d={dim}")
+    return entry
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ class EventSpec:
         _check_statistic(self.kind, "event kind")
         if not math.isfinite(_real("threshold", self.threshold)):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
-        _check_entry(self.entry)
+        object.__setattr__(self, "entry", _check_entry(self.entry))
         if self.kind == "hom-norm" and self.ambient is None:
             raise ValueError("hom-norm events need an ambient spec")
 
@@ -363,7 +367,7 @@ def _collect_statistics(
     )
     if ambient is not None:
         ambient.check_fits(spec.dim, ambient.max_degree)
-    _check_entry(entry, spec.dim)
+    entry = _check_entry(entry, spec.dim)
     if shift is not None:
         shift.check_fits(grid, spec.dim)
     plain = {name: np.empty(count) for name in names}
@@ -371,11 +375,14 @@ def _collect_statistics(
     pw = None if shift is None else np.empty(count)
 
     def evaluate(values, out, rows):
-        base2, base3 = _base_tensors(values, scheme, level)
-        for name in names:
-            out[name][rows] = STATISTICS[name].fn(
-                values=values, base2=base2, base3=base3, entry=entry, ambient=ambient, grid=grid
-            )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned
+            base2, base3 = _base_tensors(values, scheme, level)
+            for name in names:
+                out[name][rows] = STATISTICS[name].fn(
+                    values=values, base2=base2, base3=base3, entry=entry, ambient=ambient, grid=grid
+                )
+                if not np.isfinite(out[name][rows]).all():
+                    raise FloatingPointError(f"statistic {name!r} is not finite on samples from {rows.start}")
 
     def worker(first, c):
         values = sample_values_batch(spec, grid, seed, c, start=first)

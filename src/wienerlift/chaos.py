@@ -18,7 +18,7 @@ import numpy as np
 from . import _files
 from .grids import _count, _grid_array, _real, derived_rng
 
-MAX_HERMITE_DEGREE = 60
+MAX_HERMITE_DEGREE = 60  # above it h_k overflows at moderate x
 # the norm-equivalence probe's tensor quadrature has about (k q)^dimension nodes, at most
 # _PROBE_MAX_NODES: at k = 4 and dimension 3 that keeps q = 20 (551k) and refuses q = 30 (1.8M)
 PROBE_MAX_DEGREE = 4
@@ -29,15 +29,9 @@ PROXY_MIN_SAMPLES = 1000
 MultiIndex = tuple[int, ...]
 
 
-def _check_hermite_degree(k: int) -> None:
-    """Refuse a degree outside 0..MAX_HERMITE_DEGREE: above it h_k overflows at moderate x."""
-    if not 0 <= k <= MAX_HERMITE_DEGREE:
-        raise ValueError(f"Hermite degree {k} is outside the overflow guard 0..{MAX_HERMITE_DEGREE}")
-
-
 def _hermite_table(k: int, x) -> np.ndarray:
     """table[j] = h_j(x) for j = 0..k, by h_{j+1} = x h_j - j h_{j-1}."""
-    _check_hermite_degree(k)
+    k = _count("Hermite degree", k, 0, MAX_HERMITE_DEGREE)
     x = np.asarray(x, dtype=float)
     table = np.ones((k + 1,) + x.shape)
     if k >= 1:
@@ -121,6 +115,7 @@ class ChaosPolynomial:
         return ChaosPolynomial(self.dimension, coeffs)
 
     def scaled(self, c: float) -> "ChaosPolynomial":
+        c = _real("c", c)
         return ChaosPolynomial(self.dimension, {a: c * v for a, v in self.coeffs.items()})
 
 
@@ -191,7 +186,7 @@ def proxy_restriction_mc(
     tops = {name: chaos_project(psi, graded.degrees[name]) for name, psi in graded.components.items()}
     # refuse a degree the Hermite table cannot reach before drawing a sample
     for top in tops.values():
-        _check_hermite_degree(top.degree())
+        _count("Hermite degree", top.degree(), 0, MAX_HERMITE_DEGREE)
     rng = derived_rng(seed)
     z = rng.standard_normal((n_samples, graded.dimension)) + h
     out = {}
@@ -219,6 +214,7 @@ def gauss_hermite_nodes(max_degree: int, dimension: int):
     Per-dimension order follows ceil((2*max_degree + 4)/2) so products of two
     basis polynomials at the working degree stay inside the exactness range.
     """
+    max_degree, dimension = _count("max_degree", max_degree, 0), _count("dimension", dimension)
     x, w = np.polynomial.hermite_e.hermegauss(_quadrature_order(max_degree))
     w = w / math.sqrt(2.0 * math.pi)
     nodes = np.array(list(product(x, repeat=dimension)))

@@ -96,13 +96,15 @@ def _summary_path(out: str) -> str:
 
 
 def _check_out(path: str, force: bool, summary: bool = False) -> None:
-    """Refuse --out `path` if it is a directory, lies in a missing one, or names an existing file without `force`.
+    """Refuse --out `path` if it names no file, lies in a missing directory, or names an existing file without `force`.
 
     With `summary` the command also writes `_summary_path(path)`.
     """
     directory = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise CliError(f"--out {path!r} is a directory")
+    if not os.path.basename(path):
+        raise CliError(f"--out {path!r} names no file")
     if not os.path.isdir(directory):
         raise CliError(f"--out {path!r}: directory {directory!r} does not exist")
     for target in (path, _summary_path(path)) if summary else (path,):
@@ -197,52 +199,35 @@ def _parse_event(text: str, ambient: AmbientSpec | None, dim: int) -> EventSpec:
     head, _, arg = text.partition(":")
     if not arg:
         raise CliError(f"--event {text!r} is missing its threshold")
-
-    def number(convert, token: str, what: str):
-        try:
-            value = convert(token)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise CliError(f"--event {text!r}: malformed {what} {token!r}")
-        return value
-
-    if head == "sup-ge":
-        return EventSpec("sup-level1", number(float, arg, "threshold"))
-    if head == "terminal-ge":
-        return EventSpec("terminal-abs", number(float, arg, "threshold"))
-    if head == "hom-ge":
-        if ambient is None:
-            raise CliError("--event hom-ge needs --ambient")
-        return EventSpec("hom-norm", number(float, arg, "threshold"), ambient=ambient)
-    if head == "level2-ge":
-        parts = arg.split(",")
-        if len(parts) != 3:
-            raise CliError(f"--event level2-ge wants i,j,c, got {arg!r}")
-        entry = (number(int, parts[0], "entry index"), number(int, parts[1], "entry index"))
-        with _argument_errors(f"--event {text!r}"):
-            _check_entry(entry, dim)
-        return EventSpec("level2-entry", number(float, parts[2], "threshold"), entry=entry)
+    with _argument_errors(f"--event {text!r}"):
+        if head == "sup-ge":
+            return EventSpec("sup-level1", _number(arg))
+        if head == "terminal-ge":
+            return EventSpec("terminal-abs", _number(arg))
+        if head == "hom-ge":
+            return EventSpec("hom-norm", _number(arg), ambient=ambient)
+        if head == "level2-ge":
+            parts = arg.split(",")
+            if len(parts) != 3:
+                raise CliError(f"--event level2-ge wants i,j,c, got {arg!r}")
+            entry = _check_entry([_integer(token) for token in parts[:2]], dim)
+            return EventSpec("level2-entry", _number(parts[2]), entry=entry)
     raise CliError(f"--event kind {head!r} unknown")
 
 
 def _parse_shift(text: str, grid: TimeGrid, dim: int) -> CameronMartinPath:
     """Shift syntax: ramp:c (h(t) = c t in every component) | onb:k (d=1)."""
     head, _, arg = text.partition(":")
-    if head == "ramp":
-        with _argument_errors(f"--shift {text!r}"):
+    if head not in ("ramp", "onb"):
+        raise CliError(f"--shift {text!r} unknown (use ramp:c or onb:k)")
+    with _argument_errors(f"--shift {text!r}"):
+        if head == "ramp":
             h = CameronMartinPath(grid, np.full((grid.n_steps, dim), _number(arg or "1.0")))
             _half_energy(h)
-        return h
-    if head == "onb":
-        if dim != 1:
-            raise CliError("--shift onb:k is defined for --dim 1")
-        try:
-            k = _count()(arg or "1")
-        except argparse.ArgumentTypeError as exc:
-            raise CliError(f"--shift {text!r}: {exc}") from None
-        return brownian_onb(k, grid)
-    raise CliError(f"--shift {text!r} unknown (use ramp:c or onb:k)")
+        else:
+            h = brownian_onb(_integer(arg or "1"), grid)
+            h.check_fits(grid, dim)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +475,19 @@ def _count(minimum: int = 1, maximum: float = math.inf):
     """argparse type for a count: an integer from minimum to maximum, else exit 2 naming the option."""
 
     def parse(text: str) -> int:
-        if not text.removeprefix("-").isdecimal() or int(text) < minimum:
+        value = _integer(text)
+        if isinstance(value, str) or value < minimum:
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
-        if int(text) > maximum:
+        if value > maximum:
             raise argparse.ArgumentTypeError(f"expected an integer <= {maximum}, got {text!r}")
-        return int(text)
+        return value
 
     return parse
+
+
+def _integer(text: str):
+    """int(text) for an integer numeral, else `text` itself, which `grids._count` refuses by name."""
+    return int(text) if text.removeprefix("-").isdecimal() else text
 
 
 def _number(text: str) -> float:

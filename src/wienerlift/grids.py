@@ -254,7 +254,7 @@ class CameronMartinPath:
         return CameronMartinPath(self.grid, self.derivative_values + other.derivative_values)
 
     def scaled(self, c: float) -> "CameronMartinPath":
-        return CameronMartinPath(self.grid, c * self.derivative_values)
+        return CameronMartinPath(self.grid, _real("c", c) * self.derivative_values)
 
 
 def cm_inner(h: CameronMartinPath, k: CameronMartinPath) -> float:
@@ -292,7 +292,7 @@ class GaussianSpec:
             raise ValueError(f"kind must be 'bm' or 'fbm', got {self.kind!r}")
         object.__setattr__(self, "dim", _count("dim", self.dim))
         if self.kind == "fbm":
-            if self.hurst is None or not 0.0 < self.hurst < 1.0:
+            if self.hurst is None or not 0.0 < _real("hurst", self.hurst) < 1.0:
                 raise ValueError(f"hurst must lie in (0,1) for fbm, got {self.hurst}")
         elif self.hurst is not None:
             raise ValueError(f"a Hurst index describes fbm, not {self.kind!r}, got hurst={self.hurst}")

@@ -68,11 +68,12 @@ class SymbolSpec:
     arity: int = field(init=False)
 
     def __post_init__(self):
-        if not all(isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in self.indices):
-            raise ValueError(f"indices must be integers >= 1, got {self.indices!r}")
-        if len(self.indices) not in (1, 2, 3):
-            raise ValueError(f"degree must be 1, 2 or 3, got {len(self.indices)}")
-        object.__setattr__(self, "degree", len(self.indices))
+        try:
+            indices = tuple(_count("index", i) for i in self.indices)
+        except TypeError:
+            raise ValueError(f"indices must be a word of integers, got {self.indices!r}") from None
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "degree", _count("degree", len(indices), 1, 3))
         object.__setattr__(self, "arity", 1 if self.degree == 1 else 2)
 
 
@@ -148,11 +149,11 @@ class AmbientSpec:
 
 def _symbol_from_config(entry: dict) -> SymbolSpec:
     """One `to_config` symbol entry; its stated degree and arity must be the word's."""
-    name, indices, degree = entry["symbol"], tuple(entry["indices"]), _count("degree", entry["degree"])
+    name, degree = entry["symbol"], _count("degree", entry["degree"])
     norm, arity = SymbolNorm(entry["norm"]["kind"], entry["norm"].get("exponent")), _count("arity", entry["arity"])
-    sym = SymbolSpec(name, indices, norm)
+    sym = SymbolSpec(name, entry["indices"], norm)
     if sym.degree != degree:
-        raise ValueError(f"a degree-{degree} symbol needs a word of length {degree}, got {indices!r}")
+        raise ValueError(f"a degree-{degree} symbol needs a word of length {degree}, got {sym.indices!r}")
     if sym.arity != arity:
         raise ValueError(f"a degree-{degree} symbol has arity {sym.arity}, got {arity}")
     return sym

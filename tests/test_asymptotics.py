@@ -32,9 +32,21 @@ def test_event_validation():
     for threshold in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="threshold must be finite"):
             EventSpec("sup-level1", threshold)
-    for entry in ((0, 1), (1, -1), (1,), (1, 1.0)):
-        with pytest.raises(ValueError, match="entry must be two integers >= 1"):
+    for entry, message in (
+        ((0, 1), "entry index must be >= 1, got 0"),
+        ((1, -1), "entry index must be >= 1, got -1"),
+        ((1,), r"entry must be two integers, got \(1,\)"),
+        (5, "entry must be two integers, got 5"),
+        ((1, 1.0), "entry index must be an integer, got 1.0"),
+        ((True, 1), "entry index must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             EventSpec("level2-entry", 1.0, entry=entry)
+    # a NumPy int is an integer, and a list entry is stored as a hashable tuple of ints
+    for entry in ((np.int64(1), np.int64(2)), [1, 2]):
+        event = EventSpec("level2-entry", 1.0, entry=entry)
+        assert event.entry == (1, 2) and all(type(i) is int for i in event.entry)
+        assert hash(event) == hash(EventSpec("level2-entry", 1.0, entry=(1, 2)))
     for threshold in (True, "0.5"):
         with pytest.raises(ValueError, match="threshold must be a real number"):
             EventSpec("sup-level1", threshold)
@@ -539,6 +551,20 @@ def test_fernique_exceedances_count_the_samples_at_or_above_each_threshold(monke
     assert fit.thresholds[0] == np.quantile(norms, 0.9)
     assert fit.thresholds[-1] in norms
     assert fit.exceedances == [int(np.sum(norms >= t)) for t in fit.thresholds]
+
+
+@pytest.mark.parametrize("driver", ["empirical_rate", "lift_norm_samples"])
+def test_driver_refuses_an_overflowing_statistic_without_a_warning(driver):
+    # at T = 1e250 the level-3 tensors of a finite path overflow: once 200 of 200 hits and a rate of 0.0
+    ambient, spec, grid = ambient_for_levels(2, 3), GaussianSpec("bm", 2), TimeGrid(1e250, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^statistic 'hom-norm' is not finite on samples from 0$"):
+            if driver == "empirical_rate":
+                empirical_rate(spec, "stratonovich", EventSpec("hom-norm", 1.0, ambient=ambient), [0.5], 200, 1,
+                               grid=grid)
+            else:
+                lift_norm_samples(spec, "stratonovich", ambient, grid, 200, 1)
 
 
 def test_lift_norm_samples_threads_deterministic():

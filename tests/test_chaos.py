@@ -31,15 +31,22 @@ def test_hermite_low_degrees():
 def test_hermite_degree_guard():
     assert np.isfinite(hermite(60, np.linspace(-3, 3, 7))).all()
     # one guard serves the single polynomial, the binomial expansion and a polynomial's evaluation
-    with pytest.raises(ValueError, match="Hermite degree 61") as single:
+    with pytest.raises(ValueError, match="^Hermite degree must be <= 60, got 61$") as single:
         hermite(61, 0.0)
     with pytest.raises(ValueError) as expanded:
         hermite_binomial_expand(61, 0.3, 0.7)
     with pytest.raises(ValueError) as evaluated:
         ChaosPolynomial(1, {(61,): 1.0}).evaluate(np.zeros((3, 1)))
     assert str(single.value) == str(expanded.value) == str(evaluated.value)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Hermite degree must be >= 0, got -1$"):
         hermite(-1, 0.0)
+    # a degree is an integer: True once indexed the table as a mask and returned [[1., 0.5]]
+    for call in (lambda: hermite(True, 0.5), lambda: hermite_binomial_expand(True, 0.5, 0.1)):
+        with pytest.raises(ValueError, match="^Hermite degree must be an integer, got True$"):
+            call()
+    with pytest.raises(ValueError, match="^Hermite degree must be an integer, got 2.5$"):
+        hermite(2.5, 0.5)
+    assert hermite(np.int64(3), 2.0) == hermite(3, 2.0)
 
 
 def test_hermite_orthogonality_by_quadrature():
@@ -50,6 +57,12 @@ def test_hermite_orthogonality_by_quadrature():
             )
             target = math.factorial(k) if j == k else 0.0
             assert abs(val - target) <= 1e-9 * max(1.0, target)
+    # the quadrature's degree and dimension are integers: dimension 0 once gave one empty node, 2.5 a raw TypeError
+    for max_degree, dimension, message in ((2, 0, "dimension must be >= 1, got 0"),
+                                           (2.5, 1, "max_degree must be an integer, got 2.5"),
+                                           (2, True, "dimension must be an integer, got True")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expectation_quadrature(lambda z: z[:, 0], dimension, max_degree)
 
 
 def test_binomial_expansion():
@@ -257,6 +270,9 @@ def test_polynomial_refuses_a_non_finite_coefficient(bad):
 def test_polynomial_refuses_a_coefficient_that_is_not_a_number(bad):
     with pytest.raises(ValueError, match=r"coefficient of \(1, 0\) must be a real number"):
         ChaosPolynomial(2, {(0, 0): 1.0, (1, 0): bad})
+    # nor is a scaling factor: True once returned the polynomial unchanged, "1.5" once raised a raw TypeError
+    with pytest.raises(ValueError, match=f"^c must be a real number, got {bad!r}$"):
+        ChaosPolynomial(2, {(1, 0): 1.0}).scaled(bad)
 
 
 def test_chaos_serialization_round_trip():

@@ -409,7 +409,7 @@ def test_chaos_proxy_refuses_a_degree_above_the_hermite_guard(tmp_path, capsys, 
     argv = ["chaos", "proxy", "--poly", str(poly), "--shift-vector", "0.4", "--seed", "1", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"--poly {str(poly)!r}: Hermite degree 61" in err
+    assert f"--poly {str(poly)!r}: Hermite degree must be <= 60, got 61" in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -443,9 +443,11 @@ def test_malformed_ambient_file_is_an_argument_error(tmp_path, capsys, case):
 # which checks a file against its own noise dimension, d=1 here, and not against --dim
 BAD_SYMBOL = {
     "index-3": ({"indices": [3]}, "symbol 'w' reads component 3, but the path has d=2"),
-    "index-0": ({"indices": [0]}, "indices must be integers >= 1, got (0,)"),
-    "index-negative": ({"indices": [-1]}, "indices must be integers >= 1, got (-1,)"),
-    "indices-string": ({"indices": "12"}, "indices must be integers >= 1, got ('1', '2')"),
+    "index-0": ({"indices": [0]}, "index must be >= 1, got 0"),
+    "index-negative": ({"indices": [-1]}, "index must be >= 1, got -1"),
+    "indices-string": ({"indices": "12"}, "index must be an integer, got '1'"),
+    "indices-number": ({"indices": 5}, "indices must be a word of integers, got 5"),
+    "index-2.0": ({"indices": [2.0]}, "index must be an integer, got 2.0"),
     "degree-2-word-121": ({"symbol": "121", "indices": [1, 2, 1], "degree": 2, "arity": 2},
                           "a degree-2 symbol needs a word of length 2, got (1, 2, 1)"),
     "degree-1-word-12": ({"indices": [1, 2]}, "a degree-1 symbol needs a word of length 1, got (1, 2)"),
@@ -749,18 +751,24 @@ BAD_VALUES = {
     "ldp-epsilon-overflow-sup": (["ldp", "--event", "sup-ge:1", "--epsilons", "1e300,0.5", "--samples", "10"],
                                  "with eps^2 not 0 or inf, got [1e+300, 0.5]"),
     "ldp-threshold-word": (["ldp", "--event", "sup-ge:abc", "--epsilons", "1", "--samples", "10"],
-                           "--event 'sup-ge:abc': malformed threshold 'abc'"),
+                           "--event 'sup-ge:abc': threshold must be finite, got nan"),
     "ldp-threshold-nan": (["ldp", "--event", "sup-ge:nan", "--epsilons", "1", "--samples", "10"],
-                          "--event 'sup-ge:nan': malformed threshold 'nan'"),
+                          "--event 'sup-ge:nan': threshold must be finite, got nan"),
     "ldp-threshold-inf": (["ldp", "--event", "sup-ge:inf", "--epsilons", "1", "--samples", "10"],
-                          "--event 'sup-ge:inf': malformed threshold 'inf'"),
+                          "--event 'sup-ge:inf': threshold must be finite, got inf"),
     "ldp-entry-word": (["ldp", "--event", "level2-ge:a,1,0.5", "--epsilons", "1",
                         "--samples", "10"],
-                       "--event 'level2-ge:a,1,0.5': malformed entry index 'a'"),
+                       "--event 'level2-ge:a,1,0.5': entry index must be an integer, got 'a'"),
+    "ldp-entry-1.5": (["ldp", "--dim", "2", "--event", "level2-ge:1.5,1,1", "--epsilons", "1", "--samples", "10"],
+                      "--event 'level2-ge:1.5,1,1': entry index must be an integer, got '1.5'"),
+    "ldp-threshold-word-level2": (["ldp", "--event", "level2-ge:1,1,abc", "--epsilons", "1", "--samples", "10"],
+                                  "--event 'level2-ge:1,1,abc': threshold must be finite, got nan"),
+    "ldp-hom-without-ambient": (["ldp", "--event", "hom-ge:1", "--epsilons", "1", "--samples", "10"],
+                                "--event 'hom-ge:1': hom-norm events need an ambient spec"),
     "ldp-entry-0": (["ldp", "--event", "level2-ge:0,1,1", "--epsilons", "1", "--samples", "10"],
-                    "--event 'level2-ge:0,1,1': entry must be two integers >= 1, got (0, 1)"),
+                    "--event 'level2-ge:0,1,1': entry index must be >= 1, got 0"),
     "ldp-entry-negative": (["ldp", "--event", "level2-ge:-1,1,1", "--epsilons", "1", "--samples", "10"],
-                           "--event 'level2-ge:-1,1,1': entry must be two integers >= 1, got (-1, 1)"),
+                           "--event 'level2-ge:-1,1,1': entry index must be >= 1, got -1"),
     "ldp-entry-above-dim": (["ldp", "--dim", "2", "--event", "level2-ge:3,1,1", "--epsilons", "1",
                              "--samples", "10"],
                             "--event 'level2-ge:3,1,1': entry (3, 1) reads component 3, but the path has d=2"),
@@ -814,10 +822,14 @@ BAD_VALUES.update(
         ("ramp:abc", "derivative_values contains non-finite entries"),
         ("ramp:nan", "derivative_values contains non-finite entries"),
         ("ramp:-inf", "derivative_values contains non-finite entries"),
-        ("onb:0", "expected an integer >= 1, got '0'"),
-        ("onb:x", "expected an integer >= 1, got 'x'"),
+        ("onb:0", "k must be >= 1, got 0"),
+        ("onb:x", "k must be an integer, got 'x'"),
+        ("onb:1.5", "k must be an integer, got '1.5'"),
     )
 )
+# brownian_onb is one-dimensional, and the shift fits the run's --dim through check_fits
+BAD_VALUES["cm-shift-onb-dim-2"] = (["cm-check", "--samples", "10", "--shift", "onb:1", "--dim", "2"],
+                                    "--shift 'onb:1': dimension mismatch: the shift has d=1, its partner d=2")
 # the norm-equivalence probe owns its p/q rule
 BAD_VALUES.update(
     (f"chaos-p-q-{'-'.join(pq)}", (["chaos", "norm-equiv", "--p", pq[0], "--q", pq[1]],
@@ -958,6 +970,18 @@ def test_out_naming_a_directory_is_an_argument_error(tmp_path, capsys):
     assert f"--out {str(target)!r} is a directory" in err
     assert "Traceback" not in err
     assert list(target.iterdir()) == [] and not (tmp_path / "d.summary.json").exists()
+
+
+@pytest.mark.parametrize("out", ["", "missing/"])
+def test_out_naming_no_file_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch, out):
+    from wienerlift import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_cmd_cm_check", lambda args: pytest.fail("cm-check ran"))
+    assert main(["cm-check", "--samples", "2000", "--steps", "8", "--seed", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --out {out!r} names no file" in err
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

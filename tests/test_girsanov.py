@@ -221,8 +221,8 @@ def test_reweight_validation():
     for n in (0, 1):
         with pytest.raises(ValueError, match="n_samples must be >= 2"):
             reweight_check(("terminal-level1",), h, n_samples=n, **kwargs)
-    for entry in ((0, 1), (1, -1)):
-        with pytest.raises(ValueError, match="entry must be two integers >= 1"):
+    for entry, bad in (((0, 1), 0), ((1, -1), -1)):
+        with pytest.raises(ValueError, match=f"^entry index must be >= 1, got {bad}$"):
             reweight_check(("level2-entry",), h, n_samples=10, entry=entry, **kwargs)
     with pytest.raises(ValueError, match=r"entry \(1, 2\) reads component 2, but the path has d=1"):
         reweight_check(("level2-entry",), h, n_samples=10, entry=(1, 2), **kwargs)

@@ -217,6 +217,10 @@ def test_gaussian_spec_validation():
     # a Hurst index describes fBm; Brownian motion refuses one rather than record it
     with pytest.raises(ValueError, match="a Hurst index describes fbm, not 'bm', got hurst=0.3"):
         GaussianSpec("bm", 1, hurst=0.3)
+    # a Hurst index is a real number: "0.3" once raised a raw TypeError
+    for hurst in ("0.3", True):
+        with pytest.raises(ValueError, match=f"^hurst must be a real number, got {hurst!r}$"):
+            GaussianSpec("fbm", 1, hurst=hurst)
 
 
 def test_cm_norm_values():
@@ -227,6 +231,10 @@ def test_cm_norm_values():
     assert cm_norm(ramp) == pytest.approx(1.0, abs=1e-14)
     e1 = brownian_onb(1, TimeGrid(1.0, 1024))
     assert abs(cm_norm(e1) - 1.0) <= 1e-3
+    assert cm_norm(ramp.scaled(-2.0)) == pytest.approx(2.0, abs=1e-14)
+    for c in (True, "2"):  # True once returned the path unchanged, "2" once raised a raw TypeError
+        with pytest.raises(ValueError, match=f"^c must be a real number, got {c!r}$"):
+            ramp.scaled(c)
 
 
 def test_brownian_onb_is_orthonormal_in_cameron_martin_space():

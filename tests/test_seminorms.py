@@ -388,15 +388,19 @@ def test_ambient_validation():
         SymbolNorm("l2")
     # a symbol is a word of one to three indices into components 1, 2, ...
     for indices, message in (
-        ((0,), "integers >= 1"),
-        ((-1,), "integers >= 1"),
-        (("1", "2"), "integers >= 1"),
-        ((True,), "integers >= 1"),
-        ((), "degree must be 1, 2 or 3, got 0"),
-        ((1, 1, 1, 1), "degree must be 1, 2 or 3, got 4"),
+        ((0,), "index must be >= 1, got 0"),
+        ((-1,), "index must be >= 1, got -1"),
+        (("1", "2"), "index must be an integer, got '1'"),
+        ((True,), "index must be an integer, got True"),
+        (5, "indices must be a word of integers, got 5"),
+        ((), "degree must be >= 1, got 0"),
+        ((1, 1, 1, 1), "degree must be <= 3, got 4"),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             SymbolSpec("s", indices, SymbolNorm("sup"))
+    # a NumPy int is an index, stored as an int
+    word = SymbolSpec("s", (np.int64(1), np.int64(2)), SymbolNorm("pvar", 1.0)).indices
+    assert word == (1, 2) and all(type(i) is int for i in word)
     with pytest.raises(ValueError, match="at least one symbol"):
         AmbientSpec(symbols=(), distinguished=())
 
