@@ -201,10 +201,9 @@ class RateEstimate:
 
     `scaled` holds eps^2 log p_hat; censored epsilons (expected hits below the
     floor, or zero observed hits) carry NaN there and are listed in
-    `censored`.  The extrapolated rate is the intercept of an ordinary
-    least-squares fit of the scaled values against eps^2, a heuristic for the
-    leading finite-epsilon correction which is exact-in-form only for the
-    oracle events.
+    `censored`.  The extrapolated rate is -I from `_tail_fit` at u = 1/eps,
+    the limit of eps^2 log p; it is NaN when fewer than two epsilons have
+    between 30 hits and a tenth of the samples.
     """
 
     epsilons: list
@@ -230,6 +229,7 @@ class RateEstimate:
 
 MIN_EXPECTED_HITS = 20  # empirical_rate censors an epsilon expected to hit fewer times
 PILOT_SAMPLES = 2000  # empirical_rate's default pilot, drawn from the streams after its main run
+TAIL_MIN_HITS = 30  # a `_tail_fit` point has at least this many hits, and at most a tenth of the sample
 
 
 def empirical_rate(
@@ -306,13 +306,6 @@ def empirical_rate(
     scaled = [eps**2 * v for eps, v in zip(epsilons, log_probs)]
     scaled_ses = [eps**2 * v for eps, v in zip(epsilons, log_ses)]
 
-    fit_eps = [e for e, k in zip(epsilons, hits) if k]
-    fit_scaled = [s for s, k in zip(scaled, hits) if k]
-    if len(fit_eps) >= 2:
-        extrapolated = float(np.polyfit(np.asarray(fit_eps) ** 2, np.asarray(fit_scaled), 1)[1])
-    else:
-        extrapolated = fit_scaled[0] if fit_eps else math.nan
-
     return RateEstimate(
         epsilons=epsilons,
         n_samples=n_samples,
@@ -322,7 +315,7 @@ def empirical_rate(
         scaled=scaled,
         scaled_ses=scaled_ses,
         oracle_values=oracle_values,
-        extrapolated_rate=extrapolated,
+        extrapolated_rate=-_tail_fit([1.0 / eps for eps in epsilons], hits, n_samples)[0],
         censored=censored,
     )
 
@@ -338,6 +331,24 @@ def _check_epsilons(epsilons) -> None:
 def _exceedances(sample: np.ndarray, thresholds) -> np.ndarray:
     """How many entries of `sample` lie at or above each threshold: all but those sorted below it."""
     return len(sample) - np.searchsorted(np.sort(sample), thresholds)
+
+
+def _tail_fit(u, hits, n: int) -> tuple[float, np.ndarray]:
+    """The rate I of log(hits / n) = -I u^2 + a log u + b, and the mask of the points it used.
+
+    A point enters when TAIL_MIN_HITS <= hits <= n / 10, weighted by sqrt(hits) ~ 1 / se(log p_hat).
+    The log term needs four points; two or three fit -I u^2 + b, and fewer give NaN.  The fit runs
+    in u / u0, u0 the first point used, so no power of u overflows and I scales as u^-2.
+    """
+    u, hits = np.asarray(u, dtype=float), np.asarray(hits)
+    used = (hits >= TAIL_MIN_HITS) & (10 * hits <= n)
+    if used.sum() < 2:
+        return math.nan, used
+    u0 = float(u[used][0])
+    x, w = u[used] / u0, np.sqrt(hits[used])
+    columns = [-x * x, np.ones_like(x)] + ([np.log(x)] if len(x) >= 4 else [])
+    coef = np.linalg.lstsq(np.column_stack(columns) * w[:, None], np.log(hits[used] / n) * w, rcond=None)[0]
+    return float(coef[0]) / u0 / u0, used
 
 
 def _collect_statistics(
@@ -649,12 +660,11 @@ def eta0_estimate(
 
 FERNIQUE_MIN_SAMPLES = 10**4
 FERNIQUE_THRESHOLDS = 12
-FERNIQUE_MIN_EXCEEDANCES = 30
 
 
 @dataclass
 class TailFit:
-    """Fitted Gaussian-tail slope of log-survival against t^2."""
+    """Gaussian-tail rate of log-survival in t, and the thresholds `_tail_fit` used."""
 
     sample_count: int
     thresholds: list
@@ -702,30 +712,26 @@ def fernique_tail_fit(
 
     `FERNIQUE_THRESHOLDS` thresholds are spaced evenly in t^2 from the 90th
     percentile up to the largest threshold that keeps at least
-    `FERNIQUE_MIN_EXCEEDANCES` samples at or above it, counted from one
-    sorted sample as `empirical_rate` counts its hits; the slope of
-    log-survival against t^2 over those points gives eta_hat.
+    `TAIL_MIN_HITS` samples at or above it, counted from one sorted sample
+    as `empirical_rate` counts its hits.  `_tail_fit` at u = t gives eta_hat,
+    and the result lists the thresholds it used.  A threshold whose t^2 is
+    not finite is refused.
     """
     n_samples = _count("n_samples", n_samples, FERNIQUE_MIN_SAMPLES)
     norms = np.sort(lift_norm_samples(spec, scheme, ambient, grid, n_samples, seed, threads=threads))
     if norms[-1] - norms[0] <= 1e-15 * max(1.0, abs(float(norms[-1]))):
         raise ValueError("degenerate norm sample: all values equal")
     t_lo = float(np.quantile(norms, 0.9))
-    t_hi = float(norms[-FERNIQUE_MIN_EXCEEDANCES])
-    if not t_hi > t_lo:
-        raise ValueError(
-            "tail too short to fit: the 90th percentile already has fewer "
-            f"than {FERNIQUE_MIN_EXCEEDANCES} exceedances"
-        )
+    t_hi = float(norms[-TAIL_MIN_HITS])
+    if not math.isfinite(t_hi * t_hi):
+        raise ValueError(f"tail thresholds overflow: t^2 is not finite at t={t_hi!r}")
     ts = np.sqrt(np.linspace(t_lo**2, t_hi**2, FERNIQUE_THRESHOLDS))
     exceed = _exceedances(norms, ts)
-    keep = exceed >= FERNIQUE_MIN_EXCEEDANCES
-    ts, exceed = ts[keep], exceed[keep]
+    eta_hat, used = _tail_fit(ts, exceed, n_samples)
+    if math.isnan(eta_hat):
+        raise ValueError(f"tail too short to fit: under two thresholds with {TAIL_MIN_HITS} <= exceedances <= n/10")
+    ts, exceed = ts[used], exceed[used]
     log_surv = np.log(exceed / n_samples)
-    slope, _ = np.polyfit(ts**2, log_surv, 1)
-    eta_hat = float(-slope)
-    if not math.isfinite(eta_hat):
-        raise ValueError("tail fit produced a non-finite slope")
     return TailFit(
         sample_count=n_samples,
         thresholds=ts.tolist(),

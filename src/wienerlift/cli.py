@@ -35,6 +35,7 @@ from .asymptotics import (
     ORACLES,
     PILOT_SAMPLES,
     STATISTICS,
+    TAIL_MIN_HITS,
     EventSpec,
     _check_entry,
     _check_epsilons,
@@ -194,25 +195,25 @@ def _parse_ambient(preset_or_path: str, dim: int, level: int = 3, *, fit: bool =
     return ambient
 
 
+_EVENT_KINDS = {"sup-ge": "sup-level1", "terminal-ge": "terminal-abs", "hom-ge": "hom-norm", "level2-ge": "level2-entry"}
+
+
 def _parse_event(text: str, ambient: AmbientSpec | None, dim: int) -> EventSpec:
     """Event syntax: sup-ge:c | terminal-ge:c | hom-ge:c | level2-ge:i,j,c (i, j <= dim)."""
     head, _, arg = text.partition(":")
+    if head not in _EVENT_KINDS:
+        raise CliError(f"--event kind {head!r} unknown")
     if not arg:
         raise CliError(f"--event {text!r} is missing its threshold")
+    kind = _EVENT_KINDS[head]
     with _argument_errors(f"--event {text!r}"):
-        if head == "sup-ge":
-            return EventSpec("sup-level1", _number(arg))
-        if head == "terminal-ge":
-            return EventSpec("terminal-abs", _number(arg))
-        if head == "hom-ge":
-            return EventSpec("hom-norm", _number(arg), ambient=ambient)
-        if head == "level2-ge":
-            parts = arg.split(",")
-            if len(parts) != 3:
-                raise CliError(f"--event level2-ge wants i,j,c, got {arg!r}")
-            entry = _check_entry([_integer(token) for token in parts[:2]], dim)
-            return EventSpec("level2-entry", _number(parts[2]), entry=entry)
-    raise CliError(f"--event kind {head!r} unknown")
+        if kind != "level2-entry":
+            return EventSpec(kind, _number(arg), ambient=ambient if kind == "hom-norm" else None)
+        parts = arg.split(",")
+        if len(parts) != 3:
+            raise CliError(f"--event level2-ge wants i,j,c, got {arg!r}")
+        entry = _check_entry([_integer(token) for token in parts[:2]], dim)
+        return EventSpec(kind, _number(parts[2]), entry=entry)
 
 
 def _parse_shift(text: str, grid: TimeGrid, dim: int) -> CameronMartinPath:
@@ -305,6 +306,8 @@ def _cmd_ldp(args) -> _Run:
     )
     live = [s for s in estimate.scaled if not np.isnan(s)]
     digest = f"ldp: wrote {args.out}; extrapolated_rate={estimate.extrapolated_rate!r}"
+    if math.isnan(estimate.extrapolated_rate):
+        digest += f" (fewer than two epsilons with {TAIL_MIN_HITS} <= hits <= samples/10, so no tail fit)"
     if estimate.oracle_values:
         digest += f"; oracle_scaled[min eps]={estimate.oracle_values[-1]!r}"
     if estimate.censored:

@@ -13,6 +13,7 @@ from wienerlift.asymptotics import (
     _eta0_objective,
     _oracle_scaled,
     _oracle_terms,
+    _tail_fit,
     empirical_rate,
     eta0_estimate,
     eta0_quotient,
@@ -489,9 +490,9 @@ def test_library_refuses_an_ambient_that_does_not_fit(route):
 
 
 def test_fernique_gaussian_control():
-    # |||x||| = |x(T)| gives the exact tail 2 Phi(-t/sqrt(T)): slope 1/(2T).
-    # The top-decile fit carries a known upward finite-threshold bias of
-    # about 12%, inside the 15% target band.
+    # |||x||| = |x(T)| gives the exact tail 2 Phi(-t/sqrt(T)): rate 1/(2T).
+    # On the exact tail the weighted fit with its log term reads about 3%
+    # high at these thresholds (12% without the log term), inside the 15% band.
     fit = fernique_tail_fit(
         GaussianSpec("bm", 1), "ito", classical_ambient(1, "terminal"),
         100_000, 40, grid=TimeGrid(1.0, 16),
@@ -548,9 +549,57 @@ def test_fernique_exceedances_count_the_samples_at_or_above_each_threshold(monke
     fit = fernique_tail_fit(
         GaussianSpec("bm", 1), "ito", classical_ambient(1, "terminal"), 10_000, 1, grid=TimeGrid(1.0, 8)
     )
-    assert fit.thresholds[0] == np.quantile(norms, 0.9)
+    # ties put more than n/10 norms at or above the 90th percentile, so the fit starts one spaced threshold up
+    spaced = np.sqrt(np.linspace(np.quantile(norms, 0.9) ** 2, fit.thresholds[-1] ** 2, 12))
+    assert np.sum(norms >= spaced[0]) > 1_000 and fit.thresholds[0] == spaced[1]
     assert fit.thresholds[-1] in norms
     assert fit.exceedances == [int(np.sum(norms >= t)) for t in fit.thresholds]
+
+
+# fernique's 12 thresholds on the exact tail 2 Phi(-t) of |N(0, 1)|, whose rate is 1/2
+GAUSS_T = np.sqrt(np.linspace(1.645**2, 3.615**2, 12))
+GAUSS_N = 10**9
+GAUSS_HITS = GAUSS_N * 2.0 * stats.norm.sf(GAUSS_T)
+
+
+def test_tail_fit_recovers_the_gaussian_rate_in_any_units():
+    rate, used = _tail_fit(GAUSS_T, GAUSS_HITS, GAUSS_N)
+    assert used.all() and rate == pytest.approx(0.5, rel=0.03)
+    scaled, _ = _tail_fit(GAUSS_T * 1e100, GAUSS_HITS, GAUSS_N)
+    assert scaled == pytest.approx(rate / 1e200, rel=1e-12)
+
+
+def test_tail_fit_through_two_points_is_their_line():
+    u, hits, n = np.array([2.0, 3.0]), np.array([800, 60]), 10_000
+    rate, used = _tail_fit(u, hits, n)
+    assert used.all()
+    assert rate == pytest.approx(-(math.log(60 / n) - math.log(800 / n)) / (9.0 - 4.0), rel=1e-12)
+    # the saturated point, the one below 30 hits and the one above n/10 never enter the fit
+    more_u, more_hits = np.array([0.5, 1.0, 2.0, 3.0, 4.0]), np.array([n, 1_001, 800, 60, 29])
+    more_rate, more_used = _tail_fit(more_u, more_hits, n)
+    assert more_used.tolist() == [False, False, True, True, False] and more_rate == rate
+    alone, alone_used = _tail_fit(u[:1], hits[:1], n)
+    assert math.isnan(alone) and alone_used.tolist() == [True]
+
+
+def test_empirical_rate_fit_ignores_an_epsilon_where_every_path_hits():
+    # |x_T| >= 1e-150 holds on every path: its log p_hat is 0 with no spread
+    args = (GaussianSpec("bm", 1), "ito", EventSpec("terminal-abs", 1.0))
+    base = empirical_rate(*args, [0.5, 0.4], 5_000, 11, grid=TimeGrid(1.0, 16))
+    extra = empirical_rate(*args, [1e150, 0.5, 0.4], 5_000, 11, grid=TimeGrid(1.0, 16))
+    assert extra.hits[0] == 5_000 and extra.hits[1:] == base.hits
+    assert math.isfinite(base.extrapolated_rate) and extra.extrapolated_rate == base.extrapolated_rate
+
+
+def test_fernique_rate_scales_with_the_horizon_without_a_warning():
+    fits = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for horizon in (1.0, 1e200):
+            fits[horizon] = fernique_tail_fit(
+                GaussianSpec("bm", 1), "ito", classical_ambient(1), 10_000, 1, grid=TimeGrid(horizon, 8)
+            )
+    assert fits[1e200].eta_hat * 1e200 == pytest.approx(fits[1.0].eta_hat, rel=1e-12)
 
 
 @pytest.mark.parametrize("driver", ["empirical_rate", "lift_norm_samples"])

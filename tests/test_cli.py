@@ -756,6 +756,11 @@ BAD_VALUES = {
                           "--event 'sup-ge:nan': threshold must be finite, got nan"),
     "ldp-threshold-inf": (["ldp", "--event", "sup-ge:inf", "--epsilons", "1", "--samples", "10"],
                           "--event 'sup-ge:inf': threshold must be finite, got inf"),
+    # the kind is looked up before the threshold
+    "ldp-event-kind-unknown": (["ldp", "--event", "foo", "--epsilons", "1", "--samples", "10"],
+                               "--event kind 'foo' unknown"),
+    "ldp-event-no-threshold": (["ldp", "--event", "sup-ge", "--epsilons", "1", "--samples", "10"],
+                               "--event 'sup-ge' is missing its threshold"),
     "ldp-entry-word": (["ldp", "--event", "level2-ge:a,1,0.5", "--epsilons", "1",
                         "--samples", "10"],
                        "--event 'level2-ge:a,1,0.5': entry index must be an integer, got 'a'"),
@@ -1082,6 +1087,26 @@ def test_arithmetic_overflow_is_a_numerical_failure(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "error: (34, 'Numerical result out of range')" in err
     assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
+def test_fernique_threshold_whose_square_overflows_is_a_numerical_failure(tmp_path, capsys):
+    # norms near 1e154 put t^2 above the largest float: once "error: (34, 'Numerical result out of range')"
+    out = tmp_path / "tail.csv"
+    argv = ["fernique", "--ambient", "classical:sup", "--dim", "1", "--horizon", "1e308", "--samples", "10000",
+            "--steps", "8", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: tail thresholds overflow: t^2 is not finite at t=" in err
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=")
+def test_ldp_digest_says_why_no_rate_was_fitted(tmp_path, capsys):
+    # 100 samples: no epsilon has 30 hits, so the fit has no point
+    argv = ["ldp", "--event", "sup-ge:1", "--epsilons", "0.5,0.4", "--samples", "100", "--steps", "4",
+            "--seed", "1", "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    assert "extrapolated_rate=nan (fewer than two epsilons with 30 <= hits <= samples/10" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("oracle", ["reflection", "terminal-gauss"])
