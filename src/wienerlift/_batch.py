@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import TimeGrid, _count
+from .grids import TimeGrid
 from .lifts import _pair_base, norm_plan
 from .seminorms import AmbientSpec, homogeneous_norm
 
@@ -53,16 +53,17 @@ def parallel_chunks(total: int, chunk: int, worker, threads: int = 1) -> None:
 
     Chunk content depends only on its start index (derived-seed contract) and
     each worker writes a disjoint output slice, so any schedule gives
-    identical results; threads > 1 uses a thread pool.
+    identical results.  With two chunks or more and threads > 1 a pool of
+    min(threads, chunks) workers runs them.
     """
-    threads = _count("threads", threads)
     tasks = [(start, min(chunk, total - start)) for start in range(0, total, chunk)]
-    # no pool for one thread: a one-worker pool raised peak RSS by 1.1-2.1 MB on three benchmark workloads
-    if threads == 1:
+    workers = min(threads, len(tasks))
+    # no pool for one worker: a one-worker pool raised peak RSS by 1.1-2.1 MB on three benchmark workloads
+    if workers <= 1:
         for start, count in tasks:
             worker(start, count)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(lambda t: worker(*t), tasks))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 
 
@@ -29,9 +30,23 @@ def replacing(path):
 
 
 def write_json(path, doc: dict, indent: int | None = None) -> None:
-    """`doc` as JSON with sorted keys: on one line by default, `indent` for documents read by people."""
+    """`doc` as JSON with sorted keys: on one line by default, `indent` for documents read by people.
+
+    A NaN or infinite float is written as null, since JSON has no number for it.
+    """
     with replacing(path) as tmp, open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=indent, sort_keys=True)
+        json.dump(_finite_or_null(doc), fh, indent=indent, sort_keys=True, allow_nan=False)
+
+
+def _finite_or_null(obj):
+    """`obj` with every non-finite float inside its dicts, lists and tuples replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 def write_csv_rows(path, rows) -> None:

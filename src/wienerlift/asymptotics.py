@@ -22,8 +22,8 @@ import numpy as np
 
 from ._batch import homogeneous_norm_batch, homogeneous_norm_plan, pair_base_batch, parallel_chunks
 from .grids import (
-    CameronMartinPath, GaussianSpec, TimeGrid, _check_streams, _count, _real, derived_rng, paley_wiener,
-    sample_values_batch,
+    CHUNK_BYTES, CameronMartinPath, GaussianSpec, TimeGrid, _check_streams, _count, _real, derived_rng,
+    paley_wiener, sample_values_batch,
 )
 from .lifts import EnhancedPath, _triple_base
 from .seminorms import AmbientSpec
@@ -230,6 +230,7 @@ class RateEstimate:
 MIN_EXPECTED_HITS = 20  # empirical_rate censors an epsilon expected to hit fewer times
 PILOT_SAMPLES = 2000  # empirical_rate's default pilot, drawn from the streams after its main run
 TAIL_MIN_HITS = 30  # a `_tail_fit` point has at least this many hits, and at most a tenth of the sample
+MAX_THREADS = 64  # the most worker threads a Monte Carlo run takes, each holding its own chunk
 
 
 def empirical_rate(
@@ -243,7 +244,7 @@ def empirical_rate(
     grid: TimeGrid,
     oracle: str | None = None,
     pilot_samples: int = PILOT_SAMPLES,
-    chunk: int = 512,
+    chunk: int | None = None,
     threads: int = 1,
 ) -> RateEstimate:
     """Monte Carlo estimate of eps^2 log P(dilate(eps, lift(X)) in event).
@@ -261,7 +262,8 @@ def empirical_rate(
     and positive, with eps^2 neither 0 nor inf (`_check_epsilons`).  An
     oracle's (u, s) is computed and range-checked once, before any draw
     (`_oracle_terms`), and `_oracle_scaled` turns it into each epsilon's
-    eps^2 log p.
+    eps^2 log p.  The driver sizes its chunks by bytes (`grids.CHUNK_BYTES`);
+    `chunk`, when given, caps the paths a chunk takes.
     """
     epsilons = sorted(float(_real("epsilon", e)) for e in epsilons)[::-1]
     _check_epsilons(epsilons)
@@ -352,7 +354,7 @@ def _tail_fit(u, hits, n: int) -> tuple[float, np.ndarray]:
 
 
 def _collect_statistics(
-    spec, scheme, grid, seed, count, chunk, threads=1, *,
+    spec, scheme, grid, seed, count, chunk=None, threads=1, *,
     names=(), entry=(1, 1), ambient=None, shift=None,
 ):
     """The Monte Carlo driver: sample each chunk once, evaluate every statistic.
@@ -364,6 +366,13 @@ def _collect_statistics(
     of x; without one, `shifted` is empty and `pw` is None.  Base tensors are
     built once per path set, up to the highest level any named statistic
     reads.
+
+    A chunk holds, per path, float64 values (n+1) d and base tensors
+    (n+1) d^k for each level k from 2 up, all twice with a shift.  It takes
+    as many paths as fit `grids.CHUNK_BYTES` split among the threads, at
+    least one and at most `chunk` when one is given, so memory stays bounded
+    at any grid size.  Each statistic depends only on its path's index, so
+    the chunking changes no bit.
     """
     if scheme not in MC_SCHEMES:
         raise ValueError(f"scheme must be one of {MC_SCHEMES}, got {scheme!r}")
@@ -371,13 +380,18 @@ def _collect_statistics(
     # a chunk below 1 would run no chunk and leave those arrays unwritten
     count = _count("count", count, 0)
     _check_streams(0, count)
-    chunk = _count("chunk", chunk)
+    threads = _count("threads", threads, 1, MAX_THREADS)
     level = max(
         (ambient.max_degree if STATISTICS[n].level is None else STATISTICS[n].level for n in names),
         default=1,
     )
+    per_path = 8 * (grid.n_steps + 1) * sum(spec.dim**k for k in range(1, level + 1))
+    per_path *= 1 if shift is None else 2
+    paths = max(1, CHUNK_BYTES // (threads * per_path))
+    chunk = paths if chunk is None else min(_count("chunk", chunk), paths)
     if ambient is not None:
         ambient.check_fits(spec.dim, ambient.max_degree)
+        ambient.check_process(spec)
     entry = _check_entry(entry, spec.dim)
     if shift is not None:
         shift.check_fits(grid, spec.dim)
@@ -688,10 +702,14 @@ def lift_norm_samples(
     grid: TimeGrid,
     n_samples: int,
     seed: int,
-    chunk: int = 512,
+    chunk: int | None = None,
     threads: int = 1,
 ) -> np.ndarray:
-    """Homogeneous norms of n_samples independent lifts."""
+    """Homogeneous norms of n_samples independent lifts.
+
+    The driver sizes its chunks by bytes (`grids.CHUNK_BYTES`); `chunk`,
+    when given, caps the paths a chunk takes.
+    """
     plain, _, _ = _collect_statistics(
         spec, scheme, grid, seed, n_samples, chunk, threads, names=("hom-norm",), ambient=ambient
     )

@@ -31,6 +31,7 @@ from . import _files
 from . import chaos as chaos_mod
 from .asymptotics import (
     FERNIQUE_MIN_SAMPLES,
+    MAX_THREADS,
     MC_SCHEMES,
     ORACLES,
     PILOT_SAMPLES,
@@ -198,6 +199,13 @@ def _parse_ambient(preset_or_path: str, dim: int, level: int = 3, *, fit: bool =
 _EVENT_KINDS = {"sup-ge": "sup-level1", "terminal-ge": "terminal-abs", "hom-ge": "hom-norm", "level2-ge": "level2-entry"}
 
 
+def _check_process(args, ambient: AmbientSpec | None, spec: GaussianSpec) -> None:
+    """Refuse an ambient the run evaluates whose norms are infinite on the process (`AmbientSpec.check_process`)."""
+    if ambient is not None:
+        with _argument_errors(f"--ambient {args.ambient!r} with --hurst {args.hurst}"):
+            ambient.check_process(spec)
+
+
 def _parse_event(text: str, ambient: AmbientSpec | None, dim: int) -> EventSpec:
     """Event syntax: sup-ge:c | terminal-ge:c | hom-ge:c | level2-ge:i,j,c (i, j <= dim)."""
     head, _, arg = text.partition(":")
@@ -294,6 +302,7 @@ def _cmd_ldp(args) -> _Run:
     ambient = _parse_ambient(args.ambient, args.dim) if args.ambient else None
     spec = _gaussian_spec(args)
     event = _parse_event(args.event, ambient, args.dim)
+    _check_process(args, event.ambient, spec)
     grid = _grid(args)
     if args.oracle is not None:
         with _argument_errors():
@@ -334,9 +343,10 @@ def _cmd_eta0(args) -> _Run:
 
 
 def _cmd_fernique(args) -> _Run:
-    ambient = _parse_ambient(args.ambient, args.dim)
+    ambient, spec = _parse_ambient(args.ambient, args.dim), _gaussian_spec(args)
+    _check_process(args, ambient, spec)
     fit = fernique_tail_fit(
-        _gaussian_spec(args), args.scheme, ambient, args.samples, args.seed, grid=_grid(args), threads=args.threads
+        spec, args.scheme, ambient, args.samples, args.seed, grid=_grid(args), threads=args.threads
     )
     return _Run(f"fernique: wrote {args.out}; eta_hat={fit.eta_hat!r} over t in {fit.fit_range}",
                 fit.to_document(), lambda out: _files.write_csv_rows(out, fit.csv_rows()))
@@ -525,12 +535,12 @@ def _add_process_args(p: argparse.ArgumentParser, dim_default: int = 1, processe
 
 
 def _add_threads_arg(p: argparse.ArgumentParser):
-    """--threads, by default the CPUs this process may run on."""
+    """--threads, at most `MAX_THREADS`: by default the CPUs this process may run on, up to that maximum."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has sched_getaffinity
         cpus = os.cpu_count() or 1
-    p.add_argument("--threads", type=_count(), default=cpus)
+    p.add_argument("--threads", type=_count(1, MAX_THREADS), default=min(cpus, MAX_THREADS))
 
 
 def _add_output_args(p: argparse.ArgumentParser, layout: str, required: bool = True):

@@ -102,7 +102,7 @@ def reweight_check(
     scheme: str = "ito",
     ambient: AmbientSpec | None = None,
     entry: tuple[int, int] = (1, 1),
-    chunk: int = 2048,
+    chunk: int | None = None,
     threads: int = 1,
 ) -> CameronMartinCheck:
     """Compare E[g(lift(x+h))] against E[g(lift(x)) f_h(x)] by Monte Carlo.
@@ -113,7 +113,8 @@ def reweight_check(
     z-score is computed from the paired differences; a nonzero mean
     difference with no spread reads +-inf, never 0.  `spec` must be Brownian,
     and an h off `grid` or `spec.dim`, or of infinite energy, is refused
-    before any path is drawn.
+    before any path is drawn.  The driver sizes its chunks by bytes
+    (`grids.CHUNK_BYTES`); `chunk`, when given, caps the paths a chunk takes.
     """
     for name in functionals:
         _check_statistic(name, "functional")

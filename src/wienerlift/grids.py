@@ -39,6 +39,9 @@ from . import _files
 # byte budget of one block of work: the normals of the paths
 # `sample_values_batch` draws at once, and the columns a `seminorms.column_kernel` asks for
 BLOCK_BYTES = 2**17
+# byte budget of one Monte Carlo chunk, shared by the driver's threads: the values and
+# basepoint tensors of the paths `asymptotics._collect_statistics` holds at once
+CHUNK_BYTES = 2**22
 
 
 class EmbeddingFailure(RuntimeError):

@@ -116,6 +116,36 @@ class AmbientSpec:
             if s.degree > level:
                 raise ValueError(f"symbol {s.name!r} has degree {s.degree}, but the lift stops at level {level}")
 
+    def check_process(self, spec) -> None:
+        """Refuse, naming the symbol, one whose norm is infinite in the continuum on the process `spec`.
+
+        On fBm of Hurst index H a degree-k symbol is finite only under a pvar
+        exponent above 1/(kH) or a holder exponent below kH, and a degree
+        above 1 needs H > 1/4, below which there is no canonical lift (Coutin
+        and Qian 2002).  On a grid every norm is finite, so such a norm would
+        grow without limit as n grows.  Sup and terminal norms have no
+        exponent to check, and Brownian motion passes every symbol.
+        """
+        if spec.kind != "fbm":
+            return
+        hurst = spec.hurst
+        for s in self.symbols:
+            kind, exponent, k = s.norm.kind, s.norm.exponent, s.degree
+            if k >= 2 and hurst <= 0.25:
+                raise ValueError(
+                    f"symbol {s.name!r} has degree {k}, but fbm with hurst {hurst} <= 1/4 has no lift above level 1"
+                )
+            if kind == "pvar" and exponent <= 1 / (k * hurst):
+                raise ValueError(
+                    f"symbol {s.name!r} has pvar exponent {exponent}, but fbm with hurst {hurst} needs one "
+                    f"above 1/(kH) = {1 / (k * hurst)!r} at degree {k}"
+                )
+            if kind == "holder" and exponent >= k * hurst:
+                raise ValueError(
+                    f"symbol {s.name!r} has holder exponent {exponent}, but fbm with hurst {hurst} needs one "
+                    f"below kH = {k * hurst!r} at degree {k}"
+                )
+
     def to_config(self) -> dict:
         return {
             "symbols": [

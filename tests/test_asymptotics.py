@@ -20,7 +20,7 @@ from wienerlift.asymptotics import (
     fernique_tail_fit,
     lift_norm_samples,
 )
-from wienerlift.grids import CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, sample
+from wienerlift.grids import CHUNK_BYTES, CameronMartinPath, GaussianSpec, TimeGrid, cm_norm, sample
 from wienerlift.lifts import _lift_tensors, dilate_enhanced, ito_lift, stratonovich_lift, to_graded
 from wienerlift.seminorms import AmbientSpec, ambient_for_levels, classical_ambient
 
@@ -752,7 +752,132 @@ def test_level2_norm_memory_linear_in_grid(monkeypatch):
     lift_norm_samples(spec, "stratonovich", classical_ambient(2), TimeGrid(1.0, 1024), 4096, 1, chunk=64)
     _collect_statistics(spec, "stratonovich", TimeGrid(1.0, 1024), 1, 4096, 256,
                         names=("level2-entry",))
-    assert chunks == [512, 64, 256]  # every run takes the requested chunk
+    # a chunk takes the paths whose values and level-2 tensors fit CHUNK_BYTES, at most the chunk asked for
+    level1, level2_bytes = 8 * 1025 * 2, 8 * 1025 * (2 + 4)
+    assert chunks == [CHUNK_BYTES // level2_bytes, min(64, CHUNK_BYTES // level1), CHUNK_BYTES // level2_bytes]
+
+
+def _terminal_ambient(d: int, level: int) -> AmbientSpec:
+    """Every word up to `level` under the terminal norm: a level-`level` statistic that costs no norm kernel."""
+    from itertools import product
+
+    from wienerlift.seminorms import SymbolNorm, SymbolSpec
+
+    words = [w for k in range(1, level + 1) for w in product(range(1, d + 1), repeat=k)]
+    symbols = tuple(SymbolSpec("".join(map(str, w)), w, SymbolNorm("terminal")) for w in words)
+    return AmbientSpec(symbols, tuple(s.name for s in symbols if s.degree == 1))
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_driver_outputs_do_not_depend_on_chunks_or_threads(monkeypatch, shifted):
+    import wienerlift.asymptotics as asy
+
+    spec, grid = GaussianSpec("bm", 2), TimeGrid(1.0, 8)
+    shift = CameronMartinPath(grid, np.full((8, 2), 0.5)) if shifted else None
+
+    def run(chunk, threads):
+        plain, moved, pw = _collect_statistics(
+            spec, "stratonovich", grid, 5, 40, chunk, threads, names=tuple(STATISTICS), entry=(1, 2),
+            ambient=ambient_for_levels(2, 3), shift=shift,
+        )
+        return [a.tobytes() for a in (*plain.values(), *moved.values(), *([] if pw is None else [pw]))]
+
+    runs = [run(chunk, threads) for chunk, threads in ((1, 1), (7, 1), (None, 1), (7, 2), (None, 2))]
+    # the budget at 40 paths is one chunk; a budget of five paths a thread splits them among two threads
+    per_path = 8 * 9 * (2 + 4 + 8) * (2 if shifted else 1)
+    monkeypatch.setattr(asy, "CHUNK_BYTES", 2 * 5 * per_path)
+    chunks = []
+    original = asy.parallel_chunks
+
+    def recording(total, chunk, *rest):
+        chunks.append(chunk)
+        original(total, chunk, *rest)
+
+    monkeypatch.setattr(asy, "parallel_chunks", recording)
+    runs.append(run(None, 2))
+    assert chunks == [5]
+    assert len(runs[0]) == len(STATISTICS) * (2 if shifted else 1) + shifted
+    assert all(r == runs[0] for r in runs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("level, count", [(2, 64), (3, 24)])
+def test_driver_peak_memory_does_not_grow_with_the_grid(level, count, threads):
+    # at n = 4096 and d = 3 the old 512-path chunk held all paths at once: a 54 MiB peak at either level
+    import tracemalloc
+
+    spec, ambient = GaussianSpec("bm", 3), _terminal_ambient(3, level)
+    for n in (512, 4096):
+        tracemalloc.start()
+        try:
+            plain, _, _ = _collect_statistics(spec, "stratonovich", TimeGrid(1.0, n), 1, count, threads=threads,
+                                              names=("hom-norm",), ambient=ambient)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(plain["hom-norm"]))
+        assert peak < 3 * CHUNK_BYTES, (n, peak)
+
+
+class _RecordingPool:
+    """A ThreadPoolExecutor stand-in that records its max_workers and runs every task in the calling thread."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("total, chunk, threads, workers", [
+    (10, 4, 2, [2]),  # three chunks, two threads
+    (10, 4, 64, [3]),  # never more workers than chunks
+    (10, 10, 2, []),  # one chunk runs in the calling thread
+    (0, 4, 2, []),
+])
+def test_parallel_chunks_starts_at_most_one_worker_a_chunk(monkeypatch, total, chunk, threads, workers):
+    import concurrent.futures
+
+    from wienerlift._batch import parallel_chunks
+
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
+    seen = []
+    parallel_chunks(total, chunk, lambda start, count: seen.append((start, count)), threads)
+    assert _RecordingPool.workers == workers
+    assert sorted(seen) == [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
+
+
+def test_threads_above_the_maximum_are_refused_before_allocating(monkeypatch):
+    import concurrent.futures
+
+    from wienerlift.asymptotics import MAX_THREADS
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda **_: pytest.fail("started a pool"))
+    monkeypatch.setattr(np, "empty", lambda *args, **kwargs: pytest.fail("allocated"))
+    with pytest.raises(ValueError, match=f"threads must be <= {MAX_THREADS}, got {MAX_THREADS + 1}"):
+        lift_norm_samples(GaussianSpec("bm", 1), "ito", classical_ambient(1), TimeGrid(1.0, 8), 10, 1,
+                          threads=MAX_THREADS + 1)
+
+
+def test_driver_refuses_an_ambient_infinite_on_its_process(monkeypatch):
+    import wienerlift.asymptotics as asy
+
+    monkeypatch.setattr(asy, "sample_values_batch", lambda *args, **kwargs: pytest.fail("sampled"))
+    spec, grid = GaussianSpec("fbm", 2, hurst=0.2), TimeGrid(1.0, 16)
+    with pytest.raises(ValueError, match="symbol '1' has holder exponent 0.4, but fbm with hurst 0.2"):
+        lift_norm_samples(spec, "stratonovich", ambient_for_levels(2, 2, norm_kind="holder", alpha=0.4), grid, 10, 1)
+    with pytest.raises(ValueError, match="symbol '11' has degree 2, but fbm with hurst 0.2 <= 1/4"):
+        empirical_rate(spec, "ito", EventSpec("hom-norm", 1.0, ambient=ambient_for_levels(2, 2, p=6.0)), [0.5], 10, 1,
+                       grid=grid)
 
 
 def test_eta0_quotient_converges_under_refinement():

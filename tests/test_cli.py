@@ -112,8 +112,8 @@ def test_ldp_csv_rows_match_the_summary_columns(tmp_path, oracle):
     names = ["epsilons", "hits", "log_probs", "log_prob_ses", "scaled", "scaled_ses"]
     oracle_values = results["oracle_values"] or [None] * 3
     for i, row in enumerate(rows):
-        # the writer prints floats by their repr, and JSON reads a NaN back as nan
-        assert row[:6] == [repr(results[name][i]) for name in names]
+        # the CSV writer prints floats by their repr, and the summary writes a NaN as null
+        assert row[:6] == [repr(math.nan if results[name][i] is None else results[name][i]) for name in names]
         assert row[6] == ("" if oracle is None else repr(oracle_values[i]))
         assert row[7] == str(int(results["epsilons"][i] in results["censored"]))
     assert rows[2][2:6] == ["nan"] * 4 and rows[2][1] == "0" and rows[2][7] == "1"
@@ -254,6 +254,63 @@ def test_malformed_count_is_an_argument_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert f"argument {option}: expected an integer >=" in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["ldp", "--event", "sup-ge:1", "--epsilons", "0.5", "--samples", "10"],
+    ["fernique", "--ambient", "classical", "--samples", "10000"],
+    ["cm-check", "--samples", "10"],
+])
+def test_threads_above_the_maximum_are_refused_at_parse_time(tmp_path, capsys, monkeypatch, command):
+    import concurrent.futures
+
+    from wienerlift.asymptotics import MAX_THREADS
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda **_: pytest.fail("started a pool"))
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--threads", str(MAX_THREADS + 1), "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --threads: expected an integer <= {MAX_THREADS}, got '{MAX_THREADS + 1}'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_default_threads_stop_at_the_maximum(monkeypatch):
+    from wienerlift.asymptotics import MAX_THREADS
+    from wienerlift.cli import build_parser
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4 * MAX_THREADS)))
+    argv = ["cm-check", "--samples", "10", "--seed", "1", "--out", "x"]
+    assert build_parser().parse_args(argv).threads == MAX_THREADS
+
+
+# runs whose ambient has an infinite norm on the process: each names --ambient and --hurst
+INFINITE_AMBIENT_RUNS = {
+    "fernique-holder2": ["fernique", "--process", "fbm", "--hurst", "0.2", "--dim", "2", "--steps", "16",
+                         "--ambient", "holder2:0.4", "--samples", "10000", "--seed", "1"],
+    "ldp-level2-at-quarter": ["ldp", "--process", "fbm", "--hurst", "0.25", "--dim", "2", "--steps", "16",
+                              "--event", "hom-ge:1", "--ambient", "level2:8", "--epsilons", "0.5",
+                              "--samples", "100", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFINITE_AMBIENT_RUNS))
+def test_ambient_infinite_on_the_process_is_an_argument_error(tmp_path, capsys, monkeypatch, case):
+    from wienerlift import asymptotics
+
+    monkeypatch.setattr(asymptotics, "sample_values_batch", lambda *args, **kwargs: pytest.fail("sampled"))
+    out = tmp_path / "o.csv"
+    assert main(INFINITE_AMBIENT_RUNS[case] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--ambient" in err and "--hurst" in err and "fbm with hurst" in err
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
+def test_fbm_ambient_with_finite_norms_runs(tmp_path):
+    argv = ["fernique", "--process", "fbm", "--hurst", "0.45", "--dim", "2", "--steps", "8",
+            "--ambient", "level2:2.5", "--samples", "10000", "--seed", "1", "--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 0
 
 
 def test_chaos_commands(tmp_path):
@@ -1151,7 +1208,8 @@ def test_cm_check_difference_without_spread_reads_inf(tmp_path, capsys):
     assert capsys.readouterr().out.rstrip().endswith("max |z|=inf")
     results = json.loads(out.read_text())["results"]
     rep = results["reweight"]["level2-entry"]
-    assert (rep["estimate_lhs"], rep["se_lhs"], rep["estimate_rhs"], rep["z_score"]) == (4.375e39, 0.0, 0.0, math.inf)
+    # the digest prints the infinite z; JSON has no number for it, so the summary writes null
+    assert (rep["estimate_lhs"], rep["se_lhs"], rep["estimate_rhs"], rep["z_score"]) == (4.375e39, 0.0, 0.0, None)
     # exp(|h|^2/2) overflows here, so the mgf check is skipped rather than written as Infinity and NaN
     assert (results["mgf_target"], results["mgf_estimate"], results["mgf_se"]) == (None, None, None)
 
@@ -1176,6 +1234,35 @@ def test_each_command_writes_the_files_its_parser_declares(tmp_path, capsys, com
     assert main(argv + ["--out", str(tmp_path / "x")]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == files
     assert capsys.readouterr().out.count("\n") == 1
+
+
+# runs whose results hold a non-finite float: a censored epsilon's NaN, an infinite z-score
+NON_FINITE_RUNS = {
+    "ldp-censored": (["ldp", "--steps", "16", "--event", "sup-ge:1", "--epsilons", "0.6,0.01", "--samples", "500",
+                      "--seed", "3"], "x.summary.json"),
+    "cm-check-infinite-z": (["cm-check", "--shift", "ramp:1e20", "--samples", "1000", "--steps", "8", "--seed", "1"],
+                            "x"),
+}
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=")
+@pytest.mark.parametrize("command", sorted(WRITES) + sorted(NON_FINITE_RUNS))
+def test_every_summary_is_strict_json(tmp_path, command):
+    # once a censored epsilon's NaN was written bare, and a strict JSON reader refused the summary
+    if command in NON_FINITE_RUNS:
+        argv, summary = NON_FINITE_RUNS[command]
+    else:
+        argv, summary = WRITES[command][0], WRITES[command][1][-1]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 0
+    results = json.loads((tmp_path / summary).read_text(), parse_constant=_not_json)["results"]
+    if command == "ldp-censored":
+        assert results["scaled"][-1] is None and results["extrapolated_rate"] is None
+    if command == "cm-check-infinite-z":
+        assert results["reweight"]["level2-entry"]["z_score"] is None
 
 
 def test_chaos_project_leaves_a_summary_beside_its_out_alone(tmp_path):

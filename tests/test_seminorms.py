@@ -405,6 +405,51 @@ def test_ambient_validation():
         AmbientSpec(symbols=(), distinguished=())
 
 
+def _two_level_ambient(norm1: SymbolNorm, norm2: SymbolNorm) -> AmbientSpec:
+    """d=2 symbols 1, 2 under `norm1` and 11, 12, 21, 22 under `norm2`."""
+    words = [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+    symbols = tuple(SymbolSpec("".join(map(str, w)), w, norm1 if len(w) == 1 else norm2) for w in words)
+    return AmbientSpec(symbols, ("1", "2"))
+
+
+# an fBm ambient whose continuum norm is infinite: (spec, ambient, the refusal), each at its boundary
+INFINITE_ON_FBM = {
+    "pvar-at-1/(kH)": (GaussianSpec("fbm", 1, hurst=0.4), ambient_for_levels(1, 1, p=2.5),
+                       "symbol '1' has pvar exponent 2.5, but fbm with hurst 0.4 needs one above 1/(kH) = 2.5"),
+    "level2-pvar-at-1/(kH)": (GaussianSpec("fbm", 2, hurst=0.4),
+                              _two_level_ambient(SymbolNorm("pvar", 3.0), SymbolNorm("pvar", 1.25)),
+                              "symbol '11' has pvar exponent 1.25, but fbm with hurst 0.4 needs one above 1/(kH)"),
+    "holder-at-kH": (GaussianSpec("fbm", 2, hurst=0.4), ambient_for_levels(2, 2, norm_kind="holder", alpha=0.4),
+                     "symbol '1' has holder exponent 0.4, but fbm with hurst 0.4 needs one below kH = 0.4 at degree 1"),
+    "level2-holder-at-kH": (GaussianSpec("fbm", 2, hurst=0.4),
+                            _two_level_ambient(SymbolNorm("holder", 0.3), SymbolNorm("holder", 0.8)),
+                            "symbol '11' has holder exponent 0.8, but fbm with hurst 0.4 needs one below kH = 0.8"),
+    "level2-at-quarter": (GaussianSpec("fbm", 2, hurst=0.25), ambient_for_levels(2, 2, p=8.0),
+                          "symbol '11' has degree 2, but fbm with hurst 0.25 <= 1/4 has no lift above level 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFINITE_ON_FBM))
+def test_check_process_refuses_an_ambient_infinite_on_fbm(case):
+    spec, ambient, message = INFINITE_ON_FBM[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ambient.check_process(spec)
+
+
+@pytest.mark.parametrize("spec, ambient", [
+    (GaussianSpec("bm", 2), ambient_for_levels(2, 3, p=2.5)),
+    (GaussianSpec("bm", 2), ambient_for_levels(2, 2, norm_kind="holder", alpha=0.4)),
+    (GaussianSpec("bm", 1), ambient_for_levels(1, 1, p=1.0)),  # BM passes every symbol
+    (GaussianSpec("fbm", 2, hurst=0.45), ambient_for_levels(2, 2, p=2.5)),
+    (GaussianSpec("fbm", 2, hurst=0.4), ambient_for_levels(2, 1, norm_kind="holder", alpha=0.39)),
+    # sup and terminal norms are finite at any Hurst index
+    (GaussianSpec("fbm", 2, hurst=0.1), AmbientSpec(
+        (SymbolSpec("1", (1,), SymbolNorm("sup")), SymbolSpec("2", (2,), SymbolNorm("terminal"))), ("1", "2"))),
+])
+def test_check_process_passes_finite_norms(spec, ambient):
+    ambient.check_process(spec)
+
+
 def test_a_norm_exponent_is_a_real_number():
     for kind, exponent in (("pvar", True), ("pvar", "2.5"), ("holder", False), ("holder", "0.5")):
         with pytest.raises(ValueError, match=f"{kind} exponent must be a real number"):
