@@ -2,16 +2,15 @@
 
 The kernels live once, in `lifts` and `seminorms`, and take any number of
 batch axes: values (..., n+1, d) and basepoint tensors (..., n+1, d, ...)
-lead with them, while entry column blocks put them last, [t - t0, s, ...],
-so that elementwise steps run along the batch and a block stays
-O(chunk * n).  A single path is the batch with no batch axis: the
+lead with them, while the blocks of entries X_{s,t} put them last, so that
+elementwise steps run along the batch and a block stays O(chunk * n).  A single path is the batch with no batch axis: the
 Monte Carlo route and the eta0 search pass values of shape (C, n+1, d), and
 the selftest passes one lift's own arrays.  `pair_base_batch` is
 `lifts._pair_base`, the level-2 accumulator of one path per batch row, under
 the name `asymptotics._collect_statistics` builds its base tensors with.
 `homogeneous_norm_plan` is `seminorms.homogeneous_norm` over
 `lifts.norm_plan`, which works out its dispatch once per (ambient, grid),
-reads level-2/3 entries from the basepoint tensors column by column and
+reads level-2/3 entries from the basepoint tensors a block at a time and
 never builds a surface: the eta0 search evaluates thousands of small batches
 on one grid.
 `homogeneous_norm_batch` is that plan called once.

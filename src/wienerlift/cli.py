@@ -302,6 +302,8 @@ def _cmd_ldp(args) -> _Run:
     ambient = _parse_ambient(args.ambient, args.dim) if args.ambient else None
     spec = _gaussian_spec(args)
     event = _parse_event(args.event, ambient, args.dim)
+    if ambient is not None and event.ambient is None:
+        raise CliError(f"--ambient {args.ambient!r}: only a hom-ge event reads an ambient, got --event {args.event!r}")
     _check_process(args, event.ambient, spec)
     grid = _grid(args)
     if args.oracle is not None:

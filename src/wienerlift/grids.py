@@ -36,8 +36,9 @@ import numpy as np
 from . import _files
 
 
-# byte budget of one block of work: the normals of the paths
-# `sample_values_batch` draws at once, and the columns a `seminorms.column_kernel` asks for
+# byte budget of one block of work: the normals of the paths `sample_values_batch` draws
+# at once, and the columns a `seminorms.column_kernel` reads at once; where one column
+# fills it, Hoelder and sup norms read one lag t - s a block instead
 BLOCK_BYTES = 2**17
 # byte budget of one Monte Carlo chunk, shared by the driver's threads: the values and
 # basepoint tensors of the paths `asymptotics._collect_statistics` holds at once

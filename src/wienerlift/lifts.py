@@ -21,13 +21,14 @@ An `EnhancedPath` is these arrays: level-1 values (n+1, d) and basepoint
 tensors `base2` (n+1, d, d) and `base3` (n+1, d, d, d).  The accumulators
 and the Chen reconstructions take any number of leading axes; one path is
 the batch with no leading axis.  `chen_increment` rebuilds whole tensors
-X_{s,t} for the Chen check.  The graded norms read entries X^w_{s,t} column
-by column (`entry_columns`), so no (n+1, n+1) surface is ever stored:
-`norm_plan` works out each ambient symbol's dispatch once per ambient and
-grid and lists its norm over the leading axes, and `to_graded` is that list
-for one lift.  A block of columns is indexed [t - t0, s, ...batch], time
-first and the batch axes last, so the Chen arithmetic runs along the
-contiguous batch axis, and a block holds O(C n) entries.
+X_{s,t} for the Chen check.  The graded norms read entries X^w_{s,t}
+through `_entry_pairs`, pairs(s, t) at index tuples into the time axis, in
+the blocks `seminorms.column_kernel` builds (columns, or one lag t - s), so
+no (n+1, n+1) surface is ever stored: `norm_plan` works out each ambient
+symbol's dispatch once per ambient and grid and lists its norm over the
+leading axes, and `to_graded` is that list for one lift.  Every operand is
+stored time first and the batch axes last, so the Chen arithmetic runs
+along the contiguous batch axis, and a block holds O(C n) entries.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def _entry_pairs(values, base2, base3, indices):
     B = X^{ijk}_{0,.}, D = B - b x^k.  Every operand is stored time first,
     (n+1, ...batch), so s and t are index tuples into the leading time axis
     that broadcast together, and every caller does the same arithmetic.
+    Each call returns a fresh array, which `seminorms.column_kernel`
+    overwrites in place.
     """
     level = len(indices)
     if (base2 if level == 2 else base3) is None:
@@ -169,17 +172,11 @@ def chen_increment(values, base2, base3, s: int, t: int):
     return x2, x3
 
 
-def entry_columns(values: np.ndarray, base2: np.ndarray, base3, indices):
-    """(t0, t1) -> X^w_{s,t} for s < t1 and t0 <= t < t1, indexed [t - t0, s, ...batch]; 1-based word w."""
-    pairs = _entry_pairs(values, base2, base3, indices)
-    return lambda t0, t1: pairs((None, slice(0, t1)), (slice(t0, t1), None))
-
-
 def norm_plan(ambient: AmbientSpec, grid: TimeGrid):
     """A function (values, base2=None, base3=None) -> [(symbol, its norm over the leading axes)], in order.
 
     Degree-1 symbols read a component of `values`; level-2/3 entries stream
-    from the basepoint tensors by `entry_columns`: O(C n) memory, no surface.
+    from the basepoint tensors by `_entry_pairs`: O(C n) memory, no surface.
     Each symbol's dispatch on degree and norm kind, and its norm's tables,
     are worked out here once per (ambient, grid).
     """
@@ -192,7 +189,7 @@ def norm_plan(ambient: AmbientSpec, grid: TimeGrid):
         else:
             column, word = column_kernel(sym.norm, n, dt), sym.indices
             kernels.append(lambda values, base2, base3, column=column, word=word: column(
-                entry_columns(values, base2, base3, word), values.shape[:-2]))
+                _entry_pairs(values, base2, base3, word), values.shape[:-2]))
 
     def norms(values: np.ndarray, base2: np.ndarray | None = None, base3: np.ndarray | None = None):
         return [(sym, kernel(values, base2, base3)) for sym, kernel in zip(ambient.symbols, kernels)]

@@ -9,19 +9,23 @@ degree-weighted dilations of a lift: |||delta_eps X||| = eps * |||X|||.
 Two-parameter payloads X_{s,t} take the homogeneous rough-path norms on the
 grid, which converge under refinement: the exact q-variation over the
 consecutive intervals of grid partitions, and Hoelder and sup over s < t.
-One kernel, `column_kernel`, reads them from blocks of columns t -> X_{.,t}
-indexed [t - t0, s, ...batch]: time first and the batch axes last, so every
-elementwise step runs along the contiguous batch, and a block holds O(C n)
-entries.  The one-parameter p-variation and Hoelder norms are
-X_{s,t} = x_t - x_s.  The plain Banach norm sum_tau ||v_tau|| induces the
-same topology as the homogeneous distance, but no quantitative equivalence
-is asserted here.
+One kernel, `column_kernel`, reads them through `pairs(s, t)`, which gives
+X_{s,t} at index tuples s, t into the time axis with the batch axes last,
+so every elementwise step runs along the contiguous batch, and builds its
+own blocks of O(C n) entries.  pvar reads blocks of columns t -> X_{.,t},
+indexed [t - t0, s, ...batch].  Hoelder and sup read the same blocks, or
+one lag t - s a block where a block holds one column: their divisor
+depends on the lag alone, and division by a positive constant is monotone,
+so they divide once per lag and path and keep every bit.  The
+one-parameter p-variation and Hoelder norms are X_{s,t} = x_t - x_s.  The
+plain Banach norm sum_tau ||v_tau|| induces the same topology as the
+homogeneous distance, but no quantitative equivalence is asserted here.
 
 Every kernel takes any number of leading axes and gives norms of shape
 (...); a single path is the batch with no leading axis and gets a built-in
 float.  `column_kernel` and `path_kernel` fix a norm and a grid once and
 return the kernel as a function, the one entry point for every caller.
-`lifts.norm_plan` streams a lift's columns from its basepoint tensors;
+`lifts.norm_plan` streams a lift's entries from its basepoint tensors;
 `homogeneous_norm` and `banach_norm` sum the (symbol, norm) pairs.
 """
 
@@ -260,34 +264,54 @@ def _path_values(values) -> np.ndarray:
 
 
 def column_kernel(norm: SymbolNorm, n: int, dt: float = 1.0):
-    """One symbol norm of a two-parameter payload X_{s,t} on an n-step grid: a function (columns, shape) -> norms.
+    """One symbol norm of a two-parameter payload X_{s,t} on an n-step grid: a function (pairs, shape) -> norms.
 
-    `columns(t0, t1)` returns X_{s,t} for t0 <= t < t1 and s < t1, indexed
-    [t - t0, s, ...] with the batch axes `shape` last, so each elementwise
-    step runs along the batch; entries with s >= t are never read.  Each
-    block must be a fresh array: the kernel overwrites it with its absolute
-    value, power or Hoelder quotient rather than allocating another.  A block
-    holds at most `BLOCK_BYTES` or one column, so memory is O(C n).  pvar is
-    the exact q-variation over consecutive intervals of grid partitions, by
-    the recursion best[t] = max_{s<t} best[s] + |X_{s,t}|^q, run in place in
-    the block; holder is the largest |X_{s,t}| / ((t-s) dt)^e and sup the
-    largest |X_{s,t}| over s < t; terminal is |X_{0,n}|.  The dispatch on the
-    norm kind and the Hoelder divisor per lag are worked out here, once.
+    `pairs(s, t)` returns X_{s,t} for s and t that index the time axis 0..n
+    and broadcast together (ints, slices or index tuples, as
+    `lifts._entry_pairs` takes them), with the batch axes `shape` last, so
+    each elementwise step runs along the batch; entries with s >= t are
+    never read.  Each call must return a fresh array: the kernel overwrites
+    it with its absolute value, power or Hoelder quotient rather than
+    allocating another.  The kernel builds its own blocks, each at most
+    `BLOCK_BYTES` or one column, so memory is O(C n).
+
+    pvar is the exact q-variation over consecutive intervals of grid
+    partitions, by the recursion best[t] = max_{s<t} best[s] + |X_{s,t}|^q,
+    run in place in blocks of columns [t - t0, s, ...].  holder is the
+    largest |X_{s,t}| / ((t-s) dt)^e and sup the largest |X_{s,t}| over
+    s < t: from the same column blocks, each pair divided by its lag's
+    divisor, where a block holds several columns, and from one lag
+    t - s = k a block, pairs(slice(0, n+1-k), slice(k, n+1)), where it
+    holds one.  A lag takes one divide per path: division by a positive
+    constant is monotone, so max_s fl(|X|/c) = fl(max_s |X| / c) and both
+    routes give the same bits.  The choice goes by block width because a
+    lag a block costs n Python steps where wide column blocks take n / width.
+    terminal is |X_{0,n}|, one pair.  The dispatch on the norm kind and the
+    Hoelder divisor per lag are worked out here, once.
     """
     kind, e = norm.kind, norm.exponent
     if kind == "terminal":
-        return lambda columns, shape: _unbox(np.abs(columns(n, n + 1)[0, 0]))
+        return lambda pairs, shape: _unbox(np.abs(pairs(0, n)))
     if kind != "pvar":
         # divisor per lag t - s, by scalar pow; inf masks the pairs s >= t
         scale = np.array([np.inf] + [(k * dt) ** e if kind == "holder" else 1.0 for k in range(1, n + 1)])
 
-    def kernel(columns, shape):
+    def kernel(pairs, shape):
         # an empty batch takes one column a block; its blocks hold no entries
         width = max(1, BLOCK_BYTES // (8 * (n + 1) * max(1, math.prod(shape))))
         best = np.zeros((n + 1,) + shape if kind == "pvar" else shape)
+        if width == 1 and kind != "pvar":
+            # one diagonal t - s = k a step, no larger than a column, and one divide per lag and path
+            for k in range(1, n + 1):
+                diagonal = pairs(slice(0, n + 1 - k), slice(k, n + 1))
+                top = np.maximum.reduce(np.abs(diagonal, out=diagonal), axis=0)
+                if kind == "holder":
+                    top /= scale[k]
+                np.maximum(best, top, out=best)
+            return _unbox(best)
         for t0 in range(1, n + 1, width):
             t1 = min(n + 1, t0 + width)
-            size = columns(t0, t1)
+            size = pairs((None, slice(0, t1)), (slice(t0, t1), None))
             np.abs(size, out=size)
             if kind == "pvar":
                 # `**=` keeps NumPy's scalar fast paths (square at e=2), as `**` does
@@ -318,9 +342,9 @@ def _time_first(a: np.ndarray) -> np.ndarray:
 
 
 def _increments(x: np.ndarray):
-    """Column blocks of a one-parameter path: x_t - x_s."""
+    """pairs(s, t) -> x_t - x_s of a one-parameter path, s and t index tuples into its time axis."""
     xt = _time_first(x)
-    return lambda t0, t1: xt[t0:t1, None] - xt[None, :t1]
+    return lambda s, t: xt[t] - xt[s]
 
 
 def path_kernel(norm: SymbolNorm, n: int, dt: float = 1.0):

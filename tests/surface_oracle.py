@@ -1,8 +1,8 @@
 """Reference entry surfaces of a lift, for tests only.
 
 The package never stores a surface: its norms stream entries X^w_{s,t} from
-the basepoint tensors column by column.  Tests check that route against
-surfaces built here on their own, from the whole-tensor Chen relation
+the basepoint tensors a block of pairs at a time.  Tests check that route
+against surfaces built here on their own, from the whole-tensor Chen relation
 
     X^2_{s,t} = X^2_{0,t} - X^2_{0,s} - x_{0,s} (x) x_{s,t},
     X^3_{s,t} = X^3_{0,t} - X^3_{0,s} - x_{0,s} (x) X^2_{s,t} - X^2_{0,s} (x) x_{s,t},
@@ -40,9 +40,14 @@ def lift_surface(e, *word):
     return entry_surface(e.level1.values, e.base2, e.base3, word)
 
 
-def surface_columns(surface):
-    """A stored surface X[..., s, t] as the column blocks [t - t0, s, ...] a `seminorms.column_kernel` reads.
+def surface_pairs(surface):
+    """A stored surface X[..., s, t] as the `pairs(s, t)` a `seminorms.column_kernel` reads.
 
-    Each block is a fresh copy, as the kernel overwrites the blocks it is given.
+    s and t index the time axis as `lifts._entry_pairs` takes them, ints,
+    slices or index tuples that broadcast together, and pick X[s, t] with the
+    batch axes last.  Advanced indexing gives a fresh array, as the kernel
+    overwrites the blocks it is given.
     """
-    return lambda t0, t1: np.moveaxis(surface[..., :t1, t0:t1], (-1, -2), (0, 1)).copy()
+    st = np.moveaxis(surface, (-2, -1), (0, 1))
+    times = np.arange(surface.shape[-1])
+    return lambda s, t: st[times[s], times[t]]

@@ -24,6 +24,8 @@ from wienerlift.grids import CHUNK_BYTES, CameronMartinPath, GaussianSpec, TimeG
 from wienerlift.lifts import _lift_tensors, dilate_enhanced, ito_lift, stratonovich_lift, to_graded
 from wienerlift.seminorms import AmbientSpec, ambient_for_levels, classical_ambient
 
+from pool_recorder import record_pools
+
 
 def test_event_validation():
     with pytest.raises(ValueError, match="kind must be one of .*'terminal-level1'.*got 'max'"):
@@ -616,13 +618,16 @@ def test_driver_refuses_an_overflowing_statistic_without_a_warning(driver):
                 lift_norm_samples(spec, "stratonovich", ambient, grid, 200, 1)
 
 
-def test_lift_norm_samples_threads_deterministic():
+def test_lift_norm_samples_threads_deterministic(monkeypatch):
     ambient = ambient_for_levels(1, 2, norm_kind="holder", alpha=0.4)
     grid = TimeGrid(1.0, 16)
     a = lift_norm_samples(GaussianSpec("bm", 1), "ito", ambient, grid, 2_000, 77)
+    # the byte budget holds all 2000 paths in one chunk; 256 a chunk gives eight, on three workers
+    pools = record_pools(monkeypatch)
     b = lift_norm_samples(
-        GaussianSpec("bm", 1), "ito", ambient, grid, 2_000, 77, threads=3
+        GaussianSpec("bm", 1), "ito", ambient, grid, 2_000, 77, chunk=256, threads=3
     )
+    assert pools == [[3, 8]]
     assert np.array_equal(a, b)
 
 

@@ -827,6 +827,12 @@ BAD_VALUES = {
                                   "--event 'level2-ge:1,1,abc': threshold must be finite, got nan"),
     "ldp-hom-without-ambient": (["ldp", "--event", "hom-ge:1", "--epsilons", "1", "--samples", "10"],
                                 "--event 'hom-ge:1': hom-norm events need an ambient spec"),
+    # only a hom-ge event reads --ambient, which the summary would record
+    "ldp-ambient-without-hom": (["ldp", "--process", "fbm", "--hurst", "0.2", "--event", "terminal-ge:1",
+                                 "--ambient", "holder2:0.4", "--dim", "2", "--steps", "16", "--epsilons", "0.5,0.4",
+                                 "--samples", "400"],
+                                "--ambient 'holder2:0.4': only a hom-ge event reads an ambient, "
+                                "got --event 'terminal-ge:1'"),
     "ldp-entry-0": (["ldp", "--event", "level2-ge:0,1,1", "--epsilons", "1", "--samples", "10"],
                     "--event 'level2-ge:0,1,1': entry index must be >= 1, got 0"),
     "ldp-entry-negative": (["ldp", "--event", "level2-ge:-1,1,1", "--epsilons", "1", "--samples", "10"],

@@ -23,6 +23,8 @@ from wienerlift.grids import (
 )
 from wienerlift.lifts import ito_lift, lifted_shift
 
+from pool_recorder import record_pools
+
 
 def _ramp(grid, d, slope=1.0):
     return CameronMartinPath(grid, np.full((grid.n_steps, d), slope))
@@ -198,12 +200,15 @@ def test_reweight_refuses_a_non_brownian_process():
         )
 
 
-def test_reweight_threads_do_not_change_results():
+def test_reweight_threads_do_not_change_results(monkeypatch):
     grid = TimeGrid(1.0, 16)
     h = _random_cm(17, grid, 1)
     kwargs = dict(spec=GaussianSpec("bm", 1), grid=grid, n_samples=5_000, seed=18)
     a = reweight_check(("terminal-level1",), h, **kwargs, threads=1)
-    b = reweight_check(("terminal-level1",), h, **kwargs, threads=3)
+    # the byte budget holds all 5000 paths in one chunk; 256 a chunk gives twenty, on three workers
+    pools = record_pools(monkeypatch)
+    b = reweight_check(("terminal-level1",), h, **kwargs, chunk=256, threads=3)
+    assert pools == [[3, 20]]
     assert a == b
 
 

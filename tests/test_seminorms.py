@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from wienerlift._batch import homogeneous_norm_batch, pair_base_batch
 from wienerlift.grids import CameronMartinPath, GaussianSpec, SamplePath, TimeGrid, sample, sample_values_batch
-from wienerlift.lifts import _triple_base, dilate_enhanced, stratonovich_lift, to_graded
+from wienerlift.lifts import _lift_tensors, _triple_base, dilate_enhanced, stratonovich_lift, to_graded
 from wienerlift.seminorms import (
     NORM_KINDS,
     AmbientSpec,
@@ -22,12 +23,27 @@ from wienerlift.seminorms import (
     path_kernel,
 )
 
-from surface_oracle import entry_surface, lift_surface, surface_columns
+from surface_oracle import entry_surface, lift_surface, surface_pairs
+
+
+def _same_bits(a, b) -> bool:
+    """Equal floats to the last bit, the sign of a zero included."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 def _surface_norm(surface, grid, norm):
-    """One symbol norm of stored surfaces X[..., s, t] through `column_kernel`."""
-    return column_kernel(norm, grid.n_steps, grid.dt)(surface_columns(surface), surface.shape[:-2])
+    """One symbol norm of stored surfaces X[..., s, t] through `column_kernel`, at the default block size.
+
+    The same norm with `BLOCK_BYTES` 1, one column or one lag a block, must
+    give the same bits.
+    """
+    import wienerlift.seminorms as sm
+
+    kernel = column_kernel(norm, grid.n_steps, grid.dt)
+    value = kernel(surface_pairs(surface), surface.shape[:-2])
+    with mock.patch.object(sm, "BLOCK_BYTES", 1):
+        assert _same_bits(kernel(surface_pairs(surface), surface.shape[:-2]), value)
+    return value
 
 
 def _pvar_over_all_partitions(surface, q):
@@ -133,13 +149,13 @@ def _two_param_paths(n, count=2, seed=4, dim=2):
 
 @pytest.mark.parametrize("word", [(1, 2), (2, 2), (1, 2, 1), (2, 1, 1)])
 def test_two_param_pvar_matches_bruteforce_over_partitions(word):
-    from wienerlift.lifts import entry_columns
+    from wienerlift.lifts import _entry_pairs
 
     for n in (5, 9, 12):
         grid, values, base2, base3 = _two_param_paths(n)
         surfaces = entry_surface(values, base2, base3, word)
         for q in (1.0, 1.25, 2.0):
-            streamed = column_kernel(SymbolNorm("pvar", q), n)(entry_columns(values, base2, base3, word), (2,))
+            streamed = column_kernel(SymbolNorm("pvar", q), n)(_entry_pairs(values, base2, base3, word), (2,))
             for k, surface in enumerate(surfaces):
                 oracle = _pvar_over_all_partitions(surface, q)
                 assert streamed[k] == pytest.approx(oracle, rel=1e-12)
@@ -185,14 +201,14 @@ def test_brownian_level2_qvariation_bounded_under_refinement():
     # the grid q-variation has a continuum limit; an all-pairs sum grows like
     # n^(2/q), about 80-fold from n = 64 to 1024
     from wienerlift.grids import sample_values_batch
-    from wienerlift.lifts import _pair_base, entry_columns
+    from wienerlift.lifts import _entry_pairs, _pair_base
 
     fine = sample_values_batch(GaussianSpec("bm", 2), TimeGrid(1.0, 1024), 2024, 16)
     medians = []
     for n in (64, 128, 256, 512, 1024):
         values = fine[:, :: 1024 // n]
         base2 = _pair_base(values, "stratonovich")
-        qvar = column_kernel(SymbolNorm("pvar", 1.25), n)(entry_columns(values, base2, None, (1, 2)), (16,))
+        qvar = column_kernel(SymbolNorm("pvar", 1.25), n)(_entry_pairs(values, base2, None, (1, 2)), (16,))
         medians.append(float(np.median(qvar)))
     assert max(medians) <= 1.5 * min(medians)
 
@@ -534,29 +550,51 @@ def _mixed_ambient():
     return AmbientSpec(symbols=tuple(symbols), distinguished=("1", "2"))
 
 
-def test_column_blocks_do_not_change_bits(monkeypatch):
-    # one column per block and one block for all columns give the same floats,
-    # for every norm kind, a batch with two leading axes and a single path
+@pytest.mark.parametrize("scheme", ["ito", "stratonovich"])
+@pytest.mark.parametrize("spec", [GaussianSpec("bm", 2), GaussianSpec("fbm", 2, hurst=0.4)], ids=["bm", "fbm"])
+def test_column_blocks_do_not_change_bits(monkeypatch, spec, scheme):
+    # one block of every column, one column or one lag a block and the default budget give the same
+    # floats, for every norm kind at levels 2 and 3, a batch with two leading axes and a single path;
+    # 600 paths at n = 24 fill a block with one column, so the default budget reads them one lag a block
     import wienerlift.seminorms as sm
     from wienerlift.lifts import norm_plan
 
-    grid, values, base2, base3 = _two_param_paths(24, count=6, seed=12)
+    n, count = 24, 600
+    grid = TimeGrid(1.0, n)
+    values = sample_values_batch(spec, grid, 12, count)
+    # the zero path, a constant and a line: zero entries of either sign, and maxima tied along each lag
+    values[0] = 0.0
+    values[1] = [0.7, -1.3]
+    values[2] = grid.points[:, None] * [0.7, -1.3]
+    base2, base3 = _lift_tensors(values, scheme, 3)
     ambients = [ambient_for_levels(2, 3, norm_kind="pvar", p=2.5),
-                ambient_for_levels(2, 2, norm_kind="holder", alpha=0.4),
+                ambient_for_levels(2, 3, norm_kind="holder", alpha=0.3),
+                _ambient("sup", 3),
                 _mixed_ambient()]
+    rows = (0, 1, 2, 3, 599)
 
-    def norms(ambient, shape=(6,), row=slice(None)):
+    def norms(ambient, shape=(count,), row=slice(None)):
         arrays = (a[row].reshape(shape + a.shape[1:]) for a in (values, base2, base3))
         return [norm for _, norm in norm_plan(ambient, grid)(*arrays)]
 
+    default = sm.BLOCK_BYTES
+    assert default // (8 * (n + 1) * count) <= 1
+    monkeypatch.setattr(sm, "BLOCK_BYTES", 2**62)
     whole = [norms(a) for a in ambients]
-    for block_bytes in (sm.BLOCK_BYTES, 1):
+    for block_bytes in (default, 1):
         monkeypatch.setattr(sm, "BLOCK_BYTES", block_bytes)
         for ambient, ref in zip(ambients, whole):
-            rows = zip(ambient.symbols, ref, norms(ambient), norms(ambient, (2, 3)), norms(ambient, (), 4))
-            for sym, flat, blocked, two_axes, alone in rows:
-                assert np.array_equal(blocked, flat), sym.name
-                assert two_axes.shape == (2, 3) and np.array_equal(two_axes.ravel(), flat), sym.name
-                assert type(alone) is float
-                # the root of a float and of an array may differ in the last bit
-                assert alone == pytest.approx(flat[4], rel=1e-15), sym.name
+            blocked, two_axes = norms(ambient), norms(ambient, (20, 30))
+            alone = [norms(ambient, (), row) for row in rows]
+            for k, (sym, flat) in enumerate(zip(ambient.symbols, ref)):
+                assert _same_bits(blocked[k], flat), (sym.name, block_bytes)
+                assert two_axes[k].shape == (20, 30) and _same_bits(two_axes[k].ravel(), flat), sym.name
+                for row, single in zip(rows, alone):
+                    assert type(single[k]) is float
+                    if sym.norm.kind == "pvar":
+                        # the root of a float and of an array may differ in the last bit
+                        assert single[k] == pytest.approx(flat[row], rel=1e-15), (sym.name, row)
+                    else:
+                        assert _same_bits(single[k], flat[row]), (sym.name, row, block_bytes)
+    # the zero path's norms are +0.0 under every kind, as |X| is
+    assert all(_same_bits(norm[0], 0.0) for ref in whole for norm in ref)
